@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
+from .errors import ConfigError, read_json
 from .numerics import (
     Matrix,
     Vector,
@@ -27,11 +28,7 @@ from .numerics import (
 )
 
 
-class ParseError(ValueError):
-    pass
-
-
-class ShapeMismatch(ValueError):
+class ShapeMismatch(ConfigError):
     def __init__(self, field_name: str, expected: tuple, got: tuple):
         super().__init__(f"{field_name}: expected shape {expected}, got {got}")
         self.field_name = field_name
@@ -59,11 +56,11 @@ class TransformerWeights:
     def __post_init__(self):
         d, h, d_ff = self.d, self.h, self.d_ff
         if d < 1 or h < 1 or d_ff < 1:
-            raise ValueError("d, h and d_ff must be positive")
+            raise ConfigError("d, h and d_ff must be positive")
         if d % h:
-            raise ValueError(f"d={d} is not divisible by h={h}")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
+            raise ConfigError(f"d={d} is not divisible by h={h}")
+        if not self.eps > 0.0:
+            raise ConfigError("eps must be positive")
         d_head = d // h
         for name in ("w_q", "w_k", "w_v"):
             mats = getattr(self, name)
@@ -203,46 +200,44 @@ def _matrix_field(doc: dict, name: str) -> Matrix:
     try:
         return Matrix.from_rows(doc[name])
     except KeyError as exc:
-        raise ParseError(f"missing field {name!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad matrix in field {name!r}: {exc}") from exc
+        raise ConfigError(f"missing field {name!r}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad matrix in field {name!r}: {exc}") from exc
 
 
 def _vector_field(doc: dict, name: str) -> Vector:
     try:
         return [float(x) for x in doc[name]]
     except KeyError as exc:
-        raise ParseError(f"missing field {name!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad vector in field {name!r}: {exc}") from exc
+        raise ConfigError(f"missing field {name!r}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad vector in field {name!r}: {exc}") from exc
 
 
 def load_transformer_weights(path) -> TransformerWeights:
     """Adapter weights JSON; shapes are validated on construction."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read adapter weights {path}: {exc}") from exc
+    doc = read_json(path, ConfigError, "adapter weights")
     if not isinstance(doc, dict):
-        raise ParseError("adapter weights must be a JSON object")
+        raise ConfigError("adapter weights must be a JSON object")
     try:
         d, h, d_ff = int(doc["d"]), int(doc["h"]), int(doc["d_ff"])
         heads = doc["heads"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad adapter header: {exc}") from exc
+        eps = float(doc.get("eps", 1e-5))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad adapter header: {exc}") from exc
     if not isinstance(heads, list):
-        raise ParseError("'heads' must be an array")
+        raise ConfigError("'heads' must be an array")
     w_q, w_k, w_v = [], [], []
     for i, head in enumerate(heads):
         if not isinstance(head, dict):
-            raise ParseError(f"heads[{i}] must be an object")
+            raise ConfigError(f"heads[{i}] must be an object")
         w_q.append(_matrix_field(head, "w_q"))
         w_k.append(_matrix_field(head, "w_k"))
         w_v.append(_matrix_field(head, "w_v"))
     ln1 = doc.get("ln1", {})
     ln2 = doc.get("ln2", {})
     if not isinstance(ln1, dict) or not isinstance(ln2, dict):
-        raise ParseError("'ln1' and 'ln2' must be objects")
+        raise ConfigError("'ln1' and 'ln2' must be objects")
     return TransformerWeights(
         d=d,
         h=h,
@@ -259,7 +254,7 @@ def load_transformer_weights(path) -> TransformerWeights:
         ln1_bias=_vector_field(ln1, "bias"),
         ln2_gain=_vector_field(ln2, "gain"),
         ln2_bias=_vector_field(ln2, "bias"),
-        eps=float(doc.get("eps", 1e-5)),
+        eps=eps,
     )
 
 

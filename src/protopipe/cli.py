@@ -5,9 +5,11 @@ personalize (build prototypes for one user), recognize (classify one clutter
 video frame by frame), evaluate (ablation report over all users), and
 bench-loader (threaded-loader timing table).
 
-Exit codes: 0 success, 2 configuration error (bad config/flags/weights),
-3 data error (bad dataset, missing files, unknown ids). The effective seed
-is resolved as: --seed flag, else the PROTOPIPE_SEED environment variable,
+Exit codes: 0 success, 2 for a ConfigError (bad config, flags, weights or
+embedding-table layout), 3 for a DataError or OSError (bad dataset, frames
+or prototypes, missing files, unknown ids, a non-finite embedding). Any
+other exception is a bug and surfaces as a traceback. The effective seed is
+resolved as: --seed flag, else the PROTOPIPE_SEED environment variable,
 else the config file's seed.
 """
 from __future__ import annotations
@@ -18,17 +20,14 @@ import logging
 import sys
 from pathlib import Path
 
-from . import adaptation, embedding, protonet
-from .clip_sampling import InsufficientFrames
-from .config import ConfigError, build_runtime, effective_seed, load_config
-from .evaluation import ARM_ORDER, UnknownArm, evaluate_users, write_report
-from .frame_validity import FrameTooSmall, UnsupportedChannels
+from .config import build_runtime, effective_seed, load_config
+from .errors import ConfigError, DataError
+from .evaluation import ARM_ORDER, evaluate_users, write_report
 from .media_io.bench import bench_loader
-from .media_io.loader import DecodeError, LoaderConfig
-from .media_io.manifest import DatasetManifest, ManifestError, VideoRecord, load_manifest
-from .media_io.pnm import PnmError
+from .media_io.loader import LoaderConfig
+from .media_io.manifest import DatasetManifest, VideoRecord, load_manifest
 from .media_io.synthetic import GeneratorSpec, generate_synthetic_dataset
-from .numerics import DimensionMismatch, EmptyInput
+from .numerics import DimensionMismatch
 from .protonet import (
     build_episode,
     load_prototypes,
@@ -41,31 +40,6 @@ from .protonet import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
-
-_CONFIG_ERRORS = (
-    ConfigError,
-    UnknownArm,
-    DimensionMismatch,
-    adaptation.ParseError,
-    adaptation.ShapeMismatch,
-    embedding.ParseError,
-    embedding.InconsistentDim,
-)
-_DATA_ERRORS = (
-    ManifestError,
-    PnmError,
-    DecodeError,
-    InsufficientFrames,
-    FrameTooSmall,
-    UnsupportedChannels,
-    EmptyInput,
-    embedding.MissingFrameEmbedding,
-    embedding.EmptyClip,
-    protonet.EmptyClass,
-    protonet.LengthMismatch,
-    protonet.ParseError,
-    OSError,
-)
 
 
 def _fail(code: int, message: str) -> int:
@@ -249,14 +223,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CONFIG_ERRORS as exc:
+    except ConfigError as exc:
         return _fail(EXIT_CONFIG, str(exc))
-    except _DATA_ERRORS as exc:
+    except (DataError, OSError) as exc:
         return _fail(EXIT_DATA, str(exc))
-    except ValueError as exc:
-        # Residual validation failures (bad generator/sampler parameters,
-        # malformed weights) are all misconfiguration.
-        return _fail(EXIT_CONFIG, str(exc))
 
 
 if __name__ == "__main__":

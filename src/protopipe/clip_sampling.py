@@ -13,13 +13,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .errors import DataError
+
 POLICY_UNIFORM = "uniform"
 POLICY_RANDOM = "random"
 
 WITHIN_CHUNK_CHOICES = ("seeded_random", "first", "middle")
 
 
-class InsufficientFrames(ValueError):
+class InsufficientFrames(DataError):
     pass
 
 

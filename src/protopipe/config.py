@@ -25,15 +25,12 @@ from .embedding import (
     load_projection_spec,
     make_patch_projection_spec,
 )
+from .errors import ConfigError, read_json
 from .frame_validity import EdgeFilterConfig
 from .media_io.loader import LoaderConfig
 from .protonet import PipelineRuntime
 
 ENV_SEED = "PROTOPIPE_SEED"
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -68,7 +65,9 @@ class PipelineConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
+def _require_keys(obj, allowed: set[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"'{where}' must be an object")
     unknown = sorted(set(obj) - allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {where}")
@@ -85,7 +84,7 @@ def _sampler_from(doc: dict) -> SamplerConfig:
             policy=doc.get("policy", "uniform"),
             within_chunk=doc.get("within_chunk", "middle"),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad sampler config: {exc}") from exc
 
 
@@ -97,7 +96,7 @@ def _filter_from(doc: dict) -> EdgeFilterConfig:
             tau_density=float(doc.get("tau_density", 0.01)),
             enabled=bool(doc.get("enabled", True)),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad edge_filter config: {exc}") from exc
 
 
@@ -124,14 +123,7 @@ def _check_embedder(doc: dict, base_dir: Path) -> None:
 
 def load_config(path) -> PipelineConfig:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
+    doc = read_json(path, ConfigError, "config")
     _require_keys(
         doc, {"sampler", "edge_filter", "embedder", "adapter", "seed"}, "config"
     )
@@ -149,7 +141,7 @@ def load_config(path) -> PipelineConfig:
         raise ConfigError(f"adapter weights file not found: {base_dir / adapter}")
     try:
         seed = int(doc.get("seed", 0))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad seed: {doc.get('seed')!r}") from exc
     return PipelineConfig(sampler, edge_filter, embedder, adapter, seed, base_dir)
 
@@ -192,12 +184,12 @@ def build_runtime(
     elif "weights" in doc:
         spec = load_projection_spec(config.base_dir / doc["weights"])
     else:
-        spec = make_patch_projection_spec(
-            grid=int(doc.get("grid", 8)),
-            channels=int(doc.get("channels", 3)),
-            dim=int(doc.get("dim", 16)),
-            seed=int(doc.get("seed", 0)),
-        )
+        defaults = {"grid": 8, "channels": 3, "dim": 16, "seed": 0}
+        try:
+            params = {key: int(doc.get(key, value)) for key, value in defaults.items()}
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad embedder config: {exc}") from exc
+        spec = make_patch_projection_spec(**params)
     adapter: TransformerWeights | None = None
     if config.adapter != "none":
         adapter = load_transformer_weights(config.base_dir / config.adapter)

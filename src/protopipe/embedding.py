@@ -10,34 +10,26 @@ the precomputed table instead.
 """
 from __future__ import annotations
 
-import json
+import math
 import random
 from dataclasses import dataclass
-from pathlib import Path
 
+from .errors import ConfigError, DataError, read_json
 from .media_io.pnm import Frame
-from .numerics import DimensionMismatch, Matrix, Vector, matmul, mean_vectors
+from .numerics import DimensionMismatch, Matrix, Vector, matmul
 
 KIND_PATCH_PROJECTION = "patch_projection"
 KIND_PRECOMPUTED = "precomputed"
 
 
-class EmptyClip(ValueError):
-    pass
-
-
-class ParseError(ValueError):
-    pass
-
-
-class MissingFrameEmbedding(ValueError):
+class MissingFrameEmbedding(DataError):
     def __init__(self, video_id: str, index: int):
         super().__init__(f"no embedding for frame {index} of video {video_id!r}")
         self.video_id = video_id
         self.index = index
 
 
-class InconsistentDim(ValueError):
+class InconsistentDim(ConfigError):
     pass
 
 
@@ -51,10 +43,10 @@ class EmbedderSpec:
 
     def __post_init__(self):
         if self.dim < 2:
-            raise ValueError("embedding dim must be >= 2")
+            raise ConfigError("embedding dim must be >= 2")
         if self.kind == KIND_PATCH_PROJECTION:
             if self.grid < 1 or self.channels not in (1, 3):
-                raise ValueError("bad grid/channels for patch projection")
+                raise ConfigError("bad grid/channels for patch projection")
             n = self.grid * self.grid * self.channels
             p = self.projection
             if p is None or (p.rows, p.cols) != (n, self.dim):
@@ -63,13 +55,7 @@ class EmbedderSpec:
                     f"projection must be {n}x{self.dim}, got {got}"
                 )
         elif self.kind != KIND_PRECOMPUTED:
-            raise ValueError(f"unknown embedder kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class ClipEmbedding:
-    vector: Vector
-    source: tuple[str, int]  # (video_id, clip_start)
+            raise ConfigError(f"unknown embedder kind {self.kind!r}")
 
 
 def _orthonormal_columns(n: int, d: int, seed: int) -> Matrix:
@@ -108,15 +94,12 @@ def make_patch_projection_spec(
 
 def load_projection_spec(path) -> EmbedderSpec:
     """Projection weights JSON: {"grid", "channels", "dim", "projection"}."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read projection file {path}: {exc}") from exc
+    doc = read_json(path, ConfigError, "projection file")
     try:
         grid, channels, dim = int(doc["grid"]), int(doc["channels"]), int(doc["dim"])
         projection = Matrix.from_rows(doc["projection"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad projection file {path}: {exc}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad projection file {path}: {exc}") from exc
     return EmbedderSpec(KIND_PATCH_PROJECTION, grid, channels, dim, projection)
 
 
@@ -166,16 +149,6 @@ def embed_frame(frame: Frame, spec: EmbedderSpec) -> Vector:
     return matmul(Matrix(1, len(flat), flat), spec.projection).values
 
 
-def embed_clip(
-    frames: list[Frame], spec: EmbedderSpec, source: tuple[str, int] = ("", 0)
-) -> ClipEmbedding:
-    """Mean of the per-frame embeddings."""
-    if not frames:
-        raise EmptyClip("cannot embed an empty clip")
-    vectors = [embed_frame(f, spec) for f in frames]
-    return ClipEmbedding(mean_vectors(vectors), source)
-
-
 @dataclass(frozen=True)
 class PrecomputedTable:
     dim: int
@@ -191,42 +164,43 @@ class PrecomputedTable:
 def load_precomputed(path) -> PrecomputedTable:
     """Precomputed embeddings JSON: {"dim", "videos": {id: [[...], ...]}}.
 
-    Every frame row must be present and of the declared dimension; holes are
-    a load-time error, not a lookup-time surprise.
+    Every frame row must be present, numeric, of the declared dimension and
+    finite; holes and NaNs are a load-time error, not a lookup-time surprise.
     """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read embeddings file {path}: {exc}") from exc
+    doc = read_json(path, ConfigError, "embeddings file")
     if not isinstance(doc, dict) or "dim" not in doc or "videos" not in doc:
-        raise ParseError(f"embeddings file {path} needs 'dim' and 'videos'")
+        raise ConfigError(f"embeddings file {path} needs 'dim' and 'videos'")
     dim = doc["dim"]
     if not isinstance(dim, int) or dim < 2:
-        raise ParseError(f"bad dim {dim!r}")
+        raise ConfigError(f"bad dim {dim!r}")
+    if not isinstance(doc["videos"], dict):
+        raise ConfigError("'videos' must map video ids to frame rows")
     videos: dict[str, list[Vector]] = {}
     for video_id, rows in doc["videos"].items():
         if not isinstance(rows, list):
-            raise ParseError(f"video {video_id!r}: frame rows must be an array")
+            raise ConfigError(f"video {video_id!r}: frame rows must be an array")
         table_rows: list[Vector] = []
         for idx, row in enumerate(rows):
             if row is None:
                 raise MissingFrameEmbedding(video_id, idx)
             if not isinstance(row, list):
-                raise ParseError(f"video {video_id!r} frame {idx}: not an array")
+                raise ConfigError(f"video {video_id!r} frame {idx}: not an array")
             if len(row) != dim:
                 raise InconsistentDim(
                     f"video {video_id!r} frame {idx} has dim {len(row)}, "
                     f"expected {dim}"
                 )
-            table_rows.append([float(x) for x in row])
+            try:
+                vector = [float(x) for x in row]
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(
+                    f"video {video_id!r} frame {idx}: non-numeric entry: {exc}"
+                ) from exc
+            # One sum per row rather than a check per entry: a NaN or an
+            # infinity anywhere makes the sum non-finite.
+            if not math.isfinite(sum(vector)):
+                raise DataError(f"video {video_id!r} frame {idx}: non-finite embedding")
+            table_rows.append(vector)
         videos[video_id] = table_rows
     return PrecomputedTable(dim, videos)
 
-
-def validate_coverage(table: PrecomputedTable, videos) -> None:
-    """Check the table covers every frame of the given VideoRecords."""
-    for video in videos:
-        rows = table.videos.get(video.video_id)
-        have = 0 if rows is None else len(rows)
-        if have < video.num_frames:
-            raise MissingFrameEmbedding(video.video_id, have)

@@ -43,6 +43,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .adaptation import centering_adapter_weights, save_transformer_weights
+from .errors import ConfigError
 from .media_io.manifest import DatasetManifest
 from .media_io.synthetic import GeneratorSpec, generate_synthetic_dataset
 from .protonet import (
@@ -59,7 +60,7 @@ logger = logging.getLogger(__name__)
 ARM_ORDER = ("baseline", "adapt", "uniform", "filter")
 
 
-class UnknownArm(ValueError):
+class UnknownArm(ConfigError):
     def __init__(self, name: str):
         super().__init__(
             f"unknown ablation arm {name!r}; expected one of {', '.join(ARM_ORDER)}"

@@ -12,17 +12,18 @@ import math
 from dataclasses import dataclass
 
 from .clip_sampling import ClipIndex
+from .errors import DataError
 from .media_io.pnm import Frame
 from .numerics import Matrix
 
 logger = logging.getLogger(__name__)
 
 
-class FrameTooSmall(ValueError):
+class FrameTooSmall(DataError):
     pass
 
 
-class UnsupportedChannels(ValueError):
+class UnsupportedChannels(DataError):
     pass
 
 

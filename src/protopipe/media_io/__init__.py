@@ -8,7 +8,6 @@ from .manifest import (
     InvariantViolation,
     ManifestError,
     ObjectRecord,
-    ParseError,
     SchemaViolation,
     UserRecord,
     VideoRecord,
@@ -45,7 +44,6 @@ __all__ = [
     "MalformedHeader",
     "ManifestError",
     "ObjectRecord",
-    "ParseError",
     "PnmError",
     "SchemaViolation",
     "TruncatedPayload",

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from statistics import median
 
+from ..errors import ConfigError
 from .loader import LoaderConfig, load_frames_parallel
 from .manifest import DatasetManifest
 
@@ -54,7 +55,7 @@ def bench_loader(
 ) -> BenchReport:
     """Time loading every frame of every video once, per config."""
     if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+        raise ConfigError("repetitions must be >= 1")
     if not cfg_list:
         raise ValueError("need at least one loader config")
     paths = [p for video in manifest.all_videos() for p in video.frame_paths]

@@ -15,10 +15,11 @@ import threading
 import time
 from dataclasses import dataclass
 
+from ..errors import ConfigError, DataError
 from .pnm import Frame, PnmError, decode_pnm
 
 
-class DecodeError(ValueError):
+class DecodeError(DataError):
     def __init__(self, path: str, cause: Exception):
         super().__init__(f"{path}: {cause}")
         self.path = path
@@ -32,9 +33,9 @@ class LoaderConfig:
 
     def __post_init__(self):
         if self.num_threads < 1:
-            raise ValueError("num_threads must be >= 1")
-        if self.injected_latency_ms < 0:
-            raise ValueError("injected_latency_ms must be >= 0")
+            raise ConfigError("num_threads must be >= 1")
+        if not 0 <= self.injected_latency_ms < float("inf"):
+            raise ConfigError("injected_latency_ms must be finite and >= 0")
 
 
 def _read_bytes(path: str) -> bytes:

@@ -6,16 +6,13 @@ later stages never see a half-formed dataset.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-
-class ManifestError(ValueError):
-    pass
+from ..errors import DataError, read_json
 
 
-class ParseError(ManifestError):
+class ManifestError(DataError):
     pass
 
 
@@ -90,6 +87,8 @@ def _expect_str(value, pointer: str) -> str:
     s = _expect(value, str, pointer, "string")
     if not s:
         raise SchemaViolation(pointer, "empty string")
+    if "\0" in s:  # no file path can hold one: os.open raises ValueError
+        raise SchemaViolation(pointer, "NUL character")
     return s
 
 
@@ -169,12 +168,4 @@ def parse_manifest(document, base_dir: Path) -> DatasetManifest:
 def load_manifest(path) -> DatasetManifest:
     """Load and validate a manifest JSON file."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read manifest {path}: {exc}") from exc
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"manifest {path} is not valid JSON: {exc}") from exc
-    return parse_manifest(document, path.parent)
+    return parse_manifest(read_json(path, ManifestError, "manifest"), path.parent)

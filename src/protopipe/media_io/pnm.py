@@ -8,8 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..errors import DataError
 
-class PnmError(ValueError):
+
+class PnmError(DataError):
     """Base class for codec failures."""
 
 

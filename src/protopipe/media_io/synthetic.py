@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..errors import ConfigError
 from .manifest import (
     DatasetManifest,
     ObjectRecord,
@@ -60,13 +61,13 @@ class GeneratorSpec:
 
     def __post_init__(self):
         if min(self.num_users, self.videos_per_object, self.frames_per_video) < 1:
-            raise ValueError("all counts must be >= 1")
+            raise ConfigError("all counts must be >= 1")
         if self.objects_per_user < 2:
-            raise ValueError("objects_per_user must be >= 2")
+            raise ConfigError("objects_per_user must be >= 2")
         if self.frame_size < 16:
-            raise ValueError("frame_size must be >= 16")
+            raise ConfigError("frame_size must be >= 16")
         if not 0.0 <= self.blank_fraction <= 1.0:
-            raise ValueError("blank_fraction must be in [0, 1]")
+            raise ConfigError("blank_fraction must be in [0, 1]")
 
 
 @dataclass(frozen=True)

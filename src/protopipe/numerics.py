@@ -10,14 +10,16 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .errors import ConfigError, DataError
+
 Vector = list[float]
 
 
-class DimensionMismatch(ValueError):
+class DimensionMismatch(ConfigError):
     """Operand shapes are incompatible."""
 
 
-class EmptyInput(ValueError):
+class EmptyInput(DataError):
     """Operation needs at least one row/element."""
 
 
@@ -39,7 +41,7 @@ class Matrix:
             )
         for v in self.values:
             if not math.isfinite(v):
-                raise ValueError(f"non-finite matrix entry {v!r}")
+                raise DataError(f"non-finite matrix entry {v!r}")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[float]]) -> "Matrix":
@@ -149,27 +151,21 @@ def layer_norm_rows(m: Matrix, gain: Vector, bias: Vector, eps: float) -> Matrix
 
 
 def cosine_similarity(a: Vector, b: Vector) -> float:
-    """Cosine of the angle between two vectors, 0.0 if either is ~zero."""
+    """Cosine of the angle between two vectors, 0.0 if either is ~zero.
+
+    A non-finite entry makes the dot product or a norm non-finite and raises
+    DataError: min(1.0, nan) would otherwise score it a perfect match.
+    """
     if len(a) != len(b):
         raise DimensionMismatch(f"vector lengths {len(a)} vs {len(b)}")
     dot = sum(x * y for x, y in zip(a, b))
     na = math.sqrt(sum(x * x for x in a))
     nb = math.sqrt(sum(y * y for y in b))
+    if not math.isfinite(dot + na + nb):
+        raise DataError("non-finite vector entry in cosine similarity")
     if na < 1e-12 or nb < 1e-12:
         return 0.0
     return max(-1.0, min(1.0, dot / (na * nb)))
-
-
-def mean_rows(m: Matrix) -> Vector:
-    """Column-wise arithmetic mean."""
-    if m.rows == 0:
-        raise EmptyInput("mean_rows of an empty matrix")
-    acc = [0.0] * m.cols
-    for i in range(m.rows):
-        base = i * m.cols
-        for j in range(m.cols):
-            acc[j] += m.values[base + j]
-    return [x / m.rows for x in acc]
 
 
 def mean_vectors(vectors: Sequence[Vector]) -> Vector:

@@ -17,7 +17,8 @@ from pathlib import Path
 
 from .adaptation import TransformerWeights, adapt_prototypes
 from .clip_sampling import SamplerConfig, causal_sliding_window, sample_clips
-from .embedding import ClipEmbedding, EmbedderSpec, PrecomputedTable, embed_frame
+from .embedding import EmbedderSpec, PrecomputedTable, embed_frame
+from .errors import DataError, read_json
 from .frame_validity import ClipAudit, EdgeFilterConfig, SampledClip, filter_clips
 from .media_io.loader import LoaderConfig, load_frames_parallel
 from .media_io.manifest import DatasetManifest, UserRecord, VideoRecord
@@ -31,17 +32,13 @@ from .numerics import (
 )
 
 
-class EmptyClass(ValueError):
+class EmptyClass(DataError):
     def __init__(self, label: str):
         super().__init__(f"class {label!r} has no clip embeddings")
         self.label = label
 
 
-class LengthMismatch(ValueError):
-    pass
-
-
-class ParseError(ValueError):
+class LengthMismatch(DataError):
     pass
 
 
@@ -98,13 +95,13 @@ def build_episode(manifest: DatasetManifest, user_id: str) -> Episode:
     return Episode(user_id, tuple(support), tuple(query))
 
 
-def compute_prototypes(per_class: list[tuple[str, list[ClipEmbedding]]]) -> Matrix:
+def compute_prototypes(per_class: list[tuple[str, list[Vector]]]) -> Matrix:
     """Row k = mean of class k's clip vectors, in the given class order."""
     rows = []
     for label, clips in per_class:
         if not clips:
             raise EmptyClass(label)
-        rows.append(mean_vectors([c.vector for c in clips]))
+        rows.append(mean_vectors(clips))
     return Matrix.from_rows(rows)
 
 
@@ -140,6 +137,7 @@ class PipelineRuntime:
     loader: LoaderConfig = LoaderConfig()
 
     def frame_vector(self, video: VideoRecord, index: int, frame: Frame | None) -> Vector:
+        """The one place that picks table row or pixels for a frame vector."""
         if self.table is not None:
             return self.table.vector(video.video_id, index)
         if frame is None:
@@ -167,7 +165,7 @@ def personalize(
     # edge filter always does, the patch embedder does, a precomputed
     # table with the filter off does not.
     decode = runtime.needs_pixels or runtime.edge_filter.enabled
-    per_class: list[tuple[str, list[ClipEmbedding]]] = []
+    per_class: list[tuple[str, list[Vector]]] = []
     audits: list[ClipAudit] = []
     for label, videos in episode.support:
         sampled: list[SampledClip] = []
@@ -187,17 +185,15 @@ def personalize(
         retained, class_audits = filter_clips(sampled, runtime.edge_filter)
         audits.extend(class_audits)
         by_video = {v.video_id: v for v in videos}
-        embeddings = []
+        clip_vectors = []
         for sc in retained:
             video = by_video[sc.video_id]
             vectors = [
                 runtime.frame_vector(video, idx, sc.frames[j] if sc.frames else None)
                 for j, idx in enumerate(sc.clip.frame_indices())
             ]
-            embeddings.append(
-                ClipEmbedding(mean_vectors(vectors), (sc.video_id, sc.clip.start))
-            )
-        per_class.append((label, embeddings))
+            clip_vectors.append(mean_vectors(vectors))
+        per_class.append((label, clip_vectors))
     raw = compute_prototypes(per_class)
     adapted = adapt_prototypes(raw, runtime.adapter) if runtime.adapter else raw
     protos = Prototypes(
@@ -213,13 +209,12 @@ class FramePrediction:
 
 
 def video_frame_vectors(video: VideoRecord, runtime: PipelineRuntime) -> list[Vector]:
-    """Embed every frame of a video once (decoding only if pixels are needed)."""
+    """Every frame's vector, in order, decoding frames only if pixels are needed."""
     if runtime.needs_pixels:
         frames = load_frames_parallel(video.frame_paths, runtime.loader)
-        return [embed_frame(f, runtime.embedder) for f in frames]
-    return [
-        runtime.table.vector(video.video_id, i) for i in range(video.num_frames)
-    ]
+    else:
+        frames = [None] * video.num_frames
+    return [runtime.frame_vector(video, i, f) for i, f in enumerate(frames)]
 
 
 def recognize_video(
@@ -280,10 +275,7 @@ def save_prototypes(protos: Prototypes, path) -> None:
 
 
 def load_prototypes(path) -> Prototypes:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read prototypes file {path}: {exc}") from exc
+    doc = read_json(path, DataError, "prototypes file")
     try:
         labels = tuple(str(x) for x in doc["labels"])
         raw = Matrix.from_rows(doc["raw"])
@@ -291,12 +283,12 @@ def load_prototypes(path) -> Prototypes:
         protos = Prototypes(
             str(doc["user_id"]), labels, raw, adapted, str(doc["config_digest"])
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, DimensionMismatch):
             raise
-        raise ParseError(f"bad prototypes file {path}: {exc}") from exc
+        raise DataError(f"bad prototypes file {path}: {exc}") from exc
     if doc.get("dim") != protos.dim:
-        raise ParseError(f"declared dim {doc.get('dim')} != matrix dim {protos.dim}")
+        raise DataError(f"declared dim {doc.get('dim')} != matrix dim {protos.dim}")
     return protos
 
 

@@ -11,7 +11,6 @@ import pytest
 from _oracles import np_transformer_block
 
 from protopipe.adaptation import (
-    ParseError,
     ShapeMismatch,
     TransformerWeights,
     adapt_prototypes,
@@ -22,7 +21,8 @@ from protopipe.adaptation import (
     save_transformer_weights,
     self_attention,
 )
-from protopipe.numerics import Matrix, layer_norm_rows, mean_rows, scale
+from protopipe.errors import ConfigError
+from protopipe.numerics import Matrix, layer_norm_rows, mean_vectors, scale
 
 GOLDEN = Path(__file__).parent / "data" / "golden_adapter_seed5.json"
 
@@ -165,7 +165,7 @@ class TestCenteringAdapter:
         d, strength = 6, 0.25
         w = centering_adapter_weights(d, strength)
         p = random_matrix(4, d, seed=21)
-        mean = mean_rows(p)
+        mean = mean_vectors(p.to_rows())
         centered = Matrix.from_rows(
             [[v - strength * m for v, m in zip(row, mean)] for row in p.to_rows()]
         )
@@ -215,17 +215,24 @@ class TestValidationAndSerialization:
 
     def test_load_errors(self, tmp_path):
         path = tmp_path / "w.json"
-        with pytest.raises(ParseError):
+        with pytest.raises(ConfigError):
             load_transformer_weights(path)
         path.write_text("[]")
-        with pytest.raises(ParseError):
+        with pytest.raises(ConfigError):
             load_transformer_weights(path)
         w = random_transformer_weights(4, seed=0)
         save_transformer_weights(w, path)
         doc = json.loads(path.read_text())
         del doc["w_o"]
         path.write_text(json.dumps(doc))
-        with pytest.raises(ParseError, match="w_o"):
+        with pytest.raises(ConfigError, match="w_o"):
+            load_transformer_weights(path)
+
+    def test_nan_eps_is_a_config_error(self, tmp_path):
+        path = tmp_path / "w.json"
+        save_transformer_weights(random_transformer_weights(4, seed=0), path)
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), eps=math.nan)))
+        with pytest.raises(ConfigError, match="eps"):
             load_transformer_weights(path)
 
     def test_random_weights_structure(self):

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
+from protopipe import cli
+from protopipe.adaptation import random_transformer_weights, save_transformer_weights
 from protopipe.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from protopipe.media_io.manifest import load_manifest
 
 CONFIG_DOC = {
     "sampler": {
@@ -270,3 +274,131 @@ class TestBenchLoader:
         data, _ = workspace
         rc = main(["bench-loader", "--dataset", str(data), "--threads", "1,x"])
         assert rc == EXIT_CONFIG
+
+
+def table_config(tmp_path, table) -> str:
+    """Write `table` as a precomputed embedding file and a config reading it."""
+    (tmp_path / "table.json").write_text(json.dumps(table))
+    config = tmp_path / "table_config.json"
+    doc = dict(CONFIG_DOC, embedder={"kind": "precomputed", "table": "table.json"})
+    config.write_text(json.dumps(doc))
+    return str(config)
+
+
+def finite_table(workspace) -> dict:
+    """A dim-16 row for every frame of every workspace video."""
+    manifest = load_manifest(workspace[0] / "manifest.json")
+    videos = {
+        v.video_id: [[1.0 + i] + [0.5] * 15 for i in range(v.num_frames)]
+        for v in manifest.all_videos()
+    }
+    return {"dim": 16, "videos": videos}
+
+
+class TestInputErrors:
+    """Bad input exits 2 or 3 with a message; only a bug raises through main."""
+
+    def personalize(self, workspace, config, out):
+        data, _ = workspace
+        return main(
+            [
+                "personalize", "--dataset", str(data), "--user", "user00",
+                "--config", str(config), "--out", str(out),
+            ]
+        )
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            {"dim": 4, "videos": []},
+            {"dim": 2, "videos": {"user00_obj00_clean00": [["x", 1]]}},
+        ],
+        ids=["videos-not-an-object", "non-numeric-entry"],
+    )
+    def test_malformed_table_is_config_error(self, workspace, tmp_path, capsys, table):
+        rc = self.personalize(workspace, table_config(tmp_path, table), tmp_path / "p.json")
+        assert rc == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["sampler", "edge_filter"])
+    def test_section_not_an_object_is_config_error(
+        self, workspace, tmp_path, capsys, section
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(CONFIG_DOC, **{section: []})))
+        assert self.personalize(workspace, config, tmp_path / "p.json") == EXIT_CONFIG
+        assert section in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: doc["embedder"].update(grid=[8]),
+            lambda doc: doc["embedder"].update(dim=1),
+            lambda doc: doc.update(adapter="adapter.json"),  # d=16 with h=3
+        ],
+        ids=["grid-not-a-number", "dim-below-two", "heads-do-not-divide-dim"],
+    )
+    def test_bad_parameters_are_config_errors(self, workspace, tmp_path, capsys, mutate):
+        weights = tmp_path / "adapter.json"
+        save_transformer_weights(random_transformer_weights(16, seed=0), weights)
+        weights.write_text(json.dumps(dict(json.loads(weights.read_text()), h=3)))
+        doc = json.loads(json.dumps(CONFIG_DOC))
+        mutate(doc)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        assert self.personalize(workspace, config, tmp_path / "p.json") == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--threads", "0"],
+            ["--reps", "0"],
+            ["--latency-ms", "-1"],
+            ["--latency-ms", "nan"],
+            ["--latency-ms", "inf"],
+        ],
+        ids=["threads-0", "reps-0", "latency-negative", "latency-nan", "latency-inf"],
+    )
+    def test_bad_loader_parameters_are_config_errors(self, workspace, flags):
+        data, _ = workspace
+        assert main(["bench-loader", "--dataset", str(data), *flags]) == EXIT_CONFIG
+
+    def test_nan_support_row_is_data_error(self, workspace, tmp_path, capsys):
+        table = finite_table(workspace)
+        table["videos"]["user00_obj00_clean00"][3][0] = math.nan
+        rc = self.personalize(workspace, table_config(tmp_path, table), tmp_path / "p.json")
+        assert rc == EXIT_DATA
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_nan_query_row_is_data_error(self, workspace, tmp_path, capsys):
+        data, _ = workspace
+        table = finite_table(workspace)
+        protos = tmp_path / "protos.json"
+        assert self.personalize(workspace, table_config(tmp_path, table), protos) == EXIT_OK
+        table["videos"]["user00_obj00_clutter00"][5][2] = math.nan
+        rc = main(
+            [
+                "recognize", "--prototypes", str(protos), "--dataset", str(data),
+                "--video", "user00_obj00_clutter00",
+                "--config", table_config(tmp_path, table),
+                "--out", str(tmp_path / "preds.json"),
+            ]
+        )
+        assert rc == EXIT_DATA
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "preds.json").exists()
+
+    def test_plain_value_error_propagates(self, workspace, tmp_path, monkeypatch):
+        def buggy(args):
+            raise ValueError("a bug, not a config error")
+
+        monkeypatch.setattr(cli, "cmd_evaluate", buggy)
+        data, config = workspace
+        with pytest.raises(ValueError, match="a bug"):
+            main(
+                [
+                    "evaluate", "--dataset", str(data), "--config", str(config),
+                    "--out", str(tmp_path / "r.json"),
+                ]
+            )

@@ -1,28 +1,31 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import numpy as np
 import pytest
 from _oracles import np_downsample_boxes
 
+from protopipe.clip_sampling import SamplerConfig
 from protopipe.embedding import (
     EmbedderSpec,
-    EmptyClip,
     InconsistentDim,
     MissingFrameEmbedding,
-    ParseError,
     PrecomputedTable,
     downsample_boxes,
-    embed_clip,
     embed_frame,
     load_precomputed,
     load_projection_spec,
     make_patch_projection_spec,
 )
+from protopipe.errors import ConfigError, DataError
+from protopipe.frame_validity import EdgeFilterConfig
+from protopipe.media_io.manifest import VideoRecord
 from protopipe.media_io.pnm import Frame
 from protopipe.numerics import DimensionMismatch, Matrix
+from protopipe.protonet import PipelineRuntime, compute_prototypes, video_frame_vectors
 
 
 def identity_spec(grid=2, channels=1):
@@ -120,10 +123,10 @@ class TestProjection:
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text("{/")
-        with pytest.raises(ParseError):
+        with pytest.raises(ConfigError):
             load_projection_spec(path)
         path.write_text(json.dumps({"grid": 2}))
-        with pytest.raises(ParseError):
+        with pytest.raises(ConfigError):
             load_projection_spec(path)
 
 
@@ -172,13 +175,17 @@ class TestEmbedFrame:
             embed_frame(Frame(4, 4, 1, bytes(16)), EmbedderSpec("precomputed", 0, 1, 8))
 
 
+def clip_vector(frames, spec):
+    """A clip's vector: its frame embeddings averaged by compute_prototypes."""
+    return compute_prototypes([("clip", [embed_frame(f, spec) for f in frames])]).row(0)
+
+
 class TestEmbedClip:
     def test_identical_frames_idempotent(self):
         spec = make_patch_projection_spec(grid=2, channels=1, dim=4, seed=2)
         frame = Frame(4, 4, 1, bytes(range(16)))
         single = embed_frame(frame, spec)
-        clip = embed_clip([frame] * 5, spec)
-        assert clip.vector == pytest.approx(single, abs=1e-12)
+        assert clip_vector([frame] * 5, spec) == pytest.approx(single, abs=1e-12)
 
     def test_mean_of_two(self):
         spec = make_patch_projection_spec(grid=2, channels=1, dim=4, seed=2)
@@ -186,25 +193,16 @@ class TestEmbedClip:
         f2 = Frame(4, 4, 1, bytes([200] * 16))
         u = embed_frame(f1, spec)
         v = embed_frame(f2, spec)
-        got = embed_clip([f1, f2], spec).vector
+        got = clip_vector([f1, f2], spec)
         assert got == pytest.approx([(a + b) / 2 for a, b in zip(u, v)], abs=1e-12)
 
     def test_frame_order_does_not_matter(self):
         rng = random.Random(8)
         spec = make_patch_projection_spec(grid=2, channels=3, dim=6, seed=1)
         frames = [rgb_frame(4, 4, rng) for _ in range(4)]
-        a = embed_clip(frames, spec).vector
-        b = embed_clip(list(reversed(frames)), spec).vector
+        a = clip_vector(frames, spec)
+        b = clip_vector(list(reversed(frames)), spec)
         assert a == pytest.approx(b, abs=1e-12)
-
-    def test_source_is_carried(self):
-        spec = identity_spec()
-        clip = embed_clip([Frame(4, 4, 1, bytes(16))], spec, source=("vid", 8))
-        assert clip.source == ("vid", 8)
-
-    def test_empty_clip(self):
-        with pytest.raises(EmptyClip):
-            embed_clip([], identity_spec())
 
 
 class TestPrecomputed:
@@ -240,27 +238,46 @@ class TestPrecomputed:
         with pytest.raises(InconsistentDim):
             load_precomputed(path)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_row_is_a_data_error(self, tmp_path, bad):
+        path = self.write_table(
+            tmp_path, {"dim": 2, "videos": {"v0": [[1.0, 2.0], [bad, 1.0]]}}
+        )
+        with pytest.raises(DataError, match="frame 1"):
+            load_precomputed(path)
+
     def test_parse_errors(self, tmp_path):
-        with pytest.raises(ParseError):
+        with pytest.raises(ConfigError):
             load_precomputed(tmp_path / "absent.json")
         path = self.write_table(tmp_path, {"videos": {}})
-        with pytest.raises(ParseError):
+        with pytest.raises(ConfigError):
             load_precomputed(path)
         path = self.write_table(tmp_path, {"dim": 1, "videos": {}})
-        with pytest.raises(ParseError):
+        with pytest.raises(ConfigError):
             load_precomputed(path)
+        malformed_videos = (
+            [],
+            {"v0": [["x", 1.0]]},
+            {"v0": [[[1.0], 1.0]]},
+            {"v0": [[10**400, 1.0]]},
+        )
+        for videos in malformed_videos:
+            path = self.write_table(tmp_path, {"dim": 2, "videos": videos})
+            with pytest.raises(ConfigError):
+                load_precomputed(path)
 
-    def test_validate_coverage(self, tmp_path):
-        from protopipe.media_io.manifest import VideoRecord
-
+    def test_validate_coverage(self):
+        # Coverage is checked where a video's frame vectors are resolved.
         table = PrecomputedTable(2, {"v0": [[0.0, 0.0]]})
+        runtime = PipelineRuntime(
+            SamplerConfig(), EdgeFilterConfig(), EmbedderSpec("precomputed", 0, 0, 2),
+            table, None, 0, "digest",
+        )
         good = VideoRecord("v0", "clean", ["f0"])
         long = VideoRecord("v0", "clean", ["f0", "f1"])
         other = VideoRecord("v1", "clean", ["f0"])
-        from protopipe.embedding import validate_coverage
-
-        validate_coverage(table, [good])
+        assert video_frame_vectors(good, runtime) == [[0.0, 0.0]]
         with pytest.raises(MissingFrameEmbedding):
-            validate_coverage(table, [long])
+            video_frame_vectors(long, runtime)
         with pytest.raises(MissingFrameEmbedding):
-            validate_coverage(table, [other])
+            video_frame_vectors(other, runtime)

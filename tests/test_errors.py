@@ -1,0 +1,211 @@
+"""The error taxonomy: every failure is a ConfigError or a DataError.
+
+The CLI maps the two bases to exit codes 2 and 3, so these tests pin which
+side each exception is on and that the parsers raise nothing else.
+"""
+from __future__ import annotations
+
+import copy
+import importlib
+import inspect
+import json
+import pkgutil
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import protopipe
+from protopipe.adaptation import ShapeMismatch, load_transformer_weights
+from protopipe.clip_sampling import InsufficientFrames
+from protopipe.config import load_config
+from protopipe.embedding import (
+    InconsistentDim,
+    MissingFrameEmbedding,
+    load_precomputed,
+    load_projection_spec,
+)
+from protopipe.errors import ConfigError, DataError
+from protopipe.evaluation import UnknownArm
+from protopipe.frame_validity import FrameTooSmall, UnsupportedChannels
+from protopipe.media_io.loader import DecodeError
+from protopipe.media_io.manifest import ManifestError, load_manifest
+from protopipe.media_io.pnm import PnmError, decode_pnm
+from protopipe.media_io.synthetic import IoError
+from protopipe.numerics import DimensionMismatch, EmptyInput
+from protopipe.protonet import EmptyClass, LengthMismatch, load_prototypes
+
+
+def protopipe_exception_classes() -> list[type]:
+    modules = [protopipe] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(protopipe.__path__, "protopipe.")
+    ]
+    return [
+        cls
+        for module in modules
+        for _, cls in inspect.getmembers(module, inspect.isclass)
+        if issubclass(cls, BaseException) and cls.__module__ == module.__name__
+    ]
+
+
+def test_every_exception_is_a_config_or_data_error():
+    classes = protopipe_exception_classes()
+    assert IoError in classes and DecodeError in classes  # subpackages walked
+    strays = [
+        cls
+        for cls in classes
+        if not issubclass(cls, (ConfigError, DataError)) and cls is not IoError
+    ]
+    assert strays == []
+
+
+@pytest.mark.parametrize(
+    "cls", [UnknownArm, DimensionMismatch, ShapeMismatch, InconsistentDim]
+)
+def test_config_side(cls):
+    assert issubclass(cls, ConfigError) and not issubclass(cls, DataError)
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [
+        ManifestError,
+        PnmError,
+        DecodeError,
+        InsufficientFrames,
+        FrameTooSmall,
+        UnsupportedChannels,
+        EmptyInput,
+        MissingFrameEmbedding,
+        EmptyClass,
+        LengthMismatch,
+    ],
+)
+def test_data_side(cls):
+    assert issubclass(cls, DataError) and not issubclass(cls, ConfigError)
+
+
+# --- parsers raise only their documented families, whatever the input ---
+
+# Bounded and derandomized so that a slow host cannot make these flaky.
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()  # NaN and infinities too: json writes and reads them
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+EYE = [[1.0, 0.0], [0.0, 1.0]]
+ZEROS = [0.0, 0.0]
+VALID = {
+    load_manifest: {
+        "users": [
+            {
+                "user_id": "u",
+                "objects": [
+                    {
+                        "label": label,
+                        "videos": [
+                            {"video_id": f"{label}{kind}", "kind": kind, "frames": ["f.ppm"]}
+                            for kind in ("clean", "clutter")
+                        ],
+                    }
+                    for label in ("a", "b")
+                ],
+            }
+        ]
+    },
+    load_config: {
+        "sampler": {
+            "clip_length": 8, "clips_per_video": 2, "policy": "uniform",
+            "within_chunk": "middle",
+        },
+        "edge_filter": {"tau_mag": 32.0, "tau_density": 0.01, "enabled": True},
+        "embedder": {"kind": "patch_projection", "grid": 8, "channels": 3, "dim": 16},
+        "adapter": "none",
+        "seed": 0,
+    },
+    load_projection_spec: {"grid": 1, "channels": 1, "dim": 2, "projection": [[1.0, 0.0]]},
+    load_precomputed: {"dim": 2, "videos": {"v0": [[1.0, 2.0], [3.0, 4.0]]}},
+    load_transformer_weights: {
+        "d": 2, "h": 1, "d_ff": 2,
+        "heads": [{"w_q": EYE, "w_k": EYE, "w_v": EYE}],
+        "w_o": EYE, "w1": EYE, "b1": ZEROS, "w2": EYE, "b2": ZEROS,
+        "ln1": {"gain": [1.0, 1.0], "bias": ZEROS},
+        "ln2": {"gain": [1.0, 1.0], "bias": ZEROS},
+        "eps": 1e-5,
+    },
+    load_prototypes: {
+        "user_id": "u", "labels": ["a", "b"], "dim": 2, "raw": EYE, "adapted": EYE,
+        "config_digest": "d",
+    },
+}
+
+
+def json_paths(doc, prefix=()):
+    """The key path of every value in a JSON document, the root included."""
+    yield prefix
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        for key, value in items:
+            yield from json_paths(value, prefix + (key,))
+
+
+@st.composite
+def near_valid(draw, valid):
+    """`valid` with the value at one of its paths replaced by arbitrary JSON."""
+    path = draw(st.sampled_from(list(json_paths(valid))))
+    value = draw(JSON_VALUES)
+    if not path:
+        return value
+    doc = copy.deepcopy(valid)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("parsers") / "doc.json"
+
+
+@pytest.mark.parametrize("loader", list(VALID), ids=lambda f: f.__name__)
+def test_loaders_raise_only_their_families(loader, doc_path):
+    doc_path.write_text(json.dumps(VALID[loader]), encoding="utf-8")
+    loader(doc_path)  # the documents mutated below start out valid
+    doc_path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    with pytest.raises((ConfigError, DataError), match="not valid JSON"):
+        loader(doc_path)  # json.loads raises RecursionError at this depth
+
+    @PROPERTY
+    @given(JSON_VALUES | near_valid(VALID[loader]))
+    def check(value):
+        doc_path.write_text(json.dumps(value), encoding="utf-8")
+        try:
+            loader(doc_path)
+        except (ConfigError, DataError):
+            pass
+
+    check()
+
+
+PNM_PREFIXES = st.sampled_from(
+    [b"", b"P5", b"P6", b"P5\n", b"P6 2 2 255\n", b"P5\n1 1\n255\n",
+     b"P5 # c\n3 1 255 ", b"P6\n1 1\n65535\n"]
+)
+
+
+@PROPERTY
+@given(PNM_PREFIXES, st.binary(max_size=48))
+def test_decode_pnm_raises_only_pnm_errors(prefix, tail):
+    try:
+        decode_pnm(prefix + tail)
+    except PnmError:
+        pass

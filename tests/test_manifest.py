@@ -7,7 +7,7 @@ import pytest
 
 from protopipe.media_io.manifest import (
     InvariantViolation,
-    ParseError,
+    ManifestError,
     SchemaViolation,
     load_manifest,
     parse_manifest,
@@ -105,6 +105,12 @@ def test_schema_violations_carry_pointers():
         parse_manifest(doc, Path("."))
     assert info.value.pointer == "/users/0/objects/0/videos/0/kind"
 
+    doc = make_doc()
+    doc["users"][0]["objects"][0]["videos"][1]["frames"][0] = "f\0.ppm"
+    with pytest.raises(SchemaViolation) as info:
+        parse_manifest(doc, Path("."))
+    assert info.value.pointer == "/users/0/objects/0/videos/1/frames/0"
+
     with pytest.raises(SchemaViolation) as info:
         parse_manifest({"users": "nope"}, Path("."))
     assert info.value.pointer == "/users"
@@ -130,9 +136,9 @@ def test_load_manifest_round_trip(tmp_path):
 
 
 def test_load_manifest_errors(tmp_path):
-    with pytest.raises(ParseError, match="cannot read"):
+    with pytest.raises(ManifestError, match="cannot read"):
         load_manifest(tmp_path / "absent.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    with pytest.raises(ParseError, match="not valid JSON"):
+    with pytest.raises(ManifestError, match="not valid JSON"):
         load_manifest(bad)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from protopipe.errors import DataError
 from protopipe.numerics import (
     DimensionMismatch,
     EmptyInput,
@@ -16,7 +17,6 @@ from protopipe.numerics import (
     hconcat,
     layer_norm_rows,
     matmul,
-    mean_rows,
     mean_vectors,
     relu,
     scale,
@@ -246,6 +246,20 @@ def test_cosine_length_mismatch():
         cosine_similarity([1.0], [1.0, 2.0])
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([math.nan, 1.0], [1.0, 0.0]),  # min(1.0, nan) would score 1.0
+        ([1.0, 0.0], [0.0, math.nan]),
+        ([math.inf, 0.0], [1.0, 0.0]),
+        ([0.0, 0.0], [math.nan, 0.0]),  # not hidden by the zero-norm rule
+    ],
+)
+def test_cosine_rejects_non_finite(a, b):
+    with pytest.raises(DataError):
+        cosine_similarity(a, b)
+
+
 @given(
     st.lists(st.floats(-100, 100), min_size=2, max_size=8),
     st.lists(st.floats(-100, 100), min_size=2, max_size=8),
@@ -265,22 +279,25 @@ def test_cosine_symmetric_and_scale_invariant(a, b, c):
 # --- means, relu, concat ---
 
 
+# The mean of a matrix's rows is mean_vectors over Matrix.to_rows().
+
+
 def test_mean_rows_single_row():
-    assert mean_rows(Matrix.from_rows([[1.0, 2.0]])) == [1.0, 2.0]
+    assert mean_vectors(Matrix.from_rows([[1.0, 2.0]]).to_rows()) == [1.0, 2.0]
 
 
 def test_mean_rows_two_point():
-    assert mean_rows(Matrix.from_rows([[0, 0], [2, 4]])) == [1.0, 2.0]
+    assert mean_vectors(Matrix.from_rows([[0, 0], [2, 4]]).to_rows()) == [1.0, 2.0]
 
 
 def test_mean_rows_idempotent_on_identical_rows():
     v = [0.5, -1.5, 3.0]
-    assert mean_rows(Matrix.from_rows([v] * 5)) == pytest.approx(v)
+    assert mean_vectors(Matrix.from_rows([v] * 5).to_rows()) == pytest.approx(v)
 
 
 def test_mean_rows_empty():
     with pytest.raises(EmptyInput):
-        mean_rows(Matrix.zeros(0, 3))
+        mean_vectors(Matrix.zeros(0, 3).to_rows())
 
 
 def test_mean_vectors():

@@ -6,7 +6,8 @@ import pytest
 
 from protopipe.adaptation import centering_adapter_weights
 from protopipe.clip_sampling import SamplerConfig
-from protopipe.embedding import ClipEmbedding, PrecomputedTable, make_patch_projection_spec
+from protopipe.embedding import PrecomputedTable, make_patch_projection_spec
+from protopipe.errors import DataError
 from protopipe.frame_validity import EdgeFilterConfig
 from protopipe.media_io.loader import LoaderConfig
 from protopipe.media_io.manifest import VideoRecord
@@ -16,7 +17,6 @@ from protopipe.protonet import (
     Episode,
     FramePrediction,
     LengthMismatch,
-    ParseError,
     PipelineRuntime,
     Prototypes,
     build_episode,
@@ -31,10 +31,6 @@ from protopipe.protonet import (
     save_predictions,
     save_prototypes,
 )
-
-
-def clip(vec, source=("v", 0)):
-    return ClipEmbedding(list(vec), source)
 
 
 def toy_prototypes(rows=((1.0, 0.0), (0.0, 1.0)), labels=("a", "b")):
@@ -56,19 +52,17 @@ def make_runtime(manifest_dim=16, adapter=None, edge=None, sampler=None, table=N
 
 class TestPrototypes:
     def test_single_clip_class(self):
-        m = compute_prototypes([("a", [clip((1.0, 2.0))]), ("b", [clip((0.0, 1.0))])])
+        m = compute_prototypes([("a", [[1.0, 2.0]]), ("b", [[0.0, 1.0]])])
         assert m.to_rows() == [[1.0, 2.0], [0.0, 1.0]]
 
     def test_mean_of_two_clips(self):
-        m = compute_prototypes(
-            [("a", [clip((1.0, 0.0)), clip((0.0, 1.0))]), ("b", [clip((2.0, 2.0))])]
-        )
+        m = compute_prototypes([("a", [[1.0, 0.0], [0.0, 1.0]]), ("b", [[2.0, 2.0]])])
         assert m.row(0) == [0.5, 0.5]
 
     def test_duplicating_a_clip_set_changes_nothing(self):
-        clips = [clip((1.0, 3.0)), clip((2.0, 0.0))]
-        a = compute_prototypes([("a", clips), ("b", [clip((0.0, 1.0))])])
-        b = compute_prototypes([("a", clips * 3), ("b", [clip((0.0, 1.0))])])
+        clips = [[1.0, 3.0], [2.0, 0.0]]
+        a = compute_prototypes([("a", clips), ("b", [[0.0, 1.0]])])
+        b = compute_prototypes([("a", clips * 3), ("b", [[0.0, 1.0]])])
         assert a.row(0) == pytest.approx(b.row(0), abs=1e-12)
 
     def test_empty_class(self):
@@ -285,17 +279,17 @@ class TestSerialization:
 
     def test_prototypes_load_errors(self, tmp_path):
         path = tmp_path / "p.json"
-        with pytest.raises(ParseError):
+        with pytest.raises(DataError):
             load_prototypes(path)
         save_prototypes(toy_prototypes(), path)
         doc = json.loads(path.read_text())
         doc["dim"] = 5
         path.write_text(json.dumps(doc))
-        with pytest.raises(ParseError, match="declared dim"):
+        with pytest.raises(DataError, match="declared dim"):
             load_prototypes(path)
         del doc["raw"]
         path.write_text(json.dumps(doc))
-        with pytest.raises(ParseError):
+        with pytest.raises(DataError):
             load_prototypes(path)
 
     def test_predictions_schema(self, tmp_path):
