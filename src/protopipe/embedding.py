@@ -7,16 +7,26 @@ multiply by a fixed projection matrix. The default projection is a seeded
 Gaussian with orthonormalized columns (a near-isometry, so distinct
 textures stay distinct). Users with real features can load them through
 the precomputed table instead.
+
+Both steps are cheap per frame because their layout work is done once.
+The box-average's byte spans (each cell's run of pixels in each row it
+covers, per channel) are computed once per frame size, channel count and
+grid, and each cell sums its spans straight from the PNM payload; the sums
+are exact integers, so the order does not matter. The projection's columns
+are sliced once per `EmbedderSpec`, and each output entry is
+`numerics.dot` of the downsampled frame with one column, in the summation
+order `numerics` documents.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from .errors import ConfigError, DataError, read_json
 from .media_io.pnm import Frame
-from .numerics import DimensionMismatch, Matrix, Vector, matmul
+from .numerics import DimensionMismatch, Matrix, Vector, dot
 
 KIND_PATCH_PROJECTION = "patch_projection"
 KIND_PRECOMPUTED = "precomputed"
@@ -56,6 +66,11 @@ class EmbedderSpec:
                 )
         elif self.kind != KIND_PRECOMPUTED:
             raise ConfigError(f"unknown embedder kind {self.kind!r}")
+
+    @cached_property
+    def columns(self) -> list[Vector]:
+        """The projection's columns, sliced on first use and kept with the spec."""
+        return self.projection.columns()
 
 
 def _orthonormal_columns(n: int, d: int, seed: int) -> Matrix:
@@ -103,37 +118,50 @@ def load_projection_spec(path) -> EmbedderSpec:
     return EmbedderSpec(KIND_PATCH_PROJECTION, grid, channels, dim, projection)
 
 
+@lru_cache(maxsize=64)
+def _box_spans(
+    w: int, h: int, c: int, grid: int
+) -> tuple[tuple[tuple[tuple[int, int], ...], float], ...]:
+    """Per output entry, channel-major: byte spans and divisor.
+
+    Entry (ch, cell) holds one (start, stop) span per frame row the cell
+    covers; px[start:stop:c] is that row's run of channel ch inside the
+    cell. The divisor is the cell's pixel count times 255.
+    """
+    xbin = [min(grid - 1, x * grid // w) for x in range(w)]
+    ybin = [min(grid - 1, y * grid // h) for y in range(h)]
+    # Both bin maps are nondecreasing and, with w, h >= grid, hit every bin,
+    # so each cell is one run of columns in each of one run of rows.
+    xs = [xbin.index(b) for b in range(grid)] + [w]
+    ys = [ybin.index(b) for b in range(grid)] + [h]
+    return tuple(
+        (
+            tuple(
+                ((y * w + xs[gx]) * c + ch, (y * w + xs[gx + 1]) * c)
+                for y in range(ys[gy], ys[gy + 1])
+            ),
+            (xs[gx + 1] - xs[gx]) * (ys[gy + 1] - ys[gy]) * 255.0,
+        )
+        for ch in range(c)
+        for gy in range(grid)
+        for gx in range(grid)
+    )
+
+
 def downsample_boxes(frame: Frame, grid: int) -> Vector:
     """Box-average to grid x grid per channel, scaled to [0, 1].
 
     Returns the channel-major flattening: all cells of channel 0, then
-    channel 1, and so on.
+    channel 1, and so on. Pixel x of a w-wide frame falls in column bin
+    min(grid - 1, x * grid // w), and likewise for rows.
     """
     w, h, c = frame.width, frame.height, frame.channels
     if w < grid or h < grid:
         raise DimensionMismatch(f"{w}x{h} frame is smaller than grid {grid}")
-    xbin = [min(grid - 1, x * grid // w) for x in range(w)]
-    ybin = [min(grid - 1, y * grid // h) for y in range(h)]
-    cells = grid * grid
-    sums = [0.0] * (cells * c)
-    counts = [0] * cells
     px = frame.pixels
-    for y in range(h):
-        yb = ybin[y] * grid
-        row = y * w
-        for x in range(w):
-            cell = yb + xbin[x]
-            base = (row + x) * c
-            for ch in range(c):
-                sums[ch * cells + cell] += px[base + ch]
-    for y in range(h):
-        yb = ybin[y] * grid
-        for x in range(w):
-            counts[yb + xbin[x]] += 1
     return [
-        sums[ch * cells + cell] / (counts[cell] * 255.0)
-        for ch in range(c)
-        for cell in range(cells)
+        sum([sum(px[start:stop:c]) for start, stop in spans]) / divisor
+        for spans, divisor in _box_spans(w, h, c, grid)
     ]
 
 
@@ -146,7 +174,10 @@ def embed_frame(frame: Frame, spec: EmbedderSpec) -> Vector:
             f"frame has {frame.channels} channels, spec expects {spec.channels}"
         )
     flat = downsample_boxes(frame, spec.grid)
-    return matmul(Matrix(1, len(flat), flat), spec.projection).values
+    vector = [dot(flat, col) for col in spec.columns]
+    if not all(map(math.isfinite, vector)):
+        raise DataError("non-finite frame embedding: the projection overflows")
+    return vector
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,10 @@ def evaluate_users(
         if arm not in ARM_ORDER:
             raise UnknownArm(arm)
     episodes = [build_episode(manifest, uid) for uid in manifest.user_ids()]
+    # Every arm embeds the same support frames with the same embedder, so
+    # this call keeps one frame memo for all of them. It ends with the call;
+    # the caller's runtime is not touched.
+    runtime = replace(runtime, frame_memo={})
     # Query-side frame vectors depend only on the embedder, which no arm
     # changes — compute once, reuse across arms.
     query_vectors = {

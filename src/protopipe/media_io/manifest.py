@@ -6,6 +6,7 @@ later stages never see a half-formed dataset.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -119,10 +120,13 @@ def _parse_object(node, pointer: str, base_dir: Path) -> ObjectRecord:
     return ObjectRecord(label, videos)
 
 
+def _duplicates(names: list[str]) -> list[str]:
+    return sorted(name for name, n in Counter(names).items() if n > 1)
+
+
 def _check_user_invariants(user: UserRecord) -> None:
-    labels = user.labels()
-    if len(set(labels)) != len(labels):
-        dupes = sorted({l for l in labels if labels.count(l) > 1})
+    dupes = _duplicates(user.labels())
+    if dupes:
         raise InvariantViolation(
             f"user {user.user_id!r} has duplicate labels {dupes}"
         )
@@ -156,12 +160,16 @@ def parse_manifest(document, base_dir: Path) -> DatasetManifest:
             for j, o in enumerate(objects_node)
         ]
         users.append(UserRecord(user_id, objects))
-    ids = [u.user_id for u in users]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
+    dupes = _duplicates([u.user_id for u in users])
+    if dupes:
         raise InvariantViolation(f"duplicate user_ids {dupes}")
     for user in users:
         _check_user_invariants(user)
+    # Frame vectors, sampling seeds and embedding-table rows are all keyed by
+    # video_id, so two videos sharing one would be scored as each other.
+    dupes = _duplicates([v.video_id for u in users for o in u.objects for v in o.videos])
+    if dupes:
+        raise InvariantViolation(f"duplicate video_ids {dupes}")
     return DatasetManifest(users, base_dir)
 
 

@@ -1,13 +1,24 @@
 """Dense linear algebra and activation kernels, stdlib only.
 
-Everything here operates on 64-bit Python floats. Matrices are row-major
-and small (prototype stacks, attention weights), so plain loops are fast
-enough and keep results bit-reproducible across platforms.
+Everything here operates on 64-bit Python floats in row-major matrices.
+
+Summation-order contract: every product entry (`matmul`, and the frame
+projection in `embedding`) is `dot(row, col)`, which adds the products
+row[0]*col[0], row[1]*col[1], ... one at a time, left to right, starting
+from +0.0, each addition rounded to float64. That is the order of the plain
+accumulate loop the pipeline's reference outputs were made with, so reports,
+prototypes and predictions stay byte-identical. It does not depend on the
+shape of the product or on the CPython version. A product term that is zero
+adds +-0.0 to a running sum that can never be -0.0, which changes nothing,
+so a loop that skips zero inputs gives the same bits.
 """
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 from .errors import ConfigError, DataError
@@ -74,6 +85,10 @@ class Matrix:
     def at(self, i: int, j: int) -> float:
         return self.values[i * self.cols + j]
 
+    def columns(self) -> list[Vector]:
+        """Column j as a list, for every j: the right operand of `dot`."""
+        return [self.values[j :: self.cols] for j in range(self.cols)]
+
     def transpose(self) -> "Matrix":
         out = [0.0] * (self.rows * self.cols)
         for i in range(self.rows):
@@ -83,26 +98,34 @@ class Matrix:
         return Matrix(self.cols, self.rows, out)
 
 
+if sys.version_info < (3, 12):
+
+    def dot(row: Sequence[float], col: Sequence[float]) -> float:
+        """sum(row[p] * col[p]) in p order from +0.0; see the module docs."""
+        return sum(map(operator.mul, row, col), 0.0)
+
+else:  # pragma: no cover - exercised only on CPython 3.12+
+    # From 3.12 on, sum() compensates float rounding (Neumaier), which would
+    # change the bits; reduce keeps the plain left-to-right order.
+    def dot(row: Sequence[float], col: Sequence[float]) -> float:
+        """sum(row[p] * col[p]) in p order from +0.0; see the module docs."""
+        return reduce(operator.add, map(operator.mul, row, col), 0.0)
+
+
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Standard matrix product."""
+    """Standard matrix product; entry (i, j) is dot(row i of a, column j of b)."""
     if a.cols != b.rows:
         raise DimensionMismatch(
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}"
         )
-    n, k, m = a.rows, a.cols, b.cols
-    av, bv = a.values, b.values
-    out = [0.0] * (n * m)
-    for i in range(n):
-        arow = av[i * k : (i + 1) * k]
-        obase = i * m
-        for p in range(k):
-            x = arow[p]
-            if x == 0.0:
-                continue
-            bbase = p * m
-            for j in range(m):
-                out[obase + j] += x * bv[bbase + j]
-    return Matrix(n, m, out)
+    k = a.cols
+    av = a.values
+    cols = b.columns()
+    out: list[float] = []
+    for i in range(a.rows):
+        row = av[i * k : (i + 1) * k]
+        out.extend([dot(row, col) for col in cols])
+    return Matrix(a.rows, b.cols, out)
 
 
 def add(a: Matrix, b: Matrix) -> Matrix:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from array import array
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .adaptation import TransformerWeights, adapt_prototypes
@@ -135,14 +136,32 @@ class PipelineRuntime:
     seed: int
     digest: str
     loader: LoaderConfig = LoaderConfig()
+    # Pixel-path frame vectors by (video_id, index). `evaluate_users` gives
+    # each call its own dict, which `replace` hands on to every arm (no arm
+    # changes the embedder). None elsewhere: nothing is kept.
+    frame_memo: dict[tuple[str, int], array] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def frame_vector(self, video: VideoRecord, index: int, frame: Frame | None) -> Vector:
-        """The one place that picks table row or pixels for a frame vector."""
+        """The one place that picks table row or pixels for a frame vector.
+
+        With a frame memo each (video_id, index) is embedded once; the memo
+        keeps the vector as an array('d') of the same floats, a quarter of a
+        list's size, and returns that array on every later call.
+        """
         if self.table is not None:
             return self.table.vector(video.video_id, index)
+        key = (video.video_id, index)
+        memo = self.frame_memo
+        if memo is not None and key in memo:
+            return memo[key]
         if frame is None:
             raise ValueError("pixel embedder needs a decoded frame")
-        return embed_frame(frame, self.embedder)
+        vector = embed_frame(frame, self.embedder)
+        if memo is not None:
+            vector = memo[key] = array("d", vector)
+        return vector
 
     @property
     def needs_pixels(self) -> bool:

@@ -85,4 +85,24 @@ def np_downsample_boxes(pixels: np.ndarray, grid: int) -> np.ndarray:
             counts[yb, xb] += 1
             for ch in range(c):
                 sums[ch, yb, xb] += pixels[y, x, ch]
-    return (sums / counts / 255.0).reshape(-1)
+    # Divide by count * 255 in one step, as the embedder does, so the result
+    # is the same float bit for bit (sums are exact integers).
+    return (sums / (counts * 255.0)).reshape(-1)
+
+
+def loop_matmul(a: list[float], b: list[float], n: int, k: int, m: int) -> list[float]:
+    """Exact-order reference product of row-major n x k and k x m lists.
+
+    This is the accumulate loop protopipe's reference outputs were made
+    with: out[i][j] starts at +0.0 and gains a[i][p] * b[p][j] for p in
+    order, rounding after every step, and a zero a[i][p] is skipped.
+    """
+    out = [0.0] * (n * m)
+    for i in range(n):
+        for p in range(k):
+            x = a[i * k + p]
+            if x == 0.0:
+                continue
+            for j in range(m):
+                out[i * m + j] += x * b[p * m + j]
+    return out

@@ -250,6 +250,25 @@ class TestEvaluate:
         assert rc == EXIT_CONFIG
         assert "turbo" in capsys.readouterr().err
 
+    def test_duplicate_video_id_is_a_data_error(self, workspace, tmp_path, capsys):
+        # user01's clutter video takes user00's id: evaluate must refuse the
+        # dataset rather than score one video against the other's frames.
+        data, config = workspace
+        doc = json.loads((data / "manifest.json").read_text())
+        for user in doc["users"]:
+            for obj in user["objects"]:
+                for video in obj["videos"]:
+                    video["frames"] = [str(data / f) for f in video["frames"]]
+        clutter = doc["users"][1]["objects"][0]["videos"][1]
+        assert clutter["video_id"] == "user01_obj00_clutter00"
+        clutter["video_id"] = "user00_obj00_clutter00"
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        rc = self.run((manifest, config), tmp_path / "r.json")
+        assert rc == EXIT_DATA
+        assert "duplicate video_ids ['user00_obj00_clutter00']" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestBenchLoader:
     def test_prints_table_and_writes_report(self, workspace, tmp_path, capsys):

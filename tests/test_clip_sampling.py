@@ -3,9 +3,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from protopipe.clip_sampling import (
+    WITHIN_CHUNK_CHOICES,
     ClipIndex,
     InsufficientFrames,
     SamplerConfig,
@@ -145,6 +147,33 @@ class TestRandomSampler:
 
 
 class TestDispatch:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        num_frames=st.integers(1, 300),
+        length=st.integers(1, 16),
+        k=st.integers(1, 10),
+        policy=st.sampled_from(("uniform", "random")),
+        within=st.sampled_from(WITHIN_CHUNK_CHOICES),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_clips_are_in_range_contiguous_and_seeded(
+        self, num_frames, length, k, policy, within, seed
+    ):
+        # One clip per chunk under uniform is test_random_triples_structure.
+        cfg = SamplerConfig(length, k, policy, within, seed)
+        if num_frames < length:
+            with pytest.raises(InsufficientFrames):
+                sample_clips(num_frames, cfg)
+            return
+        clips = sample_clips(num_frames, cfg)
+        assert sample_clips(num_frames, cfg) == clips
+        wanted = k if policy == "random" else min(k, num_frames // length)
+        assert len(clips) == wanted
+        for clip in clips:
+            indices = clip.frame_indices()
+            assert indices == list(range(indices[0], indices[0] + length))
+            assert 0 <= indices[0] and indices[-1] < num_frames
+
     def test_sample_clips_routes_by_policy(self):
         uniform = sample_clips(64, SamplerConfig(policy="uniform", clips_per_video=2))
         rand = sample_clips(64, SamplerConfig(policy="random", clips_per_video=2))
@@ -185,6 +214,8 @@ class TestCausalWindow:
                 assert window[-1] == t  # ends at the frame it predicts
                 assert max(window) == t  # never peeks ahead
                 assert min(window) >= 0
+                assert t - window[0] < length  # spans at most `length` frames
+                assert window == sorted(window)
 
     def test_stride(self):
         assert causal_sliding_window(6, 2, stride=3) == [[0, 0], [2, 3]]

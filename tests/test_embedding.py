@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from _oracles import np_downsample_boxes
+from _oracles import loop_matmul, np_downsample_boxes
 
 from protopipe.clip_sampling import SamplerConfig
 from protopipe.embedding import (
@@ -59,12 +59,18 @@ class TestDownsample:
         )
 
     def test_matches_numpy_oracle_on_awkward_sizes(self):
+        # Bit for bit: box sums are exact integers, so only the final
+        # division rounds, once, in both.
         rng = random.Random(5)
-        for w, h, grid in [(7, 5, 2), (9, 9, 4), (32, 32, 8), (10, 17, 3)]:
-            frame = rgb_frame(w, h, rng)
-            arr = np.frombuffer(frame.pixels, dtype=np.uint8).reshape(h, w, 3)
-            want = np_downsample_boxes(arr, grid)
-            np.testing.assert_allclose(downsample_boxes(frame, grid), want, atol=1e-12)
+        sizes = [(7, 5, 2), (9, 9, 4), (32, 32, 8), (10, 17, 3),
+                 (33, 17, 8), (33, 17, 5), (9, 8, 8), (9, 8, 3), (9, 8, 1)]
+        for w, h, grid in sizes:
+            for channels in (1, 3):
+                frame = Frame(w, h, channels,
+                              bytes(rng.randrange(256) for _ in range(w * h * channels)))
+                arr = np.frombuffer(frame.pixels, dtype=np.uint8).reshape(h, w, channels)
+                want = np_downsample_boxes(arr, grid).tolist()
+                assert downsample_boxes(frame, grid) == want, (w, h, grid, channels)
 
     def test_frame_smaller_than_grid(self):
         with pytest.raises(DimensionMismatch):
@@ -164,6 +170,23 @@ class TestEmbedFrame:
         a = embed_frame(Frame(4, 4, 1, dim_px), spec)
         b = embed_frame(Frame(4, 4, 1, bright_px), spec)
         assert b == pytest.approx([3 * v for v in a], rel=1e-9)
+
+    def test_is_bitwise_the_accumulate_loop(self):
+        # A frame with black cells, so zero inputs are skipped by the loop.
+        spec = make_patch_projection_spec(grid=4, channels=3, dim=12, seed=2)
+        rng = random.Random(3)
+        half = bytes(rng.randrange(256) for _ in range(33 * 8 * 3))
+        frame = Frame(33, 17, 3, half + bytes(33 * 9 * 3))
+        flat = downsample_boxes(frame, 4)
+        assert 0.0 in flat
+        want = loop_matmul(flat, spec.projection.values, 1, 48, 12)
+        assert [x.hex() for x in embed_frame(frame, spec)] == [x.hex() for x in want]
+
+    def test_overflowing_projection_is_a_data_error(self):
+        n = 2 * 2 * 1
+        spec = EmbedderSpec("patch_projection", 2, 1, 2, Matrix(n, 2, [1e308] * (n * 2)))
+        with pytest.raises(DataError, match="non-finite"):
+            embed_frame(Frame(4, 4, 1, bytes([255] * 16)), spec)
 
     def test_channel_mismatch(self):
         spec = make_patch_projection_spec(grid=2, channels=3, dim=4)

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 from _oracles import np_sobel_magnitude
+from hypothesis import given, settings, strategies as st
 
 from protopipe.clip_sampling import ClipIndex
 from protopipe.frame_validity import (
@@ -212,6 +213,35 @@ class TestFilterClips:
         retained, audits = filter_clips([a, b], CFG)
         assert retained == [b]  # equal counts: earliest start wins
         assert sum(a.override for a in audits) == 1
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("v0", "v1")),
+                st.integers(0, 64),
+                st.lists(st.booleans(), min_size=1, max_size=6),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_a_class_always_keeps_a_clip(self, shapes):
+        clips = [
+            make_clip(video, start, [VALID if ok else INVALID for ok in frames])
+            for video, start, frames in shapes
+        ]
+        retained, audits = filter_clips(clips, CFG)
+        assert retained
+        assert retained == [sc for sc, a in zip(clips, audits) if not a.removed]
+        passing = [
+            sc for sc, (_, _, ok) in zip(clips, shapes) if 2 * ok.count(False) <= len(ok)
+        ]
+        if passing:
+            assert retained == passing
+            assert not any(a.override for a in audits)
+        else:
+            assert len(retained) == 1 and sum(a.override for a in audits) == 1
 
     def test_disabled_filter_keeps_everything(self):
         clips = [make_clip("v", 0, [INVALID] * 8)]

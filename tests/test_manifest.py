@@ -69,6 +69,18 @@ def test_duplicate_user_ids_rejected():
         parse_manifest(make_doc(user_ids=("u0", "u0")), Path("."))
 
 
+def test_duplicate_video_ids_rejected():
+    doc = make_doc(user_ids=("u0", "u1"))
+    # Another user's video, and another video of the same object.
+    doc["users"][1]["objects"][0]["videos"][1]["video_id"] = "u0_mug_clutter"
+    doc["users"][0]["objects"][1]["videos"][1]["video_id"] = "u0_keys_clean"
+    with pytest.raises(
+        InvariantViolation,
+        match=r"duplicate video_ids \['u0_keys_clean', 'u0_mug_clutter'\]",
+    ):
+        parse_manifest(doc, Path("."))
+
+
 def test_missing_clean_video_rejected():
     doc = make_doc()
     videos = doc["users"][0]["objects"][0]["videos"]

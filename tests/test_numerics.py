@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from protopipe.errors import DataError
 from protopipe.numerics import (
@@ -23,7 +23,7 @@ from protopipe.numerics import (
     softmax_rows,
 )
 
-from _oracles import np_layer_norm_rows, np_softmax_rows
+from _oracles import loop_matmul, np_layer_norm_rows, np_softmax_rows
 
 
 def rand_matrix(rng, rows, cols, lo=-5.0, hi=5.0):
@@ -92,6 +92,35 @@ def test_matmul_against_triple_loop_oracle():
         for j in range(3):
             want = sum(a.at(i, p) * b.at(p, j) for p in range(5))
             assert got.at(i, j) == pytest.approx(want, abs=1e-12)
+
+
+# Signed zeros, negatives and magnitudes small enough that no product of
+# two overflows (Matrix refuses an infinite result).
+ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]) | st.floats(
+    min_value=-1e6, max_value=1e6, allow_nan=False
+)
+
+
+@st.composite
+def operand_pairs(draw):
+    n, k, m = (draw(st.integers(0, 5)) for _ in range(3))
+    a = draw(st.lists(ENTRIES, min_size=n * k, max_size=n * k))
+    b = draw(st.lists(ENTRIES, min_size=k * m, max_size=k * m))
+    return Matrix(n, k, a), Matrix(k, m, b)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(operand_pairs())
+@example((Matrix(2, 0, []), Matrix(0, 3, [])))
+@example((Matrix(1, 2, [-0.0, 0.0]), Matrix(2, 2, [-1.0, 1.0, -0.0, 2.0])))
+def test_matmul_is_bitwise_the_accumulate_loop(operands):
+    a, b = operands
+    got = matmul(a, b)
+    want = loop_matmul(a.values, b.values, a.rows, a.cols, b.cols)
+    assert (got.rows, got.cols) == (a.rows, b.cols)
+    # float.hex tells -0.0 from 0.0; the type check catches an int 0 entry.
+    assert [type(x) for x in got.values] == [float] * len(want)
+    assert [x.hex() for x in got.values] == [x.hex() for x in want]
 
 
 def test_matmul_shape_mismatch():
