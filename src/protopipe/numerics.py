@@ -8,17 +8,19 @@ row[0]*col[0], row[1]*col[1], ... one at a time, left to right, starting
 from +0.0, each addition rounded to float64. That is the order of the plain
 accumulate loop the pipeline's reference outputs were made with, so reports,
 prototypes and predictions stay byte-identical. It does not depend on the
-shape of the product or on the CPython version. A product term that is zero
-adds +-0.0 to a running sum that can never be -0.0, which changes nothing,
-so a loop that skips zero inputs gives the same bits.
+shape of the product. A product term that is zero adds +-0.0 to a running
+sum that can never be -0.0, which changes nothing, so a loop that skips zero
+inputs gives the same bits.
+
+The contract holds below CPython 3.12. From 3.12 on, builtin `sum`
+compensates float rounding, so `dot`, like every other float `sum` in the
+package, can differ there in the last bits.
 """
 from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence
 
 from .errors import ConfigError, DataError
@@ -90,26 +92,12 @@ class Matrix:
         return [self.values[j :: self.cols] for j in range(self.cols)]
 
     def transpose(self) -> "Matrix":
-        out = [0.0] * (self.rows * self.cols)
-        for i in range(self.rows):
-            base = i * self.cols
-            for j in range(self.cols):
-                out[j * self.rows + i] = self.values[base + j]
-        return Matrix(self.cols, self.rows, out)
+        return Matrix(self.cols, self.rows, [x for c in self.columns() for x in c])
 
 
-if sys.version_info < (3, 12):
-
-    def dot(row: Sequence[float], col: Sequence[float]) -> float:
-        """sum(row[p] * col[p]) in p order from +0.0; see the module docs."""
-        return sum(map(operator.mul, row, col), 0.0)
-
-else:  # pragma: no cover - exercised only on CPython 3.12+
-    # From 3.12 on, sum() compensates float rounding (Neumaier), which would
-    # change the bits; reduce keeps the plain left-to-right order.
-    def dot(row: Sequence[float], col: Sequence[float]) -> float:
-        """sum(row[p] * col[p]) in p order from +0.0; see the module docs."""
-        return reduce(operator.add, map(operator.mul, row, col), 0.0)
+def dot(row: Sequence[float], col: Sequence[float]) -> float:
+    """sum(row[p] * col[p]) in p order from +0.0; see the module docs."""
+    return sum(map(operator.mul, row, col), 0.0)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
