@@ -25,7 +25,7 @@ from .errors import ConfigError, DataError
 from .evaluation import ARM_ORDER, evaluate_users, write_report
 from .media_io.bench import bench_loader
 from .media_io.loader import LoaderConfig
-from .media_io.manifest import DatasetManifest, VideoRecord, load_manifest
+from .media_io.manifest import DatasetManifest, load_manifest
 from .media_io.synthetic import GeneratorSpec, generate_synthetic_dataset
 from .numerics import DimensionMismatch
 from .protonet import (
@@ -54,13 +54,6 @@ def _load_dataset(path_arg: str) -> DatasetManifest:
     return load_manifest(path)
 
 
-def _find_video(manifest: DatasetManifest, video_id: str) -> VideoRecord:
-    for video in manifest.all_videos():
-        if video.video_id == video_id:
-            return video
-    raise KeyError(video_id)
-
-
 def cmd_gen_synthetic(args) -> int:
     spec = GeneratorSpec(
         num_users=args.users,
@@ -81,11 +74,7 @@ def cmd_personalize(args) -> int:
     config = load_config(args.config)
     seed = effective_seed(config, args.seed)
     runtime = build_runtime(config, seed=seed)
-    manifest = _load_dataset(args.dataset)
-    try:
-        episode = build_episode(manifest, args.user)
-    except KeyError:
-        return _fail(EXIT_DATA, f"unknown user {args.user!r} in dataset")
+    episode = build_episode(_load_dataset(args.dataset), args.user)
     protos, audits = personalize(episode, runtime)
     save_prototypes(protos, args.out)
     if args.audit:
@@ -112,11 +101,7 @@ def cmd_recognize(args) -> int:
         raise DimensionMismatch(
             f"prototypes dim {protos.dim} != embedder dim {runtime.embedder.dim}"
         )
-    manifest = _load_dataset(args.dataset)
-    try:
-        video = _find_video(manifest, args.video)
-    except KeyError:
-        return _fail(EXIT_DATA, f"unknown video {args.video!r} in dataset")
+    video = _load_dataset(args.dataset).video(args.video)
     predictions = recognize_video(video, protos, runtime)
     save_predictions(video.video_id, protos.labels, predictions, args.out)
     print(f"video {args.video}: {len(predictions)} frame predictions -> {args.out}")

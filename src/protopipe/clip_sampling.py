@@ -116,23 +116,17 @@ def sample_clips(num_frames: int, cfg: SamplerConfig) -> list[ClipIndex]:
     return random_sample_clips(num_frames, cfg)
 
 
-def causal_sliding_window(
-    num_frames: int, clip_length: int, stride: int = 1
-) -> list[list[int]]:
-    """Per-frame clips using only current and past frames.
+def causal_sliding_window(num_frames: int, clip_length: int) -> list[list[int]]:
+    """One clip per frame, using only current and past frames.
 
     The clip for frame t covers [t - L + 1, t]; indices below zero repeat
-    frame 0, so early clips are left-padded with the first frame. Stride is
-    configurable but the per-frame contract (one clip per frame) holds at
-    the default stride of 1.
+    frame 0, so early clips are left-padded with the first frame.
     """
     if num_frames < 1:
         raise ValueError("num_frames must be >= 1")
     if clip_length < 1:
         raise ValueError("clip_length must be >= 1")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
     return [
         [max(0, i) for i in range(t - clip_length + 1, t + 1)]
-        for t in range(0, num_frames, stride)
+        for t in range(num_frames)
     ]

@@ -11,14 +11,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .adaptation import TransformerWeights, load_transformer_weights
 from .clip_sampling import SamplerConfig
 from .embedding import (
-    KIND_PATCH_PROJECTION,
-    KIND_PRECOMPUTED,
     EmbedderSpec,
     PrecomputedTable,
     load_precomputed,
@@ -27,10 +25,11 @@ from .embedding import (
 )
 from .errors import ConfigError, read_json
 from .frame_validity import EdgeFilterConfig
-from .media_io.loader import LoaderConfig
 from .protonet import PipelineRuntime
 
 ENV_SEED = "PROTOPIPE_SEED"
+KIND_PATCH_PROJECTION = "patch_projection"
+KIND_PRECOMPUTED = "precomputed"
 
 
 @dataclass(frozen=True)
@@ -159,51 +158,35 @@ def effective_seed(config: PipelineConfig, flag_seed: int | None) -> int:
     return config.seed
 
 
-def build_runtime(
-    config: PipelineConfig,
-    seed: int | None = None,
-    loader: LoaderConfig = LoaderConfig(),
-) -> PipelineRuntime:
+def build_runtime(config: PipelineConfig, seed: int | None = None) -> PipelineRuntime:
     """Resolve referenced files into a ready-to-run immutable bundle."""
-    seed = config.seed if seed is None else seed
-    if seed != config.seed:
-        config = PipelineConfig(
-            config.sampler,
-            config.edge_filter,
-            config.embedder,
-            config.adapter,
-            seed,
-            config.base_dir,
-        )
+    if seed is not None:
+        config = replace(config, seed=seed)
     doc = config.embedder
-    kind = doc.get("kind", KIND_PATCH_PROJECTION)
-    table: PrecomputedTable | None = None
-    if kind == KIND_PRECOMPUTED:
-        table = load_precomputed(config.base_dir / doc["table"])
-        spec = EmbedderSpec(KIND_PRECOMPUTED, 0, 0, table.dim)
+    embedder: EmbedderSpec | PrecomputedTable
+    if doc.get("kind", KIND_PATCH_PROJECTION) == KIND_PRECOMPUTED:
+        embedder = load_precomputed(config.base_dir / doc["table"])
     elif "weights" in doc:
-        spec = load_projection_spec(config.base_dir / doc["weights"])
+        embedder = load_projection_spec(config.base_dir / doc["weights"])
     else:
         defaults = {"grid": 8, "channels": 3, "dim": 16, "seed": 0}
         try:
             params = {key: int(doc.get(key, value)) for key, value in defaults.items()}
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad embedder config: {exc}") from exc
-        spec = make_patch_projection_spec(**params)
+        embedder = make_patch_projection_spec(**params)
     adapter: TransformerWeights | None = None
     if config.adapter != "none":
         adapter = load_transformer_weights(config.base_dir / config.adapter)
-        if adapter.d != spec.dim:
+        if adapter.d != embedder.dim:
             raise ConfigError(
-                f"adapter dim {adapter.d} != embedder dim {spec.dim}"
+                f"adapter dim {adapter.d} != embedder dim {embedder.dim}"
             )
     return PipelineRuntime(
         sampler=config.sampler,
         edge_filter=config.edge_filter,
-        embedder=spec,
-        table=table,
+        embedder=embedder,
         adapter=adapter,
-        seed=seed,
+        seed=config.seed,
         digest=config.digest(),
-        loader=loader,
     )

@@ -28,9 +28,6 @@ from .errors import ConfigError, DataError, read_json
 from .media_io.pnm import Frame
 from .numerics import DimensionMismatch, Matrix, Vector, dot
 
-KIND_PATCH_PROJECTION = "patch_projection"
-KIND_PRECOMPUTED = "precomputed"
-
 
 class MissingFrameEmbedding(DataError):
     def __init__(self, video_id: str, index: int):
@@ -45,27 +42,24 @@ class InconsistentDim(ConfigError):
 
 @dataclass(frozen=True)
 class EmbedderSpec:
-    kind: str
+    """Box-average to grid x grid per channel, then project to dim."""
+
     grid: int
     channels: int
     dim: int
-    projection: Matrix | None = None
+    projection: Matrix
 
     def __post_init__(self):
         if self.dim < 2:
             raise ConfigError("embedding dim must be >= 2")
-        if self.kind == KIND_PATCH_PROJECTION:
-            if self.grid < 1 or self.channels not in (1, 3):
-                raise ConfigError("bad grid/channels for patch projection")
-            n = self.grid * self.grid * self.channels
-            p = self.projection
-            if p is None or (p.rows, p.cols) != (n, self.dim):
-                got = None if p is None else (p.rows, p.cols)
-                raise DimensionMismatch(
-                    f"projection must be {n}x{self.dim}, got {got}"
-                )
-        elif self.kind != KIND_PRECOMPUTED:
-            raise ConfigError(f"unknown embedder kind {self.kind!r}")
+        if self.grid < 1 or self.channels not in (1, 3):
+            raise ConfigError("bad grid/channels for patch projection")
+        n = self.grid * self.grid * self.channels
+        p = self.projection
+        if (p.rows, p.cols) != (n, self.dim):
+            raise DimensionMismatch(
+                f"projection must be {n}x{self.dim}, got {(p.rows, p.cols)}"
+            )
 
     @cached_property
     def columns(self) -> list[Vector]:
@@ -102,9 +96,7 @@ def make_patch_projection_spec(
     n = grid * grid * channels
     if dim > n:
         raise DimensionMismatch(f"dim {dim} exceeds flattened size {n}")
-    return EmbedderSpec(
-        KIND_PATCH_PROJECTION, grid, channels, dim, _orthonormal_columns(n, dim, seed)
-    )
+    return EmbedderSpec(grid, channels, dim, _orthonormal_columns(n, dim, seed))
 
 
 def load_projection_spec(path) -> EmbedderSpec:
@@ -115,7 +107,7 @@ def load_projection_spec(path) -> EmbedderSpec:
         projection = Matrix.from_rows(doc["projection"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad projection file {path}: {exc}") from exc
-    return EmbedderSpec(KIND_PATCH_PROJECTION, grid, channels, dim, projection)
+    return EmbedderSpec(grid, channels, dim, projection)
 
 
 @lru_cache(maxsize=64)
@@ -167,8 +159,6 @@ def downsample_boxes(frame: Frame, grid: int) -> Vector:
 
 def embed_frame(frame: Frame, spec: EmbedderSpec) -> Vector:
     """Project the normalized downsampled frame through spec.projection."""
-    if spec.kind != KIND_PATCH_PROJECTION:
-        raise ValueError("embed_frame requires a patch_projection spec")
     if frame.channels != spec.channels:
         raise DimensionMismatch(
             f"frame has {frame.channels} channels, spec expects {spec.channels}"

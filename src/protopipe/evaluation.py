@@ -49,10 +49,10 @@ from .media_io.synthetic import GeneratorSpec, generate_synthetic_dataset
 from .protonet import (
     PipelineRuntime,
     build_episode,
+    classify_clip,
     per_user_accuracy,
     personalize,
-    recognize_video,
-    video_frame_vectors,
+    query_clip_vectors,
 )
 
 logger = logging.getLogger(__name__)
@@ -91,17 +91,18 @@ def evaluate_users(
         if arm not in ARM_ORDER:
             raise UnknownArm(arm)
     episodes = [build_episode(manifest, uid) for uid in manifest.user_ids()]
+    # A query clip's vector depends only on the embedder, which no arm
+    # changes: average each one once. This runs before the frame memo
+    # exists, so query frames are not kept once their clips are built.
+    query_clips = {
+        video.video_id: query_clip_vectors(video, runtime)
+        for ep in episodes
+        for video, _ in ep.query
+    }
     # Every arm embeds the same support frames with the same embedder, so
     # this call keeps one frame memo for all of them. It ends with the call;
     # the caller's runtime is not touched.
     runtime = replace(runtime, frame_memo={})
-    # Query-side frame vectors depend only on the embedder, which no arm
-    # changes — compute once, reuse across arms.
-    query_vectors = {
-        video.video_id: video_frame_vectors(video, runtime)
-        for ep in episodes
-        for video, _ in ep.query
-    }
     rows = []
     previous: float | None = None
     for arm in arms:
@@ -111,10 +112,8 @@ def evaluate_users(
             protos, _ = personalize(ep, rt)
             pairs = []
             for video, truth in ep.query:
-                preds = recognize_video(
-                    video, protos, rt, frame_vectors=query_vectors[video.video_id]
-                )
-                pairs.append(([p.pred for p in preds], list(truth)))
+                preds = [classify_clip(c, protos)[0] for c in query_clips[video.video_id]]
+                pairs.append((preds, list(truth)))
             results[ep.user_id] = pairs
         per_user = per_user_accuracy(results)
         aggregate = sum(per_user.values()) / len(per_user)

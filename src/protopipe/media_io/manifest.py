@@ -27,6 +27,11 @@ class InvariantViolation(ManifestError):
     pass
 
 
+class UnknownId(ManifestError):
+    def __init__(self, what: str, name: str):
+        super().__init__(f"unknown {what} {name!r} in dataset")
+
+
 KIND_CLEAN = "clean"
 KIND_CLUTTER = "clutter"
 
@@ -69,7 +74,13 @@ class DatasetManifest:
         for u in self.users:
             if u.user_id == user_id:
                 return u
-        raise KeyError(user_id)
+        raise UnknownId("user", user_id)
+
+    def video(self, video_id: str) -> VideoRecord:
+        for v in self.all_videos():
+            if v.video_id == video_id:
+                return v
+        raise UnknownId("video", video_id)
 
     def user_ids(self) -> list[str]:
         return [u.user_id for u in self.users]

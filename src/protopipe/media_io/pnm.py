@@ -116,13 +116,3 @@ def encode_pnm(frame: Frame) -> bytes:
     magic = b"P5" if frame.channels == 1 else b"P6"
     header = b"%s\n%d %d\n255\n" % (magic, frame.width, frame.height)
     return header + frame.pixels
-
-
-def read_frame(path) -> Frame:
-    with open(path, "rb") as fh:
-        return decode_pnm(fh.read())
-
-
-def write_frame(path, frame: Frame) -> None:
-    with open(path, "wb") as fh:
-        fh.write(encode_pnm(frame))

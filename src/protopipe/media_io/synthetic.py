@@ -309,8 +309,3 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-
-
-def load_blank_sidecar(dataset_dir) -> dict[str, list[int]]:
-    path = Path(dataset_dir) / SIDECAR_NAME
-    return json.loads(path.read_text(encoding="utf-8"))

@@ -84,9 +84,6 @@ class Matrix:
     def to_rows(self) -> list[Vector]:
         return [self.row(i) for i in range(self.rows)]
 
-    def at(self, i: int, j: int) -> float:
-        return self.values[i * self.cols + j]
-
     def columns(self) -> list[Vector]:
         """Column j as a list, for every j: the right operand of `dot`."""
         return [self.values[j :: self.cols] for j in range(self.cols)]

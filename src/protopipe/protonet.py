@@ -5,8 +5,10 @@ support set and their clutter videos the query set. Personalization samples
 clips from each support video, drops clips dominated by invalid frames,
 embeds the survivors and averages them per class into prototypes, then
 optionally refines the stacked prototypes with a set-to-set adapter.
-Recognition slides a causal window over a query video and classifies every
-frame's clip against the adapted prototypes by cosine similarity.
+Recognition averages a causal window over a query video once per frame and
+classifies every frame's clip against the adapted prototypes by cosine
+similarity. A clip's vector depends only on the embedder, never on the
+prototypes, so one set of clips serves any number of prototype sets.
 """
 from __future__ import annotations
 
@@ -106,11 +108,9 @@ def compute_prototypes(per_class: list[tuple[str, list[Vector]]]) -> Matrix:
     return Matrix.from_rows(rows)
 
 
-def classify_clip(
-    q: Vector, protos: Prototypes, use_adapted: bool = True
-) -> tuple[str, list[float]]:
-    """Cosine against every prototype row; ties go to the lowest class index."""
-    m = protos.adapted if use_adapted else protos.raw
+def classify_clip(q: Vector, protos: Prototypes) -> tuple[str, list[float]]:
+    """Cosine against every adapted prototype row; ties go to the lowest index."""
+    m = protos.adapted
     if len(q) != m.cols:
         raise DimensionMismatch(f"query dim {len(q)} != prototype dim {m.cols}")
     scores = [cosine_similarity(q, m.row(k)) for k in range(m.rows)]
@@ -130,12 +130,11 @@ class PipelineRuntime:
 
     sampler: SamplerConfig
     edge_filter: EdgeFilterConfig
-    embedder: EmbedderSpec
-    table: PrecomputedTable | None
+    # Frames are embedded from pixels by a projection or looked up in a table.
+    embedder: EmbedderSpec | PrecomputedTable
     adapter: TransformerWeights | None
     seed: int
     digest: str
-    loader: LoaderConfig = LoaderConfig()
     # Pixel-path frame vectors by (video_id, index). `evaluate_users` gives
     # each call its own dict, which `replace` hands on to every arm (no arm
     # changes the embedder). None elsewhere: nothing is kept.
@@ -150,8 +149,8 @@ class PipelineRuntime:
         keeps the vector as an array('d') of the same floats, a quarter of a
         list's size, and returns that array on every later call.
         """
-        if self.table is not None:
-            return self.table.vector(video.video_id, index)
+        if isinstance(self.embedder, PrecomputedTable):
+            return self.embedder.vector(video.video_id, index)
         key = (video.video_id, index)
         memo = self.frame_memo
         if memo is not None and key in memo:
@@ -165,14 +164,12 @@ class PipelineRuntime:
 
     @property
     def needs_pixels(self) -> bool:
-        return self.table is None
+        return isinstance(self.embedder, EmbedderSpec)
 
 
-def _decode_frames(
-    video: VideoRecord, indices: list[int], loader: LoaderConfig
-) -> dict[int, Frame]:
+def _decode_frames(video: VideoRecord, indices: list[int]) -> dict[int, Frame]:
     paths = [video.frame_paths[i] for i in indices]
-    frames = load_frames_parallel(paths, loader)
+    frames = load_frames_parallel(paths, LoaderConfig())
     return dict(zip(indices, frames))
 
 
@@ -192,7 +189,7 @@ def personalize(
             cfg = replace(runtime.sampler, seed=derive_video_seed(runtime.seed, video.video_id))
             clips = sample_clips(video.num_frames, cfg)
             needed = sorted({i for clip in clips for i in clip.frame_indices()})
-            frames = _decode_frames(video, needed, runtime.loader) if decode else {}
+            frames = _decode_frames(video, needed) if decode else {}
             for clip in clips:
                 sampled.append(
                     SampledClip(
@@ -230,26 +227,28 @@ class FramePrediction:
 def video_frame_vectors(video: VideoRecord, runtime: PipelineRuntime) -> list[Vector]:
     """Every frame's vector, in order, decoding frames only if pixels are needed."""
     if runtime.needs_pixels:
-        frames = load_frames_parallel(video.frame_paths, runtime.loader)
+        frames = load_frames_parallel(video.frame_paths, LoaderConfig())
     else:
         frames = [None] * video.num_frames
     return [runtime.frame_vector(video, i, f) for i, f in enumerate(frames)]
 
 
+def query_clip_vectors(video: VideoRecord, runtime: PipelineRuntime) -> list[array]:
+    """Every frame's causal clip, averaged once, kept as an array('d')."""
+    vectors = video_frame_vectors(video, runtime)
+    return [
+        array("d", mean_vectors([vectors[i] for i in window]))
+        for window in causal_sliding_window(video.num_frames, runtime.sampler.clip_length)
+    ]
+
+
 def recognize_video(
-    video: VideoRecord,
-    protos: Prototypes,
-    runtime: PipelineRuntime,
-    frame_vectors: list[Vector] | None = None,
+    video: VideoRecord, protos: Prototypes, runtime: PipelineRuntime
 ) -> list[FramePrediction]:
     """Query-side stage: one causal clip, one prediction, per frame."""
-    if frame_vectors is None:
-        frame_vectors = video_frame_vectors(video, runtime)
-    windows = causal_sliding_window(video.num_frames, runtime.sampler.clip_length)
     out = []
-    for window in windows:
-        clip_vec = mean_vectors([frame_vectors[i] for i in window])
-        label, scores = classify_clip(clip_vec, protos, use_adapted=True)
+    for clip in query_clip_vectors(video, runtime):
+        label, scores = classify_clip(clip, protos)
         out.append(FramePrediction(label, tuple(scores)))
     return out
 

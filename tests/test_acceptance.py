@@ -35,7 +35,7 @@ from protopipe.frame_validity import (
     sobel_magnitude,
 )
 from protopipe.media_io.loader import LoaderConfig, load_frames_parallel
-from protopipe.media_io.pnm import Frame, decode_pnm, encode_pnm, write_frame
+from protopipe.media_io.pnm import Frame, decode_pnm, encode_pnm
 from protopipe.media_io.synthetic import GeneratorSpec, generate_synthetic_dataset
 from protopipe.numerics import Matrix, layer_norm_rows
 from protopipe.protonet import (
@@ -82,7 +82,6 @@ def test_criterion_02_synthetic_accuracy_gate(tmp_path):
             sampler=SamplerConfig(clip_length=8, clips_per_video=2),
             edge_filter=EdgeFilterConfig(),
             embedder=make_patch_projection_spec(grid=8, channels=3, dim=192, seed=0),
-            table=None,
             adapter=None,
             seed=7,
             digest="acceptance",
@@ -262,7 +261,7 @@ def test_criterion_09_loader_speedup(tmp_path):
         paths = []
         for i in range(300):
             path = tmp_path / f"f{i:04d}.pgm"
-            write_frame(path, Frame(4, 4, 1, bytes([i % 256] * 16)))
+            path.write_bytes(encode_pnm(Frame(4, 4, 1, bytes([i % 256] * 16))))
             paths.append(str(path))
 
         sequential = load_frames_parallel(

@@ -156,7 +156,6 @@ class TestBuildRuntime:
         config = load_config(write_config(tmp_path, FULL_DOC))
         runtime = build_runtime(config)
         assert runtime.embedder.dim == 8
-        assert runtime.table is None
         assert runtime.adapter is None
         assert runtime.needs_pixels
         assert runtime.digest == config.digest()
@@ -174,8 +173,8 @@ class TestBuildRuntime:
         doc["embedder"] = {"kind": "precomputed", "table": "table.json"}
         runtime = build_runtime(load_config(write_config(tmp_path, doc)))
         assert not runtime.needs_pixels
-        assert runtime.table.dim == 4
-        assert runtime.table.vector("v", 0) == [0.0, 0.0, 0.0, 1.0]
+        assert runtime.embedder.dim == 4
+        assert runtime.embedder.vector("v", 0) == [0.0, 0.0, 0.0, 1.0]
 
     def test_adapter_dim_must_match_embedder(self, tmp_path):
         save_transformer_weights(

@@ -30,9 +30,7 @@ from protopipe.protonet import PipelineRuntime, compute_prototypes, video_frame_
 
 def identity_spec(grid=2, channels=1):
     n = grid * grid * channels
-    return EmbedderSpec(
-        "patch_projection", grid, channels, n, Matrix.identity(n)
-    )
+    return EmbedderSpec(grid, channels, n, Matrix.identity(n))
 
 
 def rgb_frame(w, h, rng):
@@ -104,11 +102,9 @@ class TestProjection:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            EmbedderSpec("patch_projection", 2, 1, 1, Matrix.identity(4))
+            EmbedderSpec(2, 1, 1, Matrix.identity(4))
         with pytest.raises(DimensionMismatch):
-            EmbedderSpec("patch_projection", 2, 1, 4, Matrix.identity(3))
-        with pytest.raises(ValueError):
-            EmbedderSpec("mystery", 2, 1, 4)
+            EmbedderSpec(2, 1, 4, Matrix.identity(3))
 
     def test_load_matches_constructed_spec(self, tmp_path):
         spec = make_patch_projection_spec(grid=3, channels=1, dim=4, seed=9)
@@ -184,7 +180,7 @@ class TestEmbedFrame:
 
     def test_overflowing_projection_is_a_data_error(self):
         n = 2 * 2 * 1
-        spec = EmbedderSpec("patch_projection", 2, 1, 2, Matrix(n, 2, [1e308] * (n * 2)))
+        spec = EmbedderSpec(2, 1, 2, Matrix(n, 2, [1e308] * (n * 2)))
         with pytest.raises(DataError, match="non-finite"):
             embed_frame(Frame(4, 4, 1, bytes([255] * 16)), spec)
 
@@ -192,11 +188,6 @@ class TestEmbedFrame:
         spec = make_patch_projection_spec(grid=2, channels=3, dim=4)
         with pytest.raises(DimensionMismatch):
             embed_frame(Frame(4, 4, 1, bytes(16)), spec)
-
-    def test_requires_projection_kind(self):
-        with pytest.raises(ValueError):
-            embed_frame(Frame(4, 4, 1, bytes(16)), EmbedderSpec("precomputed", 0, 1, 8))
-
 
 def clip_vector(frames, spec):
     """A clip's vector: its frame embeddings averaged by compute_prototypes."""
@@ -293,8 +284,7 @@ class TestPrecomputed:
         # Coverage is checked where a video's frame vectors are resolved.
         table = PrecomputedTable(2, {"v0": [[0.0, 0.0]]})
         runtime = PipelineRuntime(
-            SamplerConfig(), EdgeFilterConfig(), EmbedderSpec("precomputed", 0, 0, 2),
-            table, None, 0, "digest",
+            SamplerConfig(), EdgeFilterConfig(), table, None, 0, "digest"
         )
         good = VideoRecord("v0", "clean", ["f0"])
         long = VideoRecord("v0", "clean", ["f0", "f1"])

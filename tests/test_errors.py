@@ -28,7 +28,7 @@ from protopipe.errors import ConfigError, DataError
 from protopipe.evaluation import UnknownArm
 from protopipe.frame_validity import FrameTooSmall, UnsupportedChannels
 from protopipe.media_io.loader import DecodeError
-from protopipe.media_io.manifest import ManifestError, load_manifest
+from protopipe.media_io.manifest import ManifestError, UnknownId, load_manifest
 from protopipe.media_io.pnm import PnmError, decode_pnm
 from protopipe.media_io.synthetic import IoError
 from protopipe.numerics import DimensionMismatch, EmptyInput
@@ -70,6 +70,7 @@ def test_config_side(cls):
     "cls",
     [
         ManifestError,
+        UnknownId,
         PnmError,
         DecodeError,
         InsufficientFrames,

@@ -1,15 +1,16 @@
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 
-from protopipe import protonet
+from protopipe import evaluation, protonet
 from protopipe.adaptation import centering_adapter_weights
 from protopipe.clip_sampling import SamplerConfig
 from protopipe.embedding import make_patch_projection_spec
-from protopipe.evaluation import evaluate_users
+from protopipe.evaluation import ARM_ORDER, arm_runtime, evaluate_users
 from protopipe.frame_validity import EdgeFilterConfig
 from protopipe.media_io.manifest import DatasetManifest, ObjectRecord, UserRecord
-from protopipe.protonet import PipelineRuntime
+from protopipe.protonet import PipelineRuntime, build_episode, personalize, recognize_video
 
 
 def pixel_runtime() -> PipelineRuntime:
@@ -17,23 +18,22 @@ def pixel_runtime() -> PipelineRuntime:
         sampler=SamplerConfig(clip_length=4, clips_per_video=2),
         edge_filter=EdgeFilterConfig(),
         embedder=make_patch_projection_spec(grid=4, channels=3, dim=16, seed=0),
-        table=None,
         adapter=centering_adapter_weights(16, 0.25),
         seed=0,
         digest="test",
     )
 
 
-def swap_clutter_frames(manifest: DatasetManifest) -> DatasetManifest:
-    """Same video ids, but each object's clutter video shows the next object."""
+def swap_frames(manifest: DatasetManifest, kind: str) -> DatasetManifest:
+    """Same video ids, but each object's `kind` video shows the next object."""
     users = []
     for user in manifest.users:
-        clutter = [obj.videos_of_kind("clutter")[0] for obj in user.objects]
+        donors = [obj.videos_of_kind(kind)[0] for obj in user.objects]
         objects = []
         for i, obj in enumerate(user.objects):
-            donor = clutter[(i + 1) % len(clutter)]
+            donor = donors[(i + 1) % len(donors)]
             videos = [
-                replace(v, frame_paths=donor.frame_paths) if v.kind == "clutter" else v
+                replace(v, frame_paths=donor.frame_paths) if v.kind == kind else v
                 for v in obj.videos
             ]
             objects.append(ObjectRecord(obj.label, videos))
@@ -74,7 +74,7 @@ class TestFrameMemo:
 
     def test_memo_does_not_outlive_one_call(self, small_dataset):
         manifest, _ = small_dataset
-        swapped = swap_clutter_frames(manifest)
+        swapped = swap_frames(manifest, "clutter")
         runtime = pixel_runtime()
         first = evaluate_users(manifest, runtime)
         second = evaluate_users(swapped, runtime)
@@ -83,3 +83,63 @@ class TestFrameMemo:
         assert second["arms"][-1]["aggregate"] < first["arms"][-1]["aggregate"]
         assert second == evaluate_users(swapped, pixel_runtime())
         assert first == evaluate_users(manifest, pixel_runtime())
+
+    def test_support_memo_does_not_outlive_one_call(self, small_dataset):
+        manifest, _ = small_dataset
+        swapped = swap_frames(manifest, "clean")
+        runtime = pixel_runtime()
+        first = evaluate_users(manifest, runtime)
+        second = evaluate_users(swapped, runtime)
+        # Each class's prototype now shows the next object: support vectors
+        # carried over from the first call would keep every arm as it was.
+        for before, after in zip(first["arms"], second["arms"]):
+            assert after["aggregate"] < before["aggregate"], before["name"]
+        assert second == evaluate_users(swapped, pixel_runtime())
+
+
+class TestQueryClips:
+    def test_arms_equal_personalize_then_recognize_video(self, small_dataset, monkeypatch):
+        manifest, _ = small_dataset
+        scored = []
+        classify_clip = evaluation.classify_clip
+
+        def spy_classify_clip(q, protos):
+            label, scores = classify_clip(q, protos)
+            scored.append((label, tuple(scores)))
+            return label, scores
+
+        monkeypatch.setattr(evaluation, "classify_clip", spy_classify_clip)
+        runtime = pixel_runtime()
+        evaluate_users(manifest, runtime)
+        monkeypatch.undo()
+        episodes = [build_episode(manifest, uid) for uid in manifest.user_ids()]
+        want = []
+        for arm in ARM_ORDER:
+            rt = arm_runtime(runtime, arm)
+            for ep in episodes:
+                protos, _ = personalize(ep, rt)
+                for video, _ in ep.query:
+                    want += [(p.pred, p.scores) for p in recognize_video(video, protos, rt)]
+        assert scored == want
+
+    def test_each_query_video_is_averaged_once(self, small_dataset, monkeypatch):
+        manifest, _ = small_dataset
+        built, memo_kinds = Counter(), set()
+        query_clip_vectors = evaluation.query_clip_vectors
+        frame_vector = PipelineRuntime.frame_vector
+
+        def counting_query_clip_vectors(video, runtime):
+            built[video.video_id] += 1
+            return query_clip_vectors(video, runtime)
+
+        def spy_frame_vector(self, video, index, frame):
+            if self.frame_memo is not None:
+                memo_kinds.add(video.kind)
+            return frame_vector(self, video, index, frame)
+
+        monkeypatch.setattr(evaluation, "query_clip_vectors", counting_query_clip_vectors)
+        monkeypatch.setattr(PipelineRuntime, "frame_vector", spy_frame_vector)
+        evaluate_users(manifest, pixel_runtime())
+        query_ids = [v.video_id for v in manifest.all_videos() if v.kind == "clutter"]
+        assert built == Counter(query_ids)
+        assert memo_kinds == {"clean"}  # query frames never enter the memo

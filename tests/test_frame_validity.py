@@ -71,7 +71,7 @@ class TestSobel:
         hits = 0
         for y in range(6):
             for x in range(6):
-                m = mags.at(y, x)
+                m = mags.values[y * mags.cols + x]
                 if x + 1 in (3, 4):  # interior column coordinate
                     assert m == pytest.approx(1020.0, abs=1e-12)
                     hits += 1
@@ -93,7 +93,9 @@ class TestSobel:
         b = sobel_magnitude(transposed)
         for y in range(a.rows):
             for x in range(a.cols):
-                assert a.at(y, x) == pytest.approx(b.at(x, y), abs=1e-9)
+                assert a.values[y * a.cols + x] == pytest.approx(
+                    b.values[x * b.cols + y], abs=1e-9
+                )
 
     def test_block_checkerboard_saturates_density(self):
         # A 1-pixel checkerboard is invisible to a 3x3 Sobel (columns x-1 and

@@ -8,7 +8,7 @@ import pytest
 from protopipe.media_io.bench import BenchReport, BenchRow, bench_loader
 from protopipe.media_io.loader import DecodeError, LoaderConfig, load_frames_parallel
 from protopipe.media_io.manifest import load_manifest
-from protopipe.media_io.pnm import Frame, PnmError, write_frame
+from protopipe.media_io.pnm import Frame, PnmError, encode_pnm
 
 
 def write_corpus(dirpath, count, width=4, height=4):
@@ -16,7 +16,7 @@ def write_corpus(dirpath, count, width=4, height=4):
     for i in range(count):
         payload = bytes((i + j) % 256 for j in range(width * height))
         path = dirpath / f"f{i:04d}.pgm"
-        write_frame(path, Frame(width, height, 1, payload))
+        path.write_bytes(encode_pnm(Frame(width, height, 1, payload)))
         paths.append(str(path))
     return paths
 

@@ -9,6 +9,7 @@ from protopipe.media_io.manifest import (
     InvariantViolation,
     ManifestError,
     SchemaViolation,
+    UnknownId,
     load_manifest,
     parse_manifest,
 )
@@ -129,6 +130,14 @@ def test_schema_violations_carry_pointers():
 
     with pytest.raises(SchemaViolation):
         parse_manifest([], Path("."))
+
+
+def test_lookup_by_id():
+    manifest = parse_manifest(make_doc(), Path("."))
+    assert manifest.video("u0_keys_clutter").frame_paths == ["u0/keys/q0.pgm"]
+    for lookup, name in ((manifest.user, "ghost_user"), (manifest.video, "ghost_video")):
+        with pytest.raises(UnknownId, match=name):
+            lookup(name)
 
 
 def test_videos_of_kind_partitions():

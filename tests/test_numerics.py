@@ -57,7 +57,7 @@ def test_matrix_rejects_ragged_rows():
 def test_matrix_row_and_at():
     m = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
     assert m.row(1) == [4.0, 5.0, 6.0]
-    assert m.at(0, 2) == 3.0
+    assert m.values[0 * m.cols + 2] == 3.0
     assert m.to_rows() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
 
 
@@ -90,8 +90,8 @@ def test_matmul_against_triple_loop_oracle():
     got = matmul(a, b)
     for i in range(4):
         for j in range(3):
-            want = sum(a.at(i, p) * b.at(p, j) for p in range(5))
-            assert got.at(i, j) == pytest.approx(want, abs=1e-12)
+            want = sum(a.values[i * 5 + p] * b.values[p * 3 + j] for p in range(5))
+            assert got.values[i * 3 + j] == pytest.approx(want, abs=1e-12)
 
 
 # Signed zeros, negatives and magnitudes small enough that no product of

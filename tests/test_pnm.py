@@ -11,8 +11,6 @@ from protopipe.media_io.pnm import (
     UnsupportedMaxval,
     decode_pnm,
     encode_pnm,
-    read_frame,
-    write_frame,
 )
 
 
@@ -123,5 +121,5 @@ def test_frame_validation():
 def test_file_round_trip(tmp_path):
     frame = Frame(3, 2, 3, bytes(range(18)))
     path = tmp_path / "f.ppm"
-    write_frame(path, frame)
-    assert read_frame(path) == frame
+    path.write_bytes(encode_pnm(frame))
+    assert decode_pnm(path.read_bytes()) == frame

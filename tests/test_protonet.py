@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from array import array
 
 import pytest
 
@@ -9,7 +10,6 @@ from protopipe.clip_sampling import SamplerConfig
 from protopipe.embedding import PrecomputedTable, make_patch_projection_spec
 from protopipe.errors import DataError
 from protopipe.frame_validity import EdgeFilterConfig
-from protopipe.media_io.loader import LoaderConfig
 from protopipe.media_io.manifest import VideoRecord
 from protopipe.numerics import DimensionMismatch, Matrix, cosine_similarity
 from protopipe.protonet import (
@@ -27,6 +27,7 @@ from protopipe.protonet import (
     load_prototypes,
     per_user_accuracy,
     personalize,
+    query_clip_vectors,
     recognize_video,
     save_predictions,
     save_prototypes,
@@ -38,12 +39,12 @@ def toy_prototypes(rows=((1.0, 0.0), (0.0, 1.0)), labels=("a", "b")):
     return Prototypes("u", tuple(labels), m, m, "digest")
 
 
-def make_runtime(manifest_dim=16, adapter=None, edge=None, sampler=None, table=None):
+def make_runtime(manifest_dim=16, adapter=None, edge=None, sampler=None, embedder=None):
     return PipelineRuntime(
         sampler=sampler or SamplerConfig(clip_length=8, clips_per_video=2),
         edge_filter=edge or EdgeFilterConfig(enabled=False),
-        embedder=make_patch_projection_spec(grid=8, channels=3, dim=manifest_dim, seed=0),
-        table=table,
+        embedder=embedder
+        or make_patch_projection_spec(grid=8, channels=3, dim=manifest_dim, seed=0),
         adapter=adapter,
         seed=0,
         digest="test",
@@ -106,8 +107,7 @@ class TestClassify:
         raw = Matrix.from_rows([[1.0, 0.0], [0.0, 1.0]])
         adapted = Matrix.from_rows([[0.0, 1.0], [1.0, 0.0]])  # swapped
         protos = Prototypes("u", ("a", "b"), raw, adapted, "d")
-        assert classify_clip([1.0, 0.0], protos, use_adapted=False)[0] == "a"
-        assert classify_clip([1.0, 0.0], protos, use_adapted=True)[0] == "b"
+        assert classify_clip([1.0, 0.0], protos)[0] == "b"  # the adapted rows
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -196,20 +196,18 @@ class TestRecognize:
     def make_video(self, num_frames):
         return VideoRecord("q", "clutter", [f"f{i}" for i in range(num_frames)])
 
+    def recognize(self, vectors):
+        runtime = make_runtime(embedder=PrecomputedTable(2, {"q": vectors}))
+        return recognize_video(self.make_video(len(vectors)), toy_prototypes(), runtime)
+
     def test_one_prediction_per_frame(self):
-        vectors = [[1.0, 0.0]] * 4 + [[0.0, 1.0]] * 4
-        preds = recognize_video(
-            self.make_video(8), toy_prototypes(), make_runtime(), frame_vectors=vectors
-        )
+        preds = self.recognize([[1.0, 0.0]] * 4 + [[0.0, 1.0]] * 4)
         assert len(preds) == 8
         assert preds[0].pred == "a"
         assert all(isinstance(p, FramePrediction) for p in preds)
 
     def test_single_frame_video(self):
-        preds = recognize_video(
-            self.make_video(1), toy_prototypes(), make_runtime(),
-            frame_vectors=[[0.2, 0.9]],
-        )
+        preds = self.recognize([[0.2, 0.9]])
         assert [p.pred for p in preds] == ["b"]
 
     def test_predictions_are_causal(self):
@@ -218,21 +216,23 @@ class TestRecognize:
         base = [[1.0, 0.0]] * 10
         changed = [list(v) for v in base]
         changed[9] = [0.0, 1.0]
-        a = recognize_video(
-            self.make_video(10), toy_prototypes(), make_runtime(), frame_vectors=base
-        )
-        b = recognize_video(
-            self.make_video(10), toy_prototypes(), make_runtime(), frame_vectors=changed
-        )
+        a = self.recognize(base)
+        b = self.recognize(changed)
         assert [p.pred for p in a[:9]] == [p.pred for p in b[:9]]
         assert [p.scores for p in a[:9]] == [p.scores for p in b[:9]]
         assert a[9].scores != b[9].scores
 
+    def test_query_clips_are_causal_window_means(self):
+        runtime = make_runtime(
+            sampler=SamplerConfig(clip_length=2, clips_per_video=1),
+            embedder=PrecomputedTable(2, {"q": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}),
+        )
+        clips = query_clip_vectors(self.make_video(3), runtime)
+        assert all(isinstance(c, array) and c.typecode == "d" for c in clips)
+        assert [list(c) for c in clips] == [[1.0, 0.0], [0.5, 0.5], [0.5, 1.0]]
+
     def test_uses_precomputed_table(self):
-        table = PrecomputedTable(2, {"q": [[0.0, 1.0]] * 3})
-        runtime = make_runtime(table=table)
-        preds = recognize_video(self.make_video(3), toy_prototypes(), runtime)
-        assert [p.pred for p in preds] == ["b"] * 3
+        assert [p.pred for p in self.recognize([[0.0, 1.0]] * 3)] == ["b"] * 3
 
     def test_end_to_end_on_synthetic_support(self, small_dataset):
         # Sanity link between the two stages: clean-video frames classify

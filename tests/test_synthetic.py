@@ -1,17 +1,18 @@
 from __future__ import annotations
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
 from protopipe.frame_validity import edge_density, to_grayscale
 from protopipe.media_io.manifest import load_manifest
-from protopipe.media_io.pnm import read_frame
+from protopipe.media_io.pnm import decode_pnm
 from protopipe.media_io.synthetic import (
+    SIDECAR_NAME,
     GeneratorSpec,
     generate_synthetic_dataset,
-    load_blank_sidecar,
 )
 
 SMALL = GeneratorSpec(
@@ -23,6 +24,10 @@ SMALL = GeneratorSpec(
     blank_fraction=0.25,
     seed=7,
 )
+
+
+def load_blank_sidecar(dataset_dir: Path) -> dict[str, list[int]]:
+    return json.loads((dataset_dir / SIDECAR_NAME).read_text(encoding="utf-8"))
 
 
 def tree_digest(root: Path) -> str:
@@ -58,7 +63,7 @@ def test_manifest_loads_and_matches_return_value(tmp_path):
     for video in reloaded.all_videos():
         assert video.num_frames == SMALL.frames_per_video
         for path in video.frame_paths:
-            frame = read_frame(path)
+            frame = decode_pnm(Path(path).read_bytes())
             assert (frame.width, frame.height) == (32, 32)
             assert frame.channels == 3
 
@@ -100,7 +105,7 @@ def test_blank_frames_fail_edge_gate_and_others_pass(tmp_path):
     for video in manifest.all_videos():
         blanks = set(sidecar.get(video.video_id, []))
         for t, path in enumerate(video.frame_paths):
-            gray = to_grayscale(read_frame(path))
+            gray = to_grayscale(decode_pnm(Path(path).read_bytes()))
             density = edge_density(gray, tau_mag)
             if t in blanks:
                 assert density < tau_density, (video.video_id, t, density)
