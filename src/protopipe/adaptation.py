@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -132,38 +131,6 @@ def adapt_prototypes(p: Matrix, w: TransformerWeights) -> Matrix:
     """Post-norm encoder block: LN(Z + FFN(Z)) where Z = LN(P + attn(P))."""
     z = layer_norm_rows(add(p, self_attention(p, w)), w.ln1_gain, w.ln1_bias, w.eps)
     return layer_norm_rows(add(z, _ffn(z, w)), w.ln2_gain, w.ln2_bias, w.eps)
-
-
-def random_transformer_weights(
-    d: int, h: int = 1, d_ff: int | None = None, seed: int = 0
-) -> TransformerWeights:
-    """Gaussian init scaled by 1/sqrt(fan_in); zero biases, identity norms."""
-    if d_ff is None:
-        d_ff = 2 * d
-    rng = random.Random(f"transformer/{seed}")
-
-    def draw(rows: int, cols: int) -> Matrix:
-        s = 1.0 / math.sqrt(rows)
-        return Matrix(rows, cols, [rng.gauss(0.0, s) for _ in range(rows * cols)])
-
-    d_head = d // h
-    return TransformerWeights(
-        d=d,
-        h=h,
-        d_ff=d_ff,
-        w_q=[draw(d, d_head) for _ in range(h)],
-        w_k=[draw(d, d_head) for _ in range(h)],
-        w_v=[draw(d, d_head) for _ in range(h)],
-        w_o=draw(d, d),
-        w1=draw(d, d_ff),
-        b1=[0.0] * d_ff,
-        w2=draw(d_ff, d),
-        b2=[0.0] * d,
-        ln1_gain=[1.0] * d,
-        ln1_bias=[0.0] * d,
-        ln2_gain=[1.0] * d,
-        ln2_bias=[0.0] * d,
-    )
 
 
 def centering_adapter_weights(d: int, strength: float = 1.0) -> TransformerWeights:

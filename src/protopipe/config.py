@@ -64,56 +64,58 @@ class PipelineConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _require_keys(obj, allowed: set[str], where: str) -> None:
-    if not isinstance(obj, dict):
+# The JSON type of every key a config may hold, by section. A count or a
+# seed is an int, never a bool; a threshold is any number. A section's
+# absent keys take the defaults of the dataclass or factory it is passed to.
+NUMBER = (int, float)
+TOP_KEYS = {"sampler": dict, "edge_filter": dict, "embedder": dict, "adapter": str, "seed": int}
+SAMPLER_KEYS = {"clip_length": int, "clips_per_video": int, "policy": str, "within_chunk": str}
+FILTER_KEYS = {"tau_mag": NUMBER, "tau_density": NUMBER, "enabled": bool}
+PROJECTION_KEYS = {
+    "kind": str, "grid": int, "channels": int, "dim": int, "seed": int, "weights": str,
+}
+PRECOMPUTED_KEYS = {"kind": str, "table": str}
+JSON_NAMES = {
+    dict: "an object", str: "a string", int: "an integer", bool: "a boolean", NUMBER: "a number",
+}
+
+
+def _read_section(doc, types: dict, where: str) -> dict:
+    """`doc` itself, once it is an object whose keys all have their JSON type."""
+    if not isinstance(doc, dict):
         raise ConfigError(f"'{where}' must be an object")
-    unknown = sorted(set(obj) - allowed)
+    unknown = sorted(set(doc) - set(types))
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {where}")
+    for key, value in doc.items():
+        want = types[key]
+        if isinstance(value, bool) != (want is bool) or not isinstance(value, want):
+            raise ConfigError(f"{where}.{key} must be {JSON_NAMES[want]}, got {value!r}")
+    return doc
 
 
-def _sampler_from(doc: dict) -> SamplerConfig:
-    _require_keys(
-        doc, {"clip_length", "clips_per_video", "policy", "within_chunk"}, "sampler"
-    )
+def _build_section(cls, doc, types: dict, where: str):
+    """`cls` built from the keys `doc` has, after `_read_section` checks them."""
+    kwargs = _read_section(doc, types, where)
     try:
-        return SamplerConfig(
-            clip_length=int(doc.get("clip_length", 8)),
-            clips_per_video=int(doc.get("clips_per_video", 4)),
-            policy=doc.get("policy", "uniform"),
-            within_chunk=doc.get("within_chunk", "middle"),
-        )
+        return cls(**kwargs)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad sampler config: {exc}") from exc
-
-
-def _filter_from(doc: dict) -> EdgeFilterConfig:
-    _require_keys(doc, {"tau_mag", "tau_density", "enabled"}, "edge_filter")
-    try:
-        return EdgeFilterConfig(
-            tau_mag=float(doc.get("tau_mag", 32.0)),
-            tau_density=float(doc.get("tau_density", 0.01)),
-            enabled=bool(doc.get("enabled", True)),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad edge_filter config: {exc}") from exc
+        raise ConfigError(f"bad {where} config: {exc}") from exc
 
 
 def _check_embedder(doc: dict, base_dir: Path) -> None:
     kind = doc.get("kind", KIND_PATCH_PROJECTION)
     if kind == KIND_PATCH_PROJECTION:
-        _require_keys(
-            doc, {"kind", "grid", "channels", "dim", "seed", "weights"}, "embedder"
-        )
+        _read_section(doc, PROJECTION_KEYS, "embedder")
         if "weights" in doc:
-            path = base_dir / str(doc["weights"])
+            path = base_dir / doc["weights"]
             if not path.is_file():
                 raise ConfigError(f"embedder weights file not found: {path}")
     elif kind == KIND_PRECOMPUTED:
-        _require_keys(doc, {"kind", "table"}, "embedder")
+        _read_section(doc, PRECOMPUTED_KEYS, "embedder")
         if "table" not in doc:
             raise ConfigError("precomputed embedder needs a 'table' path")
-        path = base_dir / str(doc["table"])
+        path = base_dir / doc["table"]
         if not path.is_file():
             raise ConfigError(f"embedding table not found: {path}")
     else:
@@ -122,27 +124,18 @@ def _check_embedder(doc: dict, base_dir: Path) -> None:
 
 def load_config(path) -> PipelineConfig:
     path = Path(path)
-    doc = read_json(path, ConfigError, "config")
-    _require_keys(
-        doc, {"sampler", "edge_filter", "embedder", "adapter", "seed"}, "config"
-    )
+    doc = _read_section(read_json(path, ConfigError, "config"), TOP_KEYS, "config")
     base_dir = path.resolve().parent
-    sampler = _sampler_from(doc.get("sampler", {}))
-    edge_filter = _filter_from(doc.get("edge_filter", {}))
+    sampler = _build_section(SamplerConfig, doc.get("sampler", {}), SAMPLER_KEYS, "sampler")
+    edge_filter = _build_section(
+        EdgeFilterConfig, doc.get("edge_filter", {}), FILTER_KEYS, "edge_filter"
+    )
     embedder = doc.get("embedder", {})
-    if not isinstance(embedder, dict):
-        raise ConfigError("'embedder' must be an object")
     _check_embedder(embedder, base_dir)
     adapter = doc.get("adapter", "none")
-    if not isinstance(adapter, str):
-        raise ConfigError("'adapter' must be a path or \"none\"")
     if adapter != "none" and not (base_dir / adapter).is_file():
         raise ConfigError(f"adapter weights file not found: {base_dir / adapter}")
-    try:
-        seed = int(doc.get("seed", 0))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad seed: {doc.get('seed')!r}") from exc
-    return PipelineConfig(sampler, edge_filter, embedder, adapter, seed, base_dir)
+    return PipelineConfig(sampler, edge_filter, embedder, adapter, doc.get("seed", 0), base_dir)
 
 
 def effective_seed(config: PipelineConfig, flag_seed: int | None) -> int:
@@ -169,11 +162,7 @@ def build_runtime(config: PipelineConfig, seed: int | None = None) -> PipelineRu
     elif "weights" in doc:
         embedder = load_projection_spec(config.base_dir / doc["weights"])
     else:
-        defaults = {"grid": 8, "channels": 3, "dim": 16, "seed": 0}
-        try:
-            params = {key: int(doc.get(key, value)) for key, value in defaults.items()}
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad embedder config: {exc}") from exc
+        params = {key: value for key, value in doc.items() if key != "kind"}
         embedder = make_patch_projection_spec(**params)
     adapter: TransformerWeights | None = None
     if config.adapter != "none":

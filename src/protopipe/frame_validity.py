@@ -34,6 +34,12 @@ class EdgeFilterConfig:
     enabled: bool = True
 
     def __post_init__(self):
+        # Thresholds are held as floats, so 32 and 32.0 are one config.
+        for name in ("tau_mag", "tau_density"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if self.tau_mag < 0:
             raise ValueError("tau_mag must be >= 0")
         if not 0.0 <= self.tau_density <= 1.0:
@@ -106,7 +112,11 @@ def is_frame_valid(frame: Frame, cfg: EdgeFilterConfig) -> bool:
 
 @dataclass(frozen=True)
 class SampledClip:
-    """A sampled clip together with its loaded frames."""
+    """A sampled clip and, when the edge filter is on, its decoded frames.
+
+    The filter is the only reader of `frames`, so clips sampled with it off
+    carry none; a clip's length is always `clip.length`.
+    """
 
     video_id: str
     clip: ClipIndex
@@ -148,7 +158,7 @@ def filter_clips(
     for sc in clips:
         invalid = sum(1 for f in sc.frames if not is_frame_valid(f, cfg))
         counts.append(invalid)
-    removed = [inv * 2 > len(sc.frames) for sc, inv in zip(clips, counts)]
+    removed = [inv * 2 > sc.clip.length for sc, inv in zip(clips, counts)]
     override_idx = None
     if all(removed):
         override_idx = min(
@@ -162,14 +172,14 @@ def filter_clips(
             clips[override_idx].clip.start,
             clips[override_idx].video_id,
             counts[override_idx],
-            len(clips[override_idx].frames),
+            clips[override_idx].clip.length,
         )
     audits = [
         ClipAudit(
             video_id=sc.video_id,
             clip_start=sc.clip.start,
             invalid=inv,
-            length=len(sc.frames),
+            length=sc.clip.length,
             removed=rm,
             override=(i == override_idx),
         )

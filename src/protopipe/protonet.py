@@ -166,47 +166,54 @@ class PipelineRuntime:
     def needs_pixels(self) -> bool:
         return isinstance(self.embedder, EmbedderSpec)
 
+    def must_embed(self, video: VideoRecord, index: int) -> bool:
+        """True when `frame_vector` would embed this frame from its pixels."""
+        memo = self.frame_memo
+        return self.needs_pixels and (memo is None or (video.video_id, index) not in memo)
 
-def _decode_frames(video: VideoRecord, indices: list[int]) -> dict[int, Frame]:
+
+def load_frames(video: VideoRecord, indices: list[int]) -> dict[int, Frame]:
+    """Decode the given frames of one video in one loader call, if any."""
+    if not indices:
+        return {}
     paths = [video.frame_paths[i] for i in indices]
-    frames = load_frames_parallel(paths, LoaderConfig())
-    return dict(zip(indices, frames))
+    return dict(zip(indices, load_frames_parallel(paths, LoaderConfig())))
 
 
 def personalize(
     episode: Episode, runtime: PipelineRuntime
 ) -> tuple[Prototypes, list[ClipAudit]]:
-    """Support-side stage: sample, filter, embed, average, adapt."""
-    # Pixels are only touched when something downstream needs them: the
-    # edge filter always does, the patch embedder does, a precomputed
-    # table with the filter off does not.
-    decode = runtime.needs_pixels or runtime.edge_filter.enabled
+    """Support-side stage: sample, filter, embed, average, adapt.
+
+    A frame is decoded only when something reads its pixels: the edge
+    filter reads every sampled frame, the embedder only the frames it has
+    no vector for yet.
+    """
+    gated = runtime.edge_filter.enabled
     per_class: list[tuple[str, list[Vector]]] = []
     audits: list[ClipAudit] = []
     for label, videos in episode.support:
         sampled: list[SampledClip] = []
+        by_video: dict[str, tuple[VideoRecord, dict[int, Frame]]] = {}
         for video in videos:
             cfg = replace(runtime.sampler, seed=derive_video_seed(runtime.seed, video.video_id))
             clips = sample_clips(video.num_frames, cfg)
             needed = sorted({i for clip in clips for i in clip.frame_indices()})
-            frames = _decode_frames(video, needed) if decode else {}
+            decoded = load_frames(
+                video, [i for i in needed if gated or runtime.must_embed(video, i)]
+            )
+            by_video[video.video_id] = (video, decoded)
             for clip in clips:
-                sampled.append(
-                    SampledClip(
-                        video.video_id,
-                        clip,
-                        [frames[i] for i in clip.frame_indices()] if decode else [],
-                    )
-                )
+                clip_frames = [decoded[i] for i in clip.frame_indices()] if gated else []
+                sampled.append(SampledClip(video.video_id, clip, clip_frames))
         retained, class_audits = filter_clips(sampled, runtime.edge_filter)
         audits.extend(class_audits)
-        by_video = {v.video_id: v for v in videos}
         clip_vectors = []
         for sc in retained:
-            video = by_video[sc.video_id]
+            video, decoded = by_video[sc.video_id]
             vectors = [
-                runtime.frame_vector(video, idx, sc.frames[j] if sc.frames else None)
-                for j, idx in enumerate(sc.clip.frame_indices())
+                runtime.frame_vector(video, i, decoded.get(i))
+                for i in sc.clip.frame_indices()
             ]
             clip_vectors.append(mean_vectors(vectors))
         per_class.append((label, clip_vectors))
@@ -225,12 +232,10 @@ class FramePrediction:
 
 
 def video_frame_vectors(video: VideoRecord, runtime: PipelineRuntime) -> list[Vector]:
-    """Every frame's vector, in order, decoding frames only if pixels are needed."""
-    if runtime.needs_pixels:
-        frames = load_frames_parallel(video.frame_paths, LoaderConfig())
-    else:
-        frames = [None] * video.num_frames
-    return [runtime.frame_vector(video, i, f) for i, f in enumerate(frames)]
+    """Every frame's vector, in order, decoding only the frames to embed."""
+    indices = range(video.num_frames)
+    frames = load_frames(video, [i for i in indices if runtime.must_embed(video, i)])
+    return [runtime.frame_vector(video, i, frames.get(i)) for i in indices]
 
 
 def query_clip_vectors(video: VideoRecord, runtime: PipelineRuntime) -> list[array]:
@@ -251,15 +256,6 @@ def recognize_video(
         label, scores = classify_clip(clip, protos)
         out.append(FramePrediction(label, tuple(scores)))
     return out
-
-
-def frame_accuracy(predicted: list[str], truth: list[str]) -> float:
-    if len(predicted) != len(truth):
-        raise LengthMismatch(f"{len(predicted)} predictions vs {len(truth)} labels")
-    if not truth:
-        raise LengthMismatch("no frames to score")
-    hits = sum(1 for p, t in zip(predicted, truth) if p == t)
-    return hits / len(truth)
 
 
 def per_user_accuracy(results: dict[str, list[tuple[list[str], list[str]]]]) -> dict[str, float]:

@@ -1,4 +1,5 @@
-"""Independent numpy reference implementations used to cross-check results.
+"""Independent numpy reference implementations used to cross-check results,
+plus the seeded random adapter weights the tests draw.
 
 Nothing here imports from protopipe's internals beyond plain data (lists of
 floats, weight containers), so a bug in the package cannot hide inside its
@@ -6,7 +7,13 @@ own oracle.
 """
 from __future__ import annotations
 
+import math
+import random
+
 import numpy as np
+
+from protopipe.adaptation import TransformerWeights
+from protopipe.numerics import Matrix
 
 
 def np_softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -106,3 +113,39 @@ def loop_matmul(a: list[float], b: list[float], n: int, k: int, m: int) -> list[
             for j in range(m):
                 out[i * m + j] += x * b[p * m + j]
     return out
+
+
+def random_transformer_weights(
+    d: int, h: int = 1, d_ff: int | None = None, seed: int = 0
+) -> TransformerWeights:
+    """Gaussian init scaled by 1/sqrt(fan_in); zero biases, identity norms.
+
+    Seeded test weights for the adapter; the golden adapter file was made
+    with them, so the draw order must not change.
+    """
+    if d_ff is None:
+        d_ff = 2 * d
+    rng = random.Random(f"transformer/{seed}")
+
+    def draw(rows: int, cols: int) -> Matrix:
+        s = 1.0 / math.sqrt(rows)
+        return Matrix(rows, cols, [rng.gauss(0.0, s) for _ in range(rows * cols)])
+
+    d_head = d // h
+    return TransformerWeights(
+        d=d,
+        h=h,
+        d_ff=d_ff,
+        w_q=[draw(d, d_head) for _ in range(h)],
+        w_k=[draw(d, d_head) for _ in range(h)],
+        w_v=[draw(d, d_head) for _ in range(h)],
+        w_o=draw(d, d),
+        w1=draw(d, d_ff),
+        b1=[0.0] * d_ff,
+        w2=draw(d_ff, d),
+        b2=[0.0] * d,
+        ln1_gain=[1.0] * d,
+        ln1_bias=[0.0] * d,
+        ln2_gain=[1.0] * d,
+        ln2_bias=[0.0] * d,
+    )

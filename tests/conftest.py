@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from protopipe.embedding import PrecomputedTable
 from protopipe.media_io.pnm import Frame
 from protopipe.media_io.synthetic import GeneratorSpec, generate_synthetic_dataset
 
@@ -35,3 +36,13 @@ def small_dataset(tmp_path_factory):
     )
     manifest = generate_synthetic_dataset(spec, root)
     return manifest, root
+
+
+@pytest.fixture(scope="session")
+def small_table(small_dataset):
+    """A dim-16 embedding row for every frame of `small_dataset`."""
+    manifest, _ = small_dataset
+    return PrecomputedTable(16, {
+        v.video_id: [[float(k + 1), float(i + 1)] + [0.5] * 14 for i in range(v.num_frames)]
+        for k, v in enumerate(manifest.all_videos())
+    })

@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from _oracles import np_transformer_block
+from _oracles import np_transformer_block, random_transformer_weights
 
-from protopipe.adaptation import adapt_prototypes, attention_matrices, random_transformer_weights
+from protopipe.adaptation import adapt_prototypes, attention_matrices
 from protopipe.cli import EXIT_OK, main
 from protopipe.clip_sampling import (
     SamplerConfig,

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from _oracles import np_transformer_block
+from _oracles import np_transformer_block, random_transformer_weights
 
 from protopipe.adaptation import (
     ShapeMismatch,
@@ -17,7 +17,6 @@ from protopipe.adaptation import (
     attention_matrices,
     centering_adapter_weights,
     load_transformer_weights,
-    random_transformer_weights,
     save_transformer_weights,
     self_attention,
 )

@@ -4,9 +4,10 @@ import json
 import math
 
 import pytest
+from _oracles import random_transformer_weights
 
 from protopipe import cli
-from protopipe.adaptation import random_transformer_weights, save_transformer_weights
+from protopipe.adaptation import save_transformer_weights
 from protopipe.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from protopipe.media_io.manifest import load_manifest
 
@@ -47,8 +48,9 @@ def workspace(tmp_path_factory):
     return data, config
 
 
-def run_personalize(workspace, out, user="user00", audit=None, extra=()):
-    data, config = workspace
+def run_personalize(workspace, out, user="user00", audit=None, extra=(), config=None):
+    data, default_config = workspace
+    config = config or default_config
     argv = [
         "personalize", "--dataset", str(data), "--user", user,
         "--config", str(config), "--out", str(out),
@@ -96,6 +98,16 @@ class TestPersonalize:
                 "video_id", "clip_start", "invalid", "L", "removed", "override",
             }
         assert "2 prototypes" in capsys.readouterr().out
+
+    def test_audit_length_without_pixels_is_the_clip_length(self, workspace, tmp_path):
+        config = table_config(
+            tmp_path, finite_table(workspace), edge_filter={"enabled": False}
+        )
+        audit = tmp_path / "audit.jsonl"
+        out = tmp_path / "protos.json"
+        assert run_personalize(workspace, out, audit=audit, config=config) == EXIT_OK
+        records = [json.loads(line) for line in audit.read_text().splitlines()]
+        assert [r["L"] for r in records] == [CONFIG_DOC["sampler"]["clip_length"]] * 4
 
     def test_no_adapter_means_adapted_equals_raw(self, workspace, tmp_path):
         out = tmp_path / "protos.json"
@@ -295,11 +307,13 @@ class TestBenchLoader:
         assert rc == EXIT_CONFIG
 
 
-def table_config(tmp_path, table) -> str:
+def table_config(tmp_path, table, **sections) -> str:
     """Write `table` as a precomputed embedding file and a config reading it."""
     (tmp_path / "table.json").write_text(json.dumps(table))
     config = tmp_path / "table_config.json"
-    doc = dict(CONFIG_DOC, embedder={"kind": "precomputed", "table": "table.json"})
+    doc = dict(
+        CONFIG_DOC, embedder={"kind": "precomputed", "table": "table.json"}, **sections
+    )
     config.write_text(json.dumps(doc))
     return str(config)
 

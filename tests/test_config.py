@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
 from protopipe.adaptation import centering_adapter_weights, save_transformer_weights
+from protopipe.cli import EXIT_CONFIG, main
 from protopipe.config import (
     ConfigError,
     build_runtime,
@@ -88,6 +90,41 @@ def test_bad_values_rejected(tmp_path):
         load_config(bad)
 
 
+MISTYPED = {
+    "enabled-string": ("edge_filter", "enabled", "false"),
+    "enabled-number": ("edge_filter", "enabled", 0),
+    "clip-length-float": ("sampler", "clip_length", 8.9),
+    "clip-length-bool": ("sampler", "clip_length", True),
+    "clip-length-string": ("sampler", "clip_length", "6"),
+    "seed-float": (None, "seed", 2.5),
+    "seed-bool": (None, "seed", False),
+    "adapter-number": (None, "adapter", 0),
+    "tau-mag-nan": ("edge_filter", "tau_mag", math.nan),
+    "tau-mag-infinity": ("edge_filter", "tau_mag", math.inf),
+    "tau-mag-overflow": ("edge_filter", "tau_mag", 10**400),
+    "tau-mag-string": ("edge_filter", "tau_mag", "32"),
+    "tau-density-bool": ("edge_filter", "tau_density", True),
+    "grid-float": ("embedder", "grid", 8.5),
+    "dim-string": ("embedder", "dim", "16"),
+    "embedder-seed-bool": ("embedder", "seed", True),
+}
+
+
+@pytest.mark.parametrize("section,key,value", MISTYPED.values(), ids=MISTYPED.keys())
+def test_mistyped_values_are_config_errors(tmp_path, capsys, section, key, value):
+    doc = json.loads(json.dumps(FULL_DOC))
+    (doc[section] if section else doc)[key] = value
+    path = write_config(tmp_path, doc)
+    with pytest.raises(ConfigError):
+        load_config(path)
+    argv = [
+        "personalize", "--dataset", str(tmp_path), "--user", "u", "--config", str(path),
+        "--out", str(tmp_path / "p.json"),
+    ]
+    assert main(argv) == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+
+
 def test_referenced_files_must_exist(tmp_path):
     doc = json.loads(json.dumps(FULL_DOC))
     doc["adapter"] = "adapter.json"
@@ -126,6 +163,14 @@ class TestDigest:
         doc["sampler"]["clips_per_video"] = 4
         b = load_config(write_config(tmp_path, doc, "b.json"))
         assert a.digest() != b.digest()
+
+    def test_integer_thresholds_get_the_float_digest(self, tmp_path):
+        a = load_config(write_config(tmp_path, FULL_DOC, "a.json"))
+        doc = json.loads(json.dumps(FULL_DOC))
+        doc["edge_filter"]["tau_mag"] = 32
+        b = load_config(write_config(tmp_path, doc, "b.json"))
+        assert b.edge_filter.tau_mag == 32.0 and isinstance(b.edge_filter.tau_mag, float)
+        assert a.digest() == b.digest()
 
     def test_digest_ignores_location(self, tmp_path):
         a = load_config(write_config(tmp_path, FULL_DOC, "a.json"))

@@ -5,12 +5,18 @@ from dataclasses import replace
 
 from protopipe import evaluation, protonet
 from protopipe.adaptation import centering_adapter_weights
-from protopipe.clip_sampling import SamplerConfig
+from protopipe.clip_sampling import SamplerConfig, sample_clips
 from protopipe.embedding import make_patch_projection_spec
 from protopipe.evaluation import ARM_ORDER, arm_runtime, evaluate_users
 from protopipe.frame_validity import EdgeFilterConfig
 from protopipe.media_io.manifest import DatasetManifest, ObjectRecord, UserRecord
-from protopipe.protonet import PipelineRuntime, build_episode, personalize, recognize_video
+from protopipe.protonet import (
+    PipelineRuntime,
+    build_episode,
+    derive_video_seed,
+    personalize,
+    recognize_video,
+)
 
 
 def pixel_runtime() -> PipelineRuntime:
@@ -95,6 +101,59 @@ class TestFrameMemo:
         for before, after in zip(first["arms"], second["arms"]):
             assert after["aggregate"] < before["aggregate"], before["name"]
         assert second == evaluate_users(swapped, pixel_runtime())
+
+
+class TestFrameSource:
+    """A frame is decoded when the edge filter or a frame-memo miss reads it."""
+
+    def record_loads(self, monkeypatch) -> list[list[str]]:
+        calls = []
+        load_frames_parallel = protonet.load_frames_parallel
+
+        def recording(paths, cfg):
+            calls.append(list(paths))
+            return load_frames_parallel(paths, cfg)
+
+        monkeypatch.setattr(protonet, "load_frames_parallel", recording)
+        return calls
+
+    def sampled_paths(self, manifest, runtime, arm) -> set[str]:
+        """Every support frame one arm's sampler picks, found independently."""
+        rt = arm_runtime(runtime, arm)
+        paths = set()
+        for user_id in manifest.user_ids():
+            for _, videos in build_episode(manifest, user_id).support:
+                for video in videos:
+                    cfg = replace(rt.sampler, seed=derive_video_seed(rt.seed, video.video_id))
+                    for clip in sample_clips(video.num_frames, cfg):
+                        paths.update(video.frame_paths[i] for i in clip.frame_indices())
+        return paths
+
+    def test_pixel_embedder(self, small_dataset, monkeypatch):
+        manifest, _ = small_dataset
+        runtime = pixel_runtime()
+        calls = self.record_loads(monkeypatch)
+        evaluate_users(manifest, runtime)
+        query = [p for v in manifest.all_videos() if v.kind == "clutter" for p in v.frame_paths]
+        gated = self.sampled_paths(manifest, runtime, "filter")
+        # With the filter off every sampled clip is embedded, so the frames
+        # to embed are those the gate-off arms sample; the filter arm comes
+        # last and finds its frames' vectors in the memo.
+        embedded = set().union(
+            *(self.sampled_paths(manifest, runtime, a) for a in ("baseline", "adapt", "uniform"))
+        )
+        loaded = Counter(p for call in calls for p in call)
+        assert loaded == Counter(query) + Counter(gated) + Counter(embedded)
+        assert all(call and len(set(call)) == len(call) for call in calls)
+
+    def test_table_embedder(self, small_dataset, small_table, monkeypatch):
+        manifest, _ = small_dataset
+        runtime = replace(pixel_runtime(), embedder=small_table)
+        calls = self.record_loads(monkeypatch)
+        evaluate_users(manifest, runtime)
+        loaded = Counter(p for call in calls for p in call)
+        assert loaded == Counter(self.sampled_paths(manifest, runtime, "filter"))
+        assert all(calls)
 
 
 class TestQueryClips:

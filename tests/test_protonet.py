@@ -23,7 +23,6 @@ from protopipe.protonet import (
     classify_clip,
     compute_prototypes,
     derive_video_seed,
-    frame_accuracy,
     load_prototypes,
     per_user_accuracy,
     personalize,
@@ -174,6 +173,16 @@ class TestPersonalize:
         assert adapted.adapted.values != adapted.raw.values
         assert adapted.labels == plain.labels
 
+    def test_audit_length_is_the_clip_length_for_every_embedder(
+        self, small_dataset, small_table
+    ):
+        manifest, _ = small_dataset
+        episode = build_episode(manifest, "user00")
+        _, by_table = personalize(episode, make_runtime(embedder=small_table))
+        _, by_pixels = personalize(episode, make_runtime())
+        assert by_table == by_pixels
+        assert [a.length for a in by_table] == [8] * 4
+
     def test_filter_audits_wash_clips(self, tmp_path):
         from protopipe.media_io.synthetic import GeneratorSpec, generate_synthetic_dataset
 
@@ -247,14 +256,6 @@ class TestRecognize:
 
 
 class TestScoring:
-    def test_frame_accuracy(self):
-        assert frame_accuracy(["a", "b"], ["a", "b"]) == 1.0
-        assert frame_accuracy(["a", "b"], ["a", "a"]) == 0.5
-        with pytest.raises(LengthMismatch):
-            frame_accuracy(["a"], ["a", "b"])
-        with pytest.raises(LengthMismatch):
-            frame_accuracy([], [])
-
     def test_per_user_accuracy_is_micro_averaged(self):
         results = {
             "u0": [(["a", "b"], ["a", "a"]), (["a"], ["a"])],
