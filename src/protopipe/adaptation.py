@@ -8,12 +8,10 @@ output is permutation-equivariant in the rows.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
-from .errors import ConfigError, read_json
+from .errors import NUMBER, ConfigError, all_numbers, check_json_type, read_json, write_json
 from .numerics import (
     Matrix,
     Vector,
@@ -114,17 +112,8 @@ def self_attention(p: Matrix, w: TransformerWeights) -> Matrix:
 
 
 def _ffn(z: Matrix, w: TransformerWeights) -> Matrix:
-    hidden = relu(_add_row_bias(matmul(z, w.w1), w.b1))
-    return _add_row_bias(matmul(hidden, w.w2), w.b2)
-
-
-def _add_row_bias(m: Matrix, bias: Vector) -> Matrix:
-    values = list(m.values)
-    for r in range(m.rows):
-        base = r * m.cols
-        for j, b in enumerate(bias):
-            values[base + j] += b
-    return Matrix(m.rows, m.cols, values)
+    hidden = relu(add(matmul(z, w.w1), Matrix.from_rows([w.b1] * z.rows)))
+    return add(matmul(hidden, w.w2), Matrix.from_rows([w.b2] * z.rows))
 
 
 def adapt_prototypes(p: Matrix, w: TransformerWeights) -> Matrix:
@@ -173,11 +162,14 @@ def _matrix_field(doc: dict, name: str) -> Matrix:
 
 
 def _vector_field(doc: dict, name: str) -> Vector:
+    if name not in doc:
+        raise ConfigError(f"missing field {name!r}")
+    values = doc[name]
+    if not isinstance(values, list) or not all_numbers(values):
+        raise ConfigError(f"field {name!r} must be an array of numbers")
     try:
-        return [float(x) for x in doc[name]]
-    except KeyError as exc:
-        raise ConfigError(f"missing field {name!r}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
+        return list(map(float, values))
+    except OverflowError as exc:  # an integer too large for a float
         raise ConfigError(f"bad vector in field {name!r}: {exc}") from exc
 
 
@@ -187,9 +179,11 @@ def load_transformer_weights(path) -> TransformerWeights:
     if not isinstance(doc, dict):
         raise ConfigError("adapter weights must be a JSON object")
     try:
-        d, h, d_ff = int(doc["d"]), int(doc["h"]), int(doc["d_ff"])
+        d, h, d_ff = (
+            check_json_type(doc[key], int, ConfigError, key) for key in ("d", "h", "d_ff")
+        )
         heads = doc["heads"]
-        eps = float(doc.get("eps", 1e-5))
+        eps = float(check_json_type(doc.get("eps", 1e-5), NUMBER, ConfigError, "eps"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad adapter header: {exc}") from exc
     if not isinstance(heads, list):
@@ -247,4 +241,4 @@ def save_transformer_weights(w: TransformerWeights, path) -> None:
         "ln2": {"gain": list(w.ln2_gain), "bias": list(w.ln2_bias)},
         "eps": w.eps,
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path, doc)

@@ -21,14 +21,15 @@ import sys
 from pathlib import Path
 
 from .config import build_runtime, effective_seed, load_config
-from .errors import ConfigError, DataError
-from .evaluation import ARM_ORDER, evaluate_users, write_report
+from .errors import ConfigError, DataError, write_json
+from .evaluation import ARM_ORDER, evaluate_users
 from .media_io.bench import bench_loader
 from .media_io.loader import LoaderConfig
 from .media_io.manifest import DatasetManifest, load_manifest
 from .media_io.synthetic import GeneratorSpec, generate_synthetic_dataset
 from .numerics import DimensionMismatch
 from .protonet import (
+    PipelineRuntime,
     build_episode,
     load_prototypes,
     personalize,
@@ -70,10 +71,14 @@ def cmd_gen_synthetic(args) -> int:
     return EXIT_OK
 
 
-def cmd_personalize(args) -> int:
+def _runtime(args) -> PipelineRuntime:
+    """The runtime `--config` describes, at the seed `--seed` resolves to."""
     config = load_config(args.config)
-    seed = effective_seed(config, args.seed)
-    runtime = build_runtime(config, seed=seed)
+    return build_runtime(config, seed=effective_seed(config, args.seed))
+
+
+def cmd_personalize(args) -> int:
+    runtime = _runtime(args)
     episode = build_episode(_load_dataset(args.dataset), args.user)
     protos, audits = personalize(episode, runtime)
     save_prototypes(protos, args.out)
@@ -93,9 +98,7 @@ def cmd_personalize(args) -> int:
 
 
 def cmd_recognize(args) -> int:
-    config = load_config(args.config)
-    seed = effective_seed(config, args.seed)
-    runtime = build_runtime(config, seed=seed)
+    runtime = _runtime(args)
     protos = load_prototypes(args.prototypes)
     if protos.dim != runtime.embedder.dim:
         raise DimensionMismatch(
@@ -109,15 +112,13 @@ def cmd_recognize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config = load_config(args.config)
-    seed = effective_seed(config, args.seed)
-    runtime = build_runtime(config, seed=seed)
+    runtime = _runtime(args)
     manifest = _load_dataset(args.dataset)
     arms = tuple(a.strip() for a in args.ablation.split(",") if a.strip())
     if not arms:
         raise ConfigError("--ablation named no arms")
     report = evaluate_users(manifest, runtime, arms)
-    write_report(report, args.out)
+    write_json(args.out, report)
     for row in report["arms"]:
         print(
             f"{row['name']:<8} accuracy {row['aggregate']:.4f} "
@@ -143,7 +144,7 @@ def cmd_bench_loader(args) -> int:
     for row in report.rows:
         print(f"{row.threads:>3} threads: {row.format_cell()}")
     if args.out:
-        report.write(args.out)
+        write_json(args.out, report.to_json_obj())
         print(f"report -> {args.out}")
     return EXIT_OK
 

@@ -23,7 +23,7 @@ from .embedding import (
     load_projection_spec,
     make_patch_projection_spec,
 )
-from .errors import ConfigError, read_json
+from .errors import NUMBER, ConfigError, check_json_type, read_json
 from .frame_validity import EdgeFilterConfig
 from .protonet import PipelineRuntime
 
@@ -64,10 +64,9 @@ class PipelineConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-# The JSON type of every key a config may hold, by section. A count or a
-# seed is an int, never a bool; a threshold is any number. A section's
-# absent keys take the defaults of the dataclass or factory it is passed to.
-NUMBER = (int, float)
+# The JSON type of every key a config may hold, by section, under the rule
+# in `errors`. A section's absent keys take the defaults of the dataclass or
+# factory it is passed to.
 TOP_KEYS = {"sampler": dict, "edge_filter": dict, "embedder": dict, "adapter": str, "seed": int}
 SAMPLER_KEYS = {"clip_length": int, "clips_per_video": int, "policy": str, "within_chunk": str}
 FILTER_KEYS = {"tau_mag": NUMBER, "tau_density": NUMBER, "enabled": bool}
@@ -75,9 +74,6 @@ PROJECTION_KEYS = {
     "kind": str, "grid": int, "channels": int, "dim": int, "seed": int, "weights": str,
 }
 PRECOMPUTED_KEYS = {"kind": str, "table": str}
-JSON_NAMES = {
-    dict: "an object", str: "a string", int: "an integer", bool: "a boolean", NUMBER: "a number",
-}
 
 
 def _read_section(doc, types: dict, where: str) -> dict:
@@ -88,9 +84,7 @@ def _read_section(doc, types: dict, where: str) -> dict:
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {where}")
     for key, value in doc.items():
-        want = types[key]
-        if isinstance(value, bool) != (want is bool) or not isinstance(value, want):
-            raise ConfigError(f"{where}.{key} must be {JSON_NAMES[want]}, got {value!r}")
+        check_json_type(value, types[key], ConfigError, f"{where}.{key}")
     return doc
 
 

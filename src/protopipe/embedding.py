@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import ConfigError, DataError, read_json
+from .errors import ConfigError, DataError, all_numbers, check_json_type, read_json
 from .media_io.pnm import Frame
 from .numerics import DimensionMismatch, Matrix, Vector, dot
 
@@ -75,19 +75,15 @@ def _orthonormal_columns(n: int, d: int, seed: int) -> Matrix:
         col = cols[j]
         for p in range(j):
             prev = cols[p]
-            dot = sum(a * b for a, b in zip(col, prev))
+            proj = dot(col, prev)
             for i in range(n):
-                col[i] -= dot * prev[i]
-        norm = sum(a * a for a in col) ** 0.5
+                col[i] -= proj * prev[i]
+        norm = dot(col, col) ** 0.5
         if norm < 1e-12:
             raise ValueError("degenerate projection draw")  # pragma: no cover
         for i in range(n):
             col[i] /= norm
-    values = [0.0] * (n * d)
-    for j, col in enumerate(cols):
-        for i in range(n):
-            values[i * d + j] = col[i]
-    return Matrix(n, d, values)
+    return Matrix(d, n, [x for col in cols for x in col]).transpose()
 
 
 def make_patch_projection_spec(
@@ -100,10 +96,15 @@ def make_patch_projection_spec(
 
 
 def load_projection_spec(path) -> EmbedderSpec:
-    """Projection weights JSON: {"grid", "channels", "dim", "projection"}."""
+    """Projection weights JSON: {"grid", "channels", "dim", "projection"}.
+
+    The first three are integers and the projection is rows of numbers.
+    """
     doc = read_json(path, ConfigError, "projection file")
     try:
-        grid, channels, dim = int(doc["grid"]), int(doc["channels"]), int(doc["dim"])
+        grid, channels, dim = (
+            check_json_type(doc[key], int, ConfigError, key) for key in ("grid", "channels", "dim")
+        )
         projection = Matrix.from_rows(doc["projection"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad projection file {path}: {exc}") from exc
@@ -211,12 +212,12 @@ def load_precomputed(path) -> PrecomputedTable:
                     f"video {video_id!r} frame {idx} has dim {len(row)}, "
                     f"expected {dim}"
                 )
+            if not all_numbers(row):
+                raise ConfigError(f"video {video_id!r} frame {idx}: non-numeric entry")
             try:
-                vector = [float(x) for x in row]
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(
-                    f"video {video_id!r} frame {idx}: non-numeric entry: {exc}"
-                ) from exc
+                vector = list(map(float, row))
+            except OverflowError as exc:  # an integer too large for a float
+                raise ConfigError(f"video {video_id!r} frame {idx}: {exc}") from exc
             # One sum per row rather than a check per entry: a NaN or an
             # infinity anywhere makes the sum non-finite.
             if not math.isfinite(sum(vector)):

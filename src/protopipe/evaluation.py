@@ -37,13 +37,12 @@ margin so a regression shows up as a number, not just a failed assert.
 """
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import replace
 from pathlib import Path
 
 from .adaptation import centering_adapter_weights, save_transformer_weights
-from .errors import ConfigError
+from .errors import ConfigError, write_json
 from .media_io.manifest import DatasetManifest
 from .media_io.synthetic import GeneratorSpec, generate_synthetic_dataset
 from .protonet import (
@@ -133,12 +132,6 @@ def evaluate_users(
     return {"config_digest": runtime.digest, "arms": rows}
 
 
-def write_report(report: dict, path) -> None:
-    Path(path).write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
 RIGGED_GENERATOR = GeneratorSpec(
     num_users=2,
     objects_per_user=3,
@@ -181,7 +174,5 @@ def make_rigged_scenario(out_dir) -> tuple[DatasetManifest, Path]:
         "seed": RIGGED_SEED,
     }
     config_path = out_dir / "config.json"
-    config_path.write_text(
-        json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(config_path, config)
     return manifest, config_path

@@ -4,10 +4,8 @@ usually are: "86.0 (2.7x)".
 """
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 from statistics import median
 
 from ..errors import ConfigError
@@ -30,22 +28,9 @@ class BenchRow:
 class BenchReport:
     rows: list[BenchRow]
 
-    def to_json(self) -> str:
-        payload = {
-            "configs": [
-                {
-                    "threads": r.threads,
-                    "latency_ms": r.latency_ms,
-                    "median_ms": r.median_ms,
-                    "speedup": r.speedup,
-                }
-                for r in self.rows
-            ]
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    def write(self, path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+    def to_json_obj(self) -> dict:
+        """The report file's document: one entry per loader config."""
+        return {"configs": [asdict(r) for r in self.rows]}
 
 
 def bench_loader(

@@ -29,7 +29,6 @@ class DecodeError(DataError):
 class LoaderConfig:
     num_threads: int = 1
     injected_latency_ms: float = 0.0
-    decode_after_read: bool = True
 
     def __post_init__(self):
         if self.num_threads < 1:
@@ -55,21 +54,17 @@ def _read_bytes(path: str) -> bytes:
         os.close(fd)
 
 
-def _read_one(path: str, cfg: LoaderConfig) -> Frame | bytes:
+def _read_one(path: str, cfg: LoaderConfig) -> Frame:
     if cfg.injected_latency_ms > 0:
         time.sleep(cfg.injected_latency_ms / 1000.0)
     data = _read_bytes(path)
-    if not cfg.decode_after_read:
-        return data
     try:
         return decode_pnm(data)
     except PnmError as exc:
         raise DecodeError(str(path), exc) from exc
 
 
-def load_frames_parallel(
-    paths: list[str], cfg: LoaderConfig
-) -> list[Frame] | list[bytes]:
+def load_frames_parallel(paths: list[str], cfg: LoaderConfig) -> list[Frame]:
     """Load every path, in input order, using up to cfg.num_threads workers.
 
     The first failure by input position is the one raised, so the report is

@@ -7,7 +7,7 @@ later stages never see a half-formed dataset.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import DataError, read_json
@@ -68,7 +68,6 @@ class UserRecord:
 @dataclass(frozen=True)
 class DatasetManifest:
     users: list[UserRecord]
-    base_dir: Path = field(default_factory=Path)
 
     def user(self, user_id: str) -> UserRecord:
         for u in self.users:
@@ -181,7 +180,7 @@ def parse_manifest(document, base_dir: Path) -> DatasetManifest:
     dupes = _duplicates([v.video_id for u in users for o in u.objects for v in o.videos])
     if dupes:
         raise InvariantViolation(f"duplicate video_ids {dupes}")
-    return DatasetManifest(users, base_dir)
+    return DatasetManifest(users)
 
 
 def load_manifest(path) -> DatasetManifest:

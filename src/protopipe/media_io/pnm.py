@@ -47,9 +47,6 @@ class Frame:
                 f"pixel payload is {len(self.pixels)} bytes, expected {expected}"
             )
 
-    def sample(self, x: int, y: int, c: int = 0) -> int:
-        return self.pixels[(y * self.width + x) * self.channels + c]
-
 
 def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
     # Skip whitespace and '#' comments (comments run to end of line).

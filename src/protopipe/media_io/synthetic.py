@@ -15,18 +15,12 @@ so two runs with the same spec produce byte-identical trees.
 from __future__ import annotations
 
 import colorsys
-import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..errors import ConfigError
-from .manifest import (
-    DatasetManifest,
-    ObjectRecord,
-    UserRecord,
-    VideoRecord,
-)
+from ..errors import ConfigError, write_json
+from .manifest import DatasetManifest, parse_manifest
 from .pnm import Frame, encode_pnm
 
 MANIFEST_NAME = "manifest.json"
@@ -35,11 +29,6 @@ SIDECAR_NAME = "blank_frames.json"
 # Stripe direction (dx, dy) cycles with the object index.
 _ORIENTATIONS = [(1, 0), (0, 1), (1, 1), (1, -1)]
 _STRIPE_PERIOD = 8
-# Objects are static within a video: every non-blank frame of a clean video
-# looks the same, so where a clip lands only matters through how many blank
-# frames it catches. That isolates sampling and filtering effects from
-# appearance drift.
-_PHASE_STEP = 0
 # Blank runs in clean videos start on this boundary (scene-cut granularity).
 _RUN_ALIGN = 8
 _USER_HUE_STEP = 0.381966  # ~1/golden ratio, spreads user palettes
@@ -110,12 +99,11 @@ def _paint_stripes(
     x1: int,
     y1: int,
     tex: _Texture,
-    phase: int,
     row_cache: dict,
 ) -> None:
     period2 = 2 * _STRIPE_PERIOD
     for y in range(y0, y1):
-        k = y * tex.dy + phase
+        k = y * tex.dy
         key = (tex.bright, tex.dx, k % period2, x0, x1)
         row = row_cache.get(key)
         if row is None:
@@ -132,10 +120,10 @@ def _paint_stripes(
         buf[base : base + len(row)] = row
 
 
-def _clean_frame(size: int, t: int, tex: _Texture, cache: dict) -> Frame:
+def _clean_frame(size: int, tex: _Texture) -> Frame:
     # Support recordings are close-ups: the object fills the whole frame.
     buf = bytearray(size * size * 3)
-    _paint_stripes(buf, size, 0, 0, size, size, tex, t * _PHASE_STEP, cache)
+    _paint_stripes(buf, size, 0, 0, size, size, tex, {})
     return Frame(size, size, 3, bytes(buf))
 
 
@@ -172,7 +160,6 @@ def _wash_frame(size: int, rng: random.Random) -> Frame:
 
 def _clutter_frame(
     size: int,
-    t: int,
     tex: _Texture,
     distractors: list[tuple[_Texture, tuple[int, int]]],
     jitter: tuple[int, int],
@@ -180,16 +167,15 @@ def _clutter_frame(
     cache: dict,
 ) -> Frame:
     buf = bytearray(bg * (size * size))
-    phase = t * _PHASE_STEP
     dsize = max(4, size // 5)
     for dtex, (dx0, dy0) in distractors:
-        _paint_stripes(buf, size, dx0, dy0, dx0 + dsize, dy0 + dsize, dtex, phase, cache)
+        _paint_stripes(buf, size, dx0, dy0, dx0 + dsize, dy0 + dsize, dtex, cache)
     half = round(size * 0.32)
     cx = size // 2 + jitter[0]
     cy = size // 2 + jitter[1]
     x0, x1 = max(0, cx - half), min(size, cx + half)
     y0, y1 = max(0, cy - half), min(size, cy + half)
-    _paint_stripes(buf, size, x0, y0, x1, y1, tex, phase, cache)
+    _paint_stripes(buf, size, x0, y0, x1, y1, tex, cache)
     return Frame(size, size, 3, bytes(buf))
 
 
@@ -202,12 +188,10 @@ def _corner_slots(size: int) -> list[tuple[int, int]]:
 def generate_synthetic_dataset(spec: GeneratorSpec, out_dir) -> DatasetManifest:
     """Write frames + manifest + blank-frame sidecar under out_dir."""
     out = Path(out_dir)
-    size = spec.frame_size
     n_blank = int(spec.blank_fraction * spec.frames_per_video + 0.5)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        users: list[UserRecord] = []
-        manifest_users = []
+        users = []
         sidecar: dict[str, list[int]] = {}
         for u in range(spec.num_users):
             user_id = f"user{u:02d}"
@@ -216,12 +200,10 @@ def generate_synthetic_dataset(spec: GeneratorSpec, out_dir) -> DatasetManifest:
                 _object_texture(u, k, spec.objects_per_user)
                 for k in range(spec.objects_per_user)
             ]
-            objects: list[ObjectRecord] = []
-            manifest_objects = []
+            objects = []
             for k in range(spec.objects_per_user):
                 label = f"obj{k:02d}"
-                videos: list[VideoRecord] = []
-                manifest_videos = []
+                videos = []
                 for kind in ("clean", "clutter"):
                     for v in range(spec.videos_per_object):
                         video_id = f"{user_id}_{label}_{kind}{v:02d}"
@@ -257,33 +239,26 @@ def generate_synthetic_dataset(spec: GeneratorSpec, out_dir) -> DatasetManifest:
                             rel_paths.append(
                                 f"frames/{user_id}/{label}/{video_id}/{name}"
                             )
-                        manifest_videos.append(
-                            {"video_id": video_id, "kind": kind, "frames": rel_paths}
-                        )
-                        videos.append(
-                            VideoRecord(
-                                video_id, kind, [str(out / p) for p in rel_paths]
-                            )
-                        )
-                objects.append(ObjectRecord(label, videos))
-                manifest_objects.append({"label": label, "videos": manifest_videos})
-            users.append(UserRecord(user_id, objects))
-            manifest_users.append({"user_id": user_id, "objects": manifest_objects})
-        _write_json(out / MANIFEST_NAME, {"users": manifest_users})
-        _write_json(out / SIDECAR_NAME, sidecar)
+                        videos.append({"video_id": video_id, "kind": kind, "frames": rel_paths})
+                objects.append({"label": label, "videos": videos})
+            users.append({"user_id": user_id, "objects": objects})
+        doc = {"users": users}
+        write_json(out / MANIFEST_NAME, doc)
+        write_json(out / SIDECAR_NAME, sidecar)
     except OSError as exc:
         raise IoError(f"cannot write dataset under {out}: {exc}") from exc
-    return DatasetManifest(users, out)
+    return parse_manifest(doc, out)
 
 
 def _render_clean_video(spec, tex, blank_indices, rng):
-    cache: dict = {}
+    # Objects are static within a video: every non-blank frame of a clean
+    # video is the same close-up, so where a clip lands only matters through
+    # how many blank frames it catches. That isolates sampling and filtering
+    # effects from appearance drift.
+    close_up = _clean_frame(spec.frame_size, tex)
     wash = _wash_frame(spec.frame_size, rng) if blank_indices else None
     return [
-        wash
-        if t in blank_indices
-        else _clean_frame(spec.frame_size, t, tex, cache)
-        for t in range(spec.frames_per_video)
+        wash if t in blank_indices else close_up for t in range(spec.frames_per_video)
     ]
 
 
@@ -295,17 +270,10 @@ def _render_clutter_video(spec, obj_idx, textures, bg, rng):
     distractors = [(textures[i], slot) for i, slot in zip(chosen, slots)]
     cache: dict = {}
     frames = []
-    for t in range(spec.frames_per_video):
+    for _ in range(spec.frames_per_video):
         jitter = (rng.randint(-2, 2), rng.randint(-2, 2))
         frames.append(
-            _clutter_frame(
-                spec.frame_size, t, textures[obj_idx], distractors, jitter, bg, cache
-            )
+            _clutter_frame(spec.frame_size, textures[obj_idx], distractors, jitter, bg, cache)
         )
     return frames
 
-
-def _write_json(path: Path, payload) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )

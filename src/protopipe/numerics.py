@@ -2,15 +2,18 @@
 
 Everything here operates on 64-bit Python floats in row-major matrices.
 
-Summation-order contract: every product entry (`matmul`, and the frame
-projection in `embedding`) is `dot(row, col)`, which adds the products
-row[0]*col[0], row[1]*col[1], ... one at a time, left to right, starting
-from +0.0, each addition rounded to float64. That is the order of the plain
-accumulate loop the pipeline's reference outputs were made with, so reports,
-prototypes and predictions stay byte-identical. It does not depend on the
-shape of the product. A product term that is zero adds +-0.0 to a running
-sum that can never be -0.0, which changes nothing, so a loop that skips zero
-inputs gives the same bits.
+Summation-order contract: every float dot product and norm in the package
+(`matmul`, `cosine_similarity`, the frame projection and Gram-Schmidt in
+`embedding`) is `dot(row, col)`, which adds the products row[0]*col[0],
+row[1]*col[1], ... one at a time, left to right, starting from +0.0, each
+addition rounded to float64. That is the order of the plain accumulate
+loop the pipeline's reference outputs were made with, so reports,
+prototypes and predictions stay byte-identical, whatever the shape of the
+product. A zero product adds +-0.0 to a running sum that can never be
+-0.0, so a loop that skips zero inputs gives the same bits. The float sums
+outside `dot` are `softmax_rows`'s total, `layer_norm_rows`'s mean and
+variance, `evaluation`'s mean accuracy, and `embedding.load_precomputed`'s
+row sum, which only tests a row for finiteness.
 
 The contract holds below CPython 3.12. From 3.12 on, builtin `sum`
 compensates float rounding, so `dot`, like every other float `sum` in the
@@ -23,7 +26,7 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, all_numbers
 
 Vector = list[float]
 
@@ -58,13 +61,16 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[float]]) -> "Matrix":
+        """Rows of numbers; a bool, string or other entry is a TypeError."""
         n = len(rows)
         m = len(rows[0]) if n else 0
         flat: list[float] = []
         for r in rows:
             if len(r) != m:
                 raise DimensionMismatch("ragged rows")
-            flat.extend(float(x) for x in r)
+            if not all_numbers(r):
+                raise TypeError("matrix entries must be numbers")
+            flat.extend(map(float, r))
         return cls(n, m, flat)
 
     @classmethod
@@ -166,14 +172,14 @@ def cosine_similarity(a: Vector, b: Vector) -> float:
     """
     if len(a) != len(b):
         raise DimensionMismatch(f"vector lengths {len(a)} vs {len(b)}")
-    dot = sum(x * y for x, y in zip(a, b))
-    na = math.sqrt(sum(x * x for x in a))
-    nb = math.sqrt(sum(y * y for y in b))
-    if not math.isfinite(dot + na + nb):
+    ab = dot(a, b)
+    na = math.sqrt(dot(a, a))
+    nb = math.sqrt(dot(b, b))
+    if not math.isfinite(ab + na + nb):
         raise DataError("non-finite vector entry in cosine similarity")
     if na < 1e-12 or nb < 1e-12:
         return 0.0
-    return max(-1.0, min(1.0, dot / (na * nb)))
+    return max(-1.0, min(1.0, ab / (na * nb)))
 
 
 def mean_vectors(vectors: Sequence[Vector]) -> Vector:

@@ -13,15 +13,13 @@ prototypes, so one set of clips serves any number of prototype sets.
 from __future__ import annotations
 
 import hashlib
-import json
 from array import array
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 from .adaptation import TransformerWeights, adapt_prototypes
 from .clip_sampling import SamplerConfig, causal_sliding_window, sample_clips
 from .embedding import EmbedderSpec, PrecomputedTable, embed_frame
-from .errors import DataError, read_json
+from .errors import DataError, check_json_type, read_json, write_json
 from .frame_validity import ClipAudit, EdgeFilterConfig, SampledClip, filter_clips
 from .media_io.loader import LoaderConfig, load_frames_parallel
 from .media_io.manifest import DatasetManifest, UserRecord, VideoRecord
@@ -285,24 +283,29 @@ def save_prototypes(protos: Prototypes, path) -> None:
         "adapted": protos.adapted.to_rows(),
         "config_digest": protos.config_digest,
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path, doc)
 
 
 def load_prototypes(path) -> Prototypes:
+    """Prototypes JSON: string user_id, labels and config_digest, integer dim, number rows."""
     doc = read_json(path, DataError, "prototypes file")
     try:
-        labels = tuple(str(x) for x in doc["labels"])
+        labels = doc["labels"]
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise DataError("labels must be an array of strings")
+        user_id, digest, dim = (
+            check_json_type(doc[key], want, DataError, key)
+            for key, want in (("user_id", str), ("config_digest", str), ("dim", int))
+        )
         raw = Matrix.from_rows(doc["raw"])
         adapted = Matrix.from_rows(doc["adapted"])
-        protos = Prototypes(
-            str(doc["user_id"]), labels, raw, adapted, str(doc["config_digest"])
-        )
+        protos = Prototypes(user_id, tuple(labels), raw, adapted, digest)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, DimensionMismatch):
             raise
         raise DataError(f"bad prototypes file {path}: {exc}") from exc
-    if doc.get("dim") != protos.dim:
-        raise DataError(f"declared dim {doc.get('dim')} != matrix dim {protos.dim}")
+    if dim != protos.dim:
+        raise DataError(f"declared dim {dim} != matrix dim {protos.dim}")
     return protos
 
 
@@ -316,4 +319,4 @@ def save_predictions(
             {"pred": p.pred, "scores": list(p.scores)} for p in predictions
         ],
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path, doc)

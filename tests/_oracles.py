@@ -115,6 +115,45 @@ def loop_matmul(a: list[float], b: list[float], n: int, k: int, m: int) -> list[
     return out
 
 
+def ref_cosine_similarity(a, b) -> float:
+    """Cosine with generator sums from an int 0, as the reference outputs were made.
+
+    `numerics.cosine_similarity` must give the same bits on finite inputs.
+    """
+    dot = sum(x * y for x, y in zip(a, b))
+    na = math.sqrt(sum(x * x for x in a))
+    nb = math.sqrt(sum(y * y for y in b))
+    if na < 1e-12 or nb < 1e-12:
+        return 0.0
+    return max(-1.0, min(1.0, dot / (na * nb)))
+
+
+def ref_orthonormal_columns(n: int, d: int, seed: int) -> list[float]:
+    """The n x d projection the reference outputs were made with, row-major.
+
+    Seeded Gaussian, then modified Gram-Schmidt with generator sums, then a
+    scatter loop into the n x d layout. `make_patch_projection_spec` must
+    give the same bits.
+    """
+    rng = random.Random(f"projection/{seed}")
+    cols = [[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(d)]
+    for j in range(d):
+        col = cols[j]
+        for p in range(j):
+            prev = cols[p]
+            dot = sum(a * b for a, b in zip(col, prev))
+            for i in range(n):
+                col[i] -= dot * prev[i]
+        norm = sum(a * a for a in col) ** 0.5
+        for i in range(n):
+            col[i] /= norm
+    values = [0.0] * (n * d)
+    for j, col in enumerate(cols):
+        for i in range(n):
+            values[i * d + j] = col[i]
+    return values
+
+
 def random_transformer_weights(
     d: int, h: int = 1, d_ff: int | None = None, seed: int = 0
 ) -> TransformerWeights:

@@ -264,13 +264,9 @@ def test_criterion_09_loader_speedup(tmp_path):
             path.write_bytes(encode_pnm(Frame(4, 4, 1, bytes([i % 256] * 16))))
             paths.append(str(path))
 
-        sequential = load_frames_parallel(
-            paths, LoaderConfig(num_threads=1, decode_after_read=False)
-        )
-        threaded = load_frames_parallel(
-            paths, LoaderConfig(num_threads=16, decode_after_read=False)
-        )
-        assert threaded == sequential  # same files, same order, same bytes
+        sequential = load_frames_parallel(paths, LoaderConfig(num_threads=1))
+        threaded = load_frames_parallel(paths, LoaderConfig(num_threads=16))
+        assert threaded == sequential  # same files, same order, same pixels
 
         def timed(threads):
             cfg = LoaderConfig(num_threads=threads, injected_latency_ms=1.0)

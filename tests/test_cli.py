@@ -9,6 +9,7 @@ from _oracles import random_transformer_weights
 from protopipe import cli
 from protopipe.adaptation import save_transformer_weights
 from protopipe.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from protopipe.embedding import make_patch_projection_spec
 from protopipe.media_io.manifest import load_manifest
 
 CONFIG_DOC = {
@@ -420,6 +421,51 @@ class TestInputErrors:
         )
         assert rc == EXIT_DATA
         assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "preds.json").exists()
+
+    @pytest.mark.parametrize("field, value", [("grid", "8"), ("dim", 16.0)])
+    def test_wrong_type_in_projection_file_exits_2(
+        self, workspace, tmp_path, capsys, field, value
+    ):
+        spec = make_patch_projection_spec(grid=8, channels=3, dim=16, seed=0)
+        doc = {"grid": 8, "channels": 3, "dim": 16, "projection": spec.projection.to_rows()}
+        (tmp_path / "proj.json").write_text(json.dumps(dict(doc, **{field: value})))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(CONFIG_DOC, embedder={"weights": "proj.json"})))
+        assert self.personalize(workspace, config, tmp_path / "p.json") == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("eps", True), ("h", 1.0), ("b1", ["0"] * 32)])
+    def test_wrong_type_in_adapter_file_exits_2(
+        self, workspace, tmp_path, capsys, field, value
+    ):
+        weights = tmp_path / "adapter.json"
+        save_transformer_weights(random_transformer_weights(16, seed=0), weights)
+        weights.write_text(json.dumps(dict(json.loads(weights.read_text()), **{field: value})))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(CONFIG_DOC, adapter="adapter.json")))
+        assert self.personalize(workspace, config, tmp_path / "p.json") == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value", [("user_id", 0), ("labels", [0, 1]), ("config_digest", None)]
+    )
+    def test_wrong_type_in_prototypes_file_exits_3(
+        self, workspace, tmp_path, capsys, field, value
+    ):
+        data, config = workspace
+        protos = tmp_path / "protos.json"
+        assert self.personalize(workspace, config, protos) == EXIT_OK
+        protos.write_text(json.dumps(dict(json.loads(protos.read_text()), **{field: value})))
+        rc = main(
+            [
+                "recognize", "--prototypes", str(protos), "--dataset", str(data),
+                "--video", "user00_obj00_clutter00", "--config", str(config),
+                "--out", str(tmp_path / "preds.json"),
+            ]
+        )
+        assert rc == EXIT_DATA
+        assert field in capsys.readouterr().err
         assert not (tmp_path / "preds.json").exists()
 
     def test_plain_value_error_propagates(self, workspace, tmp_path, monkeypatch):

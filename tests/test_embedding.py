@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from _oracles import loop_matmul, np_downsample_boxes
+from _oracles import loop_matmul, np_downsample_boxes, ref_orthonormal_columns
 
 from protopipe.clip_sampling import SamplerConfig
 from protopipe.embedding import (
@@ -95,6 +95,14 @@ class TestProjection:
         a = make_patch_projection_spec(dim=8, seed=4)
         b = make_patch_projection_spec(dim=8, seed=4)
         assert a.projection.values == b.projection.values
+
+    @pytest.mark.parametrize(
+        "grid, channels, dim, seed", [(8, 3, 192, 0), (8, 3, 16, 0), (4, 1, 16, 3)]
+    )
+    def test_matches_the_generator_sum_reference(self, grid, channels, dim, seed):
+        spec = make_patch_projection_spec(grid, channels, dim, seed)
+        want = ref_orthonormal_columns(grid * grid * channels, dim, seed)
+        assert [x.hex() for x in spec.projection.values] == [x.hex() for x in want]
 
     def test_dim_cannot_exceed_flattened_size(self):
         with pytest.raises(DimensionMismatch):

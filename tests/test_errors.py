@@ -210,3 +210,48 @@ def test_decode_pnm_raises_only_pnm_errors(prefix, tail):
         decode_pnm(prefix + tail)
     except PnmError:
         pass
+
+
+# --- weights, table and prototypes files follow the config's JSON type rule ---
+
+# (loader, key path into its VALID document, wrong-typed value). Each of
+# these used to be converted silently: "1" or 1.9 to 1, true to 1.0, 7 to "7".
+WRONG_TYPES = [
+    (load_projection_spec, ("grid",), "1"),
+    (load_projection_spec, ("grid",), 1.9),
+    (load_projection_spec, ("dim",), "2"),
+    (load_projection_spec, ("projection", 0, 0), True),
+    (load_projection_spec, ("projection", 0, 1), "0.5"),
+    (load_transformer_weights, ("eps",), True),
+    (load_transformer_weights, ("eps",), "0.5"),
+    (load_transformer_weights, ("d",), "2"),
+    (load_transformer_weights, ("h",), 1.7),
+    (load_transformer_weights, ("b1",), [True, "1"]),
+    (load_transformer_weights, ("ln1", "gain"), "11"),
+    (load_transformer_weights, ("w_o", 1, 1), False),
+    (load_precomputed, ("videos", "v0", 0), [True, "1.5"]),
+    (load_prototypes, ("user_id",), 7),
+    (load_prototypes, ("labels",), [1, 2]),
+    (load_prototypes, ("labels",), "ab"),
+    (load_prototypes, ("config_digest",), None),
+    (load_prototypes, ("dim",), 2.0),
+    (load_prototypes, ("raw", 0, 0), True),
+    (load_prototypes, ("adapted", 1, 1), "0"),
+]
+FAMILY = {load_prototypes: DataError}  # weights and tables are config
+
+
+@pytest.mark.parametrize(
+    "loader, path, value",
+    WRONG_TYPES,
+    ids=[f"{f.__name__}-{'.'.join(map(str, p))}-{v!r}" for f, p, v in WRONG_TYPES],
+)
+def test_wrong_json_type_is_rejected(loader, path, value, doc_path):
+    doc = copy.deepcopy(VALID[loader])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    doc_path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(FAMILY.get(loader, ConfigError)):
+        loader(doc_path)

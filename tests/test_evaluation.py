@@ -44,7 +44,7 @@ def swap_frames(manifest: DatasetManifest, kind: str) -> DatasetManifest:
             ]
             objects.append(ObjectRecord(obj.label, videos))
         users.append(UserRecord(user.user_id, objects))
-    return DatasetManifest(users, manifest.base_dir)
+    return DatasetManifest(users)
 
 
 class TestFrameMemo:

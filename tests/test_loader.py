@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from protopipe.errors import write_json
 from protopipe.media_io.bench import BenchReport, BenchRow, bench_loader
 from protopipe.media_io.loader import DecodeError, LoaderConfig, load_frames_parallel
 from protopipe.media_io.manifest import load_manifest
@@ -34,13 +35,6 @@ def test_parallel_preserves_input_order(tmp_path):
     sequential = load_frames_parallel(paths, LoaderConfig(num_threads=1))
     parallel = load_frames_parallel(paths, LoaderConfig(num_threads=16))
     assert parallel == sequential
-
-
-def test_raw_bytes_mode(tmp_path):
-    paths = write_corpus(tmp_path, 3)
-    blobs = load_frames_parallel(paths, LoaderConfig(num_threads=2, decode_after_read=False))
-    assert all(isinstance(b, bytes) for b in blobs)
-    assert blobs[0].startswith(b"P5\n")
 
 
 def test_decode_error_wraps_cause_and_names_path(tmp_path):
@@ -180,10 +174,11 @@ def test_bench_output_formats(tmp_path):
     row = report.rows[0]
     cell = row.format_cell()
     assert cell == f"{row.median_ms:.1f} ({row.speedup:.2f}x)"
-    doc = json.loads(report.to_json())
+    doc = report.to_json_obj()
     assert set(doc["configs"][0]) == {"threads", "latency_ms", "median_ms", "speedup"}
     out = tmp_path / "bench.json"
-    report.write(out)
+    write_json(out, doc)
+    assert json.loads(out.read_text()) == doc
     assert out.read_text().endswith("\n")
 
 
@@ -202,5 +197,5 @@ def test_bench_row_speedup_relative_to_first():
             BenchRow(threads=8, latency_ms=0.0, median_ms=12.5, speedup=8.0),
         ]
     )
-    doc = json.loads(report.to_json())
+    doc = report.to_json_obj()
     assert doc["configs"][1]["speedup"] == 8.0

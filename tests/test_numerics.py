@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -23,7 +24,12 @@ from protopipe.numerics import (
     softmax_rows,
 )
 
-from _oracles import loop_matmul, np_layer_norm_rows, np_softmax_rows
+from _oracles import (
+    loop_matmul,
+    np_layer_norm_rows,
+    np_softmax_rows,
+    ref_cosine_similarity,
+)
 
 
 def rand_matrix(rng, rows, cols, lo=-5.0, hi=5.0):
@@ -268,6 +274,29 @@ def test_cosine_hand_value():
 
 def test_cosine_zero_vector_convention():
     assert cosine_similarity([0.0, 0.0], [1.0, 2.0]) == 0.0
+
+
+COSINE_ENTRIES = st.floats(min_value=-1e100, max_value=1e100, allow_nan=False)
+
+
+@st.composite
+def cosine_pairs(draw):
+    n = draw(st.integers(0, 12))
+    a, b = (draw(st.lists(COSINE_ENTRIES, min_size=n, max_size=n)) for _ in range(2))
+    as_array = draw(st.booleans())
+    return (array("d", a), array("d", b)) if as_array else (a, b)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(cosine_pairs())
+@example(([0.0, 0.0], [1.0, 2.0]))
+@example(([-0.0, 0.0], [-0.0, -0.0]))
+@example(([-0.0, 1e-300], [-2.5, -1e-300]))
+@example(([1.0, -2.0, 3.0], [-1.0, 2.0, -3.0]))
+@example((array("d", [-0.0, 3.0]), array("d", [4.0, -0.0])))
+def test_cosine_is_bitwise_the_generator_sum_reference(pair):
+    a, b = pair
+    assert cosine_similarity(a, b).hex() == ref_cosine_similarity(a, b).hex()
 
 
 def test_cosine_length_mismatch():

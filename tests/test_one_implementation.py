@@ -1,0 +1,111 @@
+"""One implementation per job: canonical JSON and float sums each have one home.
+
+`errors.write_json` is the package's one writer of indented JSON, and
+`numerics.dot` is its one float dot product and norm (see the `numerics`
+docstring). This AST scan fails when a second copy grows back:
+
+* a `json.dumps(..., indent=...)` outside `errors.py`;
+* a builtin `sum(` outside `numerics.py` that is neither a count,
+  `sum(1 for ...)`, nor in ALLOWED_SUMS below.
+"""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import protopipe
+
+PACKAGE_DIR = Path(protopipe.__file__).parent
+JSON_HOME = "errors.py"
+SUM_HOME = "numerics.py"
+
+# (module, function) -> why its sums are not a dot product or a norm.
+ALLOWED_SUMS = {
+    ("embedding.py", "downsample_boxes"): "integer pixel sums, exact in any order",
+    ("embedding.py", "load_precomputed"): "a finiteness test whose value never reaches an output",
+    ("evaluation.py", "evaluate_users"): "the report's mean accuracy over users",
+}
+
+
+def calls_by_function(tree: ast.AST, owner: str | None = None):
+    """(innermost enclosing def name, call) for every call in a tree."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from calls_by_function(node, node.name)
+            continue
+        if isinstance(node, ast.Call):
+            yield owner, node
+        yield from calls_by_function(node, owner)
+
+
+def is_count(call: ast.Call) -> bool:
+    arg = call.args[0] if call.args else None
+    return (
+        isinstance(arg, ast.GeneratorExp)
+        and isinstance(arg.elt, ast.Constant)
+        and arg.elt.value == 1
+    )
+
+
+def second_copies(package_dir: Path) -> list[str]:
+    """Every indented dump or float sum outside its home, as "file:line what"."""
+    found = []
+    for path in sorted(package_dir.rglob("*.py")):
+        module = path.name
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for owner, call in calls_by_function(tree):
+            func = call.func
+            where = f"{path.relative_to(package_dir).as_posix()}:{call.lineno}"
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr == "dumps"
+                and any(k.arg == "indent" for k in call.keywords)
+                and module != JSON_HOME
+            ):
+                found.append(f"{where} json.dumps(indent=)")
+            if (
+                isinstance(func, ast.Name)
+                and func.id == "sum"
+                and module != SUM_HOME
+                and not is_count(call)
+                and (module, owner) not in ALLOWED_SUMS
+            ):
+                found.append(f"{where} sum in {owner}")
+    return found
+
+
+def test_no_second_json_writer_or_dot_product():
+    assert len(list(PACKAGE_DIR.rglob("*.py"))) > 10
+    assert second_copies(PACKAGE_DIR) == []
+
+
+def test_every_allowed_sum_is_still_there():
+    seen = set()
+    for path in PACKAGE_DIR.rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        seen.update(
+            (path.name, owner)
+            for owner, call in calls_by_function(tree)
+            if isinstance(call.func, ast.Name) and call.func.id == "sum"
+        )
+    assert set(ALLOWED_SUMS) <= seen
+
+
+def test_the_guard_sees_planted_copies(tmp_path):
+    (tmp_path / "errors.py").write_text("import json\nX = json.dumps({}, indent=2)\n")
+    (tmp_path / "numerics.py").write_text("def dot(a, b):\n    return sum(map(mul, a, b))\n")
+    (tmp_path / "report.py").write_text(
+        "import json\n"
+        "def save(doc):\n"
+        "    return json.dumps(doc, indent=2, sort_keys=True)\n"
+        "def norm(v):\n"
+        "    hits = sum(1 for x in v if x)\n"
+        "    return sum(x * x for x in v) ** 0.5, hits\n"
+        "def evaluate_users(per_user):\n"
+        "    return sum(per_user) / len(per_user)\n"
+    )
+    assert second_copies(tmp_path) == [
+        "report.py:3 json.dumps(indent=)",
+        "report.py:6 sum in norm",
+        "report.py:8 sum in evaluate_users",
+    ]

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from protopipe.evaluation import make_rigged_scenario
 from protopipe.frame_validity import edge_density, to_grayscale
 from protopipe.media_io.manifest import load_manifest
 from protopipe.media_io.pnm import decode_pnm
@@ -37,6 +38,17 @@ def tree_digest(root: Path) -> str:
             h.update(str(path.relative_to(root)).encode())
             h.update(path.read_bytes())
     return h.hexdigest()
+
+
+# sha256 of the rigged scenario's tree (data, config and adapter), each file
+# hashed as its relative path then its bytes, in sorted path order. The
+# benchmark's reference digests rest on this tree.
+RIGGED_TREE_SHA256 = "4de2565d044e5d0263d79f2bb7a293a04589238c017f1cb8c5db0e5e33a9a303"
+
+
+def test_rigged_scenario_tree_is_pinned(tmp_path):
+    make_rigged_scenario(tmp_path)
+    assert tree_digest(tmp_path) == RIGGED_TREE_SHA256
 
 
 def test_generation_is_deterministic(tmp_path):
