@@ -4,17 +4,25 @@ A frame "contains something" when enough of its interior pixels have a
 Sobel gradient magnitude above a threshold. Clips in which more than half
 of the frames fail that check are dropped from the support set, except that
 a class may never lose all of its clips: the least-invalid clip survives.
+
+The gate is exact integer arithmetic. The Sobel gradients gx and gy are
+integer sums of pixel bytes, and math.sqrt is correctly rounded, hence
+monotone, so sqrt(gx*gx + gy*gy) > tau_mag holds exactly when gx*gx + gy*gy
+reaches the smallest integer whose square root exceeds tau_mag. That integer
+is found once per threshold, so each pixel costs integer adds and one
+compare, and the count is the one the float magnitudes give.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
+from operator import sub
 
 from .clip_sampling import ClipIndex
 from .errors import DataError
 from .media_io.pnm import Frame
-from .numerics import Matrix
 
 logger = logging.getLogger(__name__)
 
@@ -46,6 +54,13 @@ class EdgeFilterConfig:
             raise ValueError("tau_density must be in [0, 1]")
 
 
+# Each channel's weighted value, by byte value: the products the BT.601 sum
+# adds, computed once.
+_LUMA_R = [0.299 * v for v in range(256)]
+_LUMA_G = [0.587 * v for v in range(256)]
+_LUMA_B = [0.114 * v for v in range(256)]
+
+
 def to_grayscale(frame: Frame) -> Frame:
     """BT.601 luma, rounded half-up; grayscale input passes through."""
     if frame.channels == 1:
@@ -53,54 +68,69 @@ def to_grayscale(frame: Frame) -> Frame:
     if frame.channels != 3:
         raise UnsupportedChannels(f"{frame.channels} channels")
     px = frame.pixels
-    gray = bytearray(frame.width * frame.height)
-    for i in range(len(gray)):
-        base = 3 * i
-        y = 0.299 * px[base] + 0.587 * px[base + 1] + 0.114 * px[base + 2]
-        gray[i] = min(255, int(y + 0.5))
+    # No clamp to 255 is needed: every table grows with its byte and float
+    # addition is monotone, so the largest luma is (255, 255, 255)'s, and
+    # that sum is exactly 255.0.
+    gray = [
+        int(_LUMA_R[r] + _LUMA_G[g] + _LUMA_B[b] + 0.5)
+        for r, g, b in zip(px[0::3], px[1::3], px[2::3])
+    ]
     return Frame(frame.width, frame.height, 1, bytes(gray))
 
 
-def sobel_magnitude(gray: Frame) -> Matrix:
-    """Gradient magnitude sqrt(Gx^2 + Gy^2) for every interior pixel.
+# gx and gy each lie in [-1020, 1020] (4 * 255), so gx*gx + gy*gy is at most
+# 2 * 1020**2 and one more than that counts no pixel at any threshold.
+_NO_HIT = 2 * 1020**2 + 1
 
-    Border pixels are excluded rather than padded, so the result is
-    (height-2) x (width-2).
+
+@functools.cache
+def _min_edge_square(tau_mag: float) -> int:
+    """The smallest integer n with math.sqrt(n) > tau_mag, or _NO_HIT.
+
+    math.sqrt is correctly rounded, so it is monotone on the integers and
+    sqrt(s) > tau_mag holds exactly for the integers s >= n.
     """
-    if gray.channels != 1:
-        raise UnsupportedChannels("sobel_magnitude needs a grayscale frame")
-    w, h = gray.width, gray.height
-    if w < 3 or h < 3:
-        raise FrameTooSmall(f"{w}x{h}: Sobel needs at least 3x3")
-    px = gray.pixels
-    out = [0.0] * ((h - 2) * (w - 2))
-    pos = 0
-    for y in range(1, h - 1):
-        up = (y - 1) * w
-        mid = y * w
-        dn = (y + 1) * w
-        for x in range(1, w - 1):
-            a = px[up + x - 1]
-            b = px[up + x]
-            c = px[up + x + 1]
-            d = px[mid + x - 1]
-            f = px[mid + x + 1]
-            g = px[dn + x - 1]
-            i = px[dn + x]
-            j = px[dn + x + 1]
-            gx = (c + 2 * f + j) - (a + 2 * d + g)
-            gy = (g + 2 * i + j) - (a + 2 * b + c)
-            out[pos] = math.sqrt(gx * gx + gy * gy)
-            pos += 1
-    return Matrix(h - 2, w - 2, out)
+    lo, hi = 0, _NO_HIT
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if math.sqrt(mid) > tau_mag:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def edge_density(gray: Frame, tau_mag: float) -> float:
-    """Fraction of interior pixels whose Sobel magnitude exceeds tau_mag."""
-    magnitudes = sobel_magnitude(gray)
-    total = len(magnitudes.values)
-    hits = sum(1 for m in magnitudes.values if m > tau_mag)
-    return hits / total
+    """Fraction of interior pixels whose Sobel magnitude exceeds tau_mag.
+
+    Border pixels are excluded rather than padded. A pixel counts when
+    sqrt(gx*gx + gy*gy) > tau_mag, tested exactly in integers as
+    gx*gx + gy*gy >= _min_edge_square(tau_mag).
+    """
+    if gray.channels != 1:
+        raise UnsupportedChannels("edge_density needs a grayscale frame")
+    w, h = gray.width, gray.height
+    if w < 3 or h < 3:
+        raise FrameTooSmall(f"{w}x{h}: Sobel needs at least 3x3")
+    n_min = _min_edge_square(tau_mag)
+    px = gray.pixels
+    rows = [px[y * w : (y + 1) * w] for y in range(h)]
+    # The 3x3 Sobel kernels are separable: (1, 2, 1) across each row for
+    # gy, and (1, 2, 1) down each column of three rows for gx.
+    across = [[a + 2 * b + c for a, b, c in zip(r, r[1:], r[2:])] for r in rows]
+    down = [
+        [a + 2 * b + c for a, b, c in zip(r0, r1, r2)]
+        for r0, r1, r2 in zip(rows, rows[1:], rows[2:])
+    ]
+    # At an interior pixel, gx is the difference of the column sums on its
+    # right and left, and gy of the row sums below and above it.
+    hits = sum(
+        1
+        for d, above, below in zip(down, across, across[2:])
+        for gx, gy in zip(map(sub, d[2:], d), map(sub, below, above))
+        if gx * gx + gy * gy >= n_min
+    )
+    return hits / ((h - 2) * (w - 2))
 
 
 def is_frame_valid(frame: Frame, cfg: EdgeFilterConfig) -> bool:

@@ -3,17 +3,20 @@
 Everything here operates on 64-bit Python floats in row-major matrices.
 
 Summation-order contract: every float dot product and norm in the package
-(`matmul`, `cosine_similarity`, the frame projection and Gram-Schmidt in
-`embedding`) is `dot(row, col)`, which adds the products row[0]*col[0],
-row[1]*col[1], ... one at a time, left to right, starting from +0.0, each
-addition rounded to float64. That is the order of the plain accumulate
-loop the pipeline's reference outputs were made with, so reports,
-prototypes and predictions stay byte-identical, whatever the shape of the
-product. A zero product adds +-0.0 to a running sum that can never be
--0.0, so a loop that skips zero inputs gives the same bits. The float sums
-outside `dot` are `softmax_rows`'s total, `layer_norm_rows`'s mean and
-variance, `evaluation`'s mean accuracy, and `embedding.load_precomputed`'s
-row sum, which only tests a row for finiteness.
+(`matmul`, `norm`, `cosine_similarity`, the frame projection and
+Gram-Schmidt in `embedding`) is `dot(row, col)`, which adds the products
+row[0]*col[0], row[1]*col[1], ... one at a time, left to right, starting
+from +0.0, each addition rounded to float64. That is the order of the plain
+accumulate loop the pipeline's reference outputs were made with, so
+reports, prototypes and predictions stay byte-identical, whatever the
+shape of the product. A zero product adds +-0.0 to a running sum that can
+never be -0.0, so a loop that skips zero inputs gives the same bits.
+`cosine_similarity` takes its two norms from the caller, made by `norm`,
+so a vector scored many times has its norm computed once, to the same
+bits. The float sums outside `dot` are `softmax_rows`'s total,
+`layer_norm_rows`'s mean and variance, `evaluation`'s mean accuracy, and
+`embedding.load_precomputed`'s row sum, which only tests a row for
+finiteness.
 
 The contract holds below CPython 3.12. From 3.12 on, builtin `sum`
 compensates float rounding, so `dot`, like every other float `sum` in the
@@ -164,8 +167,16 @@ def layer_norm_rows(m: Matrix, gain: Vector, bias: Vector, eps: float) -> Matrix
     return Matrix(m.rows, m.cols, out)
 
 
-def cosine_similarity(a: Vector, b: Vector) -> float:
+def norm(v: Sequence[float]) -> float:
+    """Euclidean length, sqrt(dot(v, v))."""
+    return math.sqrt(dot(v, v))
+
+
+def cosine_similarity(a: Vector, b: Vector, na: float, nb: float) -> float:
     """Cosine of the angle between two vectors, 0.0 if either is ~zero.
+
+    `na` and `nb` are `norm(a)` and `norm(b)`, so a caller that scores one
+    vector against many computes each norm once.
 
     A non-finite entry makes the dot product or a norm non-finite and raises
     DataError: min(1.0, nan) would otherwise score it a perfect match.
@@ -173,8 +184,6 @@ def cosine_similarity(a: Vector, b: Vector) -> float:
     if len(a) != len(b):
         raise DimensionMismatch(f"vector lengths {len(a)} vs {len(b)}")
     ab = dot(a, b)
-    na = math.sqrt(dot(a, a))
-    nb = math.sqrt(dot(b, b))
     if not math.isfinite(ab + na + nb):
         raise DataError("non-finite vector entry in cosine similarity")
     if na < 1e-12 or nb < 1e-12:

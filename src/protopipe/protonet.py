@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 from array import array
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .adaptation import TransformerWeights, adapt_prototypes
 from .clip_sampling import SamplerConfig, causal_sliding_window, sample_clips
@@ -30,6 +31,7 @@ from .numerics import (
     Vector,
     cosine_similarity,
     mean_vectors,
+    norm,
 )
 
 
@@ -67,6 +69,15 @@ class Prototypes:
     @property
     def dim(self) -> int:
         return self.raw.cols
+
+    @cached_property
+    def scoring_rows(self) -> list[tuple[Vector, float]]:
+        """Each adapted row with its norm, computed on first use.
+
+        A cached property, not a field: equality and the prototypes file
+        see only the fields.
+        """
+        return [(row, norm(row)) for row in self.adapted.to_rows()]
 
 
 @dataclass(frozen=True)
@@ -108,10 +119,10 @@ def compute_prototypes(per_class: list[tuple[str, list[Vector]]]) -> Matrix:
 
 def classify_clip(q: Vector, protos: Prototypes) -> tuple[str, list[float]]:
     """Cosine against every adapted prototype row; ties go to the lowest index."""
-    m = protos.adapted
-    if len(q) != m.cols:
-        raise DimensionMismatch(f"query dim {len(q)} != prototype dim {m.cols}")
-    scores = [cosine_similarity(q, m.row(k)) for k in range(m.rows)]
+    if len(q) != protos.dim:
+        raise DimensionMismatch(f"query dim {len(q)} != prototype dim {protos.dim}")
+    nq = norm(q)
+    scores = [cosine_similarity(q, row, nq, n) for row, n in protos.scoring_rows]
     best = max(range(len(scores)), key=lambda k: scores[k])
     return protos.labels[best], scores
 
@@ -301,8 +312,6 @@ def load_prototypes(path) -> Prototypes:
         adapted = Matrix.from_rows(doc["adapted"])
         protos = Prototypes(user_id, tuple(labels), raw, adapted, digest)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, DimensionMismatch):
-            raise
         raise DataError(f"bad prototypes file {path}: {exc}") from exc
     if dim != protos.dim:
         raise DataError(f"declared dim {dim} != matrix dim {protos.dim}")

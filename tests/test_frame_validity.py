@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from _oracles import np_sobel_magnitude
+from _oracles import np_sobel_magnitude, ref_sobel_magnitude, ref_to_grayscale
 from hypothesis import given, settings, strategies as st
 
 from protopipe.clip_sampling import ClipIndex
@@ -18,7 +18,6 @@ from protopipe.frame_validity import (
     edge_density,
     filter_clips,
     is_frame_valid,
-    sobel_magnitude,
     to_grayscale,
 )
 from protopipe.media_io.pnm import Frame
@@ -52,21 +51,39 @@ class TestGrayscale:
         frame = Frame(1, 1, 3, bytes([1, 1, 1]))
         assert to_grayscale(frame).pixels == bytes([1])
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 12), st.integers(1, 12), st.data())
+    def test_matches_the_per_pixel_reference(self, w, h, data):
+        pixels = data.draw(st.binary(min_size=3 * w * h, max_size=3 * w * h))
+        frame = Frame(w, h, 3, pixels)
+        assert to_grayscale(frame).pixels == ref_to_grayscale(frame)
+
+    @pytest.mark.parametrize("blue", [0, 255])
+    def test_every_red_green_pair_matches_the_reference(self, blue):
+        # Row r, column g; with blue 255 this includes the brightest pixel,
+        # (255, 255, 255), whose luma is exactly 255.0.
+        frame = Frame(
+            256, 256, 3, bytes(v for r in range(256) for g in range(256) for v in (r, g, blue))
+        )
+        got = to_grayscale(frame).pixels
+        assert got == ref_to_grayscale(frame)
+        assert got[-1] == (255 if blue else 226)
+
     def test_sobel_rejects_rgb(self):
         with pytest.raises(UnsupportedChannels):
-            sobel_magnitude(Frame(3, 3, 3, bytes(27)))
+            edge_density(Frame(3, 3, 3, bytes(27)), 32.0)
 
 
 class TestSobel:
     def test_constant_frame_is_flat(self):
-        mags = sobel_magnitude(gray([[7] * 5] * 5))
+        mags = ref_sobel_magnitude(gray([[7] * 5] * 5))
         assert mags.values == [0.0] * 9
 
     def test_vertical_step_edge(self):
         # 8x8, left half 0, right half 255: the 3x3 kernel sees the step
         # only from interior columns 3 and 4, where |Gx| = 4*255 = 1020.
         rows = [[0, 0, 0, 0, 255, 255, 255, 255] for _ in range(8)]
-        mags = sobel_magnitude(gray(rows))
+        mags = ref_sobel_magnitude(gray(rows))
         assert (mags.rows, mags.cols) == (6, 6)
         hits = 0
         for y in range(6):
@@ -89,8 +106,8 @@ class TestSobel:
         transposed = gray(
             [[frame.pixels[y * 7 + x] for y in range(5)] for x in range(7)]
         )
-        a = sobel_magnitude(frame)
-        b = sobel_magnitude(transposed)
+        a = ref_sobel_magnitude(frame)
+        b = ref_sobel_magnitude(transposed)
         for y in range(a.rows):
             for x in range(a.cols):
                 assert a.values[y * a.cols + x] == pytest.approx(
@@ -116,7 +133,7 @@ class TestSobel:
         for _ in range(20):
             w, h = rng.randint(3, 12), rng.randint(3, 12)
             frame = random_gray(rng, w, h)
-            got = sobel_magnitude(frame)
+            got = ref_sobel_magnitude(frame)
             want = np_sobel_magnitude(
                 np.frombuffer(frame.pixels, dtype=np.uint8).reshape(h, w)
             )
@@ -126,9 +143,29 @@ class TestSobel:
 
     def test_too_small(self):
         with pytest.raises(FrameTooSmall):
-            sobel_magnitude(gray([[0, 0], [0, 0]]))
+            edge_density(gray([[0, 0], [0, 0]]), 32.0)
         with pytest.raises(FrameTooSmall):
-            sobel_magnitude(gray([[0, 0, 0], [0, 0, 0]]))
+            edge_density(gray([[0, 0, 0], [0, 0, 0]]), 32.0)
+
+
+# Square roots of integers (32.0 is sqrt(1024)), the floats beside them,
+# values between them, the largest magnitude sqrt(2 * 1020**2) and past it.
+SOBEL_THRESHOLDS = (
+    0.0,
+    32.0,
+    math.nextafter(32.0, 0.0),
+    math.nextafter(32.0, math.inf),
+    math.sqrt(2),
+    math.sqrt(1023),
+    math.sqrt(1025),
+    1.5,
+    31.5,
+    500.25,
+    1020.0,
+    math.sqrt(2 * 1020**2),
+    1442.5,
+    1e308,
+)
 
 
 class TestDensity:
@@ -138,6 +175,25 @@ class TestDensity:
         frame = gray(rows)
         assert edge_density(frame, 1020.0) == 0.0
         assert edge_density(frame, 1019.999) == pytest.approx(1 / 3)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(3, 40), st.integers(3, 40), st.sampled_from((1, 4, 16, 255)), st.data())
+    def test_is_bitwise_the_float_sobel_count(self, w, h, top, data):
+        # Low-contrast frames reach the small square sums; thresholds sit on,
+        # just below and just above a magnitude that occurs in the frame.
+        pixels = data.draw(st.binary(min_size=w * h, max_size=w * h))
+        frame = Frame(w, h, 1, bytes(v % (top + 1) for v in pixels))
+        mags = ref_sobel_magnitude(frame).values
+        hit = data.draw(st.sampled_from(mags))
+        thresholds = SOBEL_THRESHOLDS + (
+            hit,
+            math.nextafter(hit, -math.inf),
+            math.nextafter(hit, math.inf),
+            data.draw(st.floats(0.0, 1500.0)),
+        )
+        for tau in thresholds:
+            want = sum(1 for m in mags if m > tau) / len(mags)
+            assert edge_density(frame, tau) == want, tau
 
     def test_monotone_in_threshold_and_bounded(self):
         rng = random.Random(23)
