@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NUMBER, ConfigError, all_numbers, check_json_type, read_json, write_json
+from .errors import FLOATS, NUMBER, ROWS, ConfigError, read_json, write_json
 from .numerics import (
     Matrix,
     Vector,
@@ -56,8 +56,8 @@ class TransformerWeights:
             raise ConfigError("d, h and d_ff must be positive")
         if d % h:
             raise ConfigError(f"d={d} is not divisible by h={h}")
-        if not self.eps > 0.0:
-            raise ConfigError("eps must be positive")
+        if not 0.0 < self.eps < math.inf:
+            raise ConfigError(f"eps must be positive and finite, got {self.eps!r}")
         d_head = d // h
         for name in ("w_q", "w_k", "w_v"):
             mats = getattr(self, name)
@@ -152,70 +152,27 @@ def centering_adapter_weights(d: int, strength: float = 1.0) -> TransformerWeigh
     )
 
 
-def _matrix_field(doc: dict, name: str) -> Matrix:
-    try:
-        return Matrix.from_rows(doc[name])
-    except KeyError as exc:
-        raise ConfigError(f"missing field {name!r}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad matrix in field {name!r}: {exc}") from exc
-
-
-def _vector_field(doc: dict, name: str) -> Vector:
-    if name not in doc:
-        raise ConfigError(f"missing field {name!r}")
-    values = doc[name]
-    if not isinstance(values, list) or not all_numbers(values):
-        raise ConfigError(f"field {name!r} must be an array of numbers")
-    try:
-        return list(map(float, values))
-    except OverflowError as exc:  # an integer too large for a float
-        raise ConfigError(f"bad vector in field {name!r}: {exc}") from exc
+LAYER_NORM_KEYS = {"gain": FLOATS, "bias": FLOATS}
+WEIGHTS_KEYS = {
+    "d": int, "h": int, "d_ff": int,
+    "heads": [{"w_q": ROWS, "w_k": ROWS, "w_v": ROWS}],
+    "w_o": ROWS, "w1": ROWS, "b1": FLOATS, "w2": ROWS, "b2": FLOATS,
+    "ln1": LAYER_NORM_KEYS, "ln2": LAYER_NORM_KEYS, "eps": NUMBER,
+}
 
 
 def load_transformer_weights(path) -> TransformerWeights:
-    """Adapter weights JSON; shapes are validated on construction."""
-    doc = read_json(path, ConfigError, "adapter weights")
-    if not isinstance(doc, dict):
-        raise ConfigError("adapter weights must be a JSON object")
-    try:
-        d, h, d_ff = (
-            check_json_type(doc[key], int, ConfigError, key) for key in ("d", "h", "d_ff")
-        )
-        heads = doc["heads"]
-        eps = float(check_json_type(doc.get("eps", 1e-5), NUMBER, ConfigError, "eps"))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad adapter header: {exc}") from exc
-    if not isinstance(heads, list):
-        raise ConfigError("'heads' must be an array")
-    w_q, w_k, w_v = [], [], []
-    for i, head in enumerate(heads):
-        if not isinstance(head, dict):
-            raise ConfigError(f"heads[{i}] must be an object")
-        w_q.append(_matrix_field(head, "w_q"))
-        w_k.append(_matrix_field(head, "w_k"))
-        w_v.append(_matrix_field(head, "w_v"))
-    ln1 = doc.get("ln1", {})
-    ln2 = doc.get("ln2", {})
-    if not isinstance(ln1, dict) or not isinstance(ln2, dict):
-        raise ConfigError("'ln1' and 'ln2' must be objects")
+    """Adapter weights JSON, read by WEIGHTS_KEYS; shapes are validated on construction."""
+    doc = read_json(path, ConfigError, "adapter weights", WEIGHTS_KEYS, optional=("eps",))
+    heads, ln1, ln2, rows = doc["heads"], doc["ln1"], doc["ln2"], Matrix.from_rows
     return TransformerWeights(
-        d=d,
-        h=h,
-        d_ff=d_ff,
-        w_q=w_q,
-        w_k=w_k,
-        w_v=w_v,
-        w_o=_matrix_field(doc, "w_o"),
-        w1=_matrix_field(doc, "w1"),
-        b1=_vector_field(doc, "b1"),
-        w2=_matrix_field(doc, "w2"),
-        b2=_vector_field(doc, "b2"),
-        ln1_gain=_vector_field(ln1, "gain"),
-        ln1_bias=_vector_field(ln1, "bias"),
-        ln2_gain=_vector_field(ln2, "gain"),
-        ln2_bias=_vector_field(ln2, "bias"),
-        eps=eps,
+        d=doc["d"], h=doc["h"], d_ff=doc["d_ff"],
+        w_q=[rows(head["w_q"]) for head in heads],
+        w_k=[rows(head["w_k"]) for head in heads],
+        w_v=[rows(head["w_v"]) for head in heads],
+        w_o=rows(doc["w_o"]), w1=rows(doc["w1"]), b1=doc["b1"], w2=rows(doc["w2"]), b2=doc["b2"],
+        ln1_gain=ln1["gain"], ln1_bias=ln1["bias"], ln2_gain=ln2["gain"], ln2_bias=ln2["bias"],
+        eps=doc.get("eps", TransformerWeights.eps),
     )
 
 

@@ -23,7 +23,7 @@ from .embedding import (
     load_projection_spec,
     make_patch_projection_spec,
 )
-from .errors import NUMBER, ConfigError, check_json_type, read_json
+from .errors import NUMBER, ConfigError, read_json, read_object
 from .frame_validity import EdgeFilterConfig
 from .protonet import PipelineRuntime
 
@@ -64,9 +64,9 @@ class PipelineConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-# The JSON type of every key a config may hold, by section, under the rule
-# in `errors`. A section's absent keys take the defaults of the dataclass or
-# factory it is passed to.
+# The JSON type of every key a config may hold, by section, under the
+# schema rule in `errors`. A section's absent keys take the defaults of the
+# dataclass or factory it is passed to.
 TOP_KEYS = {"sampler": dict, "edge_filter": dict, "embedder": dict, "adapter": str, "seed": int}
 SAMPLER_KEYS = {"clip_length": int, "clips_per_video": int, "policy": str, "within_chunk": str}
 FILTER_KEYS = {"tau_mag": NUMBER, "tau_density": NUMBER, "enabled": bool}
@@ -76,39 +76,25 @@ PROJECTION_KEYS = {
 PRECOMPUTED_KEYS = {"kind": str, "table": str}
 
 
-def _read_section(doc, types: dict, where: str) -> dict:
-    """`doc` itself, once it is an object whose keys all have their JSON type."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"'{where}' must be an object")
-    unknown = sorted(set(doc) - set(types))
-    if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in {where}")
-    for key, value in doc.items():
-        check_json_type(value, types[key], ConfigError, f"{where}.{key}")
-    return doc
-
-
-def _build_section(cls, doc, types: dict, where: str):
-    """`cls` built from the keys `doc` has, after `_read_section` checks them."""
-    kwargs = _read_section(doc, types, where)
+def _build_section(cls, doc, types: dict, where: str, at: str):
+    """`cls` built from the keys `doc` has, once `read_object` has read them."""
+    kwargs = read_object(doc, types, ConfigError, where, at, optional=types)
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad {where} config: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"bad {where}: {at}: {exc}") from exc
 
 
-def _check_embedder(doc: dict, base_dir: Path) -> None:
+def _check_embedder(doc: dict, base_dir: Path, where: str) -> None:
     kind = doc.get("kind", KIND_PATCH_PROJECTION)
     if kind == KIND_PATCH_PROJECTION:
-        _read_section(doc, PROJECTION_KEYS, "embedder")
+        read_object(doc, PROJECTION_KEYS, ConfigError, where, "embedder", optional=PROJECTION_KEYS)
         if "weights" in doc:
             path = base_dir / doc["weights"]
             if not path.is_file():
                 raise ConfigError(f"embedder weights file not found: {path}")
     elif kind == KIND_PRECOMPUTED:
-        _read_section(doc, PRECOMPUTED_KEYS, "embedder")
-        if "table" not in doc:
-            raise ConfigError("precomputed embedder needs a 'table' path")
+        read_object(doc, PRECOMPUTED_KEYS, ConfigError, where, "embedder", optional=("kind",))
         path = base_dir / doc["table"]
         if not path.is_file():
             raise ConfigError(f"embedding table not found: {path}")
@@ -118,14 +104,15 @@ def _check_embedder(doc: dict, base_dir: Path) -> None:
 
 def load_config(path) -> PipelineConfig:
     path = Path(path)
-    doc = _read_section(read_json(path, ConfigError, "config"), TOP_KEYS, "config")
+    doc = read_json(path, ConfigError, "config", TOP_KEYS, optional=TOP_KEYS)
+    where = f"config {path}"
     base_dir = path.resolve().parent
-    sampler = _build_section(SamplerConfig, doc.get("sampler", {}), SAMPLER_KEYS, "sampler")
+    sampler = _build_section(SamplerConfig, doc.get("sampler", {}), SAMPLER_KEYS, where, "sampler")
     edge_filter = _build_section(
-        EdgeFilterConfig, doc.get("edge_filter", {}), FILTER_KEYS, "edge_filter"
+        EdgeFilterConfig, doc.get("edge_filter", {}), FILTER_KEYS, where, "edge_filter"
     )
     embedder = doc.get("embedder", {})
-    _check_embedder(embedder, base_dir)
+    _check_embedder(embedder, base_dir, where)
     adapter = doc.get("adapter", "none")
     if adapter != "none" and not (base_dir / adapter).is_file():
         raise ConfigError(f"adapter weights file not found: {base_dir / adapter}")

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import ConfigError, DataError, all_numbers, check_json_type, read_json
+from .errors import ROWS, ConfigError, DataError, finite_floats, read_json
 from .media_io.pnm import Frame
 from .numerics import DimensionMismatch, Matrix, Vector, dot
 
@@ -95,20 +95,14 @@ def make_patch_projection_spec(
     return EmbedderSpec(grid, channels, dim, _orthonormal_columns(n, dim, seed))
 
 
-def load_projection_spec(path) -> EmbedderSpec:
-    """Projection weights JSON: {"grid", "channels", "dim", "projection"}.
+PROJECTION_FILE_KEYS = {"grid": int, "channels": int, "dim": int, "projection": ROWS}
 
-    The first three are integers and the projection is rows of numbers.
-    """
-    doc = read_json(path, ConfigError, "projection file")
-    try:
-        grid, channels, dim = (
-            check_json_type(doc[key], int, ConfigError, key) for key in ("grid", "channels", "dim")
-        )
-        projection = Matrix.from_rows(doc["projection"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad projection file {path}: {exc}") from exc
-    return EmbedderSpec(grid, channels, dim, projection)
+
+def load_projection_spec(path) -> EmbedderSpec:
+    """Projection weights JSON, read by PROJECTION_FILE_KEYS."""
+    doc = read_json(path, ConfigError, "projection file", PROJECTION_FILE_KEYS)
+    projection = Matrix.from_rows(doc["projection"])
+    return EmbedderSpec(doc["grid"], doc["channels"], doc["dim"], projection)
 
 
 @lru_cache(maxsize=64)
@@ -189,40 +183,23 @@ def load_precomputed(path) -> PrecomputedTable:
     Every frame row must be present, numeric, of the declared dimension and
     finite; holes and NaNs are a load-time error, not a lookup-time surprise.
     """
-    doc = read_json(path, ConfigError, "embeddings file")
-    if not isinstance(doc, dict) or "dim" not in doc or "videos" not in doc:
-        raise ConfigError(f"embeddings file {path} needs 'dim' and 'videos'")
+    doc = read_json(path, ConfigError, "embeddings file", {"dim": int, "videos": dict})
+    where = f"bad embeddings file {path}"
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 2:
-        raise ConfigError(f"bad dim {dim!r}")
-    if not isinstance(doc["videos"], dict):
-        raise ConfigError("'videos' must map video ids to frame rows")
+    if dim < 2:
+        raise ConfigError(f"{where}: dim must be >= 2, got {dim}")
     videos: dict[str, list[Vector]] = {}
     for video_id, rows in doc["videos"].items():
         if not isinstance(rows, list):
-            raise ConfigError(f"video {video_id!r}: frame rows must be an array")
+            raise ConfigError(f"{where}: video {video_id!r}: frame rows must be an array")
         table_rows: list[Vector] = []
         for idx, row in enumerate(rows):
             if row is None:
                 raise MissingFrameEmbedding(video_id, idx)
-            if not isinstance(row, list):
-                raise ConfigError(f"video {video_id!r} frame {idx}: not an array")
-            if len(row) != dim:
-                raise InconsistentDim(
-                    f"video {video_id!r} frame {idx} has dim {len(row)}, "
-                    f"expected {dim}"
-                )
-            if not all_numbers(row):
-                raise ConfigError(f"video {video_id!r} frame {idx}: non-numeric entry")
-            try:
-                vector = list(map(float, row))
-            except OverflowError as exc:  # an integer too large for a float
-                raise ConfigError(f"video {video_id!r} frame {idx}: {exc}") from exc
-            # One sum per row rather than a check per entry: a NaN or an
-            # infinity anywhere makes the sum non-finite.
-            if not math.isfinite(sum(vector)):
-                raise DataError(f"video {video_id!r} frame {idx}: non-finite embedding")
+            label = f"{where}: video {video_id!r} frame {idx}"
+            vector = finite_floats(row, ConfigError, label, DataError)
+            if len(vector) != dim:
+                raise InconsistentDim(f"{label} has dim {len(vector)}, expected {dim}")
             table_rows.append(vector)
         videos[video_id] = table_rows
     return PrecomputedTable(dim, videos)
-

@@ -15,8 +15,8 @@ never be -0.0, so a loop that skips zero inputs gives the same bits.
 so a vector scored many times has its norm computed once, to the same
 bits. The float sums outside `dot` are `softmax_rows`'s total,
 `layer_norm_rows`'s mean and variance, `evaluation`'s mean accuracy, and
-`embedding.load_precomputed`'s row sum, which only tests a row for
-finiteness.
+`errors.finite_floats`' sum, which only tests an array read from an input
+file, such as a table row, for finiteness.
 
 The contract holds below CPython 3.12. From 3.12 on, builtin `sum`
 compensates float rounding, so `dot`, like every other float `sum` in the
@@ -29,7 +29,7 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ConfigError, DataError, all_numbers
+from .errors import ConfigError, DataError
 
 Vector = list[float]
 
@@ -64,15 +64,13 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[float]]) -> "Matrix":
-        """Rows of numbers; a bool, string or other entry is a TypeError."""
+        """Rows of one length, as floats; input files are checked by `errors.read_object`."""
         n = len(rows)
         m = len(rows[0]) if n else 0
         flat: list[float] = []
         for r in rows:
             if len(r) != m:
                 raise DimensionMismatch("ragged rows")
-            if not all_numbers(r):
-                raise TypeError("matrix entries must be numbers")
             flat.extend(map(float, r))
         return cls(n, m, flat)
 

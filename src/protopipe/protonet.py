@@ -20,7 +20,7 @@ from functools import cached_property
 from .adaptation import TransformerWeights, adapt_prototypes
 from .clip_sampling import SamplerConfig, causal_sliding_window, sample_clips
 from .embedding import EmbedderSpec, PrecomputedTable, embed_frame
-from .errors import DataError, check_json_type, read_json, write_json
+from .errors import ROWS, DataError, read_json, write_json
 from .frame_validity import ClipAudit, EdgeFilterConfig, SampledClip, filter_clips
 from .media_io.loader import LoaderConfig, load_frames_parallel
 from .media_io.manifest import DatasetManifest, UserRecord, VideoRecord
@@ -297,24 +297,24 @@ def save_prototypes(protos: Prototypes, path) -> None:
     write_json(path, doc)
 
 
+PROTOTYPES_KEYS = {
+    "user_id": str, "labels": [str], "config_digest": str,
+    "dim": int, "raw": ROWS, "adapted": ROWS,
+}
+
+
 def load_prototypes(path) -> Prototypes:
-    """Prototypes JSON: string user_id, labels and config_digest, integer dim, number rows."""
-    doc = read_json(path, DataError, "prototypes file")
+    """Prototypes JSON, read by PROTOTYPES_KEYS; every fault is a DataError."""
+    doc = read_json(path, DataError, "prototypes file", PROTOTYPES_KEYS)
     try:
-        labels = doc["labels"]
-        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-            raise DataError("labels must be an array of strings")
-        user_id, digest, dim = (
-            check_json_type(doc[key], want, DataError, key)
-            for key, want in (("user_id", str), ("config_digest", str), ("dim", int))
+        protos = Prototypes(
+            doc["user_id"], tuple(doc["labels"]), Matrix.from_rows(doc["raw"]),
+            Matrix.from_rows(doc["adapted"]), doc["config_digest"],
         )
-        raw = Matrix.from_rows(doc["raw"])
-        adapted = Matrix.from_rows(doc["adapted"])
-        protos = Prototypes(user_id, tuple(labels), raw, adapted, digest)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except ValueError as exc:  # the dataclass's own checks raise either family
         raise DataError(f"bad prototypes file {path}: {exc}") from exc
-    if dim != protos.dim:
-        raise DataError(f"declared dim {dim} != matrix dim {protos.dim}")
+    if doc["dim"] != protos.dim:
+        raise DataError(f"declared dim {doc['dim']} != matrix dim {protos.dim}")
     return protos
 
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -233,6 +234,11 @@ class TestValidationAndSerialization:
         path.write_text(json.dumps(dict(json.loads(path.read_text()), eps=math.nan)))
         with pytest.raises(ConfigError, match="eps"):
             load_transformer_weights(path)
+
+    @pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan, 0.0])
+    def test_eps_must_be_positive_and_finite(self, eps):
+        with pytest.raises(ConfigError, match="eps"):
+            replace(random_transformer_weights(4, seed=0), eps=eps)
 
     def test_random_weights_structure(self):
         w = random_transformer_weights(8, h=2, seed=1)

@@ -6,7 +6,7 @@ import math
 import pytest
 from _oracles import random_transformer_weights
 
-from protopipe import cli
+from protopipe import cli, protonet
 from protopipe.adaptation import save_transformer_weights
 from protopipe.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from protopipe.embedding import make_patch_projection_spec
@@ -488,6 +488,43 @@ class TestInputErrors:
         assert rc == EXIT_DATA
         assert str(protos) in capsys.readouterr().err
         assert not (tmp_path / "preds.json").exists()
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [("eps", math.inf, "eps"), ("b1", math.nan, "adapter.json")],
+        ids=["eps-infinity", "b1-nan"],
+    )
+    def test_non_finite_adapter_value_exits_2_before_any_frame_is_decoded(
+        self, workspace, tmp_path, capsys, monkeypatch, field, value, named
+    ):
+        weights = tmp_path / "adapter.json"
+        save_transformer_weights(random_transformer_weights(16, seed=0), weights)
+        doc = json.loads(weights.read_text())
+        if field == "b1":
+            doc["b1"][0] = value
+        else:
+            doc[field] = value
+        weights.write_text(json.dumps(doc))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(CONFIG_DOC, adapter="adapter.json")))
+        decoded, load_frames = [], protonet.load_frames
+
+        def spy(*args):
+            decoded.append(args)
+            return load_frames(*args)
+
+        monkeypatch.setattr(protonet, "load_frames", spy)
+        data, _ = workspace
+        rc = main(
+            [
+                "evaluate", "--dataset", str(data), "--config", str(config),
+                "--out", str(tmp_path / "r.json"),
+            ]
+        )
+        assert rc == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert decoded == []
+        assert not (tmp_path / "r.json").exists()
 
     def test_plain_value_error_propagates(self, workspace, tmp_path, monkeypatch):
         def buggy(args):

@@ -268,6 +268,13 @@ class TestPrecomputed:
         with pytest.raises(DataError, match="frame 1"):
             load_precomputed(path)
 
+    def test_finite_row_whose_sum_overflows_loads(self, tmp_path):
+        path = self.write_table(tmp_path, {"dim": 2, "videos": {"v0": [[1e308, 1e308]]}})
+        assert load_precomputed(path).vector("v0", 0) == [1e308, 1e308]
+        path = self.write_table(tmp_path, {"dim": 3, "videos": {"v0": [[1e308, 1e308, math.nan]]}})
+        with pytest.raises(DataError, match="frame 0"):
+            load_precomputed(path)
+
     def test_parse_errors(self, tmp_path):
         with pytest.raises(ConfigError):
             load_precomputed(tmp_path / "absent.json")

@@ -9,7 +9,9 @@ import copy
 import importlib
 import inspect
 import json
+import math
 import pkgutil
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -254,4 +256,75 @@ def test_wrong_json_type_is_rejected(loader, path, value, doc_path):
     parent[path[-1]] = value
     doc_path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(FAMILY.get(loader, ConfigError)):
+        loader(doc_path)
+
+
+# --- one reader: an extra key or a non-finite number is caught at load ---
+
+# Every object level of each non-manifest document, as a key path. The
+# table's `videos` maps ids of the user's choosing, so it is no such level.
+OBJECT_LEVELS = {
+    load_config: [(), ("sampler",), ("edge_filter",), ("embedder",)],
+    load_projection_spec: [()],
+    load_precomputed: [()],
+    load_transformer_weights: [(), ("heads", 0), ("ln1",), ("ln2",)],
+    load_prototypes: [()],
+}
+# A NaN or an infinity in a table row is the data's fault, as in prototypes.
+NON_FINITE_FAMILY = {load_precomputed: DataError, load_prototypes: DataError}
+
+
+def number_arrays(doc):
+    """The key path of every nonempty array of numbers in a document."""
+    for path in json_paths(doc):
+        value = doc
+        for key in path:
+            value = value[key]
+        if isinstance(value, list) and value and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
+        ):
+            yield path
+
+
+def reader_cases():
+    for loader, levels in OBJECT_LEVELS.items():
+        family = FAMILY.get(loader, ConfigError)
+        for path in levels:
+            yield pytest.param(
+                loader, path + ("esp",), 1e-5, family,
+                id=f"{loader.__name__}-extra-key-at-{'.'.join(map(str, path)) or 'top'}",
+            )
+        for path in number_arrays(VALID[loader]):
+            for value in (math.nan, math.inf):
+                yield pytest.param(
+                    loader, path + (0,), value, NON_FINITE_FAMILY.get(loader, ConfigError),
+                    id=f"{loader.__name__}-{'.'.join(map(str, path))}-{value}",
+                )
+
+
+@pytest.mark.parametrize("loader, path, value, family", list(reader_cases()))
+def test_extra_keys_and_non_finite_numbers_are_rejected_at_load(
+    loader, path, value, family, doc_path
+):
+    doc = copy.deepcopy(VALID[loader])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    doc_path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(family, match=re.escape(str(doc_path))):
+        loader(doc_path)
+
+
+@pytest.mark.parametrize(
+    "loader, key",
+    [(load_projection_spec, "projection"), (load_transformer_weights, "w_o"),
+     (load_prototypes, "raw")],
+    ids=["projection", "adapter-w_o", "prototypes-raw"],
+)
+def test_ragged_rows_are_rejected_naming_the_file(loader, key, doc_path):
+    doc = copy.deepcopy(VALID[loader])
+    doc[key] = doc[key] + [[1.0]]
+    doc_path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(FAMILY.get(loader, ConfigError), match=re.escape(str(doc_path))):
         loader(doc_path)

@@ -1,12 +1,16 @@
-"""One implementation per job: canonical JSON and float sums each have one home.
+"""One implementation per job: canonical JSON, float sums and input checks each have one home.
 
-`errors.write_json` is the package's one writer of indented JSON, and
+`errors.write_json` is the package's one writer of indented JSON,
 `numerics.dot` is its one float dot product and norm (see the `numerics`
-docstring). This AST scan fails when a second copy grows back:
+docstring), and `errors.read_object` is the one reader of the numbers in an
+input file. This AST scan fails when a second copy grows back:
 
 * a `json.dumps(..., indent=...)` outside `errors.py`;
 * a builtin `sum(` outside `numerics.py` that is neither a count,
-  `sum(1 for ...)`, nor in ALLOWED_SUMS below.
+  `sum(1 for ...)`, nor in ALLOWED_SUMS below;
+* an `except` clause naming `OverflowError` outside `errors.py`: an integer
+  too large for a float is caught once, where the reader turns numbers into
+  floats.
 """
 from __future__ import annotations
 
@@ -18,11 +22,12 @@ import protopipe
 PACKAGE_DIR = Path(protopipe.__file__).parent
 JSON_HOME = "errors.py"
 SUM_HOME = "numerics.py"
+OVERFLOW_HOME = "errors.py"
 
 # (module, function) -> why its sums are not a dot product or a norm.
 ALLOWED_SUMS = {
     ("embedding.py", "downsample_boxes"): "integer pixel sums, exact in any order",
-    ("embedding.py", "load_precomputed"): "a finiteness test whose value never reaches an output",
+    ("errors.py", "finite_floats"): "a finiteness test whose value never reaches an output",
     ("evaluation.py", "evaluate_users"): "the report's mean accuracy over users",
 }
 
@@ -109,3 +114,47 @@ def test_the_guard_sees_planted_copies(tmp_path):
         "report.py:6 sum in norm",
         "report.py:8 sum in evaluate_users",
     ]
+
+
+def overflow_catches(package_dir: Path) -> list[str]:
+    """Every `except` naming OverflowError outside its home, as "file:line"."""
+    found = []
+    for path in sorted(package_dir.rglob("*.py")):
+        if path.name == OVERFLOW_HOME:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ExceptHandler) or node.type is None:
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(isinstance(t, ast.Name) and t.id == "OverflowError" for t in caught):
+                found.append(f"{path.relative_to(package_dir).as_posix()}:{node.lineno}")
+    return found
+
+
+def test_no_overflow_catch_outside_the_reader():
+    assert overflow_catches(PACKAGE_DIR) == []
+
+
+def test_the_guard_sees_a_planted_overflow_catch(tmp_path):
+    (tmp_path / "errors.py").write_text(
+        "def finite(x):\n    try:\n        return float(x)\n    except OverflowError:\n"
+        "        raise ValueError(x)\n"
+    )
+    (tmp_path / "loader.py").write_text(
+        "def load(doc):\n"
+        "    try:\n"
+        "        return float(doc['eps'])\n"
+        "    except (KeyError, TypeError, ValueError, OverflowError) as exc:\n"
+        "        raise ValueError(exc)\n"
+        "def vector(values):\n"
+        "    try:\n"
+        "        return list(map(float, values))\n"
+        "    except OverflowError:\n"
+        "        return None\n"
+        "    except ValueError:\n"
+        "        return []\n"
+        "    except:\n"
+        "        return ()\n"
+    )
+    assert overflow_catches(tmp_path) == ["loader.py:4", "loader.py:9"]
