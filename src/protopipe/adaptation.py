@@ -28,7 +28,6 @@ from .numerics import (
 class ShapeMismatch(ConfigError):
     def __init__(self, field_name: str, expected: tuple, got: tuple):
         super().__init__(f"{field_name}: expected shape {expected}, got {got}")
-        self.field_name = field_name
 
 
 @dataclass(frozen=True)

@@ -45,17 +45,8 @@ class PipelineConfig:
 
     def digest(self) -> str:
         doc = {
-            "sampler": {
-                "clip_length": self.sampler.clip_length,
-                "clips_per_video": self.sampler.clips_per_video,
-                "policy": self.sampler.policy,
-                "within_chunk": self.sampler.within_chunk,
-            },
-            "edge_filter": {
-                "tau_mag": self.edge_filter.tau_mag,
-                "tau_density": self.edge_filter.tau_density,
-                "enabled": self.edge_filter.enabled,
-            },
+            "sampler": {key: getattr(self.sampler, key) for key in SAMPLER_KEYS},
+            "edge_filter": {key: getattr(self.edge_filter, key) for key in FILTER_KEYS},
             "embedder": self.embedder,
             "adapter": self.adapter,
             "seed": self.seed,
@@ -90,6 +81,9 @@ def _check_embedder(doc: dict, base_dir: Path, where: str) -> None:
     if kind == KIND_PATCH_PROJECTION:
         read_object(doc, PROJECTION_KEYS, ConfigError, where, "embedder", optional=PROJECTION_KEYS)
         if "weights" in doc:
+            ignored = sorted(set(doc) - {"kind", "weights"})
+            if ignored:  # the weights file sets the whole projection
+                raise ConfigError(f"bad {where}: embedder key(s) {ignored} beside 'weights'")
             path = base_dir / doc["weights"]
             if not path.is_file():
                 raise ConfigError(f"embedder weights file not found: {path}")

@@ -32,8 +32,6 @@ from .numerics import DimensionMismatch, Matrix, Vector, dot
 class MissingFrameEmbedding(DataError):
     def __init__(self, video_id: str, index: int):
         super().__init__(f"no embedding for frame {index} of video {video_id!r}")
-        self.video_id = video_id
-        self.index = index
 
 
 class InconsistentDim(ConfigError):

@@ -7,12 +7,12 @@ belongs to neither is a bug. `read_json` is the one way a loader opens its
 file, so a file that cannot be read or parsed raises the loader's family,
 and `write_json` is the one JSON writer.
 
-`read_object` is the one reader of the objects in every input file but the
-manifest; `read_json` hands it the top level when given a schema. A schema
-maps each key to a JSON type of JSON_NAMES (an integer is an `int`, not a
-`bool`); NUMBER, read as a finite float; FLOATS, an array of numbers read as
-finite floats; ROWS, FLOATS of one length; a nested schema, for an object;
-or `[s]`, an array read entry by entry by `s`. An unknown key, a missing
+`read_object` is the one reader of the objects in every input file;
+`read_json` hands it the top level when given a schema. A schema maps each
+key to a JSON type of JSON_NAMES (an integer is an `int`, not a `bool`);
+NUMBER, read as a finite float; FLOATS, an array of numbers read as finite
+floats; ROWS, FLOATS of one length; a nested schema, for an object; or
+`[s]`, an array read entry by entry by `s`. An unknown key, a missing
 key not named optional, a mistyped value, a NaN, an infinity or an integer
 too large for a float raises the loader's family and names the file.
 """
@@ -89,6 +89,8 @@ def _read_value(value, want, error: type[ValueError], where: str, at: str):
     if isinstance(want, list):
         if not isinstance(value, list):
             raise error(f"{label} must be an array")
+        if isinstance(want[0], type) and set(map(type, value)) <= {want[0]}:
+            return value  # one exact type, such as strings, needs no key path per entry
         items = [_read_value(x, want[0], error, where, f"{at}[{i}]") for i, x in enumerate(value)]
         if want == ROWS and len(set(map(len, items))) > 1:
             raise error(f"{label} must be rows of one length")

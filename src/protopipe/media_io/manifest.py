@@ -1,8 +1,9 @@
 """Dataset manifest: users own objects, objects own clean/clutter videos.
 
-The on-disk form is JSON with frame paths relative to the manifest file;
-loading resolves them and validates every structural invariant eagerly so
-later stages never see a half-formed dataset.
+The on-disk form is JSON with frame paths relative to the manifest file.
+Loading reads it by MANIFEST_KEYS with `errors.read_object`, resolves the
+paths and checks every structural invariant eagerly, so later stages never
+see a half-formed dataset; each fault names the file and the key path.
 """
 from __future__ import annotations
 
@@ -10,17 +11,11 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..errors import DataError, read_json
+from ..errors import DataError, read_json, read_object
 
 
 class ManifestError(DataError):
     pass
-
-
-class SchemaViolation(ManifestError):
-    def __init__(self, pointer: str, message: str):
-        super().__init__(f"{pointer}: {message}")
-        self.pointer = pointer
 
 
 class InvariantViolation(ManifestError):
@@ -32,8 +27,17 @@ class UnknownId(ManifestError):
         super().__init__(f"unknown {what} {name!r} in dataset")
 
 
-KIND_CLEAN = "clean"
-KIND_CLUTTER = "clutter"
+KINDS = ("clean", "clutter")
+# The one schema of a manifest file, read by `errors.read_object`.
+MANIFEST_KEYS = {
+    "users": [{
+        "user_id": str,
+        "objects": [{
+            "label": str,
+            "videos": [{"video_id": str, "kind": str, "frames": [str]}],
+        }],
+    }],
+}
 
 
 @dataclass(frozen=True)
@@ -88,102 +92,81 @@ class DatasetManifest:
         return [v for u in self.users for o in u.objects for v in o.videos]
 
 
-def _expect(value, typ, pointer: str, what: str):
-    if not isinstance(value, typ):
-        raise SchemaViolation(pointer, f"expected {what}, got {type(value).__name__}")
-    return value
+LEVELS = ("users", "objects", "videos")
 
 
-def _expect_str(value, pointer: str) -> str:
-    s = _expect(value, str, pointer, "string")
-    if not s:
-        raise SchemaViolation(pointer, "empty string")
-    if "\0" in s:  # no file path can hold one: os.open raises ValueError
-        raise SchemaViolation(pointer, "NUL character")
-    return s
+def _key_path(indices: tuple, key: str) -> str:
+    """`key` of the entry at `indices` down LEVELS, as in users[0].objects[1].label."""
+    return ".".join([f"{level}[{n}]" for level, n in zip(LEVELS, indices)] + [key])
 
 
-def _parse_video(node, pointer: str, base_dir: Path) -> VideoRecord:
-    obj = _expect(node, dict, pointer, "object")
-    video_id = _expect_str(obj.get("video_id"), f"{pointer}/video_id")
-    kind = _expect_str(obj.get("kind"), f"{pointer}/kind")
-    if kind not in (KIND_CLEAN, KIND_CLUTTER):
-        raise SchemaViolation(f"{pointer}/kind", f"must be 'clean' or 'clutter', got {kind!r}")
-    frames = _expect(obj.get("frames"), list, f"{pointer}/frames", "array")
-    paths = [
-        str(base_dir / _expect_str(p, f"{pointer}/frames/{i}"))
-        for i, p in enumerate(frames)
-    ]
-    if not paths:
-        raise InvariantViolation(f"video {video_id!r} has no frames")
-    return VideoRecord(video_id, kind, paths)
+def _duplicates(names: list[str]) -> tuple[list[str], int]:
+    """The names given more than once, sorted, and the index of the first of them."""
+    counts = Counter(names)
+    dupes = sorted(name for name, n in counts.items() if n > 1)
+    return dupes, next((n for n, name in enumerate(names) if counts[name] > 1), -1)
 
 
-def _parse_object(node, pointer: str, base_dir: Path) -> ObjectRecord:
-    obj = _expect(node, dict, pointer, "object")
-    label = _expect_str(obj.get("label"), f"{pointer}/label")
-    videos_node = _expect(obj.get("videos"), list, f"{pointer}/videos", "array")
-    videos = [
-        _parse_video(v, f"{pointer}/videos/{i}", base_dir)
-        for i, v in enumerate(videos_node)
-    ]
-    return ObjectRecord(label, videos)
+def parse_manifest(document, base_dir: Path, where: str = "manifest") -> DatasetManifest:
+    """`document` read by MANIFEST_KEYS into records, every invariant checked.
 
+    Frame paths resolve against `base_dir`. A fault raises a ManifestError
+    naming `where` and the key path at fault, which is built only then.
+    """
+    doc = read_object(document, MANIFEST_KEYS, ManifestError, where)
 
-def _duplicates(names: list[str]) -> list[str]:
-    return sorted(name for name, n in Counter(names).items() if n > 1)
+    def fault(indices: tuple, key: str, message: str) -> InvariantViolation:
+        return InvariantViolation(f"bad {where}: {_key_path(indices, key)}: {message}")
 
+    def name(value: str, indices: tuple, key: str) -> str:
+        if not value or "\0" in value:  # os.open raises ValueError on a NUL
+            raise fault(indices, key, f"{value!r} must be nonempty with no NUL character")
+        return value
 
-def _check_user_invariants(user: UserRecord) -> None:
-    dupes = _duplicates(user.labels())
-    if dupes:
-        raise InvariantViolation(
-            f"user {user.user_id!r} has duplicate labels {dupes}"
-        )
-    if len(user.objects) < 2:
-        raise InvariantViolation(
-            f"user {user.user_id!r} has {len(user.objects)} object(s); "
-            "an episode needs at least 2"
-        )
-    for obj in user.objects:
-        if not obj.videos_of_kind(KIND_CLEAN):
-            raise InvariantViolation(
-                f"object {obj.label!r} of user {user.user_id!r} has no clean video"
-            )
-        if not obj.videos_of_kind(KIND_CLUTTER):
-            raise InvariantViolation(
-                f"object {obj.label!r} of user {user.user_id!r} has no clutter video"
-            )
-
-
-def parse_manifest(document, base_dir: Path) -> DatasetManifest:
-    root = _expect(document, dict, "", "object")
-    users_node = _expect(root.get("users"), list, "/users", "array")
-    users = []
-    for i, u in enumerate(users_node):
-        pointer = f"/users/{i}"
-        obj = _expect(u, dict, pointer, "object")
-        user_id = _expect_str(obj.get("user_id"), f"{pointer}/user_id")
-        objects_node = _expect(obj.get("objects"), list, f"{pointer}/objects", "array")
-        objects = [
-            _parse_object(o, f"{pointer}/objects/{j}", base_dir)
-            for j, o in enumerate(objects_node)
-        ]
+    users, video_at = [], []
+    for i, u in enumerate(doc["users"]):
+        user_id = name(u["user_id"], (i,), "user_id")
+        objects = []
+        for j, o in enumerate(u["objects"]):
+            label = name(o["label"], (i, j), "label")
+            videos = []
+            for k, v in enumerate(o["videos"]):
+                at, kind, frames = (i, j, k), v["kind"], v["frames"]
+                video_id = name(v["video_id"], at, "video_id")
+                if kind not in KINDS:
+                    raise fault(at, "kind", f"{kind!r} is not 'clean' or 'clutter'")
+                if not frames:
+                    raise fault(at, "frames", f"video {video_id!r} has no frames")
+                if not all(frames) or "\0" in "".join(frames):
+                    for n, path in enumerate(frames):
+                        name(path, at, f"frames[{n}]")
+                videos.append(VideoRecord(video_id, kind, [str(base_dir / p) for p in frames]))
+                video_at.append(at)
+            for kind in KINDS:
+                if not any(v.kind == kind for v in videos):
+                    message = f"object {label!r} of user {user_id!r} has no {kind} video"
+                    raise fault((i, j), "videos", message)
+            objects.append(ObjectRecord(label, videos))
+        dupes, j = _duplicates([o.label for o in objects])
+        if dupes:
+            raise fault((i, j), "label", f"user {user_id!r} has duplicate labels {dupes}")
+        if len(objects) < 2:
+            raise fault((i,), "objects", f"user {user_id!r} has {len(objects)} object(s); "
+                        "an episode needs at least 2")
         users.append(UserRecord(user_id, objects))
-    dupes = _duplicates([u.user_id for u in users])
+    dupes, i = _duplicates([u.user_id for u in users])
     if dupes:
-        raise InvariantViolation(f"duplicate user_ids {dupes}")
-    for user in users:
-        _check_user_invariants(user)
+        raise fault((i,), "user_id", f"duplicate user_ids {dupes}")
+    manifest = DatasetManifest(users)
     # Frame vectors, sampling seeds and embedding-table rows are all keyed by
     # video_id, so two videos sharing one would be scored as each other.
-    dupes = _duplicates([v.video_id for u in users for o in u.objects for v in o.videos])
+    dupes, n = _duplicates([v.video_id for v in manifest.all_videos()])
     if dupes:
-        raise InvariantViolation(f"duplicate video_ids {dupes}")
-    return DatasetManifest(users)
+        raise fault(video_at[n], "video_id", f"duplicate video_ids {dupes}")
+    return manifest
 
 
 def load_manifest(path) -> DatasetManifest:
     """Load and validate a manifest JSON file."""
     path = Path(path)
-    return parse_manifest(read_json(path, ManifestError, "manifest"), path.parent)
+    return parse_manifest(read_json(path, ManifestError, "manifest"), path.parent, f"manifest {path}")

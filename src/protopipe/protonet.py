@@ -38,7 +38,6 @@ from .numerics import (
 class EmptyClass(DataError):
     def __init__(self, label: str):
         super().__init__(f"class {label!r} has no clip embeddings")
-        self.label = label
 
 
 class LengthMismatch(DataError):

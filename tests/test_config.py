@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 
@@ -13,6 +14,7 @@ from protopipe.config import (
     effective_seed,
     load_config,
 )
+from protopipe.evaluation import make_rigged_scenario
 
 FULL_DOC = {
     "sampler": {
@@ -150,7 +152,31 @@ def test_referenced_files_must_exist(tmp_path):
         load_config(write_config(tmp_path, doc))
 
 
+@pytest.mark.parametrize("extra", [{"dim": 999, "grid": 7, "seed": 3}, {"channels": 1}])
+def test_projection_keys_beside_weights_are_rejected(tmp_path, capsys, extra):
+    # The weights file sets the whole projection, so these keys would only
+    # have changed the digest.
+    (tmp_path / "w.json").write_text("{}")
+    doc = json.loads(json.dumps(FULL_DOC))
+    doc["embedder"] = {"weights": "w.json", **extra}
+    path = write_config(tmp_path, doc)
+    with pytest.raises(ConfigError, match=re.escape(f"{sorted(extra)} beside 'weights'")):
+        load_config(path)
+    argv = [
+        "personalize", "--dataset", str(tmp_path), "--user", "u", "--config", str(path),
+        "--out", str(tmp_path / "p.json"),
+    ]
+    assert main(argv) == EXIT_CONFIG
+    assert str(path) in capsys.readouterr().err
+
+
 class TestDigest:
+    def test_rigged_config_digest_is_pinned(self, tmp_path):
+        _, config_path = make_rigged_scenario(tmp_path)
+        assert load_config(config_path).digest() == (
+            "3fd8c91ba97e1e1e3114827a67add430587a2592fb11b2ef5ab474123f3255ff"
+        )
+
     def test_stable_under_key_reordering(self, tmp_path):
         a = load_config(write_config(tmp_path, FULL_DOC, "a.json"))
         reordered = {k: FULL_DOC[k] for k in reversed(list(FULL_DOC))}

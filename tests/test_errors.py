@@ -240,7 +240,7 @@ WRONG_TYPES = [
     (load_prototypes, ("raw", 0, 0), True),
     (load_prototypes, ("adapted", 1, 1), "0"),
 ]
-FAMILY = {load_prototypes: DataError}  # weights and tables are config
+FAMILY = {load_manifest: ManifestError, load_prototypes: DataError}  # weights, tables: config
 
 
 @pytest.mark.parametrize(
@@ -261,9 +261,11 @@ def test_wrong_json_type_is_rejected(loader, path, value, doc_path):
 
 # --- one reader: an extra key or a non-finite number is caught at load ---
 
-# Every object level of each non-manifest document, as a key path. The
-# table's `videos` maps ids of the user's choosing, so it is no such level.
+# Every object level of each document, as a key path. The table's `videos`
+# maps ids of the user's choosing, so it is no such level.
 OBJECT_LEVELS = {
+    load_manifest: [(), ("users", 0), ("users", 0, "objects", 0),
+                    ("users", 0, "objects", 0, "videos", 0)],
     load_config: [(), ("sampler",), ("edge_filter",), ("embedder",)],
     load_projection_spec: [()],
     load_precomputed: [()],

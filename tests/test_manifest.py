@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from protopipe.media_io.manifest import (
     InvariantViolation,
     ManifestError,
-    SchemaViolation,
     UnknownId,
     load_manifest,
     parse_manifest,
@@ -105,30 +105,31 @@ def test_empty_frame_list_rejected():
         parse_manifest(doc, Path("."))
 
 
+def raises_at(key_path: str):
+    """Expect a ManifestError naming `key_path`, and no key below it, in its message."""
+    return pytest.raises(ManifestError, match=re.escape(f": {key_path}") + r"(?![\w.\[])")
+
+
 def test_schema_violations_carry_pointers():
     doc = make_doc()
     doc["users"][0]["objects"][1]["label"] = 17
-    with pytest.raises(SchemaViolation) as info:
+    with raises_at("users[0].objects[1].label"):
         parse_manifest(doc, Path("."))
-    assert info.value.pointer == "/users/0/objects/1/label"
 
     doc = make_doc()
     doc["users"][0]["objects"][0]["videos"][0]["kind"] = "blurry"
-    with pytest.raises(SchemaViolation) as info:
+    with raises_at("users[0].objects[0].videos[0].kind"):
         parse_manifest(doc, Path("."))
-    assert info.value.pointer == "/users/0/objects/0/videos/0/kind"
 
     doc = make_doc()
     doc["users"][0]["objects"][0]["videos"][1]["frames"][0] = "f\0.ppm"
-    with pytest.raises(SchemaViolation) as info:
+    with raises_at("users[0].objects[0].videos[1].frames[0]"):
         parse_manifest(doc, Path("."))
-    assert info.value.pointer == "/users/0/objects/0/videos/1/frames/0"
 
-    with pytest.raises(SchemaViolation) as info:
+    with raises_at("users"):
         parse_manifest({"users": "nope"}, Path("."))
-    assert info.value.pointer == "/users"
 
-    with pytest.raises(SchemaViolation):
+    with pytest.raises(ManifestError):
         parse_manifest([], Path("."))
 
 
@@ -163,3 +164,15 @@ def test_load_manifest_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ManifestError, match="not valid JSON"):
         load_manifest(bad)
+
+
+def test_invariant_fault_loaded_from_a_file_names_it(tmp_path):
+    doc = make_doc()
+    doc["users"][0]["objects"][1]["videos"][0]["frames"] = []
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvariantViolation, match=re.escape(f"manifest {path}")) as info:
+        load_manifest(path)
+    assert "users[0].objects[1].videos[0].frames: video 'u0_keys_clean' has no frames" in str(
+        info.value
+    )
