@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 
 from .errors import ROWS, ConfigError, DataError, finite_floats, read_json
 from .media_io.pnm import Frame
-from .numerics import DimensionMismatch, Matrix, Vector, dot
+from .numerics import DimensionMismatch, Matrix, Vector, dot, norm
 
 
 class MissingFrameEmbedding(DataError):
@@ -179,7 +179,8 @@ def load_precomputed(path) -> PrecomputedTable:
     """Precomputed embeddings JSON: {"dim", "videos": {id: [[...], ...]}}.
 
     Every frame row must be present, numeric, of the declared dimension and
-    finite; holes and NaNs are a load-time error, not a lookup-time surprise.
+    finite, with a finite norm; holes, NaNs and rows whose norm overflows
+    are a load-time error, not a lookup-time surprise.
     """
     doc = read_json(path, ConfigError, "embeddings file", {"dim": int, "videos": dict})
     where = f"bad embeddings file {path}"
@@ -198,6 +199,10 @@ def load_precomputed(path) -> PrecomputedTable:
             vector = finite_floats(row, ConfigError, label, DataError)
             if len(vector) != dim:
                 raise InconsistentDim(f"{label} has dim {len(vector)}, expected {dim}")
+            # A finite norm bounds every entry, so no cosine or clip mean of
+            # finite-norm rows overflows later, far from this file.
+            if not math.isfinite(norm(vector)):
+                raise DataError(f"{label} has a non-finite norm")
             table_rows.append(vector)
         videos[video_id] = table_rows
     return PrecomputedTable(dim, videos)

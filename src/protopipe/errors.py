@@ -15,9 +15,14 @@ floats; ROWS, FLOATS of one length; a nested schema, for an object; or
 `[s]`, an array read entry by entry by `s`. An unknown key, a missing
 key not named optional, a mistyped value, a NaN, an infinity or an integer
 too large for a float raises the loader's family and names the file.
+
+Every error of both families survives a pickle round trip with its type,
+message and attributes, so an error raised in a worker process reaches the
+CLI as itself.
 """
 from __future__ import annotations
 
+import copyreg
 import json
 import math
 from pathlib import Path
@@ -30,12 +35,24 @@ JSON_NAMES = {
 }
 
 
+def _rebuilt_without_init(self):
+    # BaseException.__reduce__ rebuilds an error by calling its class with
+    # `args`, the message alone, so a subclass whose __init__ takes other
+    # arguments (DecodeError's path and cause) fails to unpickle. This makes
+    # the copy with __new__ and restores the attributes, __init__ untouched.
+    return copyreg.__newobj__, (type(self), *self.args), self.__dict__ or None
+
+
 class ConfigError(ValueError):
     """The run was set up wrong: config, flags, weights or table layout."""
+
+    __reduce__ = _rebuilt_without_init
 
 
 class DataError(ValueError):
     """The run's input data is wrong: dataset, frames, prototypes or values."""
+
+    __reduce__ = _rebuilt_without_init
 
 
 def read_json(path, error: type[ValueError], what: str, schema=None, optional=()):

@@ -49,9 +49,11 @@ from .protonet import (
     PipelineRuntime,
     build_episode,
     classify_clip,
+    embed_plan,
     per_user_accuracy,
     personalize,
-    query_clip_vectors,
+    plan_query,
+    plan_support,
 )
 
 logger = logging.getLogger(__name__)
@@ -85,33 +87,33 @@ def evaluate_users(
     runtime: PipelineRuntime,
     arms: tuple[str, ...] = ARM_ORDER,
 ) -> dict:
-    """Personalize + recognize every user under every arm."""
-    for arm in arms:
-        if arm not in ARM_ORDER:
-            raise UnknownArm(arm)
+    """Personalize + recognize every user under every arm.
+
+    Every frame is read once, before any arm runs: one plan holds each
+    support video's frames that some arm samples (gated too when an arm
+    filters) and every query frame, and `embed_plan` runs it. A query
+    clip's vector depends only on the embedder, which no arm changes, so
+    each is averaged once. The arms are then arithmetic over that result;
+    nothing outlives the call.
+    """
     episodes = [build_episode(manifest, uid) for uid in manifest.user_ids()]
-    # A query clip's vector depends only on the embedder, which no arm
-    # changes: average each one once. This runs before the frame memo
-    # exists, so query frames are not kept once their clips are built.
-    query_clips = {
-        video.video_id: query_clip_vectors(video, runtime)
-        for ep in episodes
-        for video, _ in ep.query
-    }
-    # Every arm embeds the same support frames with the same embedder, so
-    # this call keeps one frame memo for all of them. It ends with the call;
-    # the caller's runtime is not touched.
-    runtime = replace(runtime, frame_memo={})
+    plan = plan_support(episodes, [arm_runtime(runtime, arm) for arm in arms])
+    plan += [plan_query(video, runtime) for ep in episodes for video, _ in ep.query]
+    found = embed_plan(plan, runtime)
+    clips = found[0]
     rows = []
     previous: float | None = None
     for arm in arms:
         rt = arm_runtime(runtime, arm)
         results = {}
         for ep in episodes:
-            protos, _ = personalize(ep, rt)
+            protos, _ = personalize(ep, rt, found)
             pairs = []
             for video, truth in ep.query:
-                preds = [classify_clip(c, protos)[0] for c in query_clips[video.video_id]]
+                preds = [
+                    classify_clip(clips[video.video_id, t], protos)[0]
+                    for t in range(video.num_frames)
+                ]
                 pairs.append((preds, list(truth)))
             results[ep.user_id] = pairs
         per_user = per_user_accuracy(results)

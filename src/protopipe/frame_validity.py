@@ -11,12 +11,17 @@ monotone, so sqrt(gx*gx + gy*gy) > tau_mag holds exactly when gx*gx + gy*gy
 reaches the smallest integer whose square root exceeds tau_mag. That integer
 is found once per threshold, so each pixel costs integer adds and one
 compare, and the count is the one the float magnitudes give.
+
+A frame is gated where it is decoded, by the executor in `protonet`; a
+sampled clip holds frame indices only, and `filter_clips` reads each
+frame's validity by (video_id, index).
 """
 from __future__ import annotations
 
 import functools
 import logging
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import sub
 
@@ -142,15 +147,15 @@ def is_frame_valid(frame: Frame, cfg: EdgeFilterConfig) -> bool:
 
 @dataclass(frozen=True)
 class SampledClip:
-    """A sampled clip and, when the edge filter is on, its decoded frames.
-
-    The filter is the only reader of `frames`, so clips sampled with it off
-    carry none; a clip's length is always `clip.length`.
-    """
+    """A sampled clip of one video, by frame index; it holds no pixels."""
 
     video_id: str
     clip: ClipIndex
-    frames: list[Frame]
+
+    @property
+    def frames(self) -> list[int]:
+        """The clip's frame indices, in order."""
+        return self.clip.frame_indices()
 
 
 @dataclass(frozen=True)
@@ -174,20 +179,22 @@ class ClipAudit:
 
 
 def filter_clips(
-    clips: list[SampledClip], cfg: EdgeFilterConfig
+    clips: list[SampledClip], cfg: EdgeFilterConfig, valid: Mapping[tuple[str, int], bool]
 ) -> tuple[list[SampledClip], list[ClipAudit]]:
     """Drop clips whose invalid-frame count is strictly more than half.
 
-    If that would remove every clip, the clip with the fewest invalid frames
-    (ties: earliest start, then input order) is kept anyway so downstream
+    `valid` holds each gated frame's `is_frame_valid`, keyed by (video_id,
+    index); it is read only when the filter is enabled. If the rule would
+    remove every clip, the clip with the fewest invalid frames (ties:
+    earliest start, then input order) is kept anyway so downstream
     prototype computation always has material to work with.
     """
     if not clips:
         return [], []
-    counts = []
-    for sc in clips:
-        invalid = sum(1 for f in sc.frames if not is_frame_valid(f, cfg))
-        counts.append(invalid)
+    if cfg.enabled:
+        counts = [sum(1 for i in sc.frames if not valid[sc.video_id, i]) for sc in clips]
+    else:
+        counts = [0] * len(clips)
     removed = [inv * 2 > sc.clip.length for sc, inv in zip(clips, counts)]
     override_idx = None
     if all(removed):

@@ -3,7 +3,9 @@
 The on-disk form is JSON with frame paths relative to the manifest file.
 Loading reads it by MANIFEST_KEYS with `errors.read_object`, resolves the
 paths and checks every structural invariant eagerly, so later stages never
-see a half-formed dataset; each fault names the file and the key path.
+see a half-formed dataset; each fault names the file and the key path. A
+frame path may not leave the manifest's directory: an absolute path, or one
+with a '.', '..' or empty component, is rejected.
 """
 from __future__ import annotations
 
@@ -107,6 +109,11 @@ def _duplicates(names: list[str]) -> tuple[list[str], int]:
     return dupes, next((n for n, name in enumerate(names) if counts[name] > 1), -1)
 
 
+def _stays_inside(path: str) -> bool:
+    """True for a relative path of plain components, which stays in the manifest's directory."""
+    return not {"", ".", ".."}.intersection(path.split("/"))
+
+
 def parse_manifest(document, base_dir: Path, where: str = "manifest") -> DatasetManifest:
     """`document` read by MANIFEST_KEYS into records, every invariant checked.
 
@@ -137,9 +144,12 @@ def parse_manifest(document, base_dir: Path, where: str = "manifest") -> Dataset
                     raise fault(at, "kind", f"{kind!r} is not 'clean' or 'clutter'")
                 if not frames:
                     raise fault(at, "frames", f"video {video_id!r} has no frames")
-                if not all(frames) or "\0" in "".join(frames):
+                if not all(map(_stays_inside, frames)) or "\0" in "".join(frames):
                     for n, path in enumerate(frames):
                         name(path, at, f"frames[{n}]")
+                        if not _stays_inside(path):
+                            raise fault(at, f"frames[{n}]", f"{path!r} must be a relative "
+                                        "path with no '.', '..' or empty component")
                 videos.append(VideoRecord(video_id, kind, [str(base_dir / p) for p in frames]))
                 video_at.append(at)
             for kind in KINDS:

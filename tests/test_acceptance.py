@@ -32,6 +32,7 @@ from protopipe.frame_validity import (
     SampledClip,
     edge_density,
     filter_clips,
+    is_frame_valid,
 )
 from protopipe.media_io.loader import LoaderConfig, load_frames_parallel
 from protopipe.media_io.pnm import Frame, decode_pnm, encode_pnm
@@ -189,17 +190,21 @@ def test_criterion_07_clip_filter_majority_rule():
         invalid = Frame(8, 8, 1, bytes([128] * 64))
         cfg = EdgeFilterConfig()
 
-        def clip(start, frames):
-            return SampledClip("v", ClipIndex(start, len(frames)), frames)
+        gated = {}
 
-        majority = clip(0, [invalid] * 5 + [valid] * 3)
-        half = clip(8, [invalid] * 4 + [valid] * 4)
-        retained, audits = filter_clips([majority, half], cfg)
+        def clip(video_id, start, frames):
+            for k, frame in enumerate(frames):
+                gated[video_id, start + k] = is_frame_valid(frame, cfg)
+            return SampledClip(video_id, ClipIndex(start, len(frames)))
+
+        majority = clip("v", 0, [invalid] * 5 + [valid] * 3)
+        half = clip("v", 8, [invalid] * 4 + [valid] * 4)
+        retained, audits = filter_clips([majority, half], cfg, gated)
         assert retained == [half]
         assert [a.removed for a in audits] == [True, False]
 
-        all_bad = [clip(0, [invalid] * 8), clip(8, [invalid] * 7 + [valid])]
-        retained, audits = filter_clips(all_bad, cfg)
+        all_bad = [clip("w", 0, [invalid] * 8), clip("w", 8, [invalid] * 7 + [valid])]
+        retained, audits = filter_clips(all_bad, cfg, gated)
         assert len(retained) == 1 and retained[0].clip.start == 8
         assert sum(a.override for a in audits) == 1
 

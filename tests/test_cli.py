@@ -2,6 +2,11 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
+import os
+import shutil
+import threading
+from pathlib import Path
 
 import pytest
 from _oracles import random_transformer_weights
@@ -267,19 +272,71 @@ class TestEvaluate:
         # user01's clutter video takes user00's id: evaluate must refuse the
         # dataset rather than score one video against the other's frames.
         data, config = workspace
-        doc = json.loads((data / "manifest.json").read_text())
-        for user in doc["users"]:
-            for obj in user["objects"]:
-                for video in obj["videos"]:
-                    video["frames"] = [str(data / f) for f in video["frames"]]
+        # Frame paths may not leave the manifest's directory: edit a copy.
+        shutil.copytree(data, tmp_path / "data")
+        manifest = tmp_path / "data" / "manifest.json"
+        doc = json.loads(manifest.read_text())
         clutter = doc["users"][1]["objects"][0]["videos"][1]
         assert clutter["video_id"] == "user01_obj00_clutter00"
         clutter["video_id"] = "user00_obj00_clutter00"
-        manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps(doc))
         rc = self.run((manifest, config), tmp_path / "r.json")
         assert rc == EXIT_DATA
         assert "duplicate video_ids ['user00_obj00_clutter00']" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+
+    @pytest.mark.parametrize("path", ["/etc/hostname", "../../x.pgm"])
+    def test_frame_path_outside_the_manifest_is_a_data_error(
+        self, workspace, tmp_path, capsys, path
+    ):
+        data, config = workspace
+        doc = json.loads((data / "manifest.json").read_text())
+        doc["users"][0]["objects"][1]["videos"][0]["frames"][2] = path
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        rc = self.run((manifest, config), tmp_path / "r.json")
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"manifest {manifest}" in err
+        assert f"users[0].objects[1].videos[0].frames[2]: {path!r}" in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_bad_frame_in_a_worker_exits_3_as_in_one_process(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        data, config = workspace
+        shutil.copytree(data, tmp_path / "data")
+        started = []
+        map_in_workers = protonet._map_in_workers
+
+        def counting(plan, runtime, workers):
+            started.append(workers)
+            return map_in_workers(plan, runtime, workers)
+
+        monkeypatch.setattr(protonet, "_map_in_workers", counting)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        threads = threading.enumerate()
+        assert self.run((tmp_path / "data", config), tmp_path / "clean.json") == EXIT_OK
+        assert started == [2]
+        # The pool's processes and its own threads are joined before the
+        # run returns.
+        assert multiprocessing.active_children() == []
+        assert threading.enumerate() == threads
+        video = load_manifest(tmp_path / "data" / "manifest.json").video("user01_obj01_clutter00")
+        bad = Path(video.frame_paths[5])
+        bad.write_bytes(bad.read_bytes()[:-1])
+        capsys.readouterr()
+        errors = []
+        for cpus in ({0, 1}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            assert self.run((tmp_path / "data", config), tmp_path / "r.json") == EXIT_DATA
+            errors.append(capsys.readouterr().err)
+        assert started == [2, 2]
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"error: {bad}: payload is ")
+        assert multiprocessing.active_children() == []
+        assert threading.enumerate() == threads
         assert not (tmp_path / "r.json").exists()
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -268,9 +269,14 @@ class TestPrecomputed:
         with pytest.raises(DataError, match="frame 1"):
             load_precomputed(path)
 
-    def test_finite_row_whose_sum_overflows_loads(self, tmp_path):
+    def test_finite_row_whose_sum_overflows_is_rejected_for_its_norm(self, tmp_path):
+        # Every entry is finite, so the row passes the number check, but its
+        # squared norm overflows: a cosine or clip mean of it would too.
         path = self.write_table(tmp_path, {"dim": 2, "videos": {"v0": [[1e308, 1e308]]}})
-        assert load_precomputed(path).vector("v0", 0) == [1e308, 1e308]
+        with pytest.raises(
+            DataError, match=re.escape(f"{path}: video 'v0' frame 0 has a non-finite norm")
+        ):
+            load_precomputed(path)
         path = self.write_table(tmp_path, {"dim": 3, "videos": {"v0": [[1e308, 1e308, math.nan]]}})
         with pytest.raises(DataError, match="frame 0"):
             load_precomputed(path)
@@ -304,8 +310,8 @@ class TestPrecomputed:
         good = VideoRecord("v0", "clean", ["f0"])
         long = VideoRecord("v0", "clean", ["f0", "f1"])
         other = VideoRecord("v1", "clean", ["f0"])
-        assert video_frame_vectors(good, runtime) == [[0.0, 0.0]]
+        assert video_frame_vectors(good, runtime, [0]) == ([[0.0, 0.0]], [])
         with pytest.raises(MissingFrameEmbedding):
-            video_frame_vectors(long, runtime)
+            video_frame_vectors(long, runtime, [0, 1])
         with pytest.raises(MissingFrameEmbedding):
-            video_frame_vectors(other, runtime)
+            video_frame_vectors(other, runtime, [0])

@@ -10,6 +10,7 @@ import importlib
 import inspect
 import json
 import math
+import pickle
 import pkgutil
 import re
 
@@ -59,6 +60,27 @@ def test_every_exception_is_a_config_or_data_error():
         if not issubclass(cls, (ConfigError, DataError)) and cls is not IoError
     ]
     assert strays == []
+
+
+def test_every_family_error_survives_a_pickle_round_trip():
+    # An error raised in a worker process reaches the CLI pickled: it must
+    # come back as the same type, message and attributes, not as a pool
+    # failure. Each class is built with a string per required argument.
+    classes = [
+        cls for cls in protopipe_exception_classes() if issubclass(cls, (ConfigError, DataError))
+    ]
+    assert {DecodeError, UnknownId, MissingFrameEmbedding, ShapeMismatch} <= set(classes)
+    for cls in classes:
+        args = ["a message"]
+        if cls.__init__ is not ValueError.__init__:
+            params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+            args = [f"arg{n}" for n, p in enumerate(params) if p.default is p.empty]
+        error = cls(*args)
+        copy = pickle.loads(pickle.dumps(error))
+        assert (type(copy), str(copy), copy.args, vars(copy)) == (
+            cls, str(error), error.args, vars(error)
+        ), cls
+    assert pickle.loads(pickle.dumps(DecodeError("f.pgm", ValueError("cut")))).path == "f.pgm"
 
 
 @pytest.mark.parametrize(

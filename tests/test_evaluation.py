@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import replace
 
@@ -47,26 +48,38 @@ def swap_frames(manifest: DatasetManifest, kind: str) -> DatasetManifest:
     return DatasetManifest(users)
 
 
-class TestFrameMemo:
+def in_one_process(monkeypatch) -> None:
+    """Keep `embed_plan` in this process, where spies see every call."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+class TestOnePlan:
     def test_each_frame_is_embedded_once(self, small_dataset, monkeypatch):
+        in_one_process(monkeypatch)
         manifest, _ = small_dataset
-        used, embedded = set(), []
+        used, embedded, plans = Counter(), [], []
         frame_vector, embed_frame = PipelineRuntime.frame_vector, protonet.embed_frame
+        embed_plan = evaluation.embed_plan
 
         def spy_frame_vector(self, video, index, frame):
-            used.add((video.video_id, index))
+            used[video.video_id, index] += 1
             return frame_vector(self, video, index, frame)
 
         def counting_embed_frame(frame, spec):
             embedded.append(frame)
             return embed_frame(frame, spec)
 
+        def spy_embed_plan(plan, runtime):
+            plans.append(plan)
+            return embed_plan(plan, runtime)
+
         monkeypatch.setattr(PipelineRuntime, "frame_vector", spy_frame_vector)
         monkeypatch.setattr(protonet, "embed_frame", counting_embed_frame)
-        runtime = pixel_runtime()
-        evaluate_users(manifest, runtime)
+        monkeypatch.setattr(evaluation, "embed_plan", spy_embed_plan)
+        evaluate_users(manifest, pixel_runtime())
         assert len(embedded) == len(used) > 0
-        assert runtime.frame_memo is None
+        assert set(used.values()) == {1}
+        assert len(plans) == 1
 
     def test_arms_match_their_solo_runs(self, small_dataset):
         manifest, _ = small_dataset
@@ -78,19 +91,19 @@ class TestFrameMemo:
                 row["aggregate"], row["per_user"],
             ), row["name"]
 
-    def test_memo_does_not_outlive_one_call(self, small_dataset):
+    def test_query_vectors_do_not_outlive_one_call(self, small_dataset):
         manifest, _ = small_dataset
         swapped = swap_frames(manifest, "clutter")
         runtime = pixel_runtime()
         first = evaluate_users(manifest, runtime)
         second = evaluate_users(swapped, runtime)
-        # The swapped queries show the wrong object under the same ids: a
-        # memo carried over from the first call would score them as before.
+        # The swapped queries show the wrong object under the same ids:
+        # vectors carried over from the first call would score them as before.
         assert second["arms"][-1]["aggregate"] < first["arms"][-1]["aggregate"]
         assert second == evaluate_users(swapped, pixel_runtime())
         assert first == evaluate_users(manifest, pixel_runtime())
 
-    def test_support_memo_does_not_outlive_one_call(self, small_dataset):
+    def test_support_vectors_do_not_outlive_one_call(self, small_dataset):
         manifest, _ = small_dataset
         swapped = swap_frames(manifest, "clean")
         runtime = pixel_runtime()
@@ -104,9 +117,10 @@ class TestFrameMemo:
 
 
 class TestFrameSource:
-    """A frame is decoded when the edge filter or a frame-memo miss reads it."""
+    """Each planned frame is decoded once; a table embedder decodes only the gate's."""
 
     def record_loads(self, monkeypatch) -> list[list[str]]:
+        in_one_process(monkeypatch)
         calls = []
         load_frames_parallel = protonet.load_frames_parallel
 
@@ -135,16 +149,12 @@ class TestFrameSource:
         calls = self.record_loads(monkeypatch)
         evaluate_users(manifest, runtime)
         query = [p for v in manifest.all_videos() if v.kind == "clutter" for p in v.frame_paths]
-        gated = self.sampled_paths(manifest, runtime, "filter")
-        # With the filter off every sampled clip is embedded, so the frames
-        # to embed are those the gate-off arms sample; the filter arm comes
-        # last and finds its frames' vectors in the memo.
-        embedded = set().union(
-            *(self.sampled_paths(manifest, runtime, a) for a in ("baseline", "adapt", "uniform"))
-        )
+        # The filter arm's frames are gated and embedded; the uniform arm
+        # samples them too, so one decode serves both.
+        support = set().union(*(self.sampled_paths(manifest, runtime, a) for a in ARM_ORDER))
         loaded = Counter(p for call in calls for p in call)
-        assert loaded == Counter(query) + Counter(gated) + Counter(embedded)
-        assert all(call and len(set(call)) == len(call) for call in calls)
+        assert loaded == Counter(query) + Counter(support)
+        assert len(calls) == len(manifest.all_videos())
 
     def test_table_embedder(self, small_dataset, small_table, monkeypatch):
         manifest, _ = small_dataset
@@ -154,6 +164,22 @@ class TestFrameSource:
         loaded = Counter(p for call in calls for p in call)
         assert loaded == Counter(self.sampled_paths(manifest, runtime, "filter"))
         assert all(calls)
+
+    def test_no_frame_is_gated_without_the_filter_arm(self, small_dataset, monkeypatch):
+        in_one_process(monkeypatch)
+        manifest, _ = small_dataset
+        gated = []
+        is_frame_valid = protonet.is_frame_valid
+
+        def counting(frame, cfg):
+            gated.append(frame)
+            return is_frame_valid(frame, cfg)
+
+        monkeypatch.setattr(protonet, "is_frame_valid", counting)
+        evaluate_users(manifest, pixel_runtime(), ("baseline", "adapt", "uniform"))
+        assert gated == []
+        evaluate_users(manifest, pixel_runtime(), ("filter",))
+        assert gated
 
 
 class TestQueryClips:
@@ -181,24 +207,23 @@ class TestQueryClips:
                     want += [(p.pred, p.scores) for p in recognize_video(video, protos, rt)]
         assert scored == want
 
-    def test_each_query_video_is_averaged_once(self, small_dataset, monkeypatch):
+    def test_each_video_is_read_once(self, small_dataset, monkeypatch):
+        in_one_process(monkeypatch)
         manifest, _ = small_dataset
-        built, memo_kinds = Counter(), set()
-        query_clip_vectors = evaluation.query_clip_vectors
-        frame_vector = PipelineRuntime.frame_vector
+        reads = Counter()
+        video_frame_vectors = protonet.video_frame_vectors
 
-        def counting_query_clip_vectors(video, runtime):
-            built[video.video_id] += 1
-            return query_clip_vectors(video, runtime)
+        def counting(video, runtime, embed, gate=(), window=0):
+            reads[video.video_id, video.kind, window] += 1
+            return video_frame_vectors(video, runtime, embed, gate, window)
 
-        def spy_frame_vector(self, video, index, frame):
-            if self.frame_memo is not None:
-                memo_kinds.add(video.kind)
-            return frame_vector(self, video, index, frame)
-
-        monkeypatch.setattr(evaluation, "query_clip_vectors", counting_query_clip_vectors)
-        monkeypatch.setattr(PipelineRuntime, "frame_vector", spy_frame_vector)
-        evaluate_users(manifest, pixel_runtime())
-        query_ids = [v.video_id for v in manifest.all_videos() if v.kind == "clutter"]
-        assert built == Counter(query_ids)
-        assert memo_kinds == {"clean"}  # query frames never enter the memo
+        monkeypatch.setattr(protonet, "video_frame_vectors", counting)
+        runtime = pixel_runtime()
+        evaluate_users(manifest, runtime)
+        # Query videos come back as causal clip means, support videos as
+        # frame vectors; no video is read twice.
+        clip_length = runtime.sampler.clip_length
+        assert reads == Counter(
+            (v.video_id, v.kind, clip_length if v.kind == "clutter" else 0)
+            for v in manifest.all_videos()
+        )

@@ -233,7 +233,15 @@ class TestValidity:
 
 
 def make_clip(video_id, start, frames):
-    return SampledClip(video_id, ClipIndex(start, len(frames)), frames)
+    """A sampled clip and its frames' validity under CFG, by (video_id, index)."""
+    clip = SampledClip(video_id, ClipIndex(start, len(frames)))
+    return clip, {(video_id, start + k): is_frame_valid(f, CFG) for k, f in enumerate(frames)}
+
+
+def run_filter(made, cfg=None):
+    """filter_clips over clips from make_clip, given every frame's validity."""
+    valid = {key: ok for _, gated in made for key, ok in gated.items()}
+    return filter_clips([clip for clip, _ in made], cfg or CFG, valid)
 
 
 VALID = gray([[0, 0, 0, 0, 255, 255, 255, 255] for _ in range(8)])
@@ -245,31 +253,31 @@ class TestFilterClips:
     def test_majority_invalid_removed(self):
         clip = make_clip("v", 0, [INVALID] * 5 + [VALID] * 3)
         keeper = make_clip("v", 8, [VALID] * 8)
-        retained, audits = filter_clips([clip, keeper], CFG)
-        assert retained == [keeper]
+        retained, audits = run_filter([clip, keeper])
+        assert retained == [keeper[0]]
         assert [a.removed for a in audits] == [True, False]
         assert audits[0].invalid == 5
 
     def test_exactly_half_retained(self):
         clip = make_clip("v", 0, [INVALID] * 4 + [VALID] * 4)
-        retained, audits = filter_clips([clip], CFG)
-        assert retained == [clip]
+        retained, audits = run_filter([clip])
+        assert retained == [clip[0]]
         assert not audits[0].removed
         assert not audits[0].override
 
     def test_all_removed_keeps_least_invalid(self):
         worst = make_clip("v", 0, [INVALID] * 8)
         best = make_clip("v", 8, [INVALID] * 5 + [VALID] * 3)
-        retained, audits = filter_clips([worst, best], CFG)
-        assert retained == [best]
+        retained, audits = run_filter([worst, best])
+        assert retained == [best[0]]
         assert [a.override for a in audits] == [False, True]
         assert [a.removed for a in audits] == [True, False]
 
     def test_override_tie_breaks_on_start_then_order(self):
         a = make_clip("v", 16, [INVALID] * 8)
         b = make_clip("v", 0, [INVALID] * 8)
-        retained, audits = filter_clips([a, b], CFG)
-        assert retained == [b]  # equal counts: earliest start wins
+        retained, audits = run_filter([a, b])
+        assert retained == [b[0]]  # equal counts: earliest start wins
         assert sum(a.override for a in audits) == 1
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -285,11 +293,14 @@ class TestFilterClips:
         )
     )
     def test_a_class_always_keeps_a_clip(self, shapes):
-        clips = [
-            make_clip(video, start, [VALID if ok else INVALID for ok in frames])
-            for video, start, frames in shapes
+        # Validity is per frame of a video, so each drawn clip gets a video
+        # of its own: two overlapping clips may disagree about a frame here.
+        made = [
+            make_clip(f"{video}/{n}", start, [VALID if ok else INVALID for ok in frames])
+            for n, (video, start, frames) in enumerate(shapes)
         ]
-        retained, audits = filter_clips(clips, CFG)
+        clips = [clip for clip, _ in made]
+        retained, audits = run_filter(made)
         assert retained
         assert retained == [sc for sc, a in zip(clips, audits) if not a.removed]
         passing = [
@@ -302,13 +313,16 @@ class TestFilterClips:
             assert len(retained) == 1 and sum(a.override for a in audits) == 1
 
     def test_disabled_filter_keeps_everything(self):
-        clips = [make_clip("v", 0, [INVALID] * 8)]
-        retained, audits = filter_clips(clips, EdgeFilterConfig(enabled=False))
-        assert retained == clips
+        clip = make_clip("v", 0, [INVALID] * 8)
+        retained, audits = filter_clips([clip[0]], EdgeFilterConfig(enabled=False), {})
+        assert retained == [clip[0]]
         assert audits[0].invalid == 0
 
     def test_empty_input(self):
-        assert filter_clips([], CFG) == ([], [])
+        assert filter_clips([], CFG, {}) == ([], [])
+
+    def test_clip_frames_are_its_indices(self):
+        assert SampledClip("v", ClipIndex(3, 4)).frames == [3, 4, 5, 6]
 
     def test_audit_json_shape(self):
         audit = ClipAudit(

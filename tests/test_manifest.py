@@ -133,6 +133,24 @@ def test_schema_violations_carry_pointers():
         parse_manifest([], Path("."))
 
 
+@pytest.mark.parametrize(
+    "path", ["/etc/hostname", "../../x.pgm", "u0/../q0.pgm", "./q0.pgm", "u0//q0.pgm", "u0/"]
+)
+def test_frame_path_may_not_leave_the_manifest_directory(path):
+    doc = make_doc()
+    doc["users"][0]["objects"][1]["videos"][1]["frames"][0] = path
+    with raises_at("users[0].objects[1].videos[1].frames[0]"):
+        parse_manifest(doc, Path("/data/run1"))
+
+
+def test_plain_relative_paths_join_as_before():
+    doc = make_doc()
+    frames = ["q0.pgm", "a/b/c.pgm", "..x/y..", "a.b/.c"]
+    doc["users"][0]["objects"][1]["videos"][1]["frames"] = frames
+    video = parse_manifest(doc, Path("/data/run1")).video("u0_keys_clutter")
+    assert video.frame_paths == [str(Path("/data/run1") / p) for p in frames]
+
+
 def test_lookup_by_id():
     manifest = parse_manifest(make_doc(), Path("."))
     assert manifest.video("u0_keys_clutter").frame_paths == ["u0/keys/q0.pgm"]
