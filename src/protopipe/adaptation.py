@@ -25,9 +25,8 @@ from .numerics import (
 )
 
 
-class ShapeMismatch(ConfigError):
-    def __init__(self, field_name: str, expected: tuple, got: tuple):
-        super().__init__(f"{field_name}: expected shape {expected}, got {got}")
+def _shape_mismatch(field_name: str, expected: tuple, got: tuple) -> ConfigError:
+    return ConfigError(f"{field_name}: expected shape {expected}, got {got}")
 
 
 @dataclass(frozen=True)
@@ -61,10 +60,10 @@ class TransformerWeights:
         for name in ("w_q", "w_k", "w_v"):
             mats = getattr(self, name)
             if len(mats) != h:
-                raise ShapeMismatch(name, (h,), (len(mats),))
+                raise _shape_mismatch(name, (h,), (len(mats),))
             for i, m in enumerate(mats):
                 if (m.rows, m.cols) != (d, d_head):
-                    raise ShapeMismatch(f"{name}[{i}]", (d, d_head), (m.rows, m.cols))
+                    raise _shape_mismatch(f"{name}[{i}]", (d, d_head), (m.rows, m.cols))
         checks = [
             ("w_o", self.w_o, (d, d)),
             ("w1", self.w1, (d, d_ff)),
@@ -72,7 +71,7 @@ class TransformerWeights:
         ]
         for name, m, shape in checks:
             if (m.rows, m.cols) != shape:
-                raise ShapeMismatch(name, shape, (m.rows, m.cols))
+                raise _shape_mismatch(name, shape, (m.rows, m.cols))
         vectors = [
             ("b1", self.b1, d_ff),
             ("b2", self.b2, d),
@@ -83,7 +82,7 @@ class TransformerWeights:
         ]
         for name, v, n in vectors:
             if len(v) != n:
-                raise ShapeMismatch(name, (n,), (len(v),))
+                raise _shape_mismatch(name, (n,), (len(v),))
 
 
 def attention_matrices(p: Matrix, w: TransformerWeights) -> list[Matrix]:
@@ -92,7 +91,7 @@ def attention_matrices(p: Matrix, w: TransformerWeights) -> list[Matrix]:
     Every row of every returned matrix sums to one.
     """
     if p.cols != w.d:
-        raise ShapeMismatch("prototypes", (p.rows, w.d), (p.rows, p.cols))
+        raise _shape_mismatch("prototypes", (p.rows, w.d), (p.rows, p.cols))
     inv_sqrt = 1.0 / math.sqrt(w.d / w.h)
     out = []
     for i in range(w.h):

@@ -8,9 +8,8 @@ bench-loader (threaded-loader timing table).
 Exit codes: 0 success, 2 for a ConfigError (bad config, flags, weights or
 embedding-table layout), 3 for a DataError or OSError (bad dataset, frames
 or prototypes, missing files, unknown ids, a non-finite embedding). Any
-other exception is a bug and surfaces as a traceback. The effective seed is
-resolved as: --seed flag, else the PROTOPIPE_SEED environment variable,
-else the config file's seed.
+other exception is a bug and surfaces as a traceback. The seed is the
+--seed flag, else the config file's seed.
 """
 from __future__ import annotations
 
@@ -20,14 +19,13 @@ import logging
 import sys
 from pathlib import Path
 
-from .config import build_runtime, effective_seed, load_config
+from .config import build_runtime, load_config
 from .errors import ConfigError, DataError, write_json
 from .evaluation import ARM_ORDER, evaluate_users
 from .media_io.bench import bench_loader
 from .media_io.loader import LoaderConfig
 from .media_io.manifest import DatasetManifest, load_manifest
 from .media_io.synthetic import GeneratorSpec, generate_synthetic_dataset
-from .numerics import DimensionMismatch
 from .protonet import (
     PipelineRuntime,
     build_episode,
@@ -72,9 +70,8 @@ def cmd_gen_synthetic(args) -> int:
 
 
 def _runtime(args) -> PipelineRuntime:
-    """The runtime `--config` describes, at the seed `--seed` resolves to."""
-    config = load_config(args.config)
-    return build_runtime(config, seed=effective_seed(config, args.seed))
+    """The runtime `--config` describes, at `--seed` if given, else the config's seed."""
+    return build_runtime(load_config(args.config), seed=args.seed)
 
 
 def cmd_personalize(args) -> int:
@@ -101,9 +98,7 @@ def cmd_recognize(args) -> int:
     runtime = _runtime(args)
     protos = load_prototypes(args.prototypes)
     if protos.dim != runtime.embedder.dim:
-        raise DimensionMismatch(
-            f"prototypes dim {protos.dim} != embedder dim {runtime.embedder.dim}"
-        )
+        raise ConfigError(f"prototypes dim {protos.dim} != embedder dim {runtime.embedder.dim}")
     video = _load_dataset(args.dataset).video(args.video)
     predictions = recognize_video(video, protos, runtime)
     save_predictions(video.video_id, protos.labels, predictions, args.out)

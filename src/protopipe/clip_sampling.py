@@ -21,10 +21,6 @@ POLICY_RANDOM = "random"
 WITHIN_CHUNK_CHOICES = ("seeded_random", "first", "middle")
 
 
-class InsufficientFrames(DataError):
-    pass
-
-
 @dataclass(frozen=True)
 class ClipIndex:
     """Half-open frame range [start, start + length)."""
@@ -75,7 +71,7 @@ def uniform_sample_clips(num_frames: int, cfg: SamplerConfig) -> list[ClipIndex]
         raise ValueError(f"uniform sampler called with policy {cfg.policy!r}")
     candidates = enumerate_candidates(num_frames, cfg.clip_length)
     if not candidates:
-        raise InsufficientFrames(
+        raise DataError(
             f"{num_frames} frames cannot fit a {cfg.clip_length}-frame clip"
         )
     k = cfg.clips_per_video
@@ -101,7 +97,7 @@ def random_sample_clips(num_frames: int, cfg: SamplerConfig) -> list[ClipIndex]:
     if cfg.policy != POLICY_RANDOM:
         raise ValueError(f"random sampler called with policy {cfg.policy!r}")
     if num_frames < cfg.clip_length:
-        raise InsufficientFrames(
+        raise DataError(
             f"{num_frames} frames cannot fit a {cfg.clip_length}-frame clip"
         )
     rng = random.Random(cfg.seed)

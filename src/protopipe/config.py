@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -27,7 +26,6 @@ from .errors import NUMBER, ConfigError, read_json, read_object
 from .frame_validity import EdgeFilterConfig
 from .protonet import PipelineRuntime
 
-ENV_SEED = "PROTOPIPE_SEED"
 KIND_PATCH_PROJECTION = "patch_projection"
 KIND_PRECOMPUTED = "precomputed"
 
@@ -111,19 +109,6 @@ def load_config(path) -> PipelineConfig:
     if adapter != "none" and not (base_dir / adapter).is_file():
         raise ConfigError(f"adapter weights file not found: {base_dir / adapter}")
     return PipelineConfig(sampler, edge_filter, embedder, adapter, doc.get("seed", 0), base_dir)
-
-
-def effective_seed(config: PipelineConfig, flag_seed: int | None) -> int:
-    """Seed precedence: --seed flag, then PROTOPIPE_SEED, then the config."""
-    if flag_seed is not None:
-        return flag_seed
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{ENV_SEED} must be an integer, got {env!r}") from exc
-    return config.seed
 
 
 def build_runtime(config: PipelineConfig, seed: int | None = None) -> PipelineRuntime:

@@ -26,16 +26,7 @@ from functools import cached_property, lru_cache
 
 from .errors import ROWS, ConfigError, DataError, finite_floats, read_json
 from .media_io.pnm import Frame
-from .numerics import DimensionMismatch, Matrix, Vector, dot, norm
-
-
-class MissingFrameEmbedding(DataError):
-    def __init__(self, video_id: str, index: int):
-        super().__init__(f"no embedding for frame {index} of video {video_id!r}")
-
-
-class InconsistentDim(ConfigError):
-    pass
+from .numerics import Matrix, Vector, dot, norm
 
 
 @dataclass(frozen=True)
@@ -55,7 +46,7 @@ class EmbedderSpec:
         n = self.grid * self.grid * self.channels
         p = self.projection
         if (p.rows, p.cols) != (n, self.dim):
-            raise DimensionMismatch(
+            raise ConfigError(
                 f"projection must be {n}x{self.dim}, got {(p.rows, p.cols)}"
             )
 
@@ -89,7 +80,7 @@ def make_patch_projection_spec(
 ) -> EmbedderSpec:
     n = grid * grid * channels
     if dim > n:
-        raise DimensionMismatch(f"dim {dim} exceeds flattened size {n}")
+        raise ConfigError(f"dim {dim} exceeds flattened size {n}")
     return EmbedderSpec(grid, channels, dim, _orthonormal_columns(n, dim, seed))
 
 
@@ -142,7 +133,7 @@ def downsample_boxes(frame: Frame, grid: int) -> Vector:
     """
     w, h, c = frame.width, frame.height, frame.channels
     if w < grid or h < grid:
-        raise DimensionMismatch(f"{w}x{h} frame is smaller than grid {grid}")
+        raise ConfigError(f"{w}x{h} frame is smaller than grid {grid}")
     px = frame.pixels
     return [
         sum([sum(px[start:stop:c]) for start, stop in spans]) / divisor
@@ -153,7 +144,7 @@ def downsample_boxes(frame: Frame, grid: int) -> Vector:
 def embed_frame(frame: Frame, spec: EmbedderSpec) -> Vector:
     """Project the normalized downsampled frame through spec.projection."""
     if frame.channels != spec.channels:
-        raise DimensionMismatch(
+        raise ConfigError(
             f"frame has {frame.channels} channels, spec expects {spec.channels}"
         )
     flat = downsample_boxes(frame, spec.grid)
@@ -171,7 +162,7 @@ class PrecomputedTable:
     def vector(self, video_id: str, frame_index: int) -> Vector:
         rows = self.videos.get(video_id)
         if rows is None or not 0 <= frame_index < len(rows):
-            raise MissingFrameEmbedding(video_id, frame_index)
+            raise DataError(f"no embedding for frame {frame_index} of video {video_id!r}")
         return rows[frame_index]
 
 
@@ -194,11 +185,11 @@ def load_precomputed(path) -> PrecomputedTable:
         table_rows: list[Vector] = []
         for idx, row in enumerate(rows):
             if row is None:
-                raise MissingFrameEmbedding(video_id, idx)
+                raise DataError(f"no embedding for frame {idx} of video {video_id!r}")
             label = f"{where}: video {video_id!r} frame {idx}"
             vector = finite_floats(row, ConfigError, label, DataError)
             if len(vector) != dim:
-                raise InconsistentDim(f"{label} has dim {len(vector)}, expected {dim}")
+                raise ConfigError(f"{label} has dim {len(vector)}, expected {dim}")
             # A finite norm bounds every entry, so no cosine or clip mean of
             # finite-norm rows overflows later, far from this file.
             if not math.isfinite(norm(vector)):

@@ -1,11 +1,12 @@
-"""The two families every protopipe failure belongs to, and JSON file I/O.
+"""The two exception classes every protopipe failure raises, and JSON file I/O.
 
-Each module's exceptions subclass one of these, so deciding whether a
-failure is the configuration's fault or the data's is made once, here,
-and the CLI maps the two bases to its exit codes. A plain ValueError that
-belongs to neither is a bug. `read_json` is the one way a loader opens its
-file, so a file that cannot be read or parsed raises the loader's family,
-and `write_json` is the one JSON writer.
+Every fault is a ConfigError or a DataError whose message names it; the
+CLI maps the two to its exit codes, and a caller tells faults apart by the
+message. A plain ValueError that belongs to neither is a bug. An error
+holds its message alone, so it pickles as itself from a worker process.
+`read_json` is the one way a loader opens its file, so a file that cannot
+be read or parsed raises the loader's family, and `write_json` is the one
+JSON writer.
 
 `read_object` is the one reader of the objects in every input file;
 `read_json` hands it the top level when given a schema. A schema maps each
@@ -15,14 +16,9 @@ floats; ROWS, FLOATS of one length; a nested schema, for an object; or
 `[s]`, an array read entry by entry by `s`. An unknown key, a missing
 key not named optional, a mistyped value, a NaN, an infinity or an integer
 too large for a float raises the loader's family and names the file.
-
-Every error of both families survives a pickle round trip with its type,
-message and attributes, so an error raised in a worker process reaches the
-CLI as itself.
 """
 from __future__ import annotations
 
-import copyreg
 import json
 import math
 from pathlib import Path
@@ -35,24 +31,12 @@ JSON_NAMES = {
 }
 
 
-def _rebuilt_without_init(self):
-    # BaseException.__reduce__ rebuilds an error by calling its class with
-    # `args`, the message alone, so a subclass whose __init__ takes other
-    # arguments (DecodeError's path and cause) fails to unpickle. This makes
-    # the copy with __new__ and restores the attributes, __init__ untouched.
-    return copyreg.__newobj__, (type(self), *self.args), self.__dict__ or None
-
-
 class ConfigError(ValueError):
     """The run was set up wrong: config, flags, weights or table layout."""
-
-    __reduce__ = _rebuilt_without_init
 
 
 class DataError(ValueError):
     """The run's input data is wrong: dataset, frames, prototypes or values."""
-
-    __reduce__ = _rebuilt_without_init
 
 
 def read_json(path, error: type[ValueError], what: str, schema=None, optional=()):

@@ -61,17 +61,10 @@ logger = logging.getLogger(__name__)
 ARM_ORDER = ("baseline", "adapt", "uniform", "filter")
 
 
-class UnknownArm(ConfigError):
-    def __init__(self, name: str):
-        super().__init__(
-            f"unknown ablation arm {name!r}; expected one of {', '.join(ARM_ORDER)}"
-        )
-
-
 def arm_runtime(base: PipelineRuntime, arm: str) -> PipelineRuntime:
     """Derive one cumulative arm from the fully-equipped base runtime."""
     if arm not in ARM_ORDER:
-        raise UnknownArm(arm)
+        raise ConfigError(f"unknown ablation arm {arm!r}; expected one of {', '.join(ARM_ORDER)}")
     sampler = base.sampler
     if arm in ("baseline", "adapt"):
         sampler = replace(sampler, policy="random")
@@ -94,8 +87,11 @@ def evaluate_users(
     filters) and every query frame, and `embed_plan` runs it. A query
     clip's vector depends only on the embedder, which no arm changes, so
     each is averaged once. The arms are then arithmetic over that result;
-    nothing outlives the call.
+    nothing outlives the call. An arm named twice is a ConfigError.
     """
+    repeated = [arm for n, arm in enumerate(arms) if arm in arms[:n]]
+    if repeated:
+        raise ConfigError(f"ablation arm {repeated[0]!r} is named more than once")
     episodes = [build_episode(manifest, uid) for uid in manifest.user_ids()]
     plan = plan_support(episodes, [arm_runtime(runtime, arm) for arm in arms])
     plan += [plan_query(video, runtime) for ep in episodes for video, _ in ep.query]

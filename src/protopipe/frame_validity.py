@@ -32,14 +32,6 @@ from .media_io.pnm import Frame
 logger = logging.getLogger(__name__)
 
 
-class FrameTooSmall(DataError):
-    pass
-
-
-class UnsupportedChannels(DataError):
-    pass
-
-
 @dataclass(frozen=True)
 class EdgeFilterConfig:
     tau_mag: float = 32.0  # Sobel magnitude threshold (8-bit scale, 0..~1443)
@@ -71,7 +63,7 @@ def to_grayscale(frame: Frame) -> Frame:
     if frame.channels == 1:
         return frame
     if frame.channels != 3:
-        raise UnsupportedChannels(f"{frame.channels} channels")
+        raise DataError(f"{frame.channels} channels")
     px = frame.pixels
     # No clamp to 255 is needed: every table grows with its byte and float
     # addition is monotone, so the largest luma is (255, 255, 255)'s, and
@@ -113,10 +105,10 @@ def edge_density(gray: Frame, tau_mag: float) -> float:
     gx*gx + gy*gy >= _min_edge_square(tau_mag).
     """
     if gray.channels != 1:
-        raise UnsupportedChannels("edge_density needs a grayscale frame")
+        raise DataError("edge_density needs a grayscale frame")
     w, h = gray.width, gray.height
     if w < 3 or h < 3:
-        raise FrameTooSmall(f"{w}x{h}: Sobel needs at least 3x3")
+        raise DataError(f"{w}x{h}: Sobel needs at least 3x3")
     n_min = _min_edge_square(tau_mag)
     px = gray.pixels
     rows = [px[y * w : (y + 1) * w] for y in range(h)]

@@ -16,13 +16,7 @@ import time
 from dataclasses import dataclass
 
 from ..errors import ConfigError, DataError
-from .pnm import Frame, PnmError, decode_pnm
-
-
-class DecodeError(DataError):
-    def __init__(self, path: str, cause: Exception):
-        super().__init__(f"{path}: {cause}")
-        self.path = path
+from .pnm import Frame, decode_pnm
 
 
 @dataclass(frozen=True)
@@ -60,8 +54,8 @@ def _read_one(path: str, cfg: LoaderConfig) -> Frame:
     data = _read_bytes(path)
     try:
         return decode_pnm(data)
-    except PnmError as exc:
-        raise DecodeError(str(path), exc) from exc
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def load_frames_parallel(paths: list[str], cfg: LoaderConfig) -> list[Frame]:

@@ -16,19 +16,6 @@ from pathlib import Path
 from ..errors import DataError, read_json, read_object
 
 
-class ManifestError(DataError):
-    pass
-
-
-class InvariantViolation(ManifestError):
-    pass
-
-
-class UnknownId(ManifestError):
-    def __init__(self, what: str, name: str):
-        super().__init__(f"unknown {what} {name!r} in dataset")
-
-
 KINDS = ("clean", "clutter")
 # The one schema of a manifest file, read by `errors.read_object`.
 MANIFEST_KEYS = {
@@ -79,13 +66,13 @@ class DatasetManifest:
         for u in self.users:
             if u.user_id == user_id:
                 return u
-        raise UnknownId("user", user_id)
+        raise DataError(f"unknown user {user_id!r} in dataset")
 
     def video(self, video_id: str) -> VideoRecord:
         for v in self.all_videos():
             if v.video_id == video_id:
                 return v
-        raise UnknownId("video", video_id)
+        raise DataError(f"unknown video {video_id!r} in dataset")
 
     def user_ids(self) -> list[str]:
         return [u.user_id for u in self.users]
@@ -117,13 +104,18 @@ def _stays_inside(path: str) -> bool:
 def parse_manifest(document, base_dir: Path, where: str = "manifest") -> DatasetManifest:
     """`document` read by MANIFEST_KEYS into records, every invariant checked.
 
-    Frame paths resolve against `base_dir`. A fault raises a ManifestError
+    Frame paths resolve against `base_dir`. A fault raises a DataError
     naming `where` and the key path at fault, which is built only then.
     """
-    doc = read_object(document, MANIFEST_KEYS, ManifestError, where)
+    doc = read_object(document, MANIFEST_KEYS, DataError, where)
+    # A string join, which gives str(base_dir / p) for a path p of plain
+    # components at a fraction of pathlib's cost: '.' adds no prefix, and a
+    # base that ends in '/' (the root) adds no second one.
+    base = str(base_dir)
+    prefix = "" if base == "." else base if base.endswith("/") else base + "/"
 
-    def fault(indices: tuple, key: str, message: str) -> InvariantViolation:
-        return InvariantViolation(f"bad {where}: {_key_path(indices, key)}: {message}")
+    def fault(indices: tuple, key: str, message: str) -> DataError:
+        return DataError(f"bad {where}: {_key_path(indices, key)}: {message}")
 
     def name(value: str, indices: tuple, key: str) -> str:
         if not value or "\0" in value:  # os.open raises ValueError on a NUL
@@ -150,7 +142,7 @@ def parse_manifest(document, base_dir: Path, where: str = "manifest") -> Dataset
                         if not _stays_inside(path):
                             raise fault(at, f"frames[{n}]", f"{path!r} must be a relative "
                                         "path with no '.', '..' or empty component")
-                videos.append(VideoRecord(video_id, kind, [str(base_dir / p) for p in frames]))
+                videos.append(VideoRecord(video_id, kind, [prefix + p for p in frames]))
                 video_at.append(at)
             for kind in KINDS:
                 if not any(v.kind == kind for v in videos):
@@ -164,6 +156,8 @@ def parse_manifest(document, base_dir: Path, where: str = "manifest") -> Dataset
             raise fault((i,), "objects", f"user {user_id!r} has {len(objects)} object(s); "
                         "an episode needs at least 2")
         users.append(UserRecord(user_id, objects))
+    if not users:  # nothing to evaluate, and no mean accuracy over users
+        raise fault((), "users", "a dataset needs at least one user")
     dupes, i = _duplicates([u.user_id for u in users])
     if dupes:
         raise fault((i,), "user_id", f"duplicate user_ids {dupes}")
@@ -179,4 +173,4 @@ def parse_manifest(document, base_dir: Path, where: str = "manifest") -> Dataset
 def load_manifest(path) -> DatasetManifest:
     """Load and validate a manifest JSON file."""
     path = Path(path)
-    return parse_manifest(read_json(path, ManifestError, "manifest"), path.parent, f"manifest {path}")
+    return parse_manifest(read_json(path, DataError, "manifest"), path.parent, f"manifest {path}")

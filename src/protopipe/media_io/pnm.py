@@ -11,22 +11,6 @@ from dataclasses import dataclass
 from ..errors import DataError
 
 
-class PnmError(DataError):
-    """Base class for codec failures."""
-
-
-class MalformedHeader(PnmError):
-    pass
-
-
-class UnsupportedMaxval(PnmError):
-    pass
-
-
-class TruncatedPayload(PnmError):
-    pass
-
-
 @dataclass(frozen=True)
 class Frame:
     """Decoded 8-bit raster, row-major with interleaved channels."""
@@ -61,7 +45,7 @@ def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
         else:
             break
     if pos >= n:
-        raise MalformedHeader("truncated header")
+        raise DataError("truncated header")
     start = pos
     while pos < n and data[pos] not in b" \t\r\n\x0b\x0c":
         pos += 1
@@ -71,14 +55,14 @@ def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
 def decode_pnm(data: bytes) -> Frame:
     """Decode a binary PGM (P5) or PPM (P6) byte string."""
     if len(data) < 2:
-        raise MalformedHeader("too short for a PNM header")
+        raise DataError("too short for a PNM header")
     magic = data[:2]
     if magic == b"P5":
         channels = 1
     elif magic == b"P6":
         channels = 3
     else:
-        raise MalformedHeader(f"unknown magic {magic!r}")
+        raise DataError(f"unknown magic {magic!r}")
     pos = 2
     fields: list[int] = []
     for name in ("width", "height", "maxval"):
@@ -86,25 +70,25 @@ def decode_pnm(data: bytes) -> Frame:
         try:
             value = int(token)
         except ValueError:
-            raise MalformedHeader(f"non-numeric {name} {token!r}") from None
+            raise DataError(f"non-numeric {name} {token!r}") from None
         if value <= 0:
-            raise MalformedHeader(f"non-positive {name} {value}")
+            raise DataError(f"non-positive {name} {value}")
         fields.append(value)
     width, height, maxval = fields
     if maxval != 255:
-        raise UnsupportedMaxval(f"maxval {maxval}, only 255 is supported")
+        raise DataError(f"maxval {maxval}, only 255 is supported")
     # Exactly one whitespace byte separates the header from the payload.
     if pos >= len(data) or data[pos] not in b" \t\r\n\x0b\x0c":
-        raise MalformedHeader("missing whitespace before payload")
+        raise DataError("missing whitespace before payload")
     pos += 1
     expected = width * height * channels
     payload = data[pos:]
     if len(payload) < expected:
-        raise TruncatedPayload(
+        raise DataError(
             f"payload is {len(payload)} bytes, expected {expected}"
         )
     if len(payload) > expected:
-        raise MalformedHeader("trailing bytes after pixel payload")
+        raise DataError("trailing bytes after pixel payload")
     return Frame(width, height, channels, payload)
 
 

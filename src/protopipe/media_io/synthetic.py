@@ -34,10 +34,6 @@ _RUN_ALIGN = 8
 _USER_HUE_STEP = 0.381966  # ~1/golden ratio, spreads user palettes
 
 
-class IoError(OSError):
-    pass
-
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     num_users: int = 2
@@ -246,7 +242,7 @@ def generate_synthetic_dataset(spec: GeneratorSpec, out_dir) -> DatasetManifest:
         write_json(out / MANIFEST_NAME, doc)
         write_json(out / SIDECAR_NAME, sidecar)
     except OSError as exc:
-        raise IoError(f"cannot write dataset under {out}: {exc}") from exc
+        raise OSError(f"cannot write dataset under {out}: {exc}") from exc
     return parse_manifest(doc, out)
 
 

@@ -34,14 +34,6 @@ from .errors import ConfigError, DataError
 Vector = list[float]
 
 
-class DimensionMismatch(ConfigError):
-    """Operand shapes are incompatible."""
-
-
-class EmptyInput(DataError):
-    """Operation needs at least one row/element."""
-
-
 @dataclass(frozen=True)
 class Matrix:
     """Immutable row-major float64 matrix."""
@@ -52,9 +44,9 @@ class Matrix:
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
-            raise DimensionMismatch(f"negative shape {self.rows}x{self.cols}")
+            raise ConfigError(f"negative shape {self.rows}x{self.cols}")
         if len(self.values) != self.rows * self.cols:
-            raise DimensionMismatch(
+            raise ConfigError(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
                 f"values, got {len(self.values)}"
             )
@@ -70,7 +62,7 @@ class Matrix:
         flat: list[float] = []
         for r in rows:
             if len(r) != m:
-                raise DimensionMismatch("ragged rows")
+                raise ConfigError("ragged rows")
             flat.extend(map(float, r))
         return cls(n, m, flat)
 
@@ -107,7 +99,7 @@ def dot(row: Sequence[float], col: Sequence[float]) -> float:
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     """Standard matrix product; entry (i, j) is dot(row i of a, column j of b)."""
     if a.cols != b.rows:
-        raise DimensionMismatch(
+        raise ConfigError(
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}"
         )
     k = a.cols
@@ -122,7 +114,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 def add(a: Matrix, b: Matrix) -> Matrix:
     if (a.rows, a.cols) != (b.rows, b.cols):
-        raise DimensionMismatch(
+        raise ConfigError(
             f"cannot add {a.rows}x{a.cols} and {b.rows}x{b.cols}"
         )
     return Matrix(a.rows, a.cols, [x + y for x, y in zip(a.values, b.values)])
@@ -131,7 +123,7 @@ def add(a: Matrix, b: Matrix) -> Matrix:
 def softmax_rows(m: Matrix) -> Matrix:
     """Row-wise softmax, max-shifted so large logits cannot overflow."""
     if m.rows == 0 or m.cols == 0:
-        raise EmptyInput("softmax_rows needs a nonempty matrix")
+        raise DataError("softmax_rows needs a nonempty matrix")
     out: list[float] = []
     for i in range(m.rows):
         row = m.row(i)
@@ -148,7 +140,7 @@ def layer_norm_rows(m: Matrix, gain: Vector, bias: Vector, eps: float) -> Matrix
     Uses population (biased) variance with eps added inside the square root.
     """
     if len(gain) != m.cols or len(bias) != m.cols:
-        raise DimensionMismatch(
+        raise ConfigError(
             f"gain/bias length {len(gain)}/{len(bias)} vs {m.cols} columns"
         )
     if eps <= 0:
@@ -180,7 +172,7 @@ def cosine_similarity(a: Vector, b: Vector, na: float, nb: float) -> float:
     DataError: min(1.0, nan) would otherwise score it a perfect match.
     """
     if len(a) != len(b):
-        raise DimensionMismatch(f"vector lengths {len(a)} vs {len(b)}")
+        raise ConfigError(f"vector lengths {len(a)} vs {len(b)}")
     ab = dot(a, b)
     if not math.isfinite(ab + na + nb):
         raise DataError("non-finite vector entry in cosine similarity")
@@ -192,12 +184,12 @@ def cosine_similarity(a: Vector, b: Vector, na: float, nb: float) -> float:
 def mean_vectors(vectors: Sequence[Vector]) -> Vector:
     """Arithmetic mean of same-length vectors."""
     if not vectors:
-        raise EmptyInput("mean of no vectors")
+        raise DataError("mean of no vectors")
     n = len(vectors[0])
     acc = [0.0] * n
     for v in vectors:
         if len(v) != n:
-            raise DimensionMismatch(f"vector lengths {len(v)} vs {n}")
+            raise ConfigError(f"vector lengths {len(v)} vs {n}")
         for j, x in enumerate(v):
             acc[j] += x
     return [x / len(vectors) for x in acc]
@@ -215,11 +207,11 @@ def scale(m: Matrix, c: float) -> Matrix:
 def hconcat(blocks: Sequence[Matrix]) -> Matrix:
     """Concatenate matrices with equal row counts along columns."""
     if not blocks:
-        raise EmptyInput("hconcat of no blocks")
+        raise DataError("hconcat of no blocks")
     rows = blocks[0].rows
     for b in blocks:
         if b.rows != rows:
-            raise DimensionMismatch("hconcat row counts differ")
+            raise ConfigError("hconcat row counts differ")
     out: list[float] = []
     for i in range(rows):
         for b in blocks:

@@ -22,6 +22,7 @@ or video; `evaluation.evaluate_users` runs one plan for every arm.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from array import array
 from collections.abc import Sequence
@@ -31,7 +32,7 @@ from functools import cached_property
 from .adaptation import TransformerWeights, adapt_prototypes
 from .clip_sampling import SamplerConfig, causal_sliding_window, sample_clips
 from .embedding import EmbedderSpec, PrecomputedTable, embed_frame
-from .errors import ROWS, DataError, read_json, write_json
+from .errors import ROWS, ConfigError, DataError, read_json, write_json
 from .frame_validity import (
     ClipAudit,
     EdgeFilterConfig,
@@ -42,23 +43,7 @@ from .frame_validity import (
 from .media_io.loader import LoaderConfig, load_frames_parallel
 from .media_io.manifest import DatasetManifest, UserRecord, VideoRecord
 from .media_io.pnm import Frame
-from .numerics import (
-    DimensionMismatch,
-    Matrix,
-    Vector,
-    cosine_similarity,
-    mean_vectors,
-    norm,
-)
-
-
-class EmptyClass(DataError):
-    def __init__(self, label: str):
-        super().__init__(f"class {label!r} has no clip embeddings")
-
-
-class LengthMismatch(DataError):
-    pass
+from .numerics import Matrix, Vector, cosine_similarity, mean_vectors, norm
 
 
 @dataclass(frozen=True)
@@ -76,11 +61,11 @@ class Prototypes:
         if len(set(self.labels)) != n:
             raise ValueError("class labels must be distinct")
         if self.raw.rows != n or self.adapted.rows != n:
-            raise DimensionMismatch(
+            raise ConfigError(
                 f"{n} labels but {self.raw.rows}/{self.adapted.rows} prototype rows"
             )
         if self.raw.cols != self.adapted.cols:
-            raise DimensionMismatch("raw/adapted dimension disagree")
+            raise ConfigError("raw/adapted dimension disagree")
 
     @property
     def dim(self) -> int:
@@ -128,7 +113,7 @@ def compute_prototypes(per_class: list[tuple[str, list[Vector]]]) -> Matrix:
     rows = []
     for label, clips in per_class:
         if not clips:
-            raise EmptyClass(label)
+            raise DataError(f"class {label!r} has no clip embeddings")
         rows.append(mean_vectors(clips))
     return Matrix.from_rows(rows)
 
@@ -136,7 +121,7 @@ def compute_prototypes(per_class: list[tuple[str, list[Vector]]]) -> Matrix:
 def classify_clip(q: Vector, protos: Prototypes) -> tuple[str, list[float]]:
     """Cosine against every adapted prototype row; ties go to the lowest index."""
     if len(q) != protos.dim:
-        raise DimensionMismatch(f"query dim {len(q)} != prototype dim {protos.dim}")
+        raise ConfigError(f"query dim {len(q)} != prototype dim {protos.dim}")
     nq = norm(q)
     scores = [cosine_similarity(q, row, nq, n) for row, n in protos.scoring_rows]
     best = max(range(len(scores)), key=lambda k: scores[k])
@@ -400,13 +385,13 @@ def per_user_accuracy(results: dict[str, list[tuple[list[str], list[str]]]]) -> 
         hits = total = 0
         for predicted, truth in pairs:
             if len(predicted) != len(truth):
-                raise LengthMismatch(
+                raise DataError(
                     f"user {user_id}: {len(predicted)} predictions vs {len(truth)} labels"
                 )
             hits += sum(1 for p, t in zip(predicted, truth) if p == t)
             total += len(truth)
         if total == 0:
-            raise LengthMismatch(f"user {user_id}: no frames to score")
+            raise DataError(f"user {user_id}: no frames to score")
         out[user_id] = hits / total
     return out
 
@@ -432,6 +417,12 @@ PROTOTYPES_KEYS = {
 def load_prototypes(path) -> Prototypes:
     """Prototypes JSON, read by PROTOTYPES_KEYS; every fault is a DataError."""
     doc = read_json(path, DataError, "prototypes file", PROTOTYPES_KEYS)
+    for key in ("raw", "adapted"):
+        for i, row in enumerate(doc[key]):
+            # A finite norm bounds every entry, as for a table row, so no
+            # cosine against the row overflows later.
+            if not math.isfinite(norm(row)):
+                raise DataError(f"bad prototypes file {path}: {key}[{i}] has a non-finite norm")
     try:
         protos = Prototypes(
             doc["user_id"], tuple(doc["labels"]), Matrix.from_rows(doc["raw"]),

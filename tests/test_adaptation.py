@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,7 +13,6 @@ import pytest
 from _oracles import np_transformer_block, random_transformer_weights
 
 from protopipe.adaptation import (
-    ShapeMismatch,
     TransformerWeights,
     adapt_prototypes,
     attention_matrices,
@@ -93,7 +93,8 @@ class TestAttention:
 
     def test_prototype_dim_must_match(self):
         w = random_transformer_weights(8, seed=1)
-        with pytest.raises(ShapeMismatch):
+        message = "prototypes: expected shape (2, 8), got (2, 6)"
+        with pytest.raises(ConfigError, match=re.escape(message)):
             attention_matrices(random_matrix(2, 6, seed=0), w)
 
 
@@ -180,7 +181,8 @@ class TestCenteringAdapter:
 class TestValidationAndSerialization:
     def test_wrong_output_projection_shape(self):
         w = random_transformer_weights(8, seed=0)
-        with pytest.raises(ShapeMismatch) as info:
+        message = "w_o: expected shape (8, 8), got (8, 4)"
+        with pytest.raises(ConfigError, match=re.escape(message)) as info:
             TransformerWeights(
                 d=8, h=1, d_ff=w.d_ff,
                 w_q=w.w_q, w_k=w.w_k, w_v=w.w_v,
@@ -197,7 +199,7 @@ class TestValidationAndSerialization:
 
     def test_wrong_head_matrix_count(self):
         w = random_transformer_weights(8, h=2, seed=0)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ConfigError, match=re.escape("w_q: expected shape (2,), got (1,)")):
             TransformerWeights(
                 d=8, h=2, d_ff=w.d_ff,
                 w_q=w.w_q[:1], w_k=w.w_k, w_v=w.w_v,

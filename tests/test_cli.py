@@ -156,12 +156,6 @@ class TestPersonalize:
         assert rc == EXIT_CONFIG
         assert "unknown key" in capsys.readouterr().err
 
-    def test_bad_seed_env(self, workspace, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("PROTOPIPE_SEED", "banana")
-        rc = run_personalize(workspace, tmp_path / "p.json")
-        assert rc == EXIT_CONFIG
-        assert "PROTOPIPE_SEED" in capsys.readouterr().err
-
 
 class TestRecognize:
     @pytest.fixture()
@@ -267,6 +261,12 @@ class TestEvaluate:
         rc = self.run(workspace, tmp_path / "r.json", arms="baseline,turbo")
         assert rc == EXIT_CONFIG
         assert "turbo" in capsys.readouterr().err
+
+    def test_repeated_arm(self, workspace, tmp_path, capsys):
+        rc = self.run(workspace, tmp_path / "r.json", arms="baseline,adapt,baseline")
+        assert rc == EXIT_CONFIG
+        assert "error: ablation arm 'baseline' is named more than once" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_duplicate_video_id_is_a_data_error(self, workspace, tmp_path, capsys):
         # user01's clutter video takes user00's id: evaluate must refuse the
@@ -544,6 +544,37 @@ class TestInputErrors:
         )
         assert rc == EXIT_DATA
         assert str(protos) in capsys.readouterr().err
+        assert not (tmp_path / "preds.json").exists()
+
+    @pytest.mark.parametrize("key", ["raw", "adapted"])
+    def test_overflowing_prototype_row_exits_3_at_load(
+        self, workspace, tmp_path, capsys, monkeypatch, key
+    ):
+        data, config = workspace
+        protos = tmp_path / "protos.json"
+        assert self.personalize(workspace, config, protos) == EXIT_OK
+        doc = json.loads(protos.read_text())
+        doc[key][1] = [1e308] * doc["dim"]  # every entry finite, the norm not
+        protos.write_text(json.dumps(doc))
+        decoded, load_frames = [], protonet.load_frames
+
+        def spy(*args):
+            decoded.append(args)
+            return load_frames(*args)
+
+        monkeypatch.setattr(protonet, "load_frames", spy)
+        rc = main(
+            [
+                "recognize", "--prototypes", str(protos), "--dataset", str(data),
+                "--video", "user00_obj00_clutter00", "--config", str(config),
+                "--out", str(tmp_path / "preds.json"),
+            ]
+        )
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: bad prototypes file {protos}: {key}[1] has a non-finite norm\n"
+        )
+        assert decoded == []
         assert not (tmp_path / "preds.json").exists()
 
     @pytest.mark.parametrize(

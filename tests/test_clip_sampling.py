@@ -9,7 +9,6 @@ from scipy import stats
 from protopipe.clip_sampling import (
     WITHIN_CHUNK_CHOICES,
     ClipIndex,
-    InsufficientFrames,
     SamplerConfig,
     causal_sliding_window,
     enumerate_candidates,
@@ -17,6 +16,7 @@ from protopipe.clip_sampling import (
     sample_clips,
     uniform_sample_clips,
 )
+from protopipe.errors import DataError
 
 
 def starts(clips):
@@ -61,7 +61,7 @@ class TestUniformSampler:
 
     def test_too_short_raises(self):
         cfg = SamplerConfig(clip_length=8, clips_per_video=2)
-        with pytest.raises(InsufficientFrames):
+        with pytest.raises(DataError, match="^7 frames cannot fit a 8-frame clip$"):
             uniform_sample_clips(7, cfg)
 
     def test_seeded_random_is_reproducible(self):
@@ -124,7 +124,7 @@ class TestRandomSampler:
 
     def test_too_short_raises(self):
         cfg = SamplerConfig(policy="random", clip_length=8)
-        with pytest.raises(InsufficientFrames):
+        with pytest.raises(DataError, match="^7 frames cannot fit a 8-frame clip$"):
             random_sample_clips(7, cfg)
 
     def test_policy_mismatch(self):
@@ -162,7 +162,8 @@ class TestDispatch:
         # One clip per chunk under uniform is test_random_triples_structure.
         cfg = SamplerConfig(length, k, policy, within, seed)
         if num_frames < length:
-            with pytest.raises(InsufficientFrames):
+            message = f"^{num_frames} frames cannot fit a {length}-frame clip$"
+            with pytest.raises(DataError, match=message):
                 sample_clips(num_frames, cfg)
             return
         clips = sample_clips(num_frames, cfg)

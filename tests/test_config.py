@@ -8,12 +8,7 @@ import pytest
 
 from protopipe.adaptation import centering_adapter_weights, save_transformer_weights
 from protopipe.cli import EXIT_CONFIG, main
-from protopipe.config import (
-    ConfigError,
-    build_runtime,
-    effective_seed,
-    load_config,
-)
+from protopipe.config import ConfigError, build_runtime, load_config
 from protopipe.evaluation import make_rigged_scenario
 
 FULL_DOC = {
@@ -207,19 +202,10 @@ class TestDigest:
 
 
 class TestSeedPrecedence:
-    def test_flag_beats_env_beats_config(self, tmp_path, monkeypatch):
+    def test_flag_beats_config(self, tmp_path):
         config = load_config(write_config(tmp_path, FULL_DOC))
-        monkeypatch.delenv("PROTOPIPE_SEED", raising=False)
-        assert effective_seed(config, None) == 7
-        monkeypatch.setenv("PROTOPIPE_SEED", "21")
-        assert effective_seed(config, None) == 21
-        assert effective_seed(config, 99) == 99
-
-    def test_bad_env_value(self, tmp_path, monkeypatch):
-        config = load_config(write_config(tmp_path, FULL_DOC))
-        monkeypatch.setenv("PROTOPIPE_SEED", "pi")
-        with pytest.raises(ConfigError, match="PROTOPIPE_SEED"):
-            effective_seed(config, None)
+        assert build_runtime(config).seed == 7
+        assert build_runtime(config, seed=99).seed == 99
 
 
 class TestBuildRuntime:

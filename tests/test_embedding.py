@@ -12,8 +12,6 @@ from _oracles import loop_matmul, np_downsample_boxes, ref_orthonormal_columns
 from protopipe.clip_sampling import SamplerConfig
 from protopipe.embedding import (
     EmbedderSpec,
-    InconsistentDim,
-    MissingFrameEmbedding,
     PrecomputedTable,
     downsample_boxes,
     embed_frame,
@@ -25,7 +23,7 @@ from protopipe.errors import ConfigError, DataError
 from protopipe.frame_validity import EdgeFilterConfig
 from protopipe.media_io.manifest import VideoRecord
 from protopipe.media_io.pnm import Frame
-from protopipe.numerics import DimensionMismatch, Matrix
+from protopipe.numerics import Matrix
 from protopipe.protonet import PipelineRuntime, compute_prototypes, video_frame_vectors
 
 
@@ -72,7 +70,7 @@ class TestDownsample:
                 assert downsample_boxes(frame, grid) == want, (w, h, grid, channels)
 
     def test_frame_smaller_than_grid(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ConfigError, match="^3x3 frame is smaller than grid 4$"):
             downsample_boxes(Frame(3, 3, 1, bytes(9)), 4)
 
     def test_range(self):
@@ -106,13 +104,13 @@ class TestProjection:
         assert [x.hex() for x in spec.projection.values] == [x.hex() for x in want]
 
     def test_dim_cannot_exceed_flattened_size(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ConfigError, match="^dim 5 exceeds flattened size 4$"):
             make_patch_projection_spec(grid=2, channels=1, dim=5)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             EmbedderSpec(2, 1, 1, Matrix.identity(4))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ConfigError, match=re.escape("projection must be 4x4, got (3, 3)")):
             EmbedderSpec(2, 1, 4, Matrix.identity(3))
 
     def test_load_matches_constructed_spec(self, tmp_path):
@@ -195,7 +193,7 @@ class TestEmbedFrame:
 
     def test_channel_mismatch(self):
         spec = make_patch_projection_spec(grid=2, channels=3, dim=4)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ConfigError, match="^frame has 1 channels, spec expects 3$"):
             embed_frame(Frame(4, 4, 1, bytes(16)), spec)
 
 def clip_vector(frames, spec):
@@ -244,21 +242,23 @@ class TestPrecomputed:
 
     def test_lookup_bounds(self):
         table = PrecomputedTable(2, {"v0": [[1.0, 2.0]]})
-        with pytest.raises(MissingFrameEmbedding):
+        with pytest.raises(DataError, match="^no embedding for frame 1 of video 'v0'$"):
             table.vector("v0", 1)
-        with pytest.raises(MissingFrameEmbedding):
+        with pytest.raises(DataError, match="^no embedding for frame 0 of video 'missing'$"):
             table.vector("missing", 0)
 
     def test_null_row_rejected_at_load(self, tmp_path):
         path = self.write_table(tmp_path, {"dim": 2, "videos": {"v0": [None]}})
-        with pytest.raises(MissingFrameEmbedding):
+        with pytest.raises(DataError, match="^no embedding for frame 0 of video 'v0'$"):
             load_precomputed(path)
 
     def test_mixed_dims_rejected(self, tmp_path):
         path = self.write_table(
             tmp_path, {"dim": 2, "videos": {"v0": [[1.0, 2.0], [1.0]]}}
         )
-        with pytest.raises(InconsistentDim):
+        with pytest.raises(ConfigError, match=re.escape(
+            f"bad embeddings file {path}: video 'v0' frame 1 has dim 1, expected 2"
+        )):
             load_precomputed(path)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -311,7 +311,7 @@ class TestPrecomputed:
         long = VideoRecord("v0", "clean", ["f0", "f1"])
         other = VideoRecord("v1", "clean", ["f0"])
         assert video_frame_vectors(good, runtime, [0]) == ([[0.0, 0.0]], [])
-        with pytest.raises(MissingFrameEmbedding):
+        with pytest.raises(DataError, match="^no embedding for frame 1 of video 'v0'$"):
             video_frame_vectors(long, runtime, [0, 1])
-        with pytest.raises(MissingFrameEmbedding):
+        with pytest.raises(DataError, match="^no embedding for frame 0 of video 'v1'$"):
             video_frame_vectors(other, runtime, [0])

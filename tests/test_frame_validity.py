@@ -12,14 +12,13 @@ from protopipe.clip_sampling import ClipIndex
 from protopipe.frame_validity import (
     ClipAudit,
     EdgeFilterConfig,
-    FrameTooSmall,
     SampledClip,
-    UnsupportedChannels,
     edge_density,
     filter_clips,
     is_frame_valid,
     to_grayscale,
 )
+from protopipe.errors import DataError
 from protopipe.media_io.pnm import Frame
 
 
@@ -70,7 +69,7 @@ class TestGrayscale:
         assert got[-1] == (255 if blue else 226)
 
     def test_sobel_rejects_rgb(self):
-        with pytest.raises(UnsupportedChannels):
+        with pytest.raises(DataError, match="^edge_density needs a grayscale frame$"):
             edge_density(Frame(3, 3, 3, bytes(27)), 32.0)
 
 
@@ -142,9 +141,9 @@ class TestSobel:
             )
 
     def test_too_small(self):
-        with pytest.raises(FrameTooSmall):
+        with pytest.raises(DataError, match="^2x2: Sobel needs at least 3x3$"):
             edge_density(gray([[0, 0], [0, 0]]), 32.0)
-        with pytest.raises(FrameTooSmall):
+        with pytest.raises(DataError, match="^3x2: Sobel needs at least 3x3$"):
             edge_density(gray([[0, 0, 0], [0, 0, 0]]), 32.0)
 
 

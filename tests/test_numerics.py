@@ -8,10 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from protopipe.errors import DataError
+from protopipe.errors import ConfigError, DataError
 from protopipe.numerics import (
-    DimensionMismatch,
-    EmptyInput,
     Matrix,
     add,
     cosine_similarity,
@@ -45,7 +43,7 @@ def as_np(m: Matrix) -> np.ndarray:
 
 
 def test_matrix_rejects_wrong_value_count():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ConfigError, match="^2x3 matrix needs 6 values, got 5$"):
         Matrix(2, 3, [1.0] * 5)
 
 
@@ -57,7 +55,7 @@ def test_matrix_rejects_nonfinite():
 
 
 def test_matrix_rejects_ragged_rows():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ConfigError, match="^ragged rows$"):
         Matrix.from_rows([[1.0, 2.0], [3.0]])
 
 
@@ -131,7 +129,7 @@ def test_matmul_is_bitwise_the_accumulate_loop(operands):
 
 
 def test_matmul_shape_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ConfigError, match="^cannot multiply 2x3 by 2x3$"):
         matmul(Matrix.zeros(2, 3), Matrix.zeros(2, 3))
 
 
@@ -167,7 +165,7 @@ def test_softmax_direct_evaluation():
 
 
 def test_softmax_empty_is_error():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(DataError, match="^softmax_rows needs a nonempty matrix$"):
         softmax_rows(Matrix.zeros(0, 0))
 
 
@@ -250,7 +248,7 @@ def test_layer_norm_normalizes_high_variance_rows():
 
 def test_layer_norm_validates_shapes_and_eps():
     m = Matrix.from_rows([[1.0, 2.0]])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ConfigError, match="^gain/bias length 1/2 vs 2 columns$"):
         layer_norm_rows(m, [1.0], [0.0, 0.0], 1e-5)
     with pytest.raises(ValueError):
         layer_norm_rows(m, [1.0, 1.0], [0.0, 0.0], 0.0)
@@ -311,7 +309,7 @@ def test_cosine_is_bitwise_the_generator_sum_reference(pair):
 
 
 def test_cosine_length_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ConfigError, match="^vector lengths 1 vs 2$"):
         cosine([1.0], [1.0, 2.0])
 
 
@@ -365,15 +363,15 @@ def test_mean_rows_idempotent_on_identical_rows():
 
 
 def test_mean_rows_empty():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(DataError, match="^mean of no vectors$"):
         mean_vectors(Matrix.zeros(0, 3).to_rows())
 
 
 def test_mean_vectors():
     assert mean_vectors([[1.0, 1.0], [3.0, 5.0]]) == [2.0, 3.0]
-    with pytest.raises(EmptyInput):
+    with pytest.raises(DataError, match="^mean of no vectors$"):
         mean_vectors([])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ConfigError, match="^vector lengths 2 vs 1$"):
         mean_vectors([[1.0], [1.0, 2.0]])
 
 
@@ -389,7 +387,7 @@ def test_add_and_scale():
     b = Matrix.from_rows([[10.0, 20.0]])
     assert add(a, b).to_rows() == [[11.0, 22.0]]
     assert scale(a, -2.0).to_rows() == [[-2.0, -4.0]]
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ConfigError, match="^cannot add 1x2 and 2x2$"):
         add(a, Matrix.zeros(2, 2))
 
 
@@ -397,7 +395,7 @@ def test_hconcat():
     a = Matrix.from_rows([[1, 2], [3, 4]])
     b = Matrix.from_rows([[5], [6]])
     assert hconcat([a, b]).to_rows() == [[1, 2, 5], [3, 4, 6]]
-    with pytest.raises(EmptyInput):
+    with pytest.raises(DataError, match="^hconcat of no blocks$"):
         hconcat([])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ConfigError, match="^hconcat row counts differ$"):
         hconcat([a, Matrix.zeros(3, 1)])

@@ -1,17 +1,12 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
-from protopipe.media_io.pnm import (
-    Frame,
-    MalformedHeader,
-    TruncatedPayload,
-    UnsupportedMaxval,
-    decode_pnm,
-    encode_pnm,
-)
+from protopipe.errors import DataError
+from protopipe.media_io.pnm import Frame, decode_pnm, encode_pnm
 
 
 def make_corpus(count=100, seed=1234):
@@ -73,36 +68,36 @@ def test_payload_byte_looking_like_whitespace_survives():
     assert frame.pixels == bytes([0x0A, 0x20])
 
 
-@pytest.mark.parametrize(
-    "data",
-    [
-        b"",
-        b"P",
-        b"P7 1 1 255 \x00",
-        b"P5 1 255 ",  # missing a header field
-        b"P5 x 1 255 \x00",
-        b"P5 0 1 255 ",
-        b"P5 -1 1 255 ",
-        b"P5 1 1 255",  # no whitespace separator before payload
-    ],
-)
+MALFORMED = {
+    b"": "too short for a PNM header",
+    b"P": "too short for a PNM header",
+    b"P7 1 1 255 \x00": "unknown magic b'P7'",
+    b"P5 1 255 ": "truncated header",  # missing a header field
+    b"P5 x 1 255 \x00": "non-numeric width b'x'",
+    b"P5 0 1 255 ": "non-positive width 0",
+    b"P5 -1 1 255 ": "non-positive width -1",
+    b"P5 1 1 255": "missing whitespace before payload",  # no separator before payload
+}
+
+
+@pytest.mark.parametrize("data", list(MALFORMED))
 def test_malformed_headers(data):
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(DataError, match=f"^{re.escape(MALFORMED[data])}$"):
         decode_pnm(data)
 
 
 def test_unsupported_maxval():
-    with pytest.raises(UnsupportedMaxval):
+    with pytest.raises(DataError, match="^maxval 65535, only 255 is supported$"):
         decode_pnm(b"P5 1 1 65535 \x00\x00")
 
 
 def test_truncated_payload():
-    with pytest.raises(TruncatedPayload):
+    with pytest.raises(DataError, match="^payload is 2 bytes, expected 4$"):
         decode_pnm(b"P5 2 2 255 \x00\x01")
 
 
 def test_trailing_bytes_rejected():
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(DataError, match="^trailing bytes after pixel payload$"):
         decode_pnm(b"P5 1 1 255 \x00\x01")
 
 

@@ -14,16 +14,14 @@ from protopipe.adaptation import centering_adapter_weights
 from protopipe.clip_sampling import SamplerConfig
 from protopipe.config import build_runtime, load_config
 from protopipe.embedding import PrecomputedTable, make_patch_projection_spec
-from protopipe.errors import DataError
+from protopipe.errors import ConfigError, DataError
 from protopipe.evaluation import make_rigged_scenario
 from protopipe.frame_validity import EdgeFilterConfig
 from protopipe.media_io.manifest import VideoRecord
-from protopipe.numerics import DimensionMismatch, Matrix, cosine_similarity, norm
+from protopipe.numerics import Matrix, cosine_similarity, norm
 from protopipe.protonet import (
-    EmptyClass,
     Episode,
     FramePrediction,
-    LengthMismatch,
     PipelineRuntime,
     Prototypes,
     build_episode,
@@ -73,7 +71,7 @@ class TestPrototypes:
         assert a.row(0) == pytest.approx(b.row(0), abs=1e-12)
 
     def test_empty_class(self):
-        with pytest.raises(EmptyClass):
+        with pytest.raises(DataError, match="^class 'a' has no clip embeddings$"):
             compute_prototypes([("a", [])])
 
     def test_validation(self):
@@ -83,7 +81,7 @@ class TestPrototypes:
             Prototypes("u", ("a",), single, single, "d")
         with pytest.raises(ValueError):
             Prototypes("u", ("a", "a"), m, m, "d")
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ConfigError, match="^3 labels but 2/2 prototype rows$"):
             Prototypes("u", ("a", "b", "c"), m, m, "d")
 
 
@@ -130,7 +128,7 @@ class TestClassify:
         assert classify_clip([1.0, 0.0], protos)[0] == "b"  # the adapted rows
 
     def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ConfigError, match="^query dim 3 != prototype dim 2$"):
             classify_clip([1.0, 0.0, 0.0], toy_prototypes())
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -339,7 +337,7 @@ class TestScoring:
         got = per_user_accuracy(results)
         assert got["u0"] == pytest.approx(2 / 3)
         assert got["u1"] == 1.0
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DataError, match="^user u: 1 predictions vs 0 labels$"):
             per_user_accuracy({"u": [(["a"], [])]})
 
 
