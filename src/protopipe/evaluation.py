@@ -11,6 +11,12 @@ The report carries per-user accuracy (micro-averaged over that user's query
 frames), an aggregate (macro mean over users), and each arm's delta against
 the previous arm.
 
+The user is the unit of parallel work: each user's frames are planned,
+embedded and scored under every arm by one function, mapped over forked
+worker processes by `protonet.map_split` when the evaluate's planned frames
+pay for a pool, and only the predicted labels come back. A one-user
+evaluate runs here, and its plan is split by video instead.
+
 The "rigged" scenario built by `make_rigged_scenario` is a synthetic dataset
 plus config constructed so the ordering baseline <= uniform <= filter is a
 property of the data rather than a hope:
@@ -46,14 +52,18 @@ from .errors import ConfigError, write_json
 from .media_io.manifest import DatasetManifest
 from .media_io.synthetic import GeneratorSpec, generate_synthetic_dataset
 from .protonet import (
+    Episode,
     PipelineRuntime,
+    VideoPlan,
     build_episode,
     classify_clip,
     embed_plan,
+    map_split,
     per_user_accuracy,
     personalize,
     plan_query,
     plan_support,
+    planned_frames,
 )
 
 logger = logging.getLogger(__name__)
@@ -75,6 +85,30 @@ def arm_runtime(base: PipelineRuntime, arm: str) -> PipelineRuntime:
     return replace(base, sampler=sampler, edge_filter=edge_filter, adapter=adapter)
 
 
+def _user_predictions(
+    episode: Episode,
+    plan: list[VideoPlan],
+    runtime: PipelineRuntime,
+    runtimes: list[PipelineRuntime],
+) -> list[list[list[str]]]:
+    """One user's whole evaluate: per arm, per query video, each frame's label.
+
+    The user's plan is embedded once; each query clip is averaged once, as
+    its vector depends only on the embedder, which no arm changes. The arms
+    are then arithmetic over that result.
+    """
+    found = embed_plan(plan, runtime)
+    clips = found[0]
+    out = []
+    for rt in runtimes:
+        protos, _ = personalize(episode, rt, found)
+        out.append([
+            [classify_clip(clips[video.video_id, t], protos)[0] for t in range(video.num_frames)]
+            for video, _ in episode.query
+        ])
+    return out
+
+
 def evaluate_users(
     manifest: DatasetManifest,
     runtime: PipelineRuntime,
@@ -82,36 +116,35 @@ def evaluate_users(
 ) -> dict:
     """Personalize + recognize every user under every arm.
 
-    Every frame is read once, before any arm runs: one plan holds each
-    support video's frames that some arm samples (gated too when an arm
-    filters) and every query frame, and `embed_plan` runs it. A query
-    clip's vector depends only on the embedder, which no arm changes, so
-    each is averaged once. The arms are then arithmetic over that result;
-    nothing outlives the call. An arm named twice is a ConfigError.
+    Each user's plan holds the frames of their support videos that some
+    arm samples (gated too when an arm filters) and every query frame, and
+    is made before any pixel is read. `map_split` runs `_user_predictions`
+    over the users, split over worker processes when the planned frames of
+    all users reach `POOL_MIN_FRAMES`, so the outputs do not depend on
+    where it ran. Nothing outlives the call. An arm named twice is a
+    ConfigError.
     """
     repeated = [arm for n, arm in enumerate(arms) if arm in arms[:n]]
     if repeated:
         raise ConfigError(f"ablation arm {repeated[0]!r} is named more than once")
     episodes = [build_episode(manifest, uid) for uid in manifest.user_ids()]
-    plan = plan_support(episodes, [arm_runtime(runtime, arm) for arm in arms])
-    plan += [plan_query(video, runtime) for ep in episodes for video, _ in ep.query]
-    found = embed_plan(plan, runtime)
-    clips = found[0]
+    runtimes = [arm_runtime(runtime, arm) for arm in arms]
+    plans = [
+        plan_support([ep], runtimes) + [plan_query(video, runtime) for video, _ in ep.query]
+        for ep in episodes
+    ]
+    predictions = map_split(
+        lambda item: _user_predictions(*item, runtime, runtimes),
+        list(zip(episodes, plans)),
+        planned_frames([part for plan in plans for part in plan]),
+    )
     rows = []
     previous: float | None = None
-    for arm in arms:
-        rt = arm_runtime(runtime, arm)
-        results = {}
-        for ep in episodes:
-            protos, _ = personalize(ep, rt, found)
-            pairs = []
-            for video, truth in ep.query:
-                preds = [
-                    classify_clip(clips[video.video_id, t], protos)[0]
-                    for t in range(video.num_frames)
-                ]
-                pairs.append((preds, list(truth)))
-            results[ep.user_id] = pairs
+    for k, arm in enumerate(arms):
+        results = {
+            ep.user_id: [(preds, list(truth)) for preds, (_, truth) in zip(labels[k], ep.query)]
+            for ep, labels in zip(episodes, predictions)
+        }
         per_user = per_user_accuracy(results)
         aggregate = sum(per_user.values()) / len(per_user)
         delta = 0.0 if previous is None else aggregate - previous

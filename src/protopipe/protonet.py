@@ -15,9 +15,15 @@ frames a run reads are known before any pixel is: per video, the sampled
 support frames to embed, the frames the edge filter gates, and every query
 frame. `embed_plan` is the one executor: it decodes each planned frame
 once, gates and embeds it, and returns vectors and validity keyed by
-(video_id, index), splitting the videos over worker processes when that
-pays. `personalize` and `recognize_video` run a plan of their own episode
-or video; `evaluation.evaluate_users` runs one plan for every arm.
+(video_id, index). `personalize` and `recognize_video` run a plan of their
+own episode or video; `evaluation.evaluate_users` runs one plan per user,
+for every arm.
+
+`map_split` is the one pool: it maps a function over items in forked
+worker processes when the planned work pays for them. In a one-episode
+run the video is the unit of parallel work (`embed_plan` maps over the
+plan's videos); in an evaluate the user is, and a worker runs its user's
+plan in its own process.
 """
 from __future__ import annotations
 
@@ -255,43 +261,66 @@ def video_frame_vectors(
     return vectors, valid
 
 
-# Below this many frames to embed, a plan runs in this process. On a 2-vCPU
-# Intel Xeon VM (2.0 GHz), with the rigged 192x192 projection and two 32x32
-# videos, two workers took 32-37 ms for 16 frames against 25-33 ms in this
-# process, and 41-51 ms for 32 frames against 48-63 ms (medians of 9); see
-# README, "Parallel embedding".
-POOL_MIN_FRAMES = 32
-_worker_runtime: PipelineRuntime | None = None  # a worker process's runtime
+# Below this many planned frames (`planned_frames`), `map_split` runs here.
+# On a 2-vCPU Intel Xeon VM (2.0 GHz) two workers won an evaluate from 64
+# planned frames with the rigged 192x192 projection or a dim-192 table, but
+# lost below about 150 with the tests' dim-16 projection or table (84 ms
+# against 66 ms in this process at 108 frames); see README, "Parallel work".
+POOL_MIN_FRAMES = 128
+_worker_fn = None  # the function a worker process maps, set when it starts
 
 
-def _start_worker(runtime: PipelineRuntime) -> None:
-    global _worker_runtime
-    _worker_runtime = runtime
+def _usable_cpus() -> int:
+    """CPUs this process may use; one in a worker, which starts no pool."""
+    if _worker_fn is not None or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
-def _run_part(part: VideoPlan, runtime: PipelineRuntime | None = None):
-    """One video's part of a plan, in this process or, without a runtime, in a worker."""
-    runtime = runtime or _worker_runtime
-    return video_frame_vectors(part.video, runtime, part.embed, part.gate, part.window)
+def planned_frames(plan: Sequence[VideoPlan]) -> int:
+    """How many frames a plan embeds or gates: its work, for `map_split`."""
+    return sum(1 for part in plan for _ in set(part.embed).union(part.gate))
 
 
-def _map_in_workers(
-    plan: Sequence[VideoPlan], runtime: PipelineRuntime, workers: int
-) -> list[tuple[list[Vector], list[bool]]]:
+def _start_worker(fn) -> None:
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _call_in_worker(item):
+    return _worker_fn(item)
+
+
+def _map_in_workers(fn, items: Sequence, workers: int) -> list:
     # Imported here, so that a run that starts no pool does not load them.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     # fork, chosen rather than left to the platform default: the workers
     # start in milliseconds with the runtime already in memory, and the
-    # initializer's argument is not pickled.
+    # initializer's argument, `fn` with all it holds, is not pickled.
     pool = ProcessPoolExecutor(
-        workers, multiprocessing.get_context("fork"), _start_worker, (runtime,)
+        workers, multiprocessing.get_context("fork"), _start_worker, (fn,)
     )
     try:
-        return list(pool.map(_run_part, plan))
+        return list(pool.map(_call_in_worker, items))
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
+
+
+def map_split(fn, items: Sequence, frames: int) -> list:
+    """`[fn(item) for item in items]`, split over worker processes if it pays.
+
+    The items are split over one forked worker per CPU this process may
+    use, at most one per item, when `frames`, the planned frames of all the
+    items, is at least POOL_MIN_FRAMES; else they run here, as they do in a
+    worker. This is the one pool in the package. Results come back in item
+    order, and an error is the first in item order, either way.
+    """
+    workers = min(_usable_cpus(), len(items)) if frames >= POOL_MIN_FRAMES else 1
+    if workers > 1:
+        return _map_in_workers(fn, items, workers)
+    return [fn(item) for item in items]
 
 
 def embed_plan(
@@ -299,21 +328,18 @@ def embed_plan(
 ) -> tuple[dict[tuple[str, int], Vector], dict[tuple[str, int], bool]]:
     """Decode, gate and embed a plan: vectors and validity by (video_id, index).
 
-    Videos are split over one worker process per CPU this process may use,
-    at most one per video. The plan runs in this process instead when that
-    is one CPU, when the embedder is a table (no pixels to embed), or when
-    the plan has fewer than POOL_MIN_FRAMES frames to embed. Each video's
-    part is computed alike either way and merged in plan order, so the bits
-    do not depend on the worker count. An error is the first in plan order.
+    The videos are the items of `map_split`: a plan of at least
+    POOL_MIN_FRAMES planned frames, with either embedder, is split by video
+    over worker processes, unless this process is itself a worker. Each
+    video's part is computed alike either way and merged in plan order, so
+    the bits do not depend on the worker count. An error is the first in
+    plan order.
     """
-    workers = 1
-    if runtime.needs_pixels and sum(1 for part in plan for _ in part.embed) >= POOL_MIN_FRAMES:
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        workers = min(cpus, len(plan))
-    if workers > 1:
-        results = _map_in_workers(plan, runtime, workers)
-    else:
-        results = [_run_part(part, runtime) for part in plan]
+    results = map_split(
+        lambda part: video_frame_vectors(part.video, runtime, part.embed, part.gate, part.window),
+        plan,
+        planned_frames(plan),
+    )
     vectors: dict[tuple[str, int], Vector] = {}
     valid: dict[tuple[str, int], bool] = {}
     for part, (rows, flags) in zip(plan, results):

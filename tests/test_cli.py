@@ -302,19 +302,26 @@ class TestEvaluate:
         assert f"users[0].objects[1].videos[0].frames[2]: {path!r}" in err
         assert not (tmp_path / "r.json").exists()
 
+    def split_users(self, monkeypatch) -> list[int]:
+        """Make the small workspace's evaluate split its two users over a
+        pool (it is below the break-even); return the pools' worker counts."""
+        monkeypatch.setattr(protonet, "POOL_MIN_FRAMES", 0)
+        started = []
+        map_in_workers = protonet._map_in_workers
+
+        def counting(fn, items, workers):
+            started.append(workers)
+            return map_in_workers(fn, items, workers)
+
+        monkeypatch.setattr(protonet, "_map_in_workers", counting)
+        return started
+
     def test_bad_frame_in_a_worker_exits_3_as_in_one_process(
         self, workspace, tmp_path, capsys, monkeypatch
     ):
         data, config = workspace
         shutil.copytree(data, tmp_path / "data")
-        started = []
-        map_in_workers = protonet._map_in_workers
-
-        def counting(plan, runtime, workers):
-            started.append(workers)
-            return map_in_workers(plan, runtime, workers)
-
-        monkeypatch.setattr(protonet, "_map_in_workers", counting)
+        started = self.split_users(monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         threads = threading.enumerate()
         assert self.run((tmp_path / "data", config), tmp_path / "clean.json") == EXIT_OK
@@ -337,6 +344,30 @@ class TestEvaluate:
         assert errors[0].startswith(f"error: {bad}: payload is ")
         assert multiprocessing.active_children() == []
         assert threading.enumerate() == threads
+        assert not (tmp_path / "r.json").exists()
+
+    def test_bad_frames_of_two_users_report_the_first_users_error(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        data, config = workspace
+        shutil.copytree(data, tmp_path / "data")
+        manifest = load_manifest(tmp_path / "data" / "manifest.json")
+        # user00's bad frame is the last one it reads and user01's is in its
+        # first query video, so the second user's worker fails first in time.
+        first = Path(manifest.video("user00_obj01_clutter00").frame_paths[-1])
+        second = Path(manifest.video("user01_obj00_clutter00").frame_paths[0])
+        for bad in (first, second):
+            bad.write_bytes(bad.read_bytes()[:-1])
+        started = self.split_users(monkeypatch)
+        errors = []
+        for cpus in ({0, 1}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            assert self.run((tmp_path / "data", config), tmp_path / "r.json") == EXIT_DATA
+            errors.append(capsys.readouterr().err)
+        assert started == [2]
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"error: {first}: payload is ")
+        assert multiprocessing.active_children() == []
         assert not (tmp_path / "r.json").exists()
 
 

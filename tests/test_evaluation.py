@@ -79,7 +79,12 @@ class TestOnePlan:
         evaluate_users(manifest, pixel_runtime())
         assert len(embedded) == len(used) > 0
         assert set(used.values()) == {1}
-        assert len(plans) == 1
+        # One plan per user, holding that user's videos and no other's.
+        episodes = [build_episode(manifest, uid) for uid in manifest.user_ids()]
+        assert [{part.video.video_id for part in plan} for plan in plans] == [
+            {v.video_id for _, vs in ep.support for v in vs} | {v.video_id for v, _ in ep.query}
+            for ep in episodes
+        ]
 
     def test_arms_match_their_solo_runs(self, small_dataset):
         manifest, _ = small_dataset
@@ -184,6 +189,7 @@ class TestFrameSource:
 
 class TestQueryClips:
     def test_arms_equal_personalize_then_recognize_video(self, small_dataset, monkeypatch):
+        in_one_process(monkeypatch)
         manifest, _ = small_dataset
         scored = []
         classify_clip = evaluation.classify_clip
@@ -199,9 +205,10 @@ class TestQueryClips:
         monkeypatch.undo()
         episodes = [build_episode(manifest, uid) for uid in manifest.user_ids()]
         want = []
-        for arm in ARM_ORDER:
-            rt = arm_runtime(runtime, arm)
-            for ep in episodes:
+        # Each user is scored under every arm in turn.
+        for ep in episodes:
+            for arm in ARM_ORDER:
+                rt = arm_runtime(runtime, arm)
                 protos, _ = personalize(ep, rt)
                 for video, _ in ep.query:
                     want += [(p.pred, p.scores) for p in recognize_video(video, protos, rt)]

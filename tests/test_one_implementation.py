@@ -10,7 +10,10 @@ input file. This AST scan fails when a second copy grows back:
   `sum(1 for ...)`, nor in ALLOWED_SUMS below;
 * an `except` clause naming `OverflowError` outside `errors.py`: an integer
   too large for a float is caught once, where the reader turns numbers into
-  floats.
+  floats;
+* a reference to `ProcessPoolExecutor` or `multiprocessing` outside
+  `protonet._map_in_workers`, the one pool, which `protonet.map_split`
+  drives for both the video split and the user split.
 """
 from __future__ import annotations
 
@@ -23,6 +26,8 @@ PACKAGE_DIR = Path(protopipe.__file__).parent
 JSON_HOME = "errors.py"
 SUM_HOME = "numerics.py"
 OVERFLOW_HOME = "errors.py"
+POOL_HOME = ("protonet.py", "_map_in_workers")
+POOL_NAMES = {"ProcessPoolExecutor", "multiprocessing"}
 
 # (module, function) -> why its sums are not a dot product or a norm.
 ALLOWED_SUMS = {
@@ -32,15 +37,19 @@ ALLOWED_SUMS = {
 }
 
 
-def calls_by_function(tree: ast.AST, owner: str | None = None):
-    """(innermost enclosing def name, call) for every call in a tree."""
+def nodes_by_function(tree: ast.AST, owner: str | None = None):
+    """(innermost enclosing def name, node) for every node below a tree."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from calls_by_function(node, node.name)
+            yield from nodes_by_function(node, node.name)
             continue
-        if isinstance(node, ast.Call):
-            yield owner, node
-        yield from calls_by_function(node, owner)
+        yield owner, node
+        yield from nodes_by_function(node, owner)
+
+
+def calls_by_function(tree: ast.AST):
+    """(innermost enclosing def name, call) for every call in a tree."""
+    return ((owner, node) for owner, node in nodes_by_function(tree) if isinstance(node, ast.Call))
 
 
 def is_count(call: ast.Call) -> bool:
@@ -158,3 +167,60 @@ def test_the_guard_sees_a_planted_overflow_catch(tmp_path):
         "        return ()\n"
     )
     assert overflow_catches(tmp_path) == ["loader.py:4", "loader.py:9"]
+
+
+def named(node: ast.AST) -> set[str]:
+    """The names a node refers to, dotted module names split."""
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.alias):
+        return set(node.name.split("."))
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return set(node.module.split("."))
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return set(node.value.split("."))  # importlib.import_module("multiprocessing")
+    return set()
+
+
+def pool_references(package_dir: Path) -> list[str]:
+    """Every reference to a process pool outside the one helper, as "file:line"."""
+    found = set()
+    for path in package_dir.rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for owner, node in nodes_by_function(tree):
+            if named(node) & POOL_NAMES and (path.name, owner) != POOL_HOME:
+                found.add((path.relative_to(package_dir).as_posix(), node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(found)]
+
+
+def test_one_process_pool():
+    assert pool_references(PACKAGE_DIR) == []
+    tree = ast.parse((PACKAGE_DIR / POOL_HOME[0]).read_text(encoding="utf-8"))
+    assert any(named(node) & POOL_NAMES for owner, node in nodes_by_function(tree)
+               if owner == POOL_HOME[1])
+
+
+def test_the_guard_sees_a_planted_pool(tmp_path):
+    (tmp_path / "protonet.py").write_text(
+        "def _map_in_workers(fn, items, workers):\n"
+        "    import multiprocessing\n"
+        "    from concurrent.futures import ProcessPoolExecutor\n"
+        "    return ProcessPoolExecutor(workers, multiprocessing.get_context('fork'))\n"
+        "def embed_plan(plan):\n"
+        "    from concurrent.futures import ProcessPoolExecutor\n"
+        "    return ProcessPoolExecutor\n"
+    )
+    (tmp_path / "evaluation.py").write_text(
+        "import importlib\n"
+        "from multiprocessing import Pool\n"
+        "import multiprocessing.pool as mpp\n"
+        "def evaluate_users(users):\n"
+        "    ctx = importlib.import_module('multiprocessing')\n"
+        "    return Pool, mpp, ctx\n"
+    )
+    assert pool_references(tmp_path) == [
+        "evaluation.py:2", "evaluation.py:3", "evaluation.py:5",
+        "protonet.py:6", "protonet.py:7",
+    ]

@@ -1,18 +1,22 @@
-"""`embed_plan` in worker processes: same bits, no pool unless it pays.
+"""`map_split` in worker processes: same bits, no pool unless it pays.
 
-The executor splits a plan by video over worker processes when this process
-may use more than one CPU and the plan embeds enough pixels. These tests
-pin that the split changes no output bit, that a table or a small plan stays
-in this process, and that importing the CLI loads no process machinery.
+An evaluate splits its users over worker processes, and a one-episode plan
+its videos, when this process may use more than one CPU and the work has
+enough planned frames. These tests pin that the split changes no output
+bit, that a small evaluate or plan stays in this process, that a worker
+starts no pool of its own, and that importing the CLI loads no process
+machinery.
 """
 from __future__ import annotations
 
 import json
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,9 +25,10 @@ from protopipe import protonet
 from protopipe.adaptation import centering_adapter_weights
 from protopipe.clip_sampling import SamplerConfig
 from protopipe.config import build_runtime, load_config
-from protopipe.embedding import make_patch_projection_spec
+from protopipe.embedding import PrecomputedTable, make_patch_projection_spec
 from protopipe.evaluation import evaluate_users, make_rigged_scenario
 from protopipe.frame_validity import EdgeFilterConfig
+from protopipe.media_io.manifest import DatasetManifest
 from protopipe.protonet import (
     PipelineRuntime,
     VideoPlan,
@@ -32,6 +37,7 @@ from protopipe.protonet import (
     embed_plan,
     personalize,
     plan_query,
+    planned_frames,
     save_prototypes,
 )
 
@@ -44,17 +50,37 @@ def rigged(tmp_path_factory):
     return manifest, build_runtime(load_config(config_path))
 
 
-def count_pools(monkeypatch) -> list[int]:
-    """Worker counts of every pool `embed_plan` starts from now on."""
-    started = []
-    map_in_workers = protonet._map_in_workers
+@pytest.fixture(scope="module")
+def rigged_table(rigged) -> PipelineRuntime:
+    """The rigged runtime with a table of seeded rows for every frame."""
+    manifest, runtime = rigged
+    rng = random.Random(0)
+    dim = runtime.embedder.dim
+    table = PrecomputedTable(dim, {
+        v.video_id: [[rng.uniform(-1.0, 1.0) for _ in range(dim)] for _ in range(v.num_frames)]
+        for v in manifest.all_videos()
+    })
+    return replace(runtime, embedder=table)
 
-    def counting(plan, runtime, workers):
-        started.append(workers)
-        return map_in_workers(plan, runtime, workers)
+
+def count_pools(monkeypatch, tmp_path):
+    """A reader of every pool started from now on, as "parent N" or "worker N".
+
+    The log is a file, so that a pool started inside a worker process,
+    whose memory the test never sees, is counted too.
+    """
+    log = tmp_path / "pools.log"
+    log.write_text("")
+    map_in_workers = protonet._map_in_workers
+    parent = os.getpid()
+
+    def counting(fn, items, workers):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{'parent' if os.getpid() == parent else 'worker'} {workers}\n")
+        return map_in_workers(fn, items, workers)
 
     monkeypatch.setattr(protonet, "_map_in_workers", counting)
-    return started
+    return lambda: log.read_text(encoding="utf-8").splitlines()
 
 
 def use_cpus(monkeypatch, n: int) -> None:
@@ -73,56 +99,101 @@ def small_runtime(table=None) -> PipelineRuntime:
     )
 
 
+def all_outputs(manifest, runtime, tmp_path, after_each) -> tuple:
+    """The report, one user's prototypes, audits and predictions, as text.
+
+    `after_each` runs after every call that may start a pool.
+    """
+    episode = build_episode(manifest, "user00")
+    report = evaluate_users(manifest, runtime)
+    after_each("evaluate")
+    protos, audits = personalize(episode, runtime)
+    after_each("personalize")
+    save_prototypes(protos, tmp_path / "protos.json")
+    clips, _ = embed_plan([plan_query(v, runtime) for v, _ in episode.query], runtime)
+    after_each("query plan")
+    # repr writes each float exactly, so equal text is equal bits.
+    predictions = repr([classify_clip(clip, protos) for clip in clips.values()])
+    return (
+        json.dumps(report, sort_keys=True),
+        (tmp_path / "protos.json").read_bytes(),
+        repr(audits),
+        predictions,
+    )
+
+
 # A fork with live threads warns from Python 3.12 on; the pool must start
 # before any thread of its own.
 @pytest.mark.filterwarnings("error::DeprecationWarning")
-def test_serial_and_parallel_outputs_are_byte_identical(rigged, tmp_path, monkeypatch):
+@pytest.mark.parametrize("embedder", ["pixels", "table"])
+def test_serial_and_parallel_outputs_are_byte_identical(
+    rigged, rigged_table, embedder, tmp_path, monkeypatch
+):
     manifest, runtime = rigged
-    episode = build_episode(manifest, "user00")
-    started = count_pools(monkeypatch)
-    outputs = []
-    for cpus in (1, 3):
+    if embedder == "table":
+        runtime = rigged_table
+    pools = count_pools(monkeypatch, tmp_path)
+    threads = threading.enumerate()
+
+    def joined(call):
+        # Joined before the call returns, not later when the pool is collected.
+        assert multiprocessing.active_children() == [], call
+        assert threading.enumerate() == threads, call
+
+    outputs = {}
+    for cpus in (1, 2, 3):
         use_cpus(monkeypatch, cpus)
-        report = evaluate_users(manifest, runtime)
-        protos, audits = personalize(episode, runtime)
-        save_prototypes(protos, tmp_path / f"protos{cpus}.json")
-        clips, _ = embed_plan([plan_query(v, runtime) for v, _ in episode.query], runtime)
-        # repr writes each float exactly, so equal text is equal bits.
-        predictions = repr([classify_clip(clip, protos) for clip in clips.values()])
-        outputs.append((
-            json.dumps(report, sort_keys=True),
-            (tmp_path / f"protos{cpus}.json").read_bytes(),
-            repr(audits),
-            predictions,
-        ))
-    # One CPU runs in this process; three run evaluate, personalize and
-    # the query plan in three workers each.
-    assert started == [3, 3, 3]
-    assert outputs[0] == outputs[1]
+        outputs[cpus] = all_outputs(manifest, runtime, tmp_path, joined)
+    # One CPU runs everything here. With more, evaluate maps its two users
+    # over one pool of two workers, none of which starts a pool of its own,
+    # and personalize and the query plan split their six videos.
+    assert pools() == [
+        "parent 2", "parent 2", "parent 2",
+        "parent 2", "parent 3", "parent 3",
+    ]
+    assert outputs[1] == outputs[2] == outputs[3]
+
+
+def test_a_one_user_evaluate_splits_its_plan_by_video(
+    rigged, rigged_table, tmp_path, monkeypatch
+):
+    manifest, _ = rigged
+    runtime = rigged_table
+    one_user = DatasetManifest(manifest.users[:1])
+    use_cpus(monkeypatch, 2)
+    pools = count_pools(monkeypatch, tmp_path)
+    report = evaluate_users(one_user, runtime)
+    assert pools() == ["parent 2"]
     assert multiprocessing.active_children() == []
+    use_cpus(monkeypatch, 1)
+    assert report == evaluate_users(one_user, runtime)
+    assert pools() == ["parent 2"]
 
 
-def test_a_table_or_a_small_plan_runs_in_this_process(
-    small_dataset, small_table, monkeypatch
+def test_a_small_evaluate_or_plan_runs_in_this_process(
+    small_dataset, small_table, rigged, rigged_table, tmp_path, monkeypatch
 ):
     manifest, _ = small_dataset
     use_cpus(monkeypatch, 2)
-    started = count_pools(monkeypatch)
+    pools = count_pools(monkeypatch, tmp_path)
     evaluate_users(manifest, small_runtime(small_table))
-    assert started == []
+    evaluate_users(manifest, small_runtime())
+    assert pools() == []
     pixels = small_runtime()
     episode = build_episode(manifest, "user00")
     small = [VideoPlan(v, (0, 1, 2)) for v, _ in episode.query]
-    assert sum(len(part.embed) for part in small) < protonet.POOL_MIN_FRAMES
+    assert planned_frames(small) < protonet.POOL_MIN_FRAMES
     embed_plan(small, pixels)
-    assert started == []
-    episodes = [build_episode(manifest, uid) for uid in manifest.user_ids()]
-    big = [plan_query(v, pixels) for ep in episodes for v, _ in ep.query]
-    assert sum(len(part.embed) for part in big) >= protonet.POOL_MIN_FRAMES
+    assert pools() == []
+    rigged_manifest, _ = rigged
+    big = [plan_query(v, pixels) for v in rigged_manifest.all_videos()]
+    assert planned_frames(big) >= protonet.POOL_MIN_FRAMES
     threads = threading.enumerate()
     embed_plan(big, pixels)
-    assert started == [2]
-    # Joined before the call returns, not later when the pool is collected.
+    assert pools() == ["parent 2"]
+    # A rigged-size evaluate from a table starts one pool too.
+    evaluate_users(rigged_manifest, rigged_table)
+    assert pools() == ["parent 2", "parent 2"]
     assert multiprocessing.active_children() == []
     assert threading.enumerate() == threads
 
