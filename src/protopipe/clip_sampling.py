@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 POLICY_UNIFORM = "uniform"
 POLICY_RANDOM = "random"
@@ -42,19 +42,19 @@ class SamplerConfig:
 
     def __post_init__(self):
         if self.clip_length < 1:
-            raise ValueError("clip_length must be >= 1")
+            raise ConfigError("clip_length must be >= 1")
         if self.clips_per_video < 1:
-            raise ValueError("clips_per_video must be >= 1")
+            raise ConfigError("clips_per_video must be >= 1")
         if self.policy not in (POLICY_UNIFORM, POLICY_RANDOM):
-            raise ValueError(f"unknown policy {self.policy!r}")
+            raise ConfigError(f"unknown policy {self.policy!r}")
         if self.within_chunk not in WITHIN_CHUNK_CHOICES:
-            raise ValueError(f"unknown within_chunk {self.within_chunk!r}")
+            raise ConfigError(f"unknown within_chunk {self.within_chunk!r}")
 
 
 def enumerate_candidates(num_frames: int, clip_length: int) -> list[ClipIndex]:
     """Non-overlapping candidates [0,L), [L,2L), ...; the remainder is dropped."""
     if clip_length < 1:
-        raise ValueError("clip_length must be >= 1")
+        raise ConfigError("clip_length must be >= 1")
     count = num_frames // clip_length
     return [ClipIndex(i * clip_length, clip_length) for i in range(count)]
 
@@ -68,7 +68,7 @@ def uniform_sample_clips(num_frames: int, cfg: SamplerConfig) -> list[ClipIndex]
     (trailing candidates dropped) with one pick per chunk.
     """
     if cfg.policy != POLICY_UNIFORM:
-        raise ValueError(f"uniform sampler called with policy {cfg.policy!r}")
+        raise ConfigError(f"uniform sampler called with policy {cfg.policy!r}")
     candidates = enumerate_candidates(num_frames, cfg.clip_length)
     if not candidates:
         raise DataError(
@@ -95,7 +95,7 @@ def uniform_sample_clips(num_frames: int, cfg: SamplerConfig) -> list[ClipIndex]
 def random_sample_clips(num_frames: int, cfg: SamplerConfig) -> list[ClipIndex]:
     """K starts drawn uniformly (with replacement) from [0, num_frames - L]."""
     if cfg.policy != POLICY_RANDOM:
-        raise ValueError(f"random sampler called with policy {cfg.policy!r}")
+        raise ConfigError(f"random sampler called with policy {cfg.policy!r}")
     if num_frames < cfg.clip_length:
         raise DataError(
             f"{num_frames} frames cannot fit a {cfg.clip_length}-frame clip"
@@ -119,9 +119,9 @@ def causal_sliding_window(num_frames: int, clip_length: int) -> list[list[int]]:
     frame 0, so early clips are left-padded with the first frame.
     """
     if num_frames < 1:
-        raise ValueError("num_frames must be >= 1")
+        raise DataError("num_frames must be >= 1")
     if clip_length < 1:
-        raise ValueError("clip_length must be >= 1")
+        raise ConfigError("clip_length must be >= 1")
     return [
         [max(0, i) for i in range(t - clip_length + 1, t + 1)]
         for t in range(num_frames)

@@ -4,13 +4,17 @@ A config is one JSON object naming the sampler, edge filter, embedder and
 adapter for a run, plus a seed. Paths inside a config are resolved against
 the config file's own directory, and every referenced file must exist at
 load time. A sha256 digest over the canonicalized effective document is
-carried into output files for provenance.
+carried into output files for provenance. Loading fills in the
+embedder's kind and, for a seeded projection, the factory's defaults, so a
+config that leaves a key out and one that spells out its default load the
+same runtime under the same digest.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from inspect import signature
 from pathlib import Path
 
 from .adaptation import TransformerWeights, load_transformer_weights
@@ -63,6 +67,10 @@ PROJECTION_KEYS = {
     "kind": str, "grid": int, "channels": int, "dim": int, "seed": int, "weights": str,
 }
 PRECOMPUTED_KEYS = {"kind": str, "table": str}
+# A seeded projection's defaults are the factory's own.
+PROJECTION_DEFAULTS = {
+    name: param.default for name, param in signature(make_patch_projection_spec).parameters.items()
+}
 
 
 def _build_section(cls, doc, types: dict, where: str, at: str):
@@ -74,8 +82,10 @@ def _build_section(cls, doc, types: dict, where: str, at: str):
         raise ConfigError(f"bad {where}: {at}: {exc}") from exc
 
 
-def _check_embedder(doc: dict, base_dir: Path, where: str) -> None:
-    kind = doc.get("kind", KIND_PATCH_PROJECTION)
+def _effective_embedder(doc: dict, base_dir: Path, where: str) -> dict:
+    """The embedder section, checked, with its kind and defaults filled in."""
+    doc = {"kind": KIND_PATCH_PROJECTION, **doc}
+    kind = doc["kind"]
     if kind == KIND_PATCH_PROJECTION:
         read_object(doc, PROJECTION_KEYS, ConfigError, where, "embedder", optional=PROJECTION_KEYS)
         if "weights" in doc:
@@ -85,13 +95,16 @@ def _check_embedder(doc: dict, base_dir: Path, where: str) -> None:
             path = base_dir / doc["weights"]
             if not path.is_file():
                 raise ConfigError(f"embedder weights file not found: {path}")
+        else:
+            doc = {**PROJECTION_DEFAULTS, **doc}
     elif kind == KIND_PRECOMPUTED:
-        read_object(doc, PRECOMPUTED_KEYS, ConfigError, where, "embedder", optional=("kind",))
+        read_object(doc, PRECOMPUTED_KEYS, ConfigError, where, "embedder")
         path = base_dir / doc["table"]
         if not path.is_file():
             raise ConfigError(f"embedding table not found: {path}")
     else:
         raise ConfigError(f"unknown embedder kind {kind!r}")
+    return doc
 
 
 def load_config(path) -> PipelineConfig:
@@ -103,8 +116,7 @@ def load_config(path) -> PipelineConfig:
     edge_filter = _build_section(
         EdgeFilterConfig, doc.get("edge_filter", {}), FILTER_KEYS, where, "edge_filter"
     )
-    embedder = doc.get("embedder", {})
-    _check_embedder(embedder, base_dir, where)
+    embedder = _effective_embedder(doc.get("embedder", {}), base_dir, where)
     adapter = doc.get("adapter", "none")
     if adapter != "none" and not (base_dir / adapter).is_file():
         raise ConfigError(f"adapter weights file not found: {base_dir / adapter}")
@@ -117,7 +129,7 @@ def build_runtime(config: PipelineConfig, seed: int | None = None) -> PipelineRu
         config = replace(config, seed=seed)
     doc = config.embedder
     embedder: EmbedderSpec | PrecomputedTable
-    if doc.get("kind", KIND_PATCH_PROJECTION) == KIND_PRECOMPUTED:
+    if doc["kind"] == KIND_PRECOMPUTED:
         embedder = load_precomputed(config.base_dir / doc["table"])
     elif "weights" in doc:
         embedder = load_projection_spec(config.base_dir / doc["weights"])

@@ -69,7 +69,7 @@ def _orthonormal_columns(n: int, d: int, seed: int) -> Matrix:
                 col[i] -= proj * prev[i]
         norm = dot(col, col) ** 0.5
         if norm < 1e-12:
-            raise ValueError("degenerate projection draw")  # pragma: no cover
+            raise ConfigError("degenerate projection draw")  # pragma: no cover
         for i in range(n):
             col[i] /= norm
     return Matrix(d, n, [x for col in cols for x in col]).transpose()

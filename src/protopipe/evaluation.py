@@ -93,19 +93,18 @@ def _user_predictions(
 ) -> list[list[list[str]]]:
     """One user's whole evaluate: per arm, per query video, each frame's label.
 
-    The user's plan is embedded once; each query clip is averaged once, as
-    its vector depends only on the embedder, which no arm changes. The arms
-    are then arithmetic over that result.
+    The user's plan is run once: every clip is averaged once, in its
+    video's job, as its mean depends only on the embedder, which no arm
+    changes. The arms are then arithmetic over that result.
     """
     found = embed_plan(plan, runtime)
-    clips = found[0]
+    means = found[0]
+    windows = {part.video.video_id: part.clips for part in plan}
+    queries = [[means[v.video_id, clip] for clip in windows[v.video_id]] for v, _ in episode.query]
     out = []
     for rt in runtimes:
         protos, _ = personalize(episode, rt, found)
-        out.append([
-            [classify_clip(clips[video.video_id, t], protos)[0] for t in range(video.num_frames)]
-            for video, _ in episode.query
-        ])
+        out.append([[classify_clip(clip, protos)[0] for clip in clips] for clips in queries])
     return out
 
 
@@ -116,13 +115,13 @@ def evaluate_users(
 ) -> dict:
     """Personalize + recognize every user under every arm.
 
-    Each user's plan holds the frames of their support videos that some
-    arm samples (gated too when an arm filters) and every query frame, and
-    is made before any pixel is read. `map_split` runs `_user_predictions`
-    over the users, split over worker processes when the planned frames of
-    all users reach `POOL_MIN_FRAMES`, so the outputs do not depend on
-    where it ran. Nothing outlives the call. An arm named twice is a
-    ConfigError.
+    Each user's plan holds the clips of their support videos that some arm
+    samples (their frames gated too when an arm filters) and every query
+    frame's causal window, and is made before any pixel is read.
+    `map_split` runs `_user_predictions` over the users, split over worker
+    processes when the planned frames of all users reach `POOL_MIN_FRAMES`,
+    so the outputs do not depend on where it ran. Nothing outlives the
+    call. An arm named twice is a ConfigError.
     """
     repeated = [arm for n, arm in enumerate(arms) if arm in arms[:n]]
     if repeated:
@@ -130,7 +129,7 @@ def evaluate_users(
     episodes = [build_episode(manifest, uid) for uid in manifest.user_ids()]
     runtimes = [arm_runtime(runtime, arm) for arm in arms]
     plans = [
-        plan_support([ep], runtimes) + [plan_query(video, runtime) for video, _ in ep.query]
+        plan_support(ep, runtimes) + [plan_query(video, runtime) for video, _ in ep.query]
         for ep in episodes
     ]
     predictions = map_split(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from operator import sub
 
 from .clip_sampling import ClipIndex
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .media_io.pnm import Frame
 
 logger = logging.getLogger(__name__)
@@ -43,12 +43,12 @@ class EdgeFilterConfig:
         for name in ("tau_mag", "tau_density"):
             value = float(getattr(self, name))
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+                raise ConfigError(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)
         if self.tau_mag < 0:
-            raise ValueError("tau_mag must be >= 0")
+            raise ConfigError("tau_mag must be >= 0")
         if not 0.0 <= self.tau_density <= 1.0:
-            raise ValueError("tau_density must be in [0, 1]")
+            raise ConfigError("tau_density must be in [0, 1]")
 
 
 # Each channel's weighted value, by byte value: the products the BT.601 sum

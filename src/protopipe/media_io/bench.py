@@ -42,7 +42,7 @@ def bench_loader(
     if repetitions < 1:
         raise ConfigError("repetitions must be >= 1")
     if not cfg_list:
-        raise ValueError("need at least one loader config")
+        raise ConfigError("need at least one loader config")
     paths = [p for video in manifest.all_videos() for p in video.frame_paths]
     rows: list[BenchRow] = []
     baseline_ms: float | None = None

@@ -22,12 +22,12 @@ class Frame:
 
     def __post_init__(self):
         if self.channels not in (1, 3):
-            raise ValueError(f"unsupported channel count {self.channels}")
+            raise DataError(f"unsupported channel count {self.channels}")
         if self.width < 1 or self.height < 1:
-            raise ValueError(f"bad frame size {self.width}x{self.height}")
+            raise DataError(f"bad frame size {self.width}x{self.height}")
         expected = self.width * self.height * self.channels
         if len(self.pixels) != expected:
-            raise ValueError(
+            raise DataError(
                 f"pixel payload is {len(self.pixels)} bytes, expected {expected}"
             )
 

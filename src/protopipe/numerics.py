@@ -144,7 +144,7 @@ def layer_norm_rows(m: Matrix, gain: Vector, bias: Vector, eps: float) -> Matrix
             f"gain/bias length {len(gain)}/{len(bias)} vs {m.cols} columns"
         )
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise ConfigError("eps must be positive")
     out: list[float] = []
     for i in range(m.rows):
         row = m.row(i)

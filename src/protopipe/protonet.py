@@ -3,21 +3,22 @@
 An episode is one user's data split two ways: their clean videos form the
 support set and their clutter videos the query set. Personalization samples
 clips from each support video, drops clips dominated by invalid frames,
-embeds the survivors and averages them per class into prototypes, then
+averages the survivors' clip means per class into prototypes, then
 optionally refines the stacked prototypes with a set-to-set adapter.
-Recognition averages a causal window over a query video once per frame and
-classifies every frame's clip against the adapted prototypes by cosine
-similarity. A clip's vector depends only on the embedder, never on the
-prototypes, so one set of clips serves any number of prototype sets.
+Recognition classifies every query frame's causal clip against the adapted
+prototypes by cosine similarity. A clip's mean depends only on the
+embedder, never on the prototypes, so one set of clip means serves any
+number of prototype sets.
 
-Frames are read through a plan. The samplers are seeded per video, so the
-frames a run reads are known before any pixel is: per video, the sampled
-support frames to embed, the frames the edge filter gates, and every query
-frame. `embed_plan` is the one executor: it decodes each planned frame
-once, gates and embeds it, and returns vectors and validity keyed by
-(video_id, index). `personalize` and `recognize_video` run a plan of their
-own episode or video; `evaluation.evaluate_users` runs one plan per user,
-for every arm.
+Frames are read through a plan of clips. The samplers are seeded per
+video, so the clips a run reads are known before any pixel is: per video,
+the distinct sampled support clips or every query frame's causal window,
+and the frames the edge filter gates. `embed_plan` is the one executor: per
+video, it decodes each planned frame once, gates it and embeds it, and
+returns each clip's mean keyed by (video_id, clip) and each gated frame's
+validity keyed by (video_id, index); frame vectors never leave one video's
+job. `personalize` and `recognize_video` run a plan of their own episode or
+video; `evaluation.evaluate_users` runs one plan per user, for every arm.
 
 `map_split` is the one pool: it maps a function over items in forked
 worker processes when the planned work pays for them. In a one-episode
@@ -63,9 +64,9 @@ class Prototypes:
     def __post_init__(self):
         n = len(self.labels)
         if n < 2:
-            raise ValueError("need at least two classes")
+            raise DataError("need at least two classes")
         if len(set(self.labels)) != n:
-            raise ValueError("class labels must be distinct")
+            raise DataError("class labels must be distinct")
         if self.raw.rows != n or self.adapted.rows != n:
             raise ConfigError(
                 f"{n} labels but {self.raw.rows}/{self.adapted.rows} prototype rows"
@@ -153,18 +154,22 @@ class PipelineRuntime:
     digest: str
 
     def frame_vector(self, video: VideoRecord, index: int, frame: Frame | None) -> Vector:
-        """The one place that picks table row or pixels for a frame vector.
-
-        A pixel vector is kept as an array('d') of the same floats, a
-        quarter of a list's size, since a plan holds all of them at once.
-        """
+        """The one place that picks table row or pixels for a frame vector."""
         if isinstance(self.embedder, PrecomputedTable):
             return self.embedder.vector(video.video_id, index)
-        return array("d", embed_frame(frame, self.embedder))
+        return _in_frame(video, index, embed_frame, frame, self.embedder)
 
     @property
     def needs_pixels(self) -> bool:
         return isinstance(self.embedder, EmbedderSpec)
+
+
+def _in_frame(video: VideoRecord, index: int, fn, *args):
+    """`fn(*args)` on one decoded frame; a fault there names the frame's file."""
+    try:
+        return fn(*args)
+    except (ConfigError, DataError) as exc:
+        raise type(exc)(f"{video.frame_paths[index]}: {exc}") from exc
 
 
 def load_frames(video: VideoRecord, indices: list[int]) -> dict[int, Frame]:
@@ -177,17 +182,17 @@ def load_frames(video: VideoRecord, indices: list[int]) -> dict[int, Frame]:
 
 @dataclass(frozen=True)
 class VideoPlan:
-    """One video's part of a plan: the frames to embed and the frames to gate.
+    """One video's part of a plan: the clips to average and the frames to gate.
 
-    Both are sorted, distinct frame indices. With a `window` (a query video,
-    whose `embed` is every frame) the executor returns each frame's causal
-    clip mean over `window` frames in place of the frame's own vector.
+    A clip is a tuple of the video's frame indices: a sampled support clip,
+    or a query frame's causal window. The executor returns each clip's mean
+    and the validity of each frame in `gate`, a sorted tuple of distinct
+    frame indices.
     """
 
     video: VideoRecord
-    embed: tuple[int, ...]
+    clips: tuple[tuple[int, ...], ...]
     gate: tuple[int, ...] = ()
-    window: int = 0
 
 
 def support_clips(
@@ -195,70 +200,72 @@ def support_clips(
 ) -> list[tuple[str, list[SampledClip]]]:
     """Each class's sampled clips, in support order.
 
-    The sampler is seeded per video, so this reads no pixels.
+    The sampler is seeded per video, so this reads no pixels. A video too
+    short for one clip is a DataError that names it.
     """
     out = []
     for label, videos in episode.support:
         clips = []
         for video in videos:
             cfg = replace(runtime.sampler, seed=derive_video_seed(runtime.seed, video.video_id))
-            clips += [SampledClip(video.video_id, c) for c in sample_clips(video.num_frames, cfg)]
+            try:
+                sampled = sample_clips(video.num_frames, cfg)
+            except DataError as exc:
+                raise DataError(f"video {video.video_id!r}: {exc}") from exc
+            clips += [SampledClip(video.video_id, c) for c in sampled]
         out.append((label, clips))
     return out
 
 
-def plan_support(episodes: list[Episode], runtimes: list[PipelineRuntime]) -> list[VideoPlan]:
-    """Every support video's frames that some runtime samples, to embed.
+def plan_support(episode: Episode, runtimes: list[PipelineRuntime]) -> list[VideoPlan]:
+    """Every support video's distinct clips that some runtime samples.
 
     A runtime with the edge filter on adds its sampled frames to the gate.
     """
-    videos = {v.video_id: v for ep in episodes for _, vs in ep.support for v in vs}
-    embed: dict[str, set[int]] = {video_id: set() for video_id in videos}
+    videos = {v.video_id: v for _, vs in episode.support for v in vs}
+    clips: dict[str, set[tuple[int, ...]]] = {video_id: set() for video_id in videos}
     gate: dict[str, set[int]] = {video_id: set() for video_id in videos}
     for rt in runtimes:
-        for ep in episodes:
-            for _, clips in support_clips(ep, rt):
-                for sc in clips:
-                    embed[sc.video_id].update(sc.frames)
-                    if rt.edge_filter.enabled:
-                        gate[sc.video_id].update(sc.frames)
+        for _, sampled in support_clips(episode, rt):
+            for sc in sampled:
+                clips[sc.video_id].add(tuple(sc.frames))
+                if rt.edge_filter.enabled:
+                    gate[sc.video_id].update(sc.frames)
     return [
-        VideoPlan(video, tuple(sorted(embed[video_id])), tuple(sorted(gate[video_id])))
+        VideoPlan(video, tuple(sorted(clips[video_id])), tuple(sorted(gate[video_id])))
         for video_id, video in videos.items()
     ]
 
 
 def plan_query(video: VideoRecord, runtime: PipelineRuntime) -> VideoPlan:
-    """Every frame of a query video, returned as causal clip means."""
-    return VideoPlan(video, tuple(range(video.num_frames)), (), runtime.sampler.clip_length)
+    """A query video's causal windows, one per frame, in frame order."""
+    windows = causal_sliding_window(video.num_frames, runtime.sampler.clip_length)
+    return VideoPlan(video, tuple(map(tuple, windows)))
 
 
 def video_frame_vectors(
     video: VideoRecord,
     runtime: PipelineRuntime,
-    embed: Sequence[int],
+    clips: Sequence[Sequence[int]],
     gate: Sequence[int] = (),
-    window: int = 0,
-) -> tuple[list[Vector], list[bool]]:
+) -> tuple[list[array], list[bool]]:
     """Decode, gate and embed one video's part of a plan.
 
-    Returns the vectors of `embed` and the validity of `gate`, in order.
-    Each frame whose pixels are read is decoded once. With a `window`, the
-    vectors are every frame's causal clip mean instead (see VideoPlan).
+    Returns each clip's mean as an array('d'), in order, and the validity
+    of `gate`. Each frame of the clips is embedded once, and each frame
+    whose pixels are read is decoded once. A fault inside a frame, in the
+    gate or the embedding, names the frame's file.
     """
+    embed = sorted(set().union(*clips))
     to_decode = sorted(set(gate).union(embed)) if runtime.needs_pixels else list(gate)
     frames = load_frames(video, to_decode)
     # Only frames that a filter which is on reads are planned for the gate;
     # the arms of one run differ in `enabled` and share the thresholds.
     gate_cfg = replace(runtime.edge_filter, enabled=True)
-    valid = [is_frame_valid(frames[i], gate_cfg) for i in gate]
-    vectors = [runtime.frame_vector(video, i, frames.get(i)) for i in embed]
-    if window:
-        vectors = [
-            array("d", mean_vectors([vectors[i] for i in clip]))
-            for clip in causal_sliding_window(video.num_frames, window)
-        ]
-    return vectors, valid
+    valid = [_in_frame(video, i, is_frame_valid, frames[i], gate_cfg) for i in gate]
+    vectors = {i: runtime.frame_vector(video, i, frames.get(i)) for i in embed}
+    means = [array("d", mean_vectors([vectors[i] for i in clip])) for clip in clips]
+    return means, valid
 
 
 # Below this many planned frames (`planned_frames`), `map_split` runs here.
@@ -279,7 +286,7 @@ def _usable_cpus() -> int:
 
 def planned_frames(plan: Sequence[VideoPlan]) -> int:
     """How many frames a plan embeds or gates: its work, for `map_split`."""
-    return sum(1 for part in plan for _ in set(part.embed).union(part.gate))
+    return sum(1 for part in plan for _ in set(part.gate).union(*part.clips))
 
 
 def _start_worker(fn) -> None:
@@ -325,8 +332,8 @@ def map_split(fn, items: Sequence, frames: int) -> list:
 
 def embed_plan(
     plan: Sequence[VideoPlan], runtime: PipelineRuntime
-) -> tuple[dict[tuple[str, int], Vector], dict[tuple[str, int], bool]]:
-    """Decode, gate and embed a plan: vectors and validity by (video_id, index).
+) -> tuple[dict[tuple[str, tuple[int, ...]], array], dict[tuple[str, int], bool]]:
+    """Run a plan: clip means by (video_id, clip), validity by (video_id, index).
 
     The videos are the items of `map_split`: a plan of at least
     POOL_MIN_FRAMES planned frames, with either embedder, is split by video
@@ -336,17 +343,17 @@ def embed_plan(
     plan order.
     """
     results = map_split(
-        lambda part: video_frame_vectors(part.video, runtime, part.embed, part.gate, part.window),
+        lambda part: video_frame_vectors(part.video, runtime, part.clips, part.gate),
         plan,
         planned_frames(plan),
     )
-    vectors: dict[tuple[str, int], Vector] = {}
+    means: dict[tuple[str, tuple[int, ...]], array] = {}
     valid: dict[tuple[str, int], bool] = {}
     for part, (rows, flags) in zip(plan, results):
         video_id = part.video.video_id
-        vectors.update(zip([(video_id, i) for i in part.embed], rows))
+        means.update(zip([(video_id, clip) for clip in part.clips], rows))
         valid.update(zip([(video_id, i) for i in part.gate], flags))
-    return vectors, valid
+    return means, valid
 
 
 def personalize(
@@ -354,25 +361,22 @@ def personalize(
     runtime: PipelineRuntime,
     found: tuple[dict, dict] | None = None,
 ) -> tuple[Prototypes, list[ClipAudit]]:
-    """Support-side stage: sample, filter, embed, average, adapt.
+    """Support-side stage: sample, filter, average, adapt.
 
     `found` is `embed_plan`'s result for a plan that holds this episode's
-    sampled frames under `runtime`; without it, the episode's own plan is
-    run.
+    sampled clips under `runtime`; without it, the episode's own plan is
+    run. Each retained clip's mean is picked from it.
     """
     classes = support_clips(episode, runtime)
     if found is None:
-        found = embed_plan(plan_support([episode], [runtime]), runtime)
-    vectors, valid = found
+        found = embed_plan(plan_support(episode, [runtime]), runtime)
+    means, valid = found
     per_class: list[tuple[str, list[Vector]]] = []
     audits: list[ClipAudit] = []
     for label, clips in classes:
         retained, class_audits = filter_clips(clips, runtime.edge_filter, valid)
         audits.extend(class_audits)
-        clip_vectors = [
-            mean_vectors([vectors[sc.video_id, i] for i in sc.frames]) for sc in retained
-        ]
-        per_class.append((label, clip_vectors))
+        per_class.append((label, [means[sc.video_id, tuple(sc.frames)] for sc in retained]))
     raw = compute_prototypes(per_class)
     adapted = adapt_prototypes(raw, runtime.adapter) if runtime.adapter else raw
     protos = Prototypes(
@@ -388,9 +392,10 @@ class FramePrediction:
 
 
 def query_clip_vectors(video: VideoRecord, runtime: PipelineRuntime) -> list[array]:
-    """Every frame's causal clip, averaged once, from a one-video plan."""
-    vectors, _ = embed_plan([plan_query(video, runtime)], runtime)
-    return [vectors[video.video_id, t] for t in range(video.num_frames)]
+    """Every frame's causal clip mean, in frame order, from a one-video plan."""
+    part = plan_query(video, runtime)
+    means, _ = embed_plan([part], runtime)
+    return [means[video.video_id, clip] for clip in part.clips]
 
 
 def recognize_video(

@@ -16,6 +16,7 @@ from protopipe.adaptation import save_transformer_weights
 from protopipe.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from protopipe.embedding import make_patch_projection_spec
 from protopipe.media_io.manifest import load_manifest
+from protopipe.media_io.pnm import Frame, encode_pnm
 
 CONFIG_DOC = {
     "sampler": {
@@ -369,6 +370,73 @@ class TestEvaluate:
         assert errors[0].startswith(f"error: {first}: payload is ")
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "r.json").exists()
+
+
+class TestFaultsNameTheirVideo:
+    """A fault inside one video names the video, or the frame's file."""
+
+    def copy(self, workspace, tmp_path, **edge_filter):
+        """The workspace's dataset and a config, copied so they can be damaged."""
+        data, _ = workspace
+        shutil.copytree(data, tmp_path / "data")
+        doc = json.loads(json.dumps(CONFIG_DOC))
+        doc["edge_filter"].update(edge_filter)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        return tmp_path / "data", config
+
+    def outcomes(self, workspace, tmp_path, capsys, commands=("personalize", "evaluate")):
+        """Each command's exit code and last line on stderr."""
+        data, config = workspace
+        out = []
+        for command in commands:
+            if command == "personalize":
+                rc = run_personalize(workspace, tmp_path / "p.json")
+            else:
+                rc = main([
+                    "evaluate", "--dataset", str(data), "--config", str(config),
+                    "--out", str(tmp_path / "r.json"),
+                ])
+            out.append((rc, capsys.readouterr().err.splitlines()[-1]))
+        assert not (tmp_path / "p.json").exists() and not (tmp_path / "r.json").exists()
+        return out
+
+    def replace_frame(self, data, frame: Frame) -> Path:
+        """Overwrite a frame of user00's first clean video, all of whose frames are sampled."""
+        video = load_manifest(data / "manifest.json").video("user00_obj00_clean00")
+        path = Path(video.frame_paths[3])
+        path.write_bytes(encode_pnm(frame))
+        return path
+
+    def test_a_video_too_short_for_a_clip(self, workspace, tmp_path, capsys):
+        workspace = self.copy(workspace, tmp_path)
+        manifest = workspace[0] / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        video = doc["users"][0]["objects"][1]["videos"][0]
+        assert video["video_id"] == "user00_obj01_clean00"
+        video["frames"] = video["frames"][:6]
+        manifest.write_text(json.dumps(doc))
+        want = "error: video 'user00_obj01_clean00': 6 frames cannot fit a 8-frame clip"
+        assert self.outcomes(workspace, tmp_path, capsys) == [(EXIT_DATA, want)] * 2
+
+    def test_a_frame_too_small_for_the_gate(self, workspace, tmp_path, capsys):
+        workspace = self.copy(workspace, tmp_path)
+        path = self.replace_frame(workspace[0], Frame(2, 2, 3, bytes(12)))
+        want = f"error: {path}: 2x2: Sobel needs at least 3x3"
+        assert self.outcomes(workspace, tmp_path, capsys) == [(EXIT_DATA, want)] * 2
+
+    def test_a_frame_too_small_for_the_grid(self, workspace, tmp_path, capsys):
+        # With the filter off, personalize gates no frame and embeds this one.
+        workspace = self.copy(workspace, tmp_path, enabled=False)
+        path = self.replace_frame(workspace[0], Frame(2, 2, 3, bytes(12)))
+        want = f"error: {path}: 2x2 frame is smaller than grid 8"
+        assert self.outcomes(workspace, tmp_path, capsys, ["personalize"]) == [(EXIT_CONFIG, want)]
+
+    def test_a_frame_with_the_wrong_channel_count(self, workspace, tmp_path, capsys):
+        workspace = self.copy(workspace, tmp_path)
+        path = self.replace_frame(workspace[0], Frame(32, 32, 1, bytes(range(256)) * 4))
+        want = f"error: {path}: frame has 1 channels, spec expects 3"
+        assert self.outcomes(workspace, tmp_path, capsys) == [(EXIT_CONFIG, want)] * 2
 
 
 class TestBenchLoader:

@@ -200,6 +200,25 @@ class TestDigest:
         b = load_config(write_config(sub, FULL_DOC))
         assert a.digest() == b.digest()
 
+    def test_defaults_left_out_or_spelled_out_get_one_digest(self, tmp_path):
+        defaults = {"kind": "patch_projection", "grid": 8, "channels": 3, "dim": 16, "seed": 0}
+        docs = [{}, {"embedder": {}}, {"embedder": {"grid": 8}}, {"embedder": defaults}]
+        digests = {
+            load_config(write_config(tmp_path, doc, f"{n}.json")).digest()
+            for n, doc in enumerate(docs)
+        }
+        assert digests == {"de071d7b9054250cfec1f08bc96f21de57ae17e7cc6ea9b9fac318b9d610da18"}
+        assert load_config(write_config(tmp_path, {})).embedder == defaults
+
+    def test_weights_with_or_without_kind_get_one_digest(self, tmp_path):
+        (tmp_path / "proj.json").write_text("{}")  # read when the runtime is built
+        bare = {"embedder": {"weights": "proj.json"}}
+        kinded = {"embedder": {"kind": "patch_projection", "weights": "proj.json"}}
+        a = load_config(write_config(tmp_path, bare, "a.json"))
+        b = load_config(write_config(tmp_path, kinded, "b.json"))
+        assert a.embedder == b.embedder == kinded["embedder"]
+        assert a.digest() == b.digest()
+
 
 class TestSeedPrecedence:
     def test_flag_beats_config(self, tmp_path):

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 from protopipe import evaluation, protonet
 from protopipe.adaptation import centering_adapter_weights
-from protopipe.clip_sampling import SamplerConfig, sample_clips
+from protopipe.clip_sampling import SamplerConfig, causal_sliding_window, sample_clips
 from protopipe.embedding import make_patch_projection_spec
 from protopipe.evaluation import ARM_ORDER, arm_runtime, evaluate_users
 from protopipe.frame_validity import EdgeFilterConfig
@@ -46,6 +46,12 @@ def swap_frames(manifest: DatasetManifest, kind: str) -> DatasetManifest:
             objects.append(ObjectRecord(obj.label, videos))
         users.append(UserRecord(user.user_id, objects))
     return DatasetManifest(users)
+
+
+def sampled_clips(video, runtime):
+    """The clips one runtime's sampler picks from a support video, found independently."""
+    cfg = replace(runtime.sampler, seed=derive_video_seed(runtime.seed, video.video_id))
+    return sample_clips(video.num_frames, cfg)
 
 
 def in_one_process(monkeypatch) -> None:
@@ -120,6 +126,36 @@ class TestOnePlan:
             assert after["aggregate"] < before["aggregate"], before["name"]
         assert second == evaluate_users(swapped, pixel_runtime())
 
+    def test_each_clip_is_averaged_once(self, small_dataset, monkeypatch):
+        in_one_process(monkeypatch)
+        manifest, _ = small_dataset
+        averaged = []
+        mean_vectors = protonet.mean_vectors
+
+        def counting(vectors):
+            averaged.append(len(vectors))
+            return mean_vectors(vectors)
+
+        monkeypatch.setattr(protonet, "mean_vectors", counting)
+        runtime = pixel_runtime()
+        evaluate_users(manifest, runtime)
+        runtimes = [arm_runtime(runtime, arm) for arm in ARM_ORDER]
+        want = 0
+        for user_id in manifest.user_ids():
+            episode = build_episode(manifest, user_id)
+            # Each distinct support clip of any arm and each query frame's
+            # window is averaged once; then every arm averages each class.
+            support = {
+                (video.video_id, tuple(clip.frame_indices()))
+                for _, videos in episode.support
+                for video in videos
+                for rt in runtimes
+                for clip in sampled_clips(video, rt)
+            }
+            want += len(support) + sum(video.num_frames for video, _ in episode.query)
+            want += len(runtimes) * len(episode.support)
+        assert len(averaged) == want
+
 
 class TestFrameSource:
     """Each planned frame is decoded once; a table embedder decodes only the gate's."""
@@ -143,8 +179,7 @@ class TestFrameSource:
         for user_id in manifest.user_ids():
             for _, videos in build_episode(manifest, user_id).support:
                 for video in videos:
-                    cfg = replace(rt.sampler, seed=derive_video_seed(rt.seed, video.video_id))
-                    for clip in sample_clips(video.num_frames, cfg):
+                    for clip in sampled_clips(video, rt):
                         paths.update(video.frame_paths[i] for i in clip.frame_indices())
         return paths
 
@@ -218,19 +253,28 @@ class TestQueryClips:
         in_one_process(monkeypatch)
         manifest, _ = small_dataset
         reads = Counter()
+        clips_read = {}
         video_frame_vectors = protonet.video_frame_vectors
 
-        def counting(video, runtime, embed, gate=(), window=0):
-            reads[video.video_id, video.kind, window] += 1
-            return video_frame_vectors(video, runtime, embed, gate, window)
+        def counting(video, runtime, clips, gate=()):
+            reads[video.video_id] += 1
+            clips_read[video.video_id] = list(clips)
+            return video_frame_vectors(video, runtime, clips, gate)
 
         monkeypatch.setattr(protonet, "video_frame_vectors", counting)
         runtime = pixel_runtime()
         evaluate_users(manifest, runtime)
-        # Query videos come back as causal clip means, support videos as
-        # frame vectors; no video is read twice.
-        clip_length = runtime.sampler.clip_length
-        assert reads == Counter(
-            (v.video_id, v.kind, clip_length if v.kind == "clutter" else 0)
-            for v in manifest.all_videos()
-        )
+        # No video is read twice. A query video's clips are its causal
+        # windows, one per frame in frame order; a support video's are the
+        # distinct clips that some arm samples from it.
+        assert reads == Counter(v.video_id for v in manifest.all_videos())
+        for video in manifest.all_videos():
+            if video.kind == "clutter":
+                want = causal_sliding_window(video.num_frames, runtime.sampler.clip_length)
+            else:
+                want = sorted({
+                    tuple(clip.frame_indices())
+                    for arm in ARM_ORDER
+                    for clip in sampled_clips(video, arm_runtime(runtime, arm))
+                })
+            assert clips_read[video.video_id] == [tuple(c) for c in want], video.video_id

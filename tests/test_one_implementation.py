@@ -13,7 +13,12 @@ input file. This AST scan fails when a second copy grows back:
   floats;
 * a reference to `ProcessPoolExecutor` or `multiprocessing` outside
   `protonet._map_in_workers`, the one pool, which `protonet.map_split`
-  drives for both the video split and the user split.
+  drives for both the video split and the user split;
+* a call of `mean_vectors` outside `protonet.video_frame_vectors`, which
+  averages every clip, and `protonet.compute_prototypes`, which averages
+  each class's clip means;
+* a `ValueError(...)` call anywhere: every fault is a `ConfigError` or a
+  `DataError`, the two families the CLI maps to its exit codes.
 """
 from __future__ import annotations
 
@@ -28,6 +33,7 @@ SUM_HOME = "numerics.py"
 OVERFLOW_HOME = "errors.py"
 POOL_HOME = ("protonet.py", "_map_in_workers")
 POOL_NAMES = {"ProcessPoolExecutor", "multiprocessing"}
+MEAN_HOMES = {("protonet.py", "video_frame_vectors"), ("protonet.py", "compute_prototypes")}
 
 # (module, function) -> why its sums are not a dot product or a norm.
 ALLOWED_SUMS = {
@@ -224,3 +230,67 @@ def test_the_guard_sees_a_planted_pool(tmp_path):
         "evaluation.py:2", "evaluation.py:3", "evaluation.py:5",
         "protonet.py:6", "protonet.py:7",
     ]
+
+
+def called(call: ast.Call) -> str | None:
+    """The name a call calls, for `f(...)` and `module.f(...)`."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def calls_outside(package_dir: Path, name: str, homes=frozenset()) -> list[str]:
+    """Every call of `name` outside the (module, function) pairs in `homes`."""
+    found = []
+    for path in sorted(package_dir.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for owner, call in calls_by_function(tree):
+            if called(call) == name and (path.name, owner) not in homes:
+                found.append(f"{path.relative_to(package_dir).as_posix()}:{call.lineno}")
+    return found
+
+
+def test_clips_are_averaged_in_one_place():
+    assert calls_outside(PACKAGE_DIR, "mean_vectors", MEAN_HOMES) == []
+    assert len(calls_outside(PACKAGE_DIR, "mean_vectors")) == len(MEAN_HOMES)
+
+
+def test_the_guard_sees_a_planted_mean(tmp_path):
+    (tmp_path / "protonet.py").write_text(
+        "def video_frame_vectors(video, clips):\n"
+        "    return [mean_vectors([video[i] for i in clip]) for clip in clips]\n"
+        "def compute_prototypes(per_class):\n"
+        "    return [mean_vectors(clips) for _, clips in per_class]\n"
+        "def personalize(found, retained):\n"
+        "    return [mean_vectors([found[i] for i in sc]) for sc in retained]\n"
+    )
+    (tmp_path / "evaluation.py").write_text(
+        "from . import numerics\n"
+        "def _user_predictions(frames):\n"
+        "    return numerics.mean_vectors(frames)\n"
+    )
+    assert calls_outside(tmp_path, "mean_vectors", MEAN_HOMES) == [
+        "evaluation.py:3", "protonet.py:6",
+    ]
+
+
+def test_no_plain_value_error():
+    assert calls_outside(PACKAGE_DIR, "ValueError") == []
+
+
+def test_the_guard_sees_a_planted_value_error(tmp_path):
+    (tmp_path / "clip_sampling.py").write_text(
+        "import builtins\n"
+        "class ConfigError(ValueError):\n"
+        "    pass\n"
+        "def check(n):\n"
+        "    try:\n"
+        "        int(n)\n"
+        "    except ValueError:\n"
+        "        raise ConfigError(n)\n"
+        "    if n < 1:\n"
+        "        raise ValueError('n must be >= 1')\n"
+        "    return builtins.ValueError(n)\n"
+    )
+    assert calls_outside(tmp_path, "ValueError") == ["clip_sampling.py:10", "clip_sampling.py:11"]

@@ -181,7 +181,7 @@ def test_a_small_evaluate_or_plan_runs_in_this_process(
     assert pools() == []
     pixels = small_runtime()
     episode = build_episode(manifest, "user00")
-    small = [VideoPlan(v, (0, 1, 2)) for v, _ in episode.query]
+    small = [VideoPlan(v, ((0, 1, 2),)) for v, _ in episode.query]
     assert planned_frames(small) < protonet.POOL_MIN_FRAMES
     embed_plan(small, pixels)
     assert pools() == []
