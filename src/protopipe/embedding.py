@@ -16,17 +16,29 @@ are exact integers, so the order does not matter. The projection's columns
 are sliced once per `EmbedderSpec`, and each output entry is
 `numerics.dot` of the downsampled frame with one column, in the summation
 order `numerics` documents.
+
+Building the default projection is the one large step of setting up a run:
+modified Gram-Schmidt over d columns of n entries, about n * d * d
+multiply-adds. From GRAM_SCHMIDT_MIN_WORK on, its columns are split over
+one rank per usable CPU, each a forked worker of `workers.map_split`
+pinned to its own CPU; finished columns pass between ranks over one pipe
+per ordered pair. Every column sees the same sequence of dot products,
+subtractions and division as in one rank, so the bits do not change.
 """
 from __future__ import annotations
 
 import math
+import mmap
+import os
 import random
+from array import array
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 from .errors import ROWS, ConfigError, DataError, finite_floats, read_json
 from .media_io.pnm import Frame
 from .numerics import Matrix, Vector, dot, norm
+from .workers import map_split, usable_cpus
 
 
 @dataclass(frozen=True)
@@ -56,23 +68,116 @@ class EmbedderSpec:
         return self.projection.columns()
 
 
+# Below this much work, n * d * d for an n x d projection, Gram-Schmidt runs
+# in one rank here. On a 2-vCPU Intel Xeon VM (2.0 GHz), at n = 192, two
+# pinned ranks lost at d = 32 (29 ms against 22 ms here), won or lost by
+# 3 ms at d = 48, and won from d = 64 (54 ms against 64 ms); see README,
+# "Parallel work".
+GRAM_SCHMIDT_MIN_WORK = 600_000
+# At most this many ranks: their pipes grow as the square of their number
+# (8 ranks hold 112 descriptors), each rank draws all d columns, and more
+# than 2 have not been timed.
+GRAM_SCHMIDT_MAX_RANKS = 8
+
+
 def _orthonormal_columns(n: int, d: int, seed: int) -> Matrix:
-    # Seeded Gaussian, then modified Gram-Schmidt over the d columns.
-    rng = random.Random(f"projection/{seed}")
-    cols = [[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(d)]
-    for j in range(d):
+    """Seeded Gaussian, then modified Gram-Schmidt over the d columns.
+
+    The columns are split over ranks, one per usable CPU up to
+    GRAM_SCHMIDT_MAX_RANKS when the work reaches GRAM_SCHMIDT_MIN_WORK, else
+    one here; see `_gram_schmidt_rank`. Each ordered pair of ranks has a
+    pipe of its own: over one pipe into each rank, columns from two senders
+    could be read out of order. The ranks write the finished columns into
+    one shared buffer, so they come back unpickled; with several ranks, this
+    process never holds the draw.
+    """
+    pays = n * d * d >= GRAM_SCHMIDT_MIN_WORK
+    ranks = min(usable_cpus(), GRAM_SCHMIDT_MAX_RANKS) if pays else 1
+    finished = mmap.mmap(-1, n * d * 8)  # anonymous, so shared with forked workers
+    pipes = {(r, s): os.pipe() for r in range(ranks) for s in range(ranks) if r != s}
+    try:
+        rank = partial(_gram_schmidt_rank, n, d, seed, ranks, pipes, finished)
+        map_split(rank, range(ranks), ranks > 1)
+        # Each column's floats are made together, as an embedding reads them.
+        with memoryview(finished).cast("d") as done:
+            cols = [done[j * n : (j + 1) * n].tolist() for j in range(d)]
+    finally:
+        finished.close()
+        for fds in pipes.values():
+            os.close(fds[0])
+            os.close(fds[1])
+    return Matrix(n, d, [col[i] for i in range(n) for col in cols])
+
+
+def _gram_schmidt_rank(
+    n: int, d: int, seed: int, ranks: int, pipes: dict, finished: mmap.mmap, rank: int
+) -> None:
+    """Finish the columns j with j % ranks == rank of the seeded draw.
+
+    Right-looking: the owner of column p finishes it (divides it by its
+    norm), writes it to `finished` and sends it to every other rank as
+    array('d') bytes, and every rank subtracts its projection from each
+    column it owns after p. A rank that owns column p + 1 updates and
+    finishes it first and the rest after (one column of look-ahead). Every
+    column takes off its projections on columns 0 .. j - 1 in order and is
+    then divided by its norm, as in the serial sweep, so the bits do not
+    depend on `ranks`. Several ranks run in forked workers, each pinned to
+    one CPU of this process's.
+
+    A rank that fails sends every other rank an all-NaN column, on which
+    they stop, and re-raises, so no rank is left waiting on a pipe.
+    """
+    send = [open(pipes[rank, s][1], "wb", closefd=False) for s in range(ranks) if s != rank]
+    recv = {s: open(pipes[s, rank][0], "rb", closefd=False) for s in range(ranks) if s != rank}
+    mine = range(rank, d, ranks)
+    done = memoryview(finished).cast("d")
+
+    def finish(j: int) -> None:
         col = cols[j]
-        for p in range(j):
-            prev = cols[p]
-            proj = dot(col, prev)
-            for i in range(n):
-                col[i] -= proj * prev[i]
         norm = dot(col, col) ** 0.5
         if norm < 1e-12:
-            raise ConfigError("degenerate projection draw")  # pragma: no cover
+            raise ConfigError("degenerate projection draw")
         for i in range(n):
             col[i] /= norm
-    return Matrix(d, n, [x for col in cols for x in col]).transpose()
+        message = array("d", col)
+        done[j * n : (j + 1) * n] = message
+        for out in send:
+            out.write(message)
+            out.flush()
+
+    try:
+        if ranks > 1:
+            os.sched_setaffinity(0, {sorted(os.sched_getaffinity(0))[rank]})
+        rng = random.Random(f"projection/{seed}")
+        cols = [[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(d)]
+        if rank == 0:
+            finish(0)
+        for p in range(d):  # every column sent is read, the last one too
+            if p % ranks == rank:
+                prev = cols[p]
+            else:
+                message = array("d")
+                message.fromfile(recv[p % ranks], n)
+                if math.isnan(message[0]):
+                    return  # its sender failed and raises the error
+                prev = message.tolist()
+            for j in mine[(p - rank) // ranks + 1 :]:
+                col = cols[j]
+                proj = dot(col, prev)
+                for i in range(n):
+                    col[i] -= proj * prev[i]
+                if j == p + 1:
+                    finish(j)
+    except BaseException:
+        stop = array("d", [math.nan]) * n
+        for out in send:
+            out.write(stop)
+            out.flush()
+        raise
+    finally:
+        done.release()
+        for f in send + list(recv.values()):
+            f.close()
 
 
 def make_patch_projection_spec(

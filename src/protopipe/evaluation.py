@@ -13,7 +13,7 @@ the previous arm.
 
 The user is the unit of parallel work: each user's frames are planned,
 embedded and scored under every arm by one function, mapped over forked
-worker processes by `protonet.map_split` when the evaluate's planned frames
+worker processes by `workers.map_split` when the evaluate's planned frames
 pay for a pool, and only the predicted labels come back. A one-user
 evaluate runs here, and its plan is split by video instead.
 
@@ -58,13 +58,13 @@ from .protonet import (
     build_episode,
     classify_clip,
     embed_plan,
-    map_split,
     per_user_accuracy,
     personalize,
+    plan_pays,
     plan_query,
     plan_support,
-    planned_frames,
 )
+from .workers import map_split
 
 logger = logging.getLogger(__name__)
 
@@ -119,7 +119,7 @@ def evaluate_users(
     samples (their frames gated too when an arm filters) and every query
     frame's causal window, and is made before any pixel is read.
     `map_split` runs `_user_predictions` over the users, split over worker
-    processes when the planned frames of all users reach `POOL_MIN_FRAMES`,
+    processes when the planned frames of all users pay for them (`plan_pays`),
     so the outputs do not depend on where it ran. Nothing outlives the
     call. An arm named twice is a ConfigError.
     """
@@ -135,7 +135,7 @@ def evaluate_users(
     predictions = map_split(
         lambda item: _user_predictions(*item, runtime, runtimes),
         list(zip(episodes, plans)),
-        planned_frames([part for plan in plans for part in plan]),
+        plan_pays([part for plan in plans for part in plan]),
     )
     rows = []
     previous: float | None = None

@@ -20,17 +20,16 @@ validity keyed by (video_id, index); frame vectors never leave one video's
 job. `personalize` and `recognize_video` run a plan of their own episode or
 video; `evaluation.evaluate_users` runs one plan per user, for every arm.
 
-`map_split` is the one pool: it maps a function over items in forked
-worker processes when the planned work pays for them. In a one-episode
-run the video is the unit of parallel work (`embed_plan` maps over the
-plan's videos); in an evaluate the user is, and a worker runs its user's
-plan in its own process.
+`workers.map_split`, the one pool, maps a function over items in forked
+worker processes when a plan has POOL_MIN_FRAMES planned frames or more
+(`plan_pays`). In a one-episode run the video is the unit of parallel work
+(`embed_plan` maps over the plan's videos); in an evaluate the user is, and
+a worker runs its user's plan in its own process.
 """
 from __future__ import annotations
 
 import hashlib
 import math
-import os
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -51,6 +50,7 @@ from .media_io.loader import LoaderConfig, load_frames_parallel
 from .media_io.manifest import DatasetManifest, UserRecord, VideoRecord
 from .media_io.pnm import Frame
 from .numerics import Matrix, Vector, cosine_similarity, mean_vectors, norm
+from .workers import map_split
 
 
 @dataclass(frozen=True)
@@ -268,66 +268,21 @@ def video_frame_vectors(
     return means, valid
 
 
-# Below this many planned frames (`planned_frames`), `map_split` runs here.
+# Below this many planned frames, `map_split` runs here.
 # On a 2-vCPU Intel Xeon VM (2.0 GHz) two workers won an evaluate from 64
 # planned frames with the rigged 192x192 projection or a dim-192 table, but
 # lost below about 150 with the tests' dim-16 projection or table (84 ms
 # against 66 ms in this process at 108 frames); see README, "Parallel work".
 POOL_MIN_FRAMES = 128
-_worker_fn = None  # the function a worker process maps, set when it starts
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may use; one in a worker, which starts no pool."""
-    if _worker_fn is not None or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
+def plan_pays(plan: Sequence[VideoPlan]) -> bool:
+    """Whether a plan's work pays for worker processes in `map_split`.
 
-
-def planned_frames(plan: Sequence[VideoPlan]) -> int:
-    """How many frames a plan embeds or gates: its work, for `map_split`."""
-    return sum(1 for part in plan for _ in set(part.gate).union(*part.clips))
-
-
-def _start_worker(fn) -> None:
-    global _worker_fn
-    _worker_fn = fn
-
-
-def _call_in_worker(item):
-    return _worker_fn(item)
-
-
-def _map_in_workers(fn, items: Sequence, workers: int) -> list:
-    # Imported here, so that a run that starts no pool does not load them.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork, chosen rather than left to the platform default: the workers
-    # start in milliseconds with the runtime already in memory, and the
-    # initializer's argument, `fn` with all it holds, is not pickled.
-    pool = ProcessPoolExecutor(
-        workers, multiprocessing.get_context("fork"), _start_worker, (fn,)
-    )
-    try:
-        return list(pool.map(_call_in_worker, items))
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
-def map_split(fn, items: Sequence, frames: int) -> list:
-    """`[fn(item) for item in items]`, split over worker processes if it pays.
-
-    The items are split over one forked worker per CPU this process may
-    use, at most one per item, when `frames`, the planned frames of all the
-    items, is at least POOL_MIN_FRAMES; else they run here, as they do in a
-    worker. This is the one pool in the package. Results come back in item
-    order, and an error is the first in item order, either way.
+    Its work is the frames it embeds or gates; POOL_MIN_FRAMES of them pay.
     """
-    workers = min(_usable_cpus(), len(items)) if frames >= POOL_MIN_FRAMES else 1
-    if workers > 1:
-        return _map_in_workers(fn, items, workers)
-    return [fn(item) for item in items]
+    planned = sum(1 for part in plan for _ in set(part.gate).union(*part.clips))
+    return planned >= POOL_MIN_FRAMES
 
 
 def embed_plan(
@@ -345,7 +300,7 @@ def embed_plan(
     results = map_split(
         lambda part: video_frame_vectors(part.video, runtime, part.clips, part.gate),
         plan,
-        planned_frames(plan),
+        plan_pays(plan),
     )
     means: dict[tuple[str, tuple[int, ...]], array] = {}
     valid: dict[tuple[str, int], bool] = {}

@@ -12,8 +12,8 @@ input file. This AST scan fails when a second copy grows back:
   too large for a float is caught once, where the reader turns numbers into
   floats;
 * a reference to `ProcessPoolExecutor` or `multiprocessing` outside
-  `protonet._map_in_workers`, the one pool, which `protonet.map_split`
-  drives for both the video split and the user split;
+  `workers._map_in_workers`, the one pool, which `workers.map_split`
+  drives for the video split, the user split and the Gram-Schmidt ranks;
 * a call of `mean_vectors` outside `protonet.video_frame_vectors`, which
   averages every clip, and `protonet.compute_prototypes`, which averages
   each class's clip means;
@@ -31,7 +31,7 @@ PACKAGE_DIR = Path(protopipe.__file__).parent
 JSON_HOME = "errors.py"
 SUM_HOME = "numerics.py"
 OVERFLOW_HOME = "errors.py"
-POOL_HOME = ("protonet.py", "_map_in_workers")
+POOL_HOME = ("workers.py", "_map_in_workers")
 POOL_NAMES = {"ProcessPoolExecutor", "multiprocessing"}
 MEAN_HOMES = {("protonet.py", "video_frame_vectors"), ("protonet.py", "compute_prototypes")}
 
@@ -209,7 +209,7 @@ def test_one_process_pool():
 
 
 def test_the_guard_sees_a_planted_pool(tmp_path):
-    (tmp_path / "protonet.py").write_text(
+    (tmp_path / "workers.py").write_text(
         "def _map_in_workers(fn, items, workers):\n"
         "    import multiprocessing\n"
         "    from concurrent.futures import ProcessPoolExecutor\n"
@@ -228,7 +228,7 @@ def test_the_guard_sees_a_planted_pool(tmp_path):
     )
     assert pool_references(tmp_path) == [
         "evaluation.py:2", "evaluation.py:3", "evaluation.py:5",
-        "protonet.py:6", "protonet.py:7",
+        "workers.py:6", "workers.py:7",
     ]
 
 

@@ -2,17 +2,21 @@
 
 An evaluate splits its users over worker processes, and a one-episode plan
 its videos, when this process may use more than one CPU and the work has
-enough planned frames. These tests pin that the split changes no output
-bit, that a small evaluate or plan stays in this process, that a worker
-starts no pool of its own, and that importing the CLI loads no process
-machinery.
+enough planned frames; the projection's Gram-Schmidt splits its columns
+over ranks when its work reaches `embedding.GRAM_SCHMIDT_MIN_WORK`. These
+tests pin that the split changes no output bit, that a small evaluate, plan
+or projection stays in this process, that a worker starts no pool of its
+own, that a failing rank stops its peers, and that importing the package's
+entry modules loads no process machinery.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
 import threading
@@ -20,8 +24,9 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from _oracles import ref_orthonormal_columns
 
-from protopipe import protonet
+from protopipe import embedding, protonet, workers
 from protopipe.adaptation import centering_adapter_weights
 from protopipe.clip_sampling import SamplerConfig
 from protopipe.config import build_runtime, load_config
@@ -37,7 +42,7 @@ from protopipe.protonet import (
     embed_plan,
     personalize,
     plan_query,
-    planned_frames,
+    plan_pays,
     save_prototypes,
 )
 
@@ -71,7 +76,7 @@ def count_pools(monkeypatch, tmp_path):
     """
     log = tmp_path / "pools.log"
     log.write_text("")
-    map_in_workers = protonet._map_in_workers
+    map_in_workers = workers._map_in_workers
     parent = os.getpid()
 
     def counting(fn, items, workers):
@@ -79,7 +84,7 @@ def count_pools(monkeypatch, tmp_path):
             fh.write(f"{'parent' if os.getpid() == parent else 'worker'} {workers}\n")
         return map_in_workers(fn, items, workers)
 
-    monkeypatch.setattr(protonet, "_map_in_workers", counting)
+    monkeypatch.setattr(workers, "_map_in_workers", counting)
     return lambda: log.read_text(encoding="utf-8").splitlines()
 
 
@@ -182,12 +187,12 @@ def test_a_small_evaluate_or_plan_runs_in_this_process(
     pixels = small_runtime()
     episode = build_episode(manifest, "user00")
     small = [VideoPlan(v, ((0, 1, 2),)) for v, _ in episode.query]
-    assert planned_frames(small) < protonet.POOL_MIN_FRAMES
+    assert not plan_pays(small)
     embed_plan(small, pixels)
     assert pools() == []
     rigged_manifest, _ = rigged
     big = [plan_query(v, pixels) for v in rigged_manifest.all_videos()]
-    assert planned_frames(big) >= protonet.POOL_MIN_FRAMES
+    assert plan_pays(big)
     threads = threading.enumerate()
     embed_plan(big, pixels)
     assert pools() == ["parent 2"]
@@ -198,13 +203,92 @@ def test_a_small_evaluate_or_plan_runs_in_this_process(
     assert threading.enumerate() == threads
 
 
-def test_importing_the_cli_loads_no_process_pool():
-    code = (
-        "import sys, protopipe.cli\n"
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
-    )
+# The tests' projections, (grid, channels, dim, seed): 192x16, 48x16 and 12x4.
+TEST_PROJECTIONS = [(8, 3, 16, 0), (4, 3, 16, 0), (2, 3, 4, 0)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 12])
+def test_every_rank_count_gives_the_reference_projection_bits(cpus, tmp_path, monkeypatch):
+    # Three ranks on a 2-vCPU box need a third CPU to pin to; with one pipe
+    # per rank rather than per pair of ranks, they read columns out of order.
+    # Twelve CPUs get GRAM_SCHMIDT_MAX_RANKS ranks, more than the 12x4
+    # projection has columns.
+    ranks = min(cpus, embedding.GRAM_SCHMIDT_MAX_RANKS)
+    use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+    monkeypatch.setattr(embedding, "GRAM_SCHMIDT_MIN_WORK", 0)
+    pools = count_pools(monkeypatch, tmp_path)
+    for grid, channels, dim, seed in TEST_PROJECTIONS:
+        spec = make_patch_projection_spec(grid, channels, dim, seed)
+        want = ref_orthonormal_columns(grid * grid * channels, dim, seed)
+        assert list(map(float.hex, spec.projection.values)) == list(map(float.hex, want))
+    assert pools() == ([f"parent {ranks}"] * len(TEST_PROJECTIONS) if ranks > 1 else [])
+    assert multiprocessing.active_children() == []
+
+
+def test_only_a_projection_past_the_break_even_starts_a_pool(tmp_path, monkeypatch):
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+    pools = count_pools(monkeypatch, tmp_path)
+    for grid, channels, dim, seed in TEST_PROJECTIONS:
+        make_patch_projection_spec(grid, channels, dim, seed)
+    assert pools() == []
+    make_patch_projection_spec(8, 3, 192, 0)  # the rigged projection
+    assert pools() == ["parent 2"]
+    assert multiprocessing.active_children() == []
+
+
+FAILING_RANK = """
+import multiprocessing, os, random, sys
+from protopipe import embedding
+from protopipe.errors import ConfigError
+
+os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
+os.sched_setaffinity = lambda pid, cpus: None
+embedding.GRAM_SCHMIDT_MIN_WORK = 0
+# Column 1 of the 48x16 draw is all zeros, so the rank that owns it finds
+# its norm degenerate. Each rank draws in its own process, from draw 0.
+draws = iter(range(10**6))
+gauss = random.Random.gauss
+random.Random.gauss = lambda rng, mu, sigma: (
+    0.0 * gauss(rng, mu, sigma) if 48 <= next(draws) < 96 else gauss(rng, mu, sigma)
+)
+try:
+    embedding.make_patch_projection_spec(grid=4, channels=3, dim=16, seed=0)
+except ConfigError as exc:
+    print(type(exc).__name__, exc)
+print(multiprocessing.active_children())
+"""
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_a_failing_rank_stops_its_peers_and_its_error_reaches_the_caller(cpus):
+    # In a child interpreter, so that a rank left waiting on a pipe fails
+    # this test by its timeout instead of hanging the run; its session is
+    # killed then, so no rank outlives the test.
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    child = subprocess.Popen(
+        [sys.executable, "-c", FAILING_RANK, str(cpus)], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
     )
-    assert out.stdout.strip() == "[]"
+    try:
+        stdout, stderr = child.communicate(timeout=60)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(child.pid, signal.SIGKILL)
+        child.wait()
+    assert child.returncode == 0, stderr
+    assert stdout.splitlines() == ["ConfigError degenerate projection draw", "[]"]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # Each module in a fresh interpreter: the pool's home is imported by
+    # `embedding` and `protonet`, and must itself load neither module.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    pools = ("multiprocessing", "concurrent.futures")
+    for module in ("protopipe.cli", "protopipe.config", "protopipe.embedding"):
+        code = f"import sys, {module}\nprint(sorted(m for m in {pools} if m in sys.modules))"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]", module
