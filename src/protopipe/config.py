@@ -124,25 +124,30 @@ def load_config(path) -> PipelineConfig:
 
 
 def build_runtime(config: PipelineConfig, seed: int | None = None) -> PipelineRuntime:
-    """Resolve referenced files into a ready-to-run immutable bundle."""
+    """Resolve referenced files into a ready-to-run immutable bundle.
+
+    Every file is read before a seeded projection is built: a bad file
+    fails before that costly step, and the memory the projection's worker
+    pool keeps (its modules and its threads' heap) is taken after the
+    files' parse is freed rather than beneath it, which keeps set-up's peak
+    memory down.
+    """
     if seed is not None:
         config = replace(config, seed=seed)
     doc = config.embedder
-    embedder: EmbedderSpec | PrecomputedTable
+    embedder: EmbedderSpec | PrecomputedTable | None = None
     if doc["kind"] == KIND_PRECOMPUTED:
         embedder = load_precomputed(config.base_dir / doc["table"])
     elif "weights" in doc:
         embedder = load_projection_spec(config.base_dir / doc["weights"])
-    else:
-        params = {key: value for key, value in doc.items() if key != "kind"}
-        embedder = make_patch_projection_spec(**params)
     adapter: TransformerWeights | None = None
     if config.adapter != "none":
         adapter = load_transformer_weights(config.base_dir / config.adapter)
-        if adapter.d != embedder.dim:
-            raise ConfigError(
-                f"adapter dim {adapter.d} != embedder dim {embedder.dim}"
-            )
+    if embedder is None:
+        params = {key: value for key, value in doc.items() if key != "kind"}
+        embedder = make_patch_projection_spec(**params)
+    if adapter is not None and adapter.d != embedder.dim:
+        raise ConfigError(f"adapter dim {adapter.d} != embedder dim {embedder.dim}")
     return PipelineRuntime(
         sampler=config.sampler,
         edge_filter=config.edge_filter,

@@ -20,10 +20,11 @@ order `numerics` documents.
 Building the default projection is the one large step of setting up a run:
 modified Gram-Schmidt over d columns of n entries, about n * d * d
 multiply-adds. From GRAM_SCHMIDT_MIN_WORK on, its columns are split over
-one rank per usable CPU, each a forked worker of `workers.map_split`
-pinned to its own CPU; finished columns pass between ranks over one pipe
-per ordered pair. Every column sees the same sequence of dot products,
-subtractions and division as in one rank, so the bits do not change.
+one rank per usable CPU, at most GRAM_SCHMIDT_MAX_RANKS, each a forked
+worker of `workers.map_split` pinned to its own CPU; finished columns pass
+between ranks over one pipe per ordered pair. Every column sees the same
+sequence of dot products, subtractions and division as in one rank, so the
+bits do not change.
 """
 from __future__ import annotations
 
@@ -74,10 +75,10 @@ class EmbedderSpec:
 # 3 ms at d = 48, and won from d = 64 (54 ms against 64 ms); see README,
 # "Parallel work".
 GRAM_SCHMIDT_MIN_WORK = 600_000
-# At most this many ranks: their pipes grow as the square of their number
-# (8 ranks hold 112 descriptors), each rank draws all d columns, and more
-# than 2 have not been timed.
-GRAM_SCHMIDT_MAX_RANKS = 8
+# At most this many ranks, the most that have been timed. Each further rank
+# draws all d columns again (33 ms at d = 192 on that VM), and the owner of
+# each column writes it once per other rank before its peers can go on.
+GRAM_SCHMIDT_MAX_RANKS = 2
 
 
 def _orthonormal_columns(n: int, d: int, seed: int) -> Matrix:

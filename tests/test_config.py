@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from protopipe import config
 from protopipe.adaptation import centering_adapter_weights, save_transformer_weights
 from protopipe.cli import EXIT_CONFIG, main
 from protopipe.config import ConfigError, build_runtime, load_config
@@ -260,6 +261,18 @@ class TestBuildRuntime:
         doc["adapter"] = "adapter.json"  # embedder dim is 8
         with pytest.raises(ConfigError, match="adapter dim"):
             build_runtime(load_config(write_config(tmp_path, doc)))
+
+    def test_files_are_read_before_the_projection_is_built(self, tmp_path, monkeypatch):
+        # A bad adapter file fails before the costly build, and the
+        # projection's pool starts only after the adapter's parse is freed.
+        (tmp_path / "adapter.json").write_text("{")
+        doc = json.loads(json.dumps(FULL_DOC))
+        doc["adapter"] = "adapter.json"
+        built = []
+        monkeypatch.setattr(config, "make_patch_projection_spec", lambda **kw: built.append(kw))
+        with pytest.raises(ConfigError, match="adapter weights"):
+            build_runtime(load_config(write_config(tmp_path, doc)))
+        assert built == []
 
     def test_adapter_loads_when_dims_agree(self, tmp_path):
         save_transformer_weights(

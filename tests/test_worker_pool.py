@@ -24,9 +24,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from _oracles import ref_orthonormal_columns
 
-from protopipe import embedding, protonet, workers
+from protopipe import protonet, workers
 from protopipe.adaptation import centering_adapter_weights
 from protopipe.clip_sampling import SamplerConfig
 from protopipe.config import build_runtime, load_config
@@ -47,6 +46,7 @@ from protopipe.protonet import (
 )
 
 SRC = Path(protonet.__file__).resolve().parents[1]
+TESTS = Path(__file__).resolve().parent
 
 
 @pytest.fixture(scope="module")
@@ -207,23 +207,61 @@ def test_a_small_evaluate_or_plan_runs_in_this_process(
 TEST_PROJECTIONS = [(8, 3, 16, 0), (4, 3, 16, 0), (2, 3, 4, 0)]
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3, 12])
-def test_every_rank_count_gives_the_reference_projection_bits(cpus, tmp_path, monkeypatch):
-    # Three ranks on a 2-vCPU box need a third CPU to pin to; with one pipe
-    # per rank rather than per pair of ranks, they read columns out of order.
-    # Twelve CPUs get GRAM_SCHMIDT_MAX_RANKS ranks, more than the 12x4
-    # projection has columns.
-    ranks = min(cpus, embedding.GRAM_SCHMIDT_MAX_RANKS)
-    use_cpus(monkeypatch, cpus)
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
-    monkeypatch.setattr(embedding, "GRAM_SCHMIDT_MIN_WORK", 0)
-    pools = count_pools(monkeypatch, tmp_path)
-    for grid, channels, dim, seed in TEST_PROJECTIONS:
-        spec = make_patch_projection_spec(grid, channels, dim, seed)
-        want = ref_orthonormal_columns(grid * grid * channels, dim, seed)
-        assert list(map(float.hex, spec.projection.values)) == list(map(float.hex, want))
-    assert pools() == ([f"parent {ranks}"] * len(TEST_PROJECTIONS) if ranks > 1 else [])
-    assert multiprocessing.active_children() == []
+def run_isolated(code: str, *args: str) -> list[str]:
+    """Run `code` in a child interpreter in a session of its own; its stdout lines.
+
+    Ranks forked there that are left waiting on a pipe fail the test by
+    the 60 s timeout instead of hanging the run, and the session is killed
+    afterwards, so no rank outlives the test.
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))
+    child = subprocess.Popen(
+        [sys.executable, "-c", code, *args], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        stdout, stderr = child.communicate(timeout=60)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(child.pid, signal.SIGKILL)
+        child.wait()
+    assert child.returncode == 0, stderr
+    return stdout.splitlines()
+
+
+# argv: CPUs to report, and the rank cap or "-" for the module's own.
+RANK_BITS = f"""
+import multiprocessing, os, sys
+from _oracles import ref_orthonormal_columns
+from protopipe import embedding, workers
+
+os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
+os.sched_setaffinity = lambda pid, cpus: None
+embedding.GRAM_SCHMIDT_MIN_WORK = 0
+if sys.argv[2] != "-":
+    embedding.GRAM_SCHMIDT_MAX_RANKS = int(sys.argv[2])
+pools = []
+map_in_workers = workers._map_in_workers
+workers._map_in_workers = lambda fn, items, n: pools.append(n) or map_in_workers(fn, items, n)
+for grid, channels, dim, seed in {TEST_PROJECTIONS!r}:
+    spec = embedding.make_patch_projection_spec(grid, channels, dim, seed)
+    want = ref_orthonormal_columns(grid * grid * channels, dim, seed)
+    print(list(map(float.hex, spec.projection.values)) == list(map(float.hex, want)))
+print(pools, multiprocessing.active_children())
+"""
+
+
+@pytest.mark.parametrize(
+    "cpus, cap, ranks", [(1, "-", 1), (2, "-", 2), (3, "-", 2), (3, "3", 3), (12, "8", 8)]
+)
+def test_every_rank_count_gives_the_reference_projection_bits(cpus, cap, ranks):
+    # Three ranks need a third CPU to pin to; with one pipe per rank rather
+    # than per pair of ranks, they read columns out of order. Eight ranks
+    # are more than the 12x4 projection has columns. The module caps the
+    # ranks at the most that have been timed, so the last two raise it.
+    pools = [ranks] * len(TEST_PROJECTIONS) if ranks > 1 else []
+    want = ["True"] * len(TEST_PROJECTIONS) + [f"{pools} []"]
+    assert run_isolated(RANK_BITS, str(cpus), cap) == want
 
 
 def test_only_a_projection_past_the_break_even_starts_a_pool(tmp_path, monkeypatch):
@@ -246,6 +284,7 @@ from protopipe.errors import ConfigError
 os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
 os.sched_setaffinity = lambda pid, cpus: None
 embedding.GRAM_SCHMIDT_MIN_WORK = 0
+embedding.GRAM_SCHMIDT_MAX_RANKS = int(sys.argv[1])
 # Column 1 of the 48x16 draw is all zeros, so the rank that owns it finds
 # its norm degenerate. Each rank draws in its own process, from draw 0.
 draws = iter(range(10**6))
@@ -263,22 +302,9 @@ print(multiprocessing.active_children())
 
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_a_failing_rank_stops_its_peers_and_its_error_reaches_the_caller(cpus):
-    # In a child interpreter, so that a rank left waiting on a pipe fails
-    # this test by its timeout instead of hanging the run; its session is
-    # killed then, so no rank outlives the test.
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    child = subprocess.Popen(
-        [sys.executable, "-c", FAILING_RANK, str(cpus)], env=env,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
-    )
-    try:
-        stdout, stderr = child.communicate(timeout=60)
-    finally:
-        with contextlib.suppress(ProcessLookupError):
-            os.killpg(child.pid, signal.SIGKILL)
-        child.wait()
-    assert child.returncode == 0, stderr
-    assert stdout.splitlines() == ["ConfigError degenerate projection draw", "[]"]
+    # Rank 1 of 3 fails on column 1, which both of its peers wait for.
+    lines = run_isolated(FAILING_RANK, str(cpus))
+    assert lines == ["ConfigError degenerate projection draw", "[]"]
 
 
 def test_importing_the_cli_loads_no_process_pool():
