@@ -21,7 +21,7 @@ Building the default projection is the one large step of setting up a run:
 modified Gram-Schmidt over d columns of n entries, about n * d * d
 multiply-adds. From GRAM_SCHMIDT_MIN_WORK on, its columns are split over
 one rank per usable CPU, at most GRAM_SCHMIDT_MAX_RANKS, each a forked
-worker of `workers.map_split` pinned to its own CPU; finished columns pass
+worker of `workers.map_in_workers` pinned to a CPU; finished columns pass
 between ranks over one pipe per ordered pair. Every column sees the same
 sequence of dot products, subtractions and division as in one rank, so the
 bits do not change.
@@ -36,10 +36,10 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
+from . import workers
 from .errors import ROWS, ConfigError, DataError, finite_floats, read_json
 from .media_io.pnm import Frame
 from .numerics import Matrix, Vector, dot, norm
-from .workers import map_split, usable_cpus
 
 
 @dataclass(frozen=True)
@@ -93,12 +93,15 @@ def _orthonormal_columns(n: int, d: int, seed: int) -> Matrix:
     process never holds the draw.
     """
     pays = n * d * d >= GRAM_SCHMIDT_MIN_WORK
-    ranks = min(usable_cpus(), GRAM_SCHMIDT_MAX_RANKS) if pays else 1
+    ranks = min(workers.usable_cpus(), GRAM_SCHMIDT_MAX_RANKS) if pays else 1
     finished = mmap.mmap(-1, n * d * 8)  # anonymous, so shared with forked workers
     pipes = {(r, s): os.pipe() for r in range(ranks) for s in range(ranks) if r != s}
     try:
         rank = partial(_gram_schmidt_rank, n, d, seed, ranks, pipes, finished)
-        map_split(rank, range(ranks), ranks > 1)
+        if ranks == 1:
+            rank(0)
+        else:  # one worker per rank, as the CPU count is not read again
+            workers.map_in_workers(rank, range(ranks), ranks)
         # Each column's floats are made together, as an embedding reads them.
         with memoryview(finished).cast("d") as done:
             cols = [done[j * n : (j + 1) * n].tolist() for j in range(d)]
@@ -123,7 +126,7 @@ def _gram_schmidt_rank(
     column takes off its projections on columns 0 .. j - 1 in order and is
     then divided by its norm, as in the serial sweep, so the bits do not
     depend on `ranks`. Several ranks run in forked workers, each pinned to
-    one CPU of this process's.
+    one CPU of this process's, shared if fewer CPUs are left than ranks.
 
     A rank that fails sends every other rank an all-NaN column, on which
     they stop, and re-raises, so no rank is left waiting on a pipe.
@@ -148,7 +151,8 @@ def _gram_schmidt_rank(
 
     try:
         if ranks > 1:
-            os.sched_setaffinity(0, {sorted(os.sched_getaffinity(0))[rank]})
+            cpus = sorted(os.sched_getaffinity(0))
+            os.sched_setaffinity(0, {cpus[rank % len(cpus)]})
         rng = random.Random(f"projection/{seed}")
         cols = [[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(d)]
         if rank == 0:

@@ -14,8 +14,9 @@ the previous arm.
 The user is the unit of parallel work: each user's frames are planned,
 embedded and scored under every arm by one function, mapped over forked
 worker processes by `workers.map_split` when the evaluate's planned frames
-pay for a pool, and only the predicted labels come back. A one-user
-evaluate runs here, and its plan is split by video instead.
+pay for a pool. Planning samples each arm once, and only each arm's count
+of correctly labelled query frames comes back. A one-user evaluate runs
+here, and its plan is split by video instead.
 
 The "rigged" scenario built by `make_rigged_scenario` is a synthetic dataset
 plus config constructed so the ordering baseline <= uniform <= filter is a
@@ -58,7 +59,6 @@ from .protonet import (
     build_episode,
     classify_clip,
     embed_plan,
-    per_user_accuracy,
     personalize,
     plan_pays,
     plan_query,
@@ -85,27 +85,31 @@ def arm_runtime(base: PipelineRuntime, arm: str) -> PipelineRuntime:
     return replace(base, sampler=sampler, edge_filter=edge_filter, adapter=adapter)
 
 
-def _user_predictions(
+def _user_hits(
     episode: Episode,
+    sampled: list,
     plan: list[VideoPlan],
     runtime: PipelineRuntime,
     runtimes: list[PipelineRuntime],
-) -> list[list[list[str]]]:
-    """One user's whole evaluate: per arm, per query video, each frame's label.
+) -> list[int]:
+    """One user's whole evaluate: per arm, the query frames labelled right.
 
     The user's plan is run once: every clip is averaged once, in its
     video's job, as its mean depends only on the embedder, which no arm
-    changes. The arms are then arithmetic over that result.
+    changes. The arms are then arithmetic over that result and their clips.
     """
-    found = embed_plan(plan, runtime)
-    means = found[0]
+    means, valid = embed_plan(plan, runtime)
     windows = {part.video.video_id: part.clips for part in plan}
-    queries = [[means[v.video_id, clip] for clip in windows[v.video_id]] for v, _ in episode.query]
-    out = []
-    for rt in runtimes:
-        protos, _ = personalize(episode, rt, found)
-        out.append([[classify_clip(clip, protos)[0] for clip in clips] for clips in queries])
-    return out
+    queries = [
+        (means[video.video_id, clip], label)
+        for video, truth in episode.query
+        for clip, label in zip(windows[video.video_id], truth)
+    ]
+    hits = []
+    for classes, rt in zip(sampled, runtimes):
+        protos, _ = personalize(episode, rt, (classes, means, valid))
+        hits.append(sum(1 for clip, label in queries if classify_clip(clip, protos)[0] == label))
+    return hits
 
 
 def evaluate_users(
@@ -118,7 +122,7 @@ def evaluate_users(
     Each user's plan holds the clips of their support videos that some arm
     samples (their frames gated too when an arm filters) and every query
     frame's causal window, and is made before any pixel is read.
-    `map_split` runs `_user_predictions` over the users, split over worker
+    `map_split` runs `_user_hits` over the users, split over worker
     processes when the planned frames of all users pay for them (`plan_pays`),
     so the outputs do not depend on where it ran. Nothing outlives the
     call. An arm named twice is a ConfigError.
@@ -128,23 +132,20 @@ def evaluate_users(
         raise ConfigError(f"ablation arm {repeated[0]!r} is named more than once")
     episodes = [build_episode(manifest, uid) for uid in manifest.user_ids()]
     runtimes = [arm_runtime(runtime, arm) for arm in arms]
-    plans = [
-        plan_support(ep, runtimes) + [plan_query(video, runtime) for video, _ in ep.query]
-        for ep in episodes
-    ]
-    predictions = map_split(
-        lambda item: _user_predictions(*item, runtime, runtimes),
-        list(zip(episodes, plans)),
-        plan_pays([part for plan in plans for part in plan]),
+    users = []
+    for ep in episodes:
+        sampled, plan = plan_support(ep, runtimes)
+        users.append((ep, sampled, plan + [plan_query(video, runtime) for video, _ in ep.query]))
+    hits = map_split(
+        lambda user: _user_hits(*user, runtime, runtimes),
+        users,
+        plan_pays([part for _, _, plan in users for part in plan]),
     )
+    frames = [sum(len(truth) for _, truth in ep.query) for ep in episodes]
     rows = []
     previous: float | None = None
     for k, arm in enumerate(arms):
-        results = {
-            ep.user_id: [(preds, list(truth)) for preds, (_, truth) in zip(labels[k], ep.query)]
-            for ep, labels in zip(episodes, predictions)
-        }
-        per_user = per_user_accuracy(results)
+        per_user = {ep.user_id: h[k] / n for ep, h, n in zip(episodes, hits, frames)}
         aggregate = sum(per_user.values()) / len(per_user)
         delta = 0.0 if previous is None else aggregate - previous
         logger.info(

@@ -12,9 +12,9 @@ reaches the smallest integer whose square root exceeds tau_mag. That integer
 is found once per threshold, so each pixel costs integer adds and one
 compare, and the count is the one the float magnitudes give.
 
-A frame is gated where it is decoded, by the executor in `protonet`; a
-sampled clip holds frame indices only, and `filter_clips` reads each
-frame's validity by (video_id, index).
+A frame is gated where it is decoded, by the executor in `protonet`, when
+its plan lists it; a sampled clip holds frame indices only, and
+`filter_clips` reads each frame's validity by (video_id, index).
 """
 from __future__ import annotations
 
@@ -131,9 +131,7 @@ def edge_density(gray: Frame, tau_mag: float) -> float:
 
 
 def is_frame_valid(frame: Frame, cfg: EdgeFilterConfig) -> bool:
-    """True when the frame's edge density clears cfg.tau_density."""
-    if not cfg.enabled:
-        return True
+    """True when the frame's edge density clears cfg.tau_density; `enabled` is not read."""
     return edge_density(to_grayscale(frame), cfg.tau_mag) >= cfg.tau_density
 
 

@@ -13,16 +13,19 @@ number of prototype sets.
 Frames are read through a plan of clips. The samplers are seeded per
 video, so the clips a run reads are known before any pixel is: per video,
 the distinct sampled support clips or every query frame's causal window,
-and the frames the edge filter gates. `embed_plan` is the one executor: per
-video, it decodes each planned frame once, gates it and embeds it, and
-returns each clip's mean keyed by (video_id, clip) and each gated frame's
-validity keyed by (video_id, index); frame vectors never leave one video's
-job. `personalize` and `recognize_video` run a plan of their own episode or
+and the frames the edge filter gates. `plan_support` is the one place that
+samples: each runtime samples each support video once, and its clips by
+class come back with the plan. Whether a frame is gated is the plan's
+decision alone. `embed_plan` is the one executor: per video, it decodes
+each planned frame once, gates it and embeds it, and returns each clip's
+mean keyed by (video_id, clip) and each gated frame's validity keyed by
+(video_id, index); frame vectors never leave one video's job.
+`personalize` and `recognize_video` run a plan of their own episode or
 video; `evaluation.evaluate_users` runs one plan per user, for every arm.
 
-`workers.map_split`, the one pool, maps a function over items in forked
-worker processes when a plan has POOL_MIN_FRAMES planned frames or more
-(`plan_pays`). In a one-episode run the video is the unit of parallel work
+`workers.map_split` maps a function over items in forked worker processes
+when a plan has POOL_MIN_FRAMES planned frames or more (`plan_pays`). In a
+one-episode run the video is the unit of parallel work
 (`embed_plan` maps over the plan's videos); in an evaluate the user is, and
 a worker runs its user's plan in its own process.
 """
@@ -195,45 +198,39 @@ class VideoPlan:
     gate: tuple[int, ...] = ()
 
 
-def support_clips(
-    episode: Episode, runtime: PipelineRuntime
-) -> list[tuple[str, list[SampledClip]]]:
-    """Each class's sampled clips, in support order.
+def plan_support(
+    episode: Episode, runtimes: list[PipelineRuntime]
+) -> tuple[list[list[tuple[str, list[SampledClip]]]], list[VideoPlan]]:
+    """Each runtime's sampled clips by class, and the plan that holds them all.
 
-    The sampler is seeded per video, so this reads no pixels. A video too
-    short for one clip is a DataError that names it.
+    Each runtime samples each support video once, seeded per video, so this
+    reads no pixels; a video too short for one clip is a DataError that
+    names it. The plan holds every support video's distinct sampled clips,
+    and a runtime with the edge filter on adds its sampled frames to the gate.
     """
-    out = []
-    for label, videos in episode.support:
-        clips = []
-        for video in videos:
-            cfg = replace(runtime.sampler, seed=derive_video_seed(runtime.seed, video.video_id))
-            try:
-                sampled = sample_clips(video.num_frames, cfg)
-            except DataError as exc:
-                raise DataError(f"video {video.video_id!r}: {exc}") from exc
-            clips += [SampledClip(video.video_id, c) for c in sampled]
-        out.append((label, clips))
-    return out
-
-
-def plan_support(episode: Episode, runtimes: list[PipelineRuntime]) -> list[VideoPlan]:
-    """Every support video's distinct clips that some runtime samples.
-
-    A runtime with the edge filter on adds its sampled frames to the gate.
-    """
-    videos = {v.video_id: v for _, vs in episode.support for v in vs}
-    clips: dict[str, set[tuple[int, ...]]] = {video_id: set() for video_id in videos}
-    gate: dict[str, set[int]] = {video_id: set() for video_id in videos}
+    parts = {v.video_id: (v, set(), set()) for _, vs in episode.support for v in vs}
+    sampled = []
     for rt in runtimes:
-        for _, sampled in support_clips(episode, rt):
-            for sc in sampled:
-                clips[sc.video_id].add(tuple(sc.frames))
-                if rt.edge_filter.enabled:
-                    gate[sc.video_id].update(sc.frames)
-    return [
-        VideoPlan(video, tuple(sorted(clips[video_id])), tuple(sorted(gate[video_id])))
-        for video_id, video in videos.items()
+        classes = []
+        for label, videos in episode.support:
+            clips = []
+            for video in videos:
+                cfg = replace(rt.sampler, seed=derive_video_seed(rt.seed, video.video_id))
+                try:
+                    picked = sample_clips(video.num_frames, cfg)
+                except DataError as exc:
+                    raise DataError(f"video {video.video_id!r}: {exc}") from exc
+                _, planned, gate = parts[video.video_id]
+                for clip in picked:
+                    planned.add(tuple(clip.frame_indices()))
+                    if rt.edge_filter.enabled:
+                        gate.update(clip.frame_indices())
+                clips += [SampledClip(video.video_id, c) for c in picked]
+            classes.append((label, clips))
+        sampled.append(classes)
+    return sampled, [
+        VideoPlan(video, tuple(sorted(clips)), tuple(sorted(gate)))
+        for video, clips, gate in parts.values()
     ]
 
 
@@ -259,10 +256,7 @@ def video_frame_vectors(
     embed = sorted(set().union(*clips))
     to_decode = sorted(set(gate).union(embed)) if runtime.needs_pixels else list(gate)
     frames = load_frames(video, to_decode)
-    # Only frames that a filter which is on reads are planned for the gate;
-    # the arms of one run differ in `enabled` and share the thresholds.
-    gate_cfg = replace(runtime.edge_filter, enabled=True)
-    valid = [_in_frame(video, i, is_frame_valid, frames[i], gate_cfg) for i in gate]
+    valid = [_in_frame(video, i, is_frame_valid, frames[i], runtime.edge_filter) for i in gate]
     vectors = {i: runtime.frame_vector(video, i, frames.get(i)) for i in embed}
     means = [array("d", mean_vectors([vectors[i] for i in clip])) for clip in clips]
     return means, valid
@@ -314,18 +308,18 @@ def embed_plan(
 def personalize(
     episode: Episode,
     runtime: PipelineRuntime,
-    found: tuple[dict, dict] | None = None,
+    found: tuple[list, dict, dict] | None = None,
 ) -> tuple[Prototypes, list[ClipAudit]]:
-    """Support-side stage: sample, filter, average, adapt.
+    """Support-side stage: filter the sampled clips, average, adapt.
 
-    `found` is `embed_plan`'s result for a plan that holds this episode's
-    sampled clips under `runtime`; without it, the episode's own plan is
-    run. Each retained clip's mean is picked from it.
+    `found` is `plan_support`'s clips by class for this episode under
+    `runtime`, then `embed_plan`'s result for a plan that holds them;
+    without it, the episode's own plan is made and run.
     """
-    classes = support_clips(episode, runtime)
     if found is None:
-        found = embed_plan(plan_support(episode, [runtime]), runtime)
-    means, valid = found
+        (classes,), plan = plan_support(episode, [runtime])
+        found = (classes, *embed_plan(plan, runtime))
+    classes, means, valid = found
     per_class: list[tuple[str, list[Vector]]] = []
     audits: list[ClipAudit] = []
     for label, clips in classes:
@@ -346,39 +340,16 @@ class FramePrediction:
     scores: tuple[float, ...]
 
 
-def query_clip_vectors(video: VideoRecord, runtime: PipelineRuntime) -> list[array]:
-    """Every frame's causal clip mean, in frame order, from a one-video plan."""
-    part = plan_query(video, runtime)
-    means, _ = embed_plan([part], runtime)
-    return [means[video.video_id, clip] for clip in part.clips]
-
-
 def recognize_video(
     video: VideoRecord, protos: Prototypes, runtime: PipelineRuntime
 ) -> list[FramePrediction]:
-    """Query-side stage: one causal clip, one prediction, per frame."""
+    """Query-side stage: per frame, its causal clip's mean from a one-video plan, classified."""
+    part = plan_query(video, runtime)
+    means, _ = embed_plan([part], runtime)
     out = []
-    for clip in query_clip_vectors(video, runtime):
-        label, scores = classify_clip(clip, protos)
+    for clip in part.clips:
+        label, scores = classify_clip(means[video.video_id, clip], protos)
         out.append(FramePrediction(label, tuple(scores)))
-    return out
-
-
-def per_user_accuracy(results: dict[str, list[tuple[list[str], list[str]]]]) -> dict[str, float]:
-    """Micro-average within each user: pooled frames, one fraction per user."""
-    out = {}
-    for user_id, pairs in results.items():
-        hits = total = 0
-        for predicted, truth in pairs:
-            if len(predicted) != len(truth):
-                raise DataError(
-                    f"user {user_id}: {len(predicted)} predictions vs {len(truth)} labels"
-                )
-            hits += sum(1 for p, t in zip(predicted, truth) if p == t)
-            total += len(truth)
-        if total == 0:
-            raise DataError(f"user {user_id}: no frames to score")
-        out[user_id] = hits / total
     return out
 
 

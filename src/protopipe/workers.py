@@ -1,10 +1,10 @@
 """The package's one process pool.
 
 `map_split` maps a function over items in forked worker processes, one per
-CPU this process may use, when its caller says the work pays for them; else
-the items run here. Each caller keeps its own break-even rule: the frame
-plan's `protonet.POOL_MIN_FRAMES` for `embed_plan` and `evaluate_users`, and
-`embedding.GRAM_SCHMIDT_MIN_WORK` for the projection's Gram-Schmidt ranks.
+CPU this process may use, when its caller says the work pays for them (the
+frame plan's `protonet.POOL_MIN_FRAMES`); else the items run here. The
+projection's Gram-Schmidt ranks wait on each other, so `embedding` starts
+exactly one worker per rank with `map_in_workers`.
 A worker starts no pool of its own. `multiprocessing` and
 `concurrent.futures` are imported only when a pool starts.
 """
@@ -32,7 +32,8 @@ def _call_in_worker(item):
     return _worker_fn(item)
 
 
-def _map_in_workers(fn, items: Sequence, workers: int) -> list:
+def map_in_workers(fn, items: Sequence, workers: int) -> list:
+    """`[fn(item) for item in items]` in exactly `workers` forked workers."""
     # Imported here, so that a run that starts no pool does not load them.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -60,5 +61,5 @@ def map_split(fn, items: Sequence, pays: bool) -> list:
     """
     workers = min(usable_cpus(), len(items)) if pays else 1
     if workers > 1:
-        return _map_in_workers(fn, items, workers)
+        return map_in_workers(fn, items, workers)
     return [fn(item) for item in items]

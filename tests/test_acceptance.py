@@ -41,7 +41,6 @@ from protopipe.numerics import Matrix, layer_norm_rows
 from protopipe.protonet import (
     PipelineRuntime,
     build_episode,
-    per_user_accuracy,
     personalize,
     recognize_video,
 )
@@ -86,16 +85,17 @@ def test_criterion_02_synthetic_accuracy_gate(tmp_path):
             seed=7,
             digest="acceptance",
         )
-        results = {}
+        per_user = {}
         for user_id in manifest.user_ids():
             episode = build_episode(manifest, user_id)
             protos, _ = personalize(episode, runtime)
-            pairs = []
+            hits = frames = 0
             for video, truth in episode.query:
                 preds = recognize_video(video, protos, runtime)
-                pairs.append(([p.pred for p in preds], list(truth)))
-            results[user_id] = pairs
-        per_user = per_user_accuracy(results)
+                assert len(preds) == len(truth)
+                hits += sum(p.pred == t for p, t in zip(preds, truth))
+                frames += len(truth)
+            per_user[user_id] = hits / frames
         aggregate = sum(per_user.values()) / len(per_user)
         elapsed = time.perf_counter() - start
         print(f"\n  aggregate accuracy {aggregate:.4f} in {elapsed:.1f}s")

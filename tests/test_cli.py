@@ -308,13 +308,13 @@ class TestEvaluate:
         pool (it is below the break-even); return the pools' worker counts."""
         monkeypatch.setattr(protonet, "POOL_MIN_FRAMES", 0)
         started = []
-        map_in_workers = workers._map_in_workers
+        map_in_workers = workers.map_in_workers
 
         def counting(fn, items, workers):
             started.append(workers)
             return map_in_workers(fn, items, workers)
 
-        monkeypatch.setattr(workers, "_map_in_workers", counting)
+        monkeypatch.setattr(workers, "map_in_workers", counting)
         return started
 
     def test_bad_frame_in_a_worker_exits_3_as_in_one_process(

@@ -37,7 +37,7 @@ from protopipe.media_io.manifest import DatasetManifest, load_manifest, parse_ma
 from protopipe.media_io.pnm import Frame, decode_pnm
 from protopipe.media_io.synthetic import GeneratorSpec, generate_synthetic_dataset
 from protopipe.numerics import Matrix, matmul, mean_vectors
-from protopipe.protonet import compute_prototypes, load_prototypes, per_user_accuracy
+from protopipe.protonet import compute_prototypes, load_prototypes
 
 
 def test_protopipe_defines_exactly_two_exception_classes():
@@ -138,9 +138,6 @@ FORMER_CLASSES = {
     ),
     "EmptyClass": (
         lambda tmp: compute_prototypes([("a", [])]), DataError, "class 'a' has no clip embeddings",
-    ),
-    "LengthMismatch": (
-        lambda tmp: per_user_accuracy({"u": []}), DataError, "user u: no frames to score",
     ),
     "ShapeMismatch": (
         lambda tmp: attention_matrices(Matrix.zeros(1, 3), centering_adapter_weights(2)),

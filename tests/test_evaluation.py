@@ -4,11 +4,14 @@ import os
 from collections import Counter
 from dataclasses import replace
 
+import pytest
+
 from protopipe import evaluation, protonet
 from protopipe.adaptation import centering_adapter_weights
 from protopipe.clip_sampling import SamplerConfig, causal_sliding_window, sample_clips
-from protopipe.embedding import make_patch_projection_spec
-from protopipe.evaluation import ARM_ORDER, arm_runtime, evaluate_users
+from protopipe.config import build_runtime, load_config
+from protopipe.embedding import PrecomputedTable, make_patch_projection_spec
+from protopipe.evaluation import ARM_ORDER, arm_runtime, evaluate_users, make_rigged_scenario
 from protopipe.frame_validity import EdgeFilterConfig
 from protopipe.media_io.manifest import DatasetManifest, ObjectRecord, UserRecord
 from protopipe.protonet import (
@@ -57,6 +60,44 @@ def sampled_clips(video, runtime):
 def in_one_process(monkeypatch) -> None:
     """Keep `embed_plan` in this process, where spies see every call."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+@pytest.fixture(scope="module")
+def rigged(tmp_path_factory):
+    manifest, config_path = make_rigged_scenario(tmp_path_factory.mktemp("rigged"))
+    return manifest, build_runtime(load_config(config_path))
+
+
+class TestRigged:
+    def test_the_plan_alone_decides_which_frames_are_gated(self, rigged):
+        manifest, runtime = rigged
+        report = evaluate_users(manifest, runtime)
+        assert [arm["name"] for arm in report["arms"]] == list(ARM_ORDER)
+        assert report["arms"][-1]["aggregate"] == 1.0
+        # The arms set `enabled` themselves; the config's value reaches no gate.
+        off = replace(runtime, edge_filter=replace(runtime.edge_filter, enabled=False))
+        assert evaluate_users(manifest, off) == report
+
+    def test_each_arm_samples_each_support_video_once(self, rigged, monkeypatch):
+        in_one_process(monkeypatch)
+        manifest, runtime = rigged
+        # Sampling does not depend on the embedder, so a table keeps this quick.
+        table = PrecomputedTable(2, {
+            v.video_id: [[1.0, float(i)] for i in range(v.num_frames)]
+            for v in manifest.all_videos()
+        })
+        runtime = replace(runtime, embedder=table, adapter=None)
+        sampled = []
+        sample_clips = protonet.sample_clips
+
+        def counting(num_frames, cfg):
+            sampled.append(cfg)
+            return sample_clips(num_frames, cfg)
+
+        monkeypatch.setattr(protonet, "sample_clips", counting)
+        evaluate_users(manifest, runtime)
+        support = [v for v in manifest.all_videos() if v.kind == "clean"]
+        assert len(sampled) == len(ARM_ORDER) * len(support) == 48
 
 
 class TestOnePlan:

@@ -220,10 +220,6 @@ class TestValidity:
             step, EdgeFilterConfig(tau_mag=32.0, tau_density=1 / 3 + 1e-9)
         )
 
-    def test_disabled_filter_accepts_anything(self):
-        flat = gray([[0] * 8] * 8)
-        assert is_frame_valid(flat, EdgeFilterConfig(enabled=False))
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EdgeFilterConfig(tau_mag=-1.0)

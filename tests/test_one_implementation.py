@@ -1,4 +1,4 @@
-"""One implementation per job: canonical JSON, float sums and input checks each have one home.
+"""One implementation per job: JSON, float sums, pools, means and sampling each have one home.
 
 `errors.write_json` is the package's one writer of indented JSON,
 `numerics.dot` is its one float dot product and norm (see the `numerics`
@@ -12,11 +12,14 @@ input file. This AST scan fails when a second copy grows back:
   too large for a float is caught once, where the reader turns numbers into
   floats;
 * a reference to `ProcessPoolExecutor` or `multiprocessing` outside
-  `workers._map_in_workers`, the one pool, which `workers.map_split`
-  drives for the video split, the user split and the Gram-Schmidt ranks;
+  `workers.map_in_workers`, the one pool, which `workers.map_split`
+  drives for the video split and the user split, and `embedding` for the
+  Gram-Schmidt ranks;
 * a call of `mean_vectors` outside `protonet.video_frame_vectors`, which
   averages every clip, and `protonet.compute_prototypes`, which averages
   each class's clip means;
+* a call of `sample_clips` outside `protonet.plan_support`, which samples
+  each runtime's support clips once and plans them;
 * a `ValueError(...)` call anywhere: every fault is a `ConfigError` or a
   `DataError`, the two families the CLI maps to its exit codes.
 """
@@ -31,15 +34,16 @@ PACKAGE_DIR = Path(protopipe.__file__).parent
 JSON_HOME = "errors.py"
 SUM_HOME = "numerics.py"
 OVERFLOW_HOME = "errors.py"
-POOL_HOME = ("workers.py", "_map_in_workers")
+POOL_HOME = ("workers.py", "map_in_workers")
 POOL_NAMES = {"ProcessPoolExecutor", "multiprocessing"}
 MEAN_HOMES = {("protonet.py", "video_frame_vectors"), ("protonet.py", "compute_prototypes")}
+SAMPLE_HOME = {("protonet.py", "plan_support")}
 
 # (module, function) -> why its sums are not a dot product or a norm.
 ALLOWED_SUMS = {
     ("embedding.py", "downsample_boxes"): "integer pixel sums, exact in any order",
     ("errors.py", "finite_floats"): "a finiteness test whose value never reaches an output",
-    ("evaluation.py", "evaluate_users"): "the report's mean accuracy over users",
+    ("evaluation.py", "evaluate_users"): "each user's frame count; the mean accuracy over users",
 }
 
 
@@ -210,7 +214,7 @@ def test_one_process_pool():
 
 def test_the_guard_sees_a_planted_pool(tmp_path):
     (tmp_path / "workers.py").write_text(
-        "def _map_in_workers(fn, items, workers):\n"
+        "def map_in_workers(fn, items, workers):\n"
         "    import multiprocessing\n"
         "    from concurrent.futures import ProcessPoolExecutor\n"
         "    return ProcessPoolExecutor(workers, multiprocessing.get_context('fork'))\n"
@@ -273,6 +277,21 @@ def test_the_guard_sees_a_planted_mean(tmp_path):
     assert calls_outside(tmp_path, "mean_vectors", MEAN_HOMES) == [
         "evaluation.py:3", "protonet.py:6",
     ]
+
+
+def test_clips_are_sampled_in_one_place():
+    assert calls_outside(PACKAGE_DIR, "sample_clips", SAMPLE_HOME) == []
+    assert len(calls_outside(PACKAGE_DIR, "sample_clips")) == len(SAMPLE_HOME)
+
+
+def test_the_guard_sees_a_planted_sampling(tmp_path):
+    (tmp_path / "protonet.py").write_text(
+        "def plan_support(episode, runtimes):\n"
+        "    return [sample_clips(v.num_frames, rt.sampler) for rt in runtimes for v in episode]\n"
+        "def personalize(episode, runtime):\n"
+        "    return [clip_sampling.sample_clips(v.num_frames, runtime.sampler) for v in episode]\n"
+    )
+    assert calls_outside(tmp_path, "sample_clips", SAMPLE_HOME) == ["protonet.py:4"]
 
 
 def test_no_plain_value_error():

@@ -28,10 +28,10 @@ from protopipe.protonet import (
     classify_clip,
     compute_prototypes,
     derive_video_seed,
+    embed_plan,
     load_prototypes,
-    per_user_accuracy,
     personalize,
-    query_clip_vectors,
+    plan_query,
     recognize_video,
     save_predictions,
     save_prototypes,
@@ -281,9 +281,13 @@ class TestRecognize:
             sampler=SamplerConfig(clip_length=2, clips_per_video=1),
             embedder=PrecomputedTable(2, {"q": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}),
         )
-        clips = query_clip_vectors(self.make_video(3), runtime)
+        part = plan_query(self.make_video(3), runtime)
+        assert part.clips == ((0, 0), (0, 1), (1, 2)) and part.gate == ()
+        means, valid = embed_plan([part], runtime)
+        clips = [means["q", clip] for clip in part.clips]
         assert all(isinstance(c, array) and c.typecode == "d" for c in clips)
         assert [list(c) for c in clips] == [[1.0, 0.0], [0.5, 0.5], [0.5, 1.0]]
+        assert valid == {}
 
     def test_uses_precomputed_table(self):
         assert [p.pred for p in self.recognize([[0.0, 1.0]] * 3)] == ["b"] * 3
@@ -326,19 +330,6 @@ class TestPinnedOutputs:
         assert len(values) == 2 * 3 * 192 + 6 * 48 * 3
         digest = hashlib.sha256("".join(f"{x.hex()}\n" for x in values).encode())
         assert digest.hexdigest() == RIGGED_USER_SHA256
-
-
-class TestScoring:
-    def test_per_user_accuracy_is_micro_averaged(self):
-        results = {
-            "u0": [(["a", "b"], ["a", "a"]), (["a"], ["a"])],
-            "u1": [(["b"], ["b"])],
-        }
-        got = per_user_accuracy(results)
-        assert got["u0"] == pytest.approx(2 / 3)
-        assert got["u1"] == 1.0
-        with pytest.raises(DataError, match="^user u: 1 predictions vs 0 labels$"):
-            per_user_accuracy({"u": [(["a"], [])]})
 
 
 class TestSerialization:

@@ -7,7 +7,8 @@ over ranks when its work reaches `embedding.GRAM_SCHMIDT_MIN_WORK`. These
 tests pin that the split changes no output bit, that a small evaluate, plan
 or projection stays in this process, that a worker starts no pool of its
 own, that a failing rank stops its peers, and that importing the package's
-entry modules loads no process machinery.
+entry modules loads no process machinery. A test that forks workers which
+could be left waiting runs in a child interpreter, through `run_isolated`.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from protopipe.config import build_runtime, load_config
 from protopipe.embedding import PrecomputedTable, make_patch_projection_spec
 from protopipe.evaluation import evaluate_users, make_rigged_scenario
 from protopipe.frame_validity import EdgeFilterConfig
-from protopipe.media_io.manifest import DatasetManifest
+from protopipe.media_io.manifest import DatasetManifest, load_manifest
 from protopipe.protonet import (
     PipelineRuntime,
     VideoPlan,
@@ -49,16 +50,14 @@ SRC = Path(protonet.__file__).resolve().parents[1]
 TESTS = Path(__file__).resolve().parent
 
 
-@pytest.fixture(scope="module")
-def rigged(tmp_path_factory):
-    manifest, config_path = make_rigged_scenario(tmp_path_factory.mktemp("rigged"))
-    return manifest, build_runtime(load_config(config_path))
+def load_rigged(root: Path) -> tuple[DatasetManifest, PipelineRuntime]:
+    """The rigged scenario that `make_rigged_scenario` wrote under `root`."""
+    manifest = load_manifest(root / "data" / "manifest.json")
+    return manifest, build_runtime(load_config(root / "config.json"))
 
 
-@pytest.fixture(scope="module")
-def rigged_table(rigged) -> PipelineRuntime:
-    """The rigged runtime with a table of seeded rows for every frame."""
-    manifest, runtime = rigged
+def with_table(manifest: DatasetManifest, runtime: PipelineRuntime) -> PipelineRuntime:
+    """The runtime with a table of seeded rows for every frame."""
     rng = random.Random(0)
     dim = runtime.embedder.dim
     table = PrecomputedTable(dim, {
@@ -66,6 +65,23 @@ def rigged_table(rigged) -> PipelineRuntime:
         for v in manifest.all_videos()
     })
     return replace(runtime, embedder=table)
+
+
+@pytest.fixture(scope="module")
+def rigged_dir(tmp_path_factory) -> Path:
+    root = tmp_path_factory.mktemp("rigged")
+    make_rigged_scenario(root)
+    return root
+
+
+@pytest.fixture(scope="module")
+def rigged(rigged_dir):
+    return load_rigged(rigged_dir)
+
+
+@pytest.fixture(scope="module")
+def rigged_table(rigged) -> PipelineRuntime:
+    return with_table(*rigged)
 
 
 def count_pools(monkeypatch, tmp_path):
@@ -76,7 +92,7 @@ def count_pools(monkeypatch, tmp_path):
     """
     log = tmp_path / "pools.log"
     log.write_text("")
-    map_in_workers = workers._map_in_workers
+    map_in_workers = workers.map_in_workers
     parent = os.getpid()
 
     def counting(fn, items, workers):
@@ -84,7 +100,7 @@ def count_pools(monkeypatch, tmp_path):
             fh.write(f"{'parent' if os.getpid() == parent else 'worker'} {workers}\n")
         return map_in_workers(fn, items, workers)
 
-    monkeypatch.setattr(workers, "_map_in_workers", counting)
+    monkeypatch.setattr(workers, "map_in_workers", counting)
     return lambda: log.read_text(encoding="utf-8").splitlines()
 
 
@@ -127,16 +143,28 @@ def all_outputs(manifest, runtime, tmp_path, after_each) -> tuple:
     )
 
 
+# argv: the name of a check below, the rigged scenario's directory, a
+# scratch directory and the check's own arguments.
+IN_CHILD = """
+import sys, warnings
+from pathlib import Path
+import pytest
+import test_worker_pool
+
 # A fork with live threads warns from Python 3.12 on; the pool must start
 # before any thread of its own.
-@pytest.mark.filterwarnings("error::DeprecationWarning")
-@pytest.mark.parametrize("embedder", ["pixels", "table"])
-def test_serial_and_parallel_outputs_are_byte_identical(
-    rigged, rigged_table, embedder, tmp_path, monkeypatch
-):
-    manifest, runtime = rigged
+warnings.simplefilter("error", DeprecationWarning)
+name, rigged_dir, tmp_path, *args = sys.argv[1:]
+with pytest.MonkeyPatch.context() as monkeypatch:
+    getattr(test_worker_pool, name)(Path(rigged_dir), Path(tmp_path), monkeypatch, *args)
+print("passed")
+"""
+
+
+def serial_and_parallel_outputs(rigged_dir, tmp_path, monkeypatch, embedder):
+    manifest, runtime = load_rigged(rigged_dir)
     if embedder == "table":
-        runtime = rigged_table
+        runtime = with_table(manifest, runtime)
     pools = count_pools(monkeypatch, tmp_path)
     threads = threading.enumerate()
 
@@ -159,11 +187,15 @@ def test_serial_and_parallel_outputs_are_byte_identical(
     assert outputs[1] == outputs[2] == outputs[3]
 
 
-def test_a_one_user_evaluate_splits_its_plan_by_video(
-    rigged, rigged_table, tmp_path, monkeypatch
-):
-    manifest, _ = rigged
-    runtime = rigged_table
+@pytest.mark.parametrize("embedder", ["pixels", "table"])
+def test_serial_and_parallel_outputs_are_byte_identical(rigged_dir, embedder, tmp_path):
+    args = ("serial_and_parallel_outputs", str(rigged_dir), str(tmp_path), embedder)
+    assert run_isolated(IN_CHILD, *args) == ["passed"]
+
+
+def one_user_evaluate(rigged_dir, tmp_path, monkeypatch):
+    manifest, runtime = load_rigged(rigged_dir)
+    runtime = with_table(manifest, runtime)
     one_user = DatasetManifest(manifest.users[:1])
     use_cpus(monkeypatch, 2)
     pools = count_pools(monkeypatch, tmp_path)
@@ -173,6 +205,11 @@ def test_a_one_user_evaluate_splits_its_plan_by_video(
     use_cpus(monkeypatch, 1)
     assert report == evaluate_users(one_user, runtime)
     assert pools() == ["parent 2"]
+
+
+def test_a_one_user_evaluate_splits_its_plan_by_video(rigged_dir, tmp_path):
+    args = ("one_user_evaluate", str(rigged_dir), str(tmp_path))
+    assert run_isolated(IN_CHILD, *args) == ["passed"]
 
 
 def test_a_small_evaluate_or_plan_runs_in_this_process(
@@ -210,9 +247,9 @@ TEST_PROJECTIONS = [(8, 3, 16, 0), (4, 3, 16, 0), (2, 3, 4, 0)]
 def run_isolated(code: str, *args: str) -> list[str]:
     """Run `code` in a child interpreter in a session of its own; its stdout lines.
 
-    Ranks forked there that are left waiting on a pipe fail the test by
-    the 60 s timeout instead of hanging the run, and the session is killed
-    afterwards, so no rank outlives the test.
+    Workers forked there that are left waiting, such as a rank on a pipe,
+    fail the test by the 60 s timeout instead of hanging the run, and the
+    session is killed afterwards, so no worker outlives the test.
     """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))
     child = subprocess.Popen(
@@ -241,8 +278,8 @@ embedding.GRAM_SCHMIDT_MIN_WORK = 0
 if sys.argv[2] != "-":
     embedding.GRAM_SCHMIDT_MAX_RANKS = int(sys.argv[2])
 pools = []
-map_in_workers = workers._map_in_workers
-workers._map_in_workers = lambda fn, items, n: pools.append(n) or map_in_workers(fn, items, n)
+map_in_workers = workers.map_in_workers
+workers.map_in_workers = lambda fn, items, n: pools.append(n) or map_in_workers(fn, items, n)
 for grid, channels, dim, seed in {TEST_PROJECTIONS!r}:
     spec = embedding.make_patch_projection_spec(grid, channels, dim, seed)
     want = ref_orthonormal_columns(grid * grid * channels, dim, seed)
@@ -274,6 +311,35 @@ def test_only_a_projection_past_the_break_even_starts_a_pool(tmp_path, monkeypat
     make_patch_projection_spec(8, 3, 192, 0)  # the rigged projection
     assert pools() == ["parent 2"]
     assert multiprocessing.active_children() == []
+
+
+# The CPU count falls from two to one after its first read, as when the
+# affinity mask shrinks while a projection is built.
+SHRINKING_CPUS = f"""
+import multiprocessing, os
+from _oracles import ref_orthonormal_columns
+from protopipe import embedding, workers
+
+os.sched_setaffinity = lambda pid, cpus: None
+embedding.GRAM_SCHMIDT_MIN_WORK = 0
+pools = []
+map_in_workers = workers.map_in_workers
+workers.map_in_workers = lambda fn, items, n: pools.append(n) or map_in_workers(fn, items, n)
+for grid, channels, dim, seed in {TEST_PROJECTIONS!r}:
+    reads = iter([{{0, 1}}])
+    os.sched_getaffinity = lambda pid: next(reads, {{0}})
+    spec = embedding.make_patch_projection_spec(grid, channels, dim, seed)
+    want = ref_orthonormal_columns(grid * grid * channels, dim, seed)
+    print(list(map(float.hex, spec.projection.values)) == list(map(float.hex, want)))
+print(pools, multiprocessing.active_children())
+"""
+
+
+def test_ranks_started_match_the_cpu_count_read_once():
+    # Both ranks start though one CPU is left, and share it: one rank run
+    # here would wait forever for its peer's columns.
+    want = ["True"] * len(TEST_PROJECTIONS) + [f"{[2] * len(TEST_PROJECTIONS)} []"]
+    assert run_isolated(SHRINKING_CPUS) == want
 
 
 FAILING_RANK = """
