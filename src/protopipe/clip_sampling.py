@@ -1,12 +1,14 @@
 """Temporal sampling of fixed-length clips.
 
+`sample_clips` is the one sampler of support videos, with two policies.
 Support videos are split into non-overlapping L-frame candidates; the
-uniform sampler then partitions the candidates into equal chunks and picks
+uniform policy then partitions the candidates into equal chunks and picks
 one clip per chunk, which guarantees temporal coverage at a constant rate.
-The random sampler (the older baseline behaviour) draws starts independently
-and may over- or under-cover. Query videos instead go through a causal
-sliding window: one L-frame clip per frame, built only from the current and
-earlier frames.
+The random policy (the older baseline behaviour) draws starts independently
+and may over- or under-cover. The config holds the policy; the seed is an
+argument, because `protonet.plan_support` derives one per video from the
+pipeline seed. Query videos instead go through a causal sliding window: one
+L-frame clip per frame, built only from the current and earlier frames.
 """
 from __future__ import annotations
 
@@ -34,11 +36,12 @@ class ClipIndex:
 
 @dataclass(frozen=True)
 class SamplerConfig:
+    """A config file's `sampler` section; the seed is each call's own."""
+
     clip_length: int = 8
     clips_per_video: int = 4
     policy: str = POLICY_UNIFORM
     within_chunk: str = "middle"
-    seed: int = 0
 
     def __post_init__(self):
         if self.clip_length < 1:
@@ -59,57 +62,36 @@ def enumerate_candidates(num_frames: int, clip_length: int) -> list[ClipIndex]:
     return [ClipIndex(i * clip_length, clip_length) for i in range(count)]
 
 
-def uniform_sample_clips(num_frames: int, cfg: SamplerConfig) -> list[ClipIndex]:
-    """One clip per equal-size chunk of the candidate list.
+def sample_clips(num_frames: int, cfg: SamplerConfig, seed: int) -> list[ClipIndex]:
+    """`cfg.clips_per_video` clips of one video, drawn by `cfg.policy` from `seed`.
 
-    With C candidates and K requested clips: C == 0 is an error, C <= K
-    returns every candidate (short videos still contribute), and otherwise
-    the first K*floor(C/K) candidates form K chunks of floor(C/K) each
-    (trailing candidates dropped) with one pick per chunk.
+    Uniform: with C candidates and K requested clips, C <= K returns every
+    candidate (short videos still contribute), and otherwise the first
+    K*floor(C/K) candidates form K chunks of floor(C/K) each (trailing
+    candidates dropped) with one pick per chunk. Random: K starts drawn
+    uniformly (with replacement) from [0, num_frames - L], sorted. Under
+    either policy a video shorter than one clip is a DataError.
     """
-    if cfg.policy != POLICY_UNIFORM:
-        raise ConfigError(f"uniform sampler called with policy {cfg.policy!r}")
-    candidates = enumerate_candidates(num_frames, cfg.clip_length)
-    if not candidates:
-        raise DataError(
-            f"{num_frames} frames cannot fit a {cfg.clip_length}-frame clip"
-        )
+    if num_frames < cfg.clip_length:
+        raise DataError(f"{num_frames} frames cannot fit a {cfg.clip_length}-frame clip")
+    rng = random.Random(seed)
     k = cfg.clips_per_video
+    if cfg.policy == POLICY_RANDOM:
+        starts = sorted(rng.randint(0, num_frames - cfg.clip_length) for _ in range(k))
+        return [ClipIndex(s, cfg.clip_length) for s in starts]
+    candidates = enumerate_candidates(num_frames, cfg.clip_length)
     if len(candidates) <= k:
         return candidates
     chunk_size = len(candidates) // k
-    rng = random.Random(cfg.seed)
     picks = []
     for chunk in range(k):
         base = chunk * chunk_size
-        if cfg.within_chunk == "first":
-            offset = 0
-        elif cfg.within_chunk == "middle":
-            offset = chunk_size // 2
-        else:
+        if cfg.within_chunk == "seeded_random":
             offset = rng.randrange(chunk_size)
+        else:
+            offset = chunk_size // 2 if cfg.within_chunk == "middle" else 0
         picks.append(candidates[base + offset])
     return picks
-
-
-def random_sample_clips(num_frames: int, cfg: SamplerConfig) -> list[ClipIndex]:
-    """K starts drawn uniformly (with replacement) from [0, num_frames - L]."""
-    if cfg.policy != POLICY_RANDOM:
-        raise ConfigError(f"random sampler called with policy {cfg.policy!r}")
-    if num_frames < cfg.clip_length:
-        raise DataError(
-            f"{num_frames} frames cannot fit a {cfg.clip_length}-frame clip"
-        )
-    rng = random.Random(cfg.seed)
-    last_start = num_frames - cfg.clip_length
-    starts = sorted(rng.randint(0, last_start) for _ in range(cfg.clips_per_video))
-    return [ClipIndex(s, cfg.clip_length) for s in starts]
-
-
-def sample_clips(num_frames: int, cfg: SamplerConfig) -> list[ClipIndex]:
-    if cfg.policy == POLICY_UNIFORM:
-        return uniform_sample_clips(num_frames, cfg)
-    return random_sample_clips(num_frames, cfg)
 
 
 def causal_sliding_window(num_frames: int, clip_length: int) -> list[list[int]]:

@@ -59,11 +59,9 @@ _LUMA_B = [0.114 * v for v in range(256)]
 
 
 def to_grayscale(frame: Frame) -> Frame:
-    """BT.601 luma, rounded half-up; grayscale input passes through."""
+    """BT.601 luma of an RGB frame, rounded half-up; a grayscale one passes through."""
     if frame.channels == 1:
         return frame
-    if frame.channels != 3:
-        raise DataError(f"{frame.channels} channels")
     px = frame.pixels
     # No clamp to 255 is needed: every table grows with its byte and float
     # addition is monotone, so the largest luma is (255, 255, 255)'s, and

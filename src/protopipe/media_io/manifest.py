@@ -54,9 +54,6 @@ class UserRecord:
     user_id: str
     objects: list[ObjectRecord]
 
-    def labels(self) -> list[str]:
-        return [o.label for o in self.objects]
-
 
 @dataclass(frozen=True)
 class DatasetManifest:

@@ -10,7 +10,7 @@ prototypes by cosine similarity. A clip's mean depends only on the
 embedder, never on the prototypes, so one set of clip means serves any
 number of prototype sets.
 
-Frames are read through a plan of clips. The samplers are seeded per
+Frames are read through a plan of clips. The sampler is seeded per
 video, so the clips a run reads are known before any pixel is: per video,
 the distinct sampled support clips or every query frame's causal window,
 and the frames the edge filter gates. `plan_support` is the one place that
@@ -35,7 +35,7 @@ import hashlib
 import math
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from .adaptation import TransformerWeights, adapt_prototypes
@@ -215,9 +215,9 @@ def plan_support(
         for label, videos in episode.support:
             clips = []
             for video in videos:
-                cfg = replace(rt.sampler, seed=derive_video_seed(rt.seed, video.video_id))
+                seed = derive_video_seed(rt.seed, video.video_id)
                 try:
-                    picked = sample_clips(video.num_frames, cfg)
+                    picked = sample_clips(video.num_frames, rt.sampler, seed)
                 except DataError as exc:
                     raise DataError(f"video {video.video_id!r}: {exc}") from exc
                 _, planned, gate = parts[video.video_id]

@@ -19,11 +19,7 @@ from _oracles import np_transformer_block, random_transformer_weights, ref_sobel
 
 from protopipe.adaptation import adapt_prototypes, attention_matrices
 from protopipe.cli import EXIT_OK, main
-from protopipe.clip_sampling import (
-    SamplerConfig,
-    causal_sliding_window,
-    uniform_sample_clips,
-)
+from protopipe.clip_sampling import SamplerConfig, causal_sliding_window, sample_clips
 from protopipe.config import build_runtime, load_config
 from protopipe.embedding import make_patch_projection_spec
 from protopipe.evaluation import evaluate_users, make_rigged_scenario
@@ -124,7 +120,7 @@ def test_criterion_03_ablation_ordering(tmp_path, caplog):
 def test_criterion_04_uniform_sampler_properties():
     with criterion(4, "uniform sampler: chunked picks, worked example 40/8/2 -> {0, 16}"):
         cfg = SamplerConfig(clip_length=8, clips_per_video=2, within_chunk="first")
-        assert [c.start for c in uniform_sample_clips(40, cfg)] == [0, 16]
+        assert [c.start for c in sample_clips(40, cfg, 0)] == [0, 16]
 
         rng = random.Random(1001)
         for _ in range(1000):
@@ -135,9 +131,8 @@ def test_criterion_04_uniform_sampler_properties():
                 clip_length=length,
                 clips_per_video=k,
                 within_chunk=rng.choice(("first", "middle", "seeded_random")),
-                seed=rng.randint(0, 10**6),
             )
-            clips = uniform_sample_clips(num_frames, cfg)
+            clips = sample_clips(num_frames, cfg, rng.randint(0, 10**6))
             c = num_frames // length
             assert len(clips) == min(k, c)
             for a, b in zip(clips, clips[1:]):

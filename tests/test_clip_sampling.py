@@ -12,9 +12,7 @@ from protopipe.clip_sampling import (
     SamplerConfig,
     causal_sliding_window,
     enumerate_candidates,
-    random_sample_clips,
     sample_clips,
-    uniform_sample_clips,
 )
 from protopipe.errors import DataError
 
@@ -44,36 +42,29 @@ class TestUniformSampler:
     def test_all_candidates_when_video_short(self):
         for within in ("first", "middle", "seeded_random"):
             cfg = SamplerConfig(clip_length=8, clips_per_video=2, within_chunk=within)
-            assert starts(uniform_sample_clips(16, cfg)) == [0, 8]
+            assert starts(sample_clips(16, cfg, 0)) == [0, 8]
 
     def test_forty_frames_two_clips_first(self):
         cfg = SamplerConfig(clip_length=8, clips_per_video=2, within_chunk="first")
-        assert starts(uniform_sample_clips(40, cfg)) == [0, 16]
+        assert starts(sample_clips(40, cfg, 0)) == [0, 16]
 
     def test_forty_frames_two_clips_middle(self):
         # 5 candidates, chunks of 2: middle pick is index 1 of each chunk
         cfg = SamplerConfig(clip_length=8, clips_per_video=2, within_chunk="middle")
-        assert starts(uniform_sample_clips(40, cfg)) == [8, 24]
+        assert starts(sample_clips(40, cfg, 0)) == [8, 24]
 
     def test_fewer_candidates_than_requested(self):
         cfg = SamplerConfig(clip_length=8, clips_per_video=5)
-        assert starts(uniform_sample_clips(24, cfg)) == [0, 8, 16]
+        assert starts(sample_clips(24, cfg, 0)) == [0, 8, 16]
 
     def test_too_short_raises(self):
         cfg = SamplerConfig(clip_length=8, clips_per_video=2)
         with pytest.raises(DataError, match="^7 frames cannot fit a 8-frame clip$"):
-            uniform_sample_clips(7, cfg)
+            sample_clips(7, cfg, 0)
 
     def test_seeded_random_is_reproducible(self):
-        cfg = SamplerConfig(
-            clip_length=4, clips_per_video=3, within_chunk="seeded_random", seed=99
-        )
-        assert uniform_sample_clips(100, cfg) == uniform_sample_clips(100, cfg)
-
-    def test_policy_mismatch(self):
-        cfg = SamplerConfig(policy="random")
-        with pytest.raises(ValueError):
-            uniform_sample_clips(64, cfg)
+        cfg = SamplerConfig(clip_length=4, clips_per_video=3, within_chunk="seeded_random")
+        assert sample_clips(100, cfg, 99) == sample_clips(100, cfg, 99)
 
     def test_random_triples_structure(self):
         # Whatever the shape of the video, picks are one-per-chunk, sorted,
@@ -84,13 +75,8 @@ class TestUniformSampler:
             num_frames = rng.randint(length, 400)
             k = rng.randint(1, 10)
             within = rng.choice(("first", "middle", "seeded_random"))
-            cfg = SamplerConfig(
-                clip_length=length,
-                clips_per_video=k,
-                within_chunk=within,
-                seed=rng.randint(0, 10**6),
-            )
-            clips = uniform_sample_clips(num_frames, cfg)
+            cfg = SamplerConfig(clip_length=length, clips_per_video=k, within_chunk=within)
+            clips = sample_clips(num_frames, cfg, rng.randint(0, 10**6))
             c = num_frames // length
             assert len(clips) == min(k, c)
             ss = starts(clips)
@@ -114,32 +100,26 @@ class TestUniformSampler:
 class TestRandomSampler:
     def test_video_exactly_clip_length(self):
         cfg = SamplerConfig(policy="random", clip_length=8, clips_per_video=3)
-        assert starts(random_sample_clips(8, cfg)) == [0, 0, 0]
+        assert starts(sample_clips(8, cfg, 0)) == [0, 0, 0]
 
     def test_reproducible_and_sorted(self):
-        cfg = SamplerConfig(policy="random", clip_length=8, clips_per_video=6, seed=5)
-        a = random_sample_clips(100, cfg)
-        assert a == random_sample_clips(100, cfg)
+        cfg = SamplerConfig(policy="random", clip_length=8, clips_per_video=6)
+        a = sample_clips(100, cfg, 5)
+        assert a == sample_clips(100, cfg, 5)
         assert starts(a) == sorted(starts(a))
 
     def test_too_short_raises(self):
         cfg = SamplerConfig(policy="random", clip_length=8)
         with pytest.raises(DataError, match="^7 frames cannot fit a 8-frame clip$"):
-            random_sample_clips(7, cfg)
-
-    def test_policy_mismatch(self):
-        with pytest.raises(ValueError):
-            random_sample_clips(64, SamplerConfig(policy="uniform"))
+            sample_clips(7, cfg, 0)
 
     def test_starts_are_uniform_over_valid_range(self):
         # 18 frames, length 8 -> starts live in {0..10}; draw a lot of them
         # across seeds and check the histogram against a flat distribution.
         counts = [0] * 11
         for seed in range(2500):
-            cfg = SamplerConfig(
-                policy="random", clip_length=8, clips_per_video=4, seed=seed
-            )
-            for s in starts(random_sample_clips(18, cfg)):
+            cfg = SamplerConfig(policy="random", clip_length=8, clips_per_video=4)
+            for s in starts(sample_clips(18, cfg, seed)):
                 counts[s] += 1
         assert sum(counts) == 10_000
         result = stats.chisquare(counts)
@@ -160,14 +140,14 @@ class TestDispatch:
         self, num_frames, length, k, policy, within, seed
     ):
         # One clip per chunk under uniform is test_random_triples_structure.
-        cfg = SamplerConfig(length, k, policy, within, seed)
+        cfg = SamplerConfig(length, k, policy, within)
         if num_frames < length:
             message = f"^{num_frames} frames cannot fit a {length}-frame clip$"
             with pytest.raises(DataError, match=message):
-                sample_clips(num_frames, cfg)
+                sample_clips(num_frames, cfg, seed)
             return
-        clips = sample_clips(num_frames, cfg)
-        assert sample_clips(num_frames, cfg) == clips
+        clips = sample_clips(num_frames, cfg, seed)
+        assert sample_clips(num_frames, cfg, seed) == clips
         wanted = k if policy == "random" else min(k, num_frames // length)
         assert len(clips) == wanted
         for clip in clips:
@@ -176,8 +156,8 @@ class TestDispatch:
             assert 0 <= indices[0] and indices[-1] < num_frames
 
     def test_sample_clips_routes_by_policy(self):
-        uniform = sample_clips(64, SamplerConfig(policy="uniform", clips_per_video=2))
-        rand = sample_clips(64, SamplerConfig(policy="random", clips_per_video=2))
+        uniform = sample_clips(64, SamplerConfig(policy="uniform", clips_per_video=2), 0)
+        rand = sample_clips(64, SamplerConfig(policy="random", clips_per_video=2), 0)
         assert len(uniform) == len(rand) == 2
 
     def test_config_validation(self):

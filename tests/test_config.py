@@ -3,14 +3,17 @@ from __future__ import annotations
 import json
 import math
 import re
+from dataclasses import fields
 
 import pytest
 
 from protopipe import config
 from protopipe.adaptation import centering_adapter_weights, save_transformer_weights
 from protopipe.cli import EXIT_CONFIG, main
+from protopipe.clip_sampling import SamplerConfig
 from protopipe.config import ConfigError, build_runtime, load_config
 from protopipe.evaluation import make_rigged_scenario
+from protopipe.frame_validity import EdgeFilterConfig
 
 FULL_DOC = {
     "sampler": {
@@ -53,6 +56,16 @@ def test_defaults_fill_missing_sections(tmp_path):
     assert config.sampler.policy == "uniform"
     assert config.edge_filter.enabled
     assert config.seed == 0
+
+
+@pytest.mark.parametrize(
+    "cls, keys",
+    [(SamplerConfig, config.SAMPLER_KEYS), (EdgeFilterConfig, config.FILTER_KEYS)],
+)
+def test_a_section_dataclass_holds_exactly_its_config_keys(cls, keys):
+    # A field that no key sets is a value no config file can hold, and a key
+    # with no field is one the section cannot pass on.
+    assert {field.name for field in fields(cls)} == set(keys)
 
 
 @pytest.mark.parametrize(

@@ -110,7 +110,7 @@ FORMER_CLASSES = {
         OSError, "cannot write dataset under {tmp}/file: [Errno 17] File exists: '{tmp}/file'",
     ),
     "InsufficientFrames": (
-        lambda tmp: sample_clips(3, SamplerConfig(clip_length=8)),
+        lambda tmp: sample_clips(3, SamplerConfig(clip_length=8), 0),
         DataError, "3 frames cannot fit a 8-frame clip",
     ),
     "FrameTooSmall": (

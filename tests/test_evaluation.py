@@ -53,8 +53,9 @@ def swap_frames(manifest: DatasetManifest, kind: str) -> DatasetManifest:
 
 def sampled_clips(video, runtime):
     """The clips one runtime's sampler picks from a support video, found independently."""
-    cfg = replace(runtime.sampler, seed=derive_video_seed(runtime.seed, video.video_id))
-    return sample_clips(video.num_frames, cfg)
+    return sample_clips(
+        video.num_frames, runtime.sampler, derive_video_seed(runtime.seed, video.video_id)
+    )
 
 
 def in_one_process(monkeypatch) -> None:
@@ -90,9 +91,9 @@ class TestRigged:
         sampled = []
         sample_clips = protonet.sample_clips
 
-        def counting(num_frames, cfg):
-            sampled.append(cfg)
-            return sample_clips(num_frames, cfg)
+        def counting(num_frames, cfg, seed):
+            sampled.append(seed)
+            return sample_clips(num_frames, cfg, seed)
 
         monkeypatch.setattr(protonet, "sample_clips", counting)
         evaluate_users(manifest, runtime)

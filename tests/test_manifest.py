@@ -41,7 +41,7 @@ def test_minimal_manifest_parses():
     manifest = parse_manifest(make_doc(), Path("/data"))
     assert manifest.user_ids() == ["u0"]
     user = manifest.user("u0")
-    assert user.labels() == ["mug", "keys"]
+    assert [obj.label for obj in user.objects] == ["mug", "keys"]
     assert len(manifest.all_videos()) == 4
 
 

@@ -5,6 +5,10 @@ review and upkeep, and it can drift from the path the program really runs.
 The scan is by name: a definition counts as used when its name appears as a
 name, an attribute or an import anywhere in the package or in the
 benchmark harness. Dunder methods are called by Python itself and exempt.
+
+Its blind spot is a shared name: a definition counts as used when its name
+is used anywhere, so an unused method hides behind a used one of the same
+name on another class, as `UserRecord.labels` did behind `Episode.labels`.
 """
 from __future__ import annotations
 

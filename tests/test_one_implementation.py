@@ -286,10 +286,10 @@ def test_clips_are_sampled_in_one_place():
 
 def test_the_guard_sees_a_planted_sampling(tmp_path):
     (tmp_path / "protonet.py").write_text(
-        "def plan_support(episode, runtimes):\n"
-        "    return [sample_clips(v.num_frames, rt.sampler) for rt in runtimes for v in episode]\n"
-        "def personalize(episode, runtime):\n"
-        "    return [clip_sampling.sample_clips(v.num_frames, runtime.sampler) for v in episode]\n"
+        "def plan_support(episode, rts):\n"
+        "    return [sample_clips(v.num_frames, rt.sampler, 0) for rt in rts for v in episode]\n"
+        "def personalize(episode, rt):\n"
+        "    return [clip_sampling.sample_clips(v.num_frames, rt.sampler, 0) for v in episode]\n"
     )
     assert calls_outside(tmp_path, "sample_clips", SAMPLE_HOME) == ["protonet.py:4"]
 

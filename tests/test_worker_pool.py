@@ -7,8 +7,10 @@ over ranks when its work reaches `embedding.GRAM_SCHMIDT_MIN_WORK`. These
 tests pin that the split changes no output bit, that a small evaluate, plan
 or projection stays in this process, that a worker starts no pool of its
 own, that a failing rank stops its peers, and that importing the package's
-entry modules loads no process machinery. A test that forks workers which
-could be left waiting runs in a child interpreter, through `run_isolated`.
+entry modules loads no process machinery. Every test that forks workers
+runs them in a child interpreter in a session of its own, through
+`run_isolated`, so a worker left waiting fails its test and is killed
+instead of outliving the run.
 """
 from __future__ import annotations
 
@@ -50,10 +52,10 @@ SRC = Path(protonet.__file__).resolve().parents[1]
 TESTS = Path(__file__).resolve().parent
 
 
-def load_rigged(root: Path) -> tuple[DatasetManifest, PipelineRuntime]:
+def load_rigged(root: str) -> tuple[DatasetManifest, PipelineRuntime]:
     """The rigged scenario that `make_rigged_scenario` wrote under `root`."""
-    manifest = load_manifest(root / "data" / "manifest.json")
-    return manifest, build_runtime(load_config(root / "config.json"))
+    manifest = load_manifest(Path(root, "data", "manifest.json"))
+    return manifest, build_runtime(load_config(Path(root, "config.json")))
 
 
 def with_table(manifest: DatasetManifest, runtime: PipelineRuntime) -> PipelineRuntime:
@@ -72,16 +74,6 @@ def rigged_dir(tmp_path_factory) -> Path:
     root = tmp_path_factory.mktemp("rigged")
     make_rigged_scenario(root)
     return root
-
-
-@pytest.fixture(scope="module")
-def rigged(rigged_dir):
-    return load_rigged(rigged_dir)
-
-
-@pytest.fixture(scope="module")
-def rigged_table(rigged) -> PipelineRuntime:
-    return with_table(*rigged)
 
 
 def count_pools(monkeypatch, tmp_path):
@@ -108,12 +100,12 @@ def use_cpus(monkeypatch, n: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
-def small_runtime(table=None) -> PipelineRuntime:
-    """A dim-16 pixel runtime for `small_dataset`, or the same with a table."""
+def small_runtime() -> PipelineRuntime:
+    """A dim-16 pixel runtime for `small_dataset`."""
     return PipelineRuntime(
         sampler=SamplerConfig(clip_length=4, clips_per_video=2),
         edge_filter=EdgeFilterConfig(),
-        embedder=table or make_patch_projection_spec(grid=4, channels=3, dim=16, seed=0),
+        embedder=make_patch_projection_spec(grid=4, channels=3, dim=16, seed=0),
         adapter=centering_adapter_weights(16, 0.25),
         seed=0,
         digest="test",
@@ -143,8 +135,8 @@ def all_outputs(manifest, runtime, tmp_path, after_each) -> tuple:
     )
 
 
-# argv: the name of a check below, the rigged scenario's directory, a
-# scratch directory and the check's own arguments.
+# argv: the name of a check below, a scratch directory and the check's own
+# arguments.
 IN_CHILD = """
 import sys, warnings
 from pathlib import Path
@@ -154,14 +146,19 @@ import test_worker_pool
 # A fork with live threads warns from Python 3.12 on; the pool must start
 # before any thread of its own.
 warnings.simplefilter("error", DeprecationWarning)
-name, rigged_dir, tmp_path, *args = sys.argv[1:]
+name, tmp_path, *args = sys.argv[1:]
 with pytest.MonkeyPatch.context() as monkeypatch:
-    getattr(test_worker_pool, name)(Path(rigged_dir), Path(tmp_path), monkeypatch, *args)
+    getattr(test_worker_pool, name)(Path(tmp_path), monkeypatch, *args)
 print("passed")
 """
 
 
-def serial_and_parallel_outputs(rigged_dir, tmp_path, monkeypatch, embedder):
+def passes_in_child(name: str, tmp_path: Path, *args) -> bool:
+    """Whether the check `name` passes when run through `IN_CHILD`."""
+    return run_isolated(IN_CHILD, name, str(tmp_path), *map(str, args)) == ["passed"]
+
+
+def serial_and_parallel_outputs(tmp_path, monkeypatch, rigged_dir, embedder):
     manifest, runtime = load_rigged(rigged_dir)
     if embedder == "table":
         runtime = with_table(manifest, runtime)
@@ -189,11 +186,10 @@ def serial_and_parallel_outputs(rigged_dir, tmp_path, monkeypatch, embedder):
 
 @pytest.mark.parametrize("embedder", ["pixels", "table"])
 def test_serial_and_parallel_outputs_are_byte_identical(rigged_dir, embedder, tmp_path):
-    args = ("serial_and_parallel_outputs", str(rigged_dir), str(tmp_path), embedder)
-    assert run_isolated(IN_CHILD, *args) == ["passed"]
+    assert passes_in_child("serial_and_parallel_outputs", tmp_path, rigged_dir, embedder)
 
 
-def one_user_evaluate(rigged_dir, tmp_path, monkeypatch):
+def one_user_evaluate(tmp_path, monkeypatch, rigged_dir):
     manifest, runtime = load_rigged(rigged_dir)
     runtime = with_table(manifest, runtime)
     one_user = DatasetManifest(manifest.users[:1])
@@ -208,36 +204,39 @@ def one_user_evaluate(rigged_dir, tmp_path, monkeypatch):
 
 
 def test_a_one_user_evaluate_splits_its_plan_by_video(rigged_dir, tmp_path):
-    args = ("one_user_evaluate", str(rigged_dir), str(tmp_path))
-    assert run_isolated(IN_CHILD, *args) == ["passed"]
+    assert passes_in_child("one_user_evaluate", tmp_path, rigged_dir)
 
 
-def test_a_small_evaluate_or_plan_runs_in_this_process(
-    small_dataset, small_table, rigged, rigged_table, tmp_path, monkeypatch
-):
-    manifest, _ = small_dataset
+def small_evaluate_or_plan(tmp_path, monkeypatch, rigged_dir, small_dir):
+    manifest = load_manifest(Path(small_dir, "manifest.json"))
+    # Built before the count starts: the rigged projection may start its own pool.
+    rigged_manifest, rigged = load_rigged(rigged_dir)
     use_cpus(monkeypatch, 2)
     pools = count_pools(monkeypatch, tmp_path)
-    evaluate_users(manifest, small_runtime(small_table))
-    evaluate_users(manifest, small_runtime())
-    assert pools() == []
     pixels = small_runtime()
+    evaluate_users(manifest, with_table(manifest, pixels))
+    evaluate_users(manifest, pixels)
+    assert pools() == []
     episode = build_episode(manifest, "user00")
     small = [VideoPlan(v, ((0, 1, 2),)) for v, _ in episode.query]
     assert not plan_pays(small)
     embed_plan(small, pixels)
     assert pools() == []
-    rigged_manifest, _ = rigged
     big = [plan_query(v, pixels) for v in rigged_manifest.all_videos()]
     assert plan_pays(big)
     threads = threading.enumerate()
     embed_plan(big, pixels)
     assert pools() == ["parent 2"]
     # A rigged-size evaluate from a table starts one pool too.
-    evaluate_users(rigged_manifest, rigged_table)
+    evaluate_users(rigged_manifest, with_table(rigged_manifest, rigged))
     assert pools() == ["parent 2", "parent 2"]
     assert multiprocessing.active_children() == []
     assert threading.enumerate() == threads
+
+
+def test_a_small_evaluate_or_plan_runs_in_this_process(small_dataset, rigged_dir, tmp_path):
+    _, small_dir = small_dataset
+    assert passes_in_child("small_evaluate_or_plan", tmp_path, rigged_dir, small_dir)
 
 
 # The tests' projections, (grid, channels, dim, seed): 192x16, 48x16 and 12x4.
@@ -301,7 +300,7 @@ def test_every_rank_count_gives_the_reference_projection_bits(cpus, cap, ranks):
     assert run_isolated(RANK_BITS, str(cpus), cap) == want
 
 
-def test_only_a_projection_past_the_break_even_starts_a_pool(tmp_path, monkeypatch):
+def projection_pools(tmp_path, monkeypatch):
     use_cpus(monkeypatch, 2)
     monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
     pools = count_pools(monkeypatch, tmp_path)
@@ -311,6 +310,10 @@ def test_only_a_projection_past_the_break_even_starts_a_pool(tmp_path, monkeypat
     make_patch_projection_spec(8, 3, 192, 0)  # the rigged projection
     assert pools() == ["parent 2"]
     assert multiprocessing.active_children() == []
+
+
+def test_only_a_projection_past_the_break_even_starts_a_pool(tmp_path):
+    assert passes_in_child("projection_pools", tmp_path)
 
 
 # The CPU count falls from two to one after its first read, as when the
