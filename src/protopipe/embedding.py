@@ -9,10 +9,11 @@ textures stay distinct). Users with real features can load them through
 the precomputed table instead.
 
 Both steps are cheap per frame because their layout work is done once.
-The box-average's byte spans (each cell's run of pixels in each row it
-covers, per channel) are computed once per frame size, channel count and
-grid, and each cell sums its spans straight from the PNM payload; the sums
-are exact integers, so the order does not matter. The projection's columns
+The box-average's layout is one `operator.itemgetter` over the frame's byte
+offsets in cell order, with each cell's run and divisor, made once per
+frame size, channel count and grid; a frame's bytes are gathered in one
+call, and each cell sums its contiguous run of them. The sums are exact
+integers, so the order does not matter. The projection's columns
 are sliced once per `EmbedderSpec`, and each output entry is
 `numerics.dot` of the downsampled frame with one column, in the summation
 order `numerics` documents.
@@ -35,6 +36,8 @@ import random
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
+from itertools import accumulate
+from operator import itemgetter
 
 from . import workers
 from .errors import ROWS, ConfigError, DataError, finite_floats, read_json
@@ -205,14 +208,14 @@ def load_projection_spec(path) -> EmbedderSpec:
 
 
 @lru_cache(maxsize=64)
-def _box_spans(
+def _box_gather(
     w: int, h: int, c: int, grid: int
-) -> tuple[tuple[tuple[tuple[int, int], ...], float], ...]:
-    """Per output entry, channel-major: byte spans and divisor.
+) -> tuple[itemgetter, tuple[tuple[int, int, float], ...]]:
+    """A getter of every cell's bytes, and per cell its (start, stop, divisor).
 
-    Entry (ch, cell) holds one (start, stop) span per frame row the cell
-    covers; px[start:stop:c] is that row's run of channel ch inside the
-    cell. The divisor is the cell's pixel count times 255.
+    The getter takes a frame's bytes in cell order, channel-major: cell
+    (ch, gy, gx) is items start:stop of what it returns, one byte per pixel
+    of the cell. The divisor is the cell's pixel count times 255.
     """
     xbin = [min(grid - 1, x * grid // w) for x in range(w)]
     ybin = [min(grid - 1, y * grid // h) for y in range(h)]
@@ -220,18 +223,17 @@ def _box_spans(
     # so each cell is one run of columns in each of one run of rows.
     xs = [xbin.index(b) for b in range(grid)] + [w]
     ys = [ybin.index(b) for b in range(grid)] + [h]
-    return tuple(
-        (
-            tuple(
-                ((y * w + xs[gx]) * c + ch, (y * w + xs[gx + 1]) * c)
-                for y in range(ys[gy], ys[gy + 1])
-            ),
-            (xs[gx + 1] - xs[gx]) * (ys[gy + 1] - ys[gy]) * 255.0,
-        )
+    runs = [
+        [(y * w + x) * c + ch for y in range(ys[gy], ys[gy + 1])
+         for x in range(xs[gx], xs[gx + 1])]
         for ch in range(c)
         for gy in range(grid)
         for gx in range(grid)
-    )
+    ]
+    stops = list(accumulate(map(len, runs)))
+    cells = tuple((stop - len(run), stop, len(run) * 255.0) for run, stop in zip(runs, stops))
+    # One offset more, so that the getter returns a tuple even for one byte.
+    return itemgetter(*[i for run in runs for i in run], 0), cells
 
 
 def downsample_boxes(frame: Frame, grid: int) -> Vector:
@@ -244,11 +246,9 @@ def downsample_boxes(frame: Frame, grid: int) -> Vector:
     w, h, c = frame.width, frame.height, frame.channels
     if w < grid or h < grid:
         raise ConfigError(f"{w}x{h} frame is smaller than grid {grid}")
-    px = frame.pixels
-    return [
-        sum([sum(px[start:stop:c]) for start, stop in spans]) / divisor
-        for spans, divisor in _box_spans(w, h, c, grid)
-    ]
+    gather, cells = _box_gather(w, h, c, grid)
+    got = gather(frame.pixels)
+    return [sum(got[start:stop]) / divisor for start, stop, divisor in cells]
 
 
 def embed_frame(frame: Frame, spec: EmbedderSpec) -> Vector:

@@ -52,6 +52,7 @@ from .adaptation import centering_adapter_weights, save_transformer_weights
 from .errors import ConfigError, write_json
 from .media_io.manifest import DatasetManifest
 from .media_io.synthetic import GeneratorSpec, generate_synthetic_dataset
+from .numerics import norm
 from .protonet import (
     Episode,
     PipelineRuntime,
@@ -94,21 +95,21 @@ def _user_hits(
 ) -> list[int]:
     """One user's whole evaluate: per arm, the query frames labelled right.
 
-    The user's plan is run once: every clip is averaged once, in its
-    video's job, as its mean depends only on the embedder, which no arm
-    changes. The arms are then arithmetic over that result and their clips.
+    The user's plan is run once, as no arm changes the embedder: every clip
+    is averaged once, in its video's job, and each query clip's norm is
+    taken once. The arms are then arithmetic over that result and their clips.
     """
     means, valid = embed_plan(plan, runtime)
     windows = {part.video.video_id: part.clips for part in plan}
     queries = [
-        (means[video.video_id, clip], label)
+        (q, norm(q), label)
         for video, truth in episode.query
-        for clip, label in zip(windows[video.video_id], truth)
+        for q, label in zip([means[video.video_id, c] for c in windows[video.video_id]], truth)
     ]
     hits = []
     for classes, rt in zip(sampled, runtimes):
         protos, _ = personalize(episode, rt, (classes, means, valid))
-        hits.append(sum(1 for clip, label in queries if classify_clip(clip, protos)[0] == label))
+        hits.append(sum(1 for q, nq, label in queries if classify_clip(q, nq, protos)[0] == label))
     return hits
 
 

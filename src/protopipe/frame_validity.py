@@ -12,6 +12,12 @@ reaches the smallest integer whose square root exceeds tau_mag. That integer
 is found once per threshold, so each pixel costs integer adds and one
 compare, and the count is the one the float magnitudes give.
 
+`is_frame_valid` is the package's one gate. The density k / area is correctly
+rounded, hence monotone in the count k, so the gate scans rows from the top
+and stops as soon as the count reaches the least k that clears tau_density,
+found once per frame area and threshold: only a failing frame is read to
+its last row.
+
 A frame is gated where it is decoded, by the executor in `protonet`, when
 its plan lists it; a sampled clip holds frame indices only, and
 `filter_clips` reads each frame's validity by (video_id, index).
@@ -21,6 +27,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import sub
@@ -58,21 +65,6 @@ _LUMA_G = [0.587 * v for v in range(256)]
 _LUMA_B = [0.114 * v for v in range(256)]
 
 
-def to_grayscale(frame: Frame) -> Frame:
-    """BT.601 luma of an RGB frame, rounded half-up; a grayscale one passes through."""
-    if frame.channels == 1:
-        return frame
-    px = frame.pixels
-    # No clamp to 255 is needed: every table grows with its byte and float
-    # addition is monotone, so the largest luma is (255, 255, 255)'s, and
-    # that sum is exactly 255.0.
-    gray = [
-        int(_LUMA_R[r] + _LUMA_G[g] + _LUMA_B[b] + 0.5)
-        for r, g, b in zip(px[0::3], px[1::3], px[2::3])
-    ]
-    return Frame(frame.width, frame.height, 1, bytes(gray))
-
-
 # gx and gy each lie in [-1020, 1020] (4 * 255), so gx*gx + gy*gy is at most
 # 2 * 1020**2 and one more than that counts no pixel at any threshold.
 _NO_HIT = 2 * 1020**2 + 1
@@ -85,52 +77,58 @@ def _min_edge_square(tau_mag: float) -> int:
     math.sqrt is correctly rounded, so it is monotone on the integers and
     sqrt(s) > tau_mag holds exactly for the integers s >= n.
     """
-    lo, hi = 0, _NO_HIT
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if math.sqrt(mid) > tau_mag:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return bisect_left(range(_NO_HIT), True, key=lambda n: math.sqrt(n) > tau_mag)
 
 
-def edge_density(gray: Frame, tau_mag: float) -> float:
-    """Fraction of interior pixels whose Sobel magnitude exceeds tau_mag.
+@functools.lru_cache(maxsize=64)
+def _min_edge_count(area: int, tau_density: float) -> int:
+    """The smallest integer k with k / area >= tau_density, at most area.
 
-    Border pixels are excluded rather than padded. A pixel counts when
-    sqrt(gx*gx + gy*gy) > tau_mag, tested exactly in integers as
-    gx*gx + gy*gy >= _min_edge_square(tau_mag).
+    k / area is correctly rounded, so it is monotone in k and the density
+    clears tau_density exactly when the count of edge pixels reaches k.
     """
-    if gray.channels != 1:
-        raise DataError("edge_density needs a grayscale frame")
-    w, h = gray.width, gray.height
-    if w < 3 or h < 3:
-        raise DataError(f"{w}x{h}: Sobel needs at least 3x3")
-    n_min = _min_edge_square(tau_mag)
-    px = gray.pixels
-    rows = [px[y * w : (y + 1) * w] for y in range(h)]
-    # The 3x3 Sobel kernels are separable: (1, 2, 1) across each row for
-    # gy, and (1, 2, 1) down each column of three rows for gx.
-    across = [[a + 2 * b + c for a, b, c in zip(r, r[1:], r[2:])] for r in rows]
-    down = [
-        [a + 2 * b + c for a, b, c in zip(r0, r1, r2)]
-        for r0, r1, r2 in zip(rows, rows[1:], rows[2:])
-    ]
-    # At an interior pixel, gx is the difference of the column sums on its
-    # right and left, and gy of the row sums below and above it.
-    hits = sum(
-        1
-        for d, above, below in zip(down, across, across[2:])
-        for gx, gy in zip(map(sub, d[2:], d), map(sub, below, above))
-        if gx * gx + gy * gy >= n_min
-    )
-    return hits / ((h - 2) * (w - 2))
+    return bisect_left(range(area), True, key=lambda k: k / area >= tau_density)
 
 
 def is_frame_valid(frame: Frame, cfg: EdgeFilterConfig) -> bool:
-    """True when the frame's edge density clears cfg.tau_density; `enabled` is not read."""
-    return edge_density(to_grayscale(frame), cfg.tau_mag) >= cfg.tau_density
+    """True when the frame's edge density clears cfg.tau_density; `enabled` is not read.
+
+    The density is the fraction of interior pixels (the border is excluded,
+    not padded) whose Sobel magnitude exceeds cfg.tau_mag, on the frame's
+    BT.601 luma rounded half-up; see the module docs for the early stop.
+    """
+    w, h = frame.width, frame.height
+    if w < 3 or h < 3:
+        raise DataError(f"{w}x{h}: Sobel needs at least 3x3")
+    need = _min_edge_count((w - 2) * (h - 2), cfg.tau_density)
+    n_min = _min_edge_square(cfg.tau_mag)
+    px, stride = frame.pixels, w * frame.channels
+    rows, across, hits = [], [], 0
+    for y in range(h):
+        row = px[y * stride : (y + 1) * stride]
+        if frame.channels == 3:
+            # No clamp to 255 is needed: every table grows with its byte and
+            # float addition is monotone, so the largest luma is
+            # (255, 255, 255)'s, and that sum is exactly 255.0.
+            row = [int(_LUMA_R[r] + _LUMA_G[g] + _LUMA_B[b] + 0.5)
+                   for r, g, b in zip(row[0::3], row[1::3], row[2::3])]
+        rows.append(row)
+        # The 3x3 Sobel kernels are separable: (1, 2, 1) across each row for
+        # gy, and (1, 2, 1) down each column of three rows for gx.
+        across.append([a + 2 * b + c for a, b, c in zip(row, row[1:], row[2:])])
+        if y < 2:
+            continue
+        down = [a + 2 * b + c for a, b, c in zip(rows[y - 2], rows[y - 1], row)]
+        # At interior pixel (x + 1, y - 1), gx is the difference of the column
+        # sums on its right and left, and gy of the row sums below and above.
+        hits += sum(
+            1
+            for gx, gy in zip(map(sub, down[2:], down), map(sub, across[y], across[y - 2]))
+            if gx * gx + gy * gy >= n_min
+        )
+        if hits >= need:
+            return True
+    return False
 
 
 @dataclass(frozen=True)

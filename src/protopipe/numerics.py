@@ -12,11 +12,11 @@ reports, prototypes and predictions stay byte-identical, whatever the
 shape of the product. A zero product adds +-0.0 to a running sum that can
 never be -0.0, so a loop that skips zero inputs gives the same bits.
 `cosine_similarity` takes its two norms from the caller, made by `norm`,
-so a vector scored many times has its norm computed once, to the same
-bits. The float sums outside `dot` are `softmax_rows`'s total,
-`layer_norm_rows`'s mean and variance, `evaluation`'s mean accuracy, and
-`errors.finite_floats`' sum, which only tests an array read from an input
-file, such as a table row, for finiteness.
+and so does `protonet.classify_clip` for its query: each prototype row and
+query clip has its norm computed once, to the same bits. The float sums
+outside `dot` are `softmax_rows`'s total, `layer_norm_rows`'s mean and
+variance, `evaluation`'s mean accuracy, and the sums of `Matrix` and
+`errors.finite_floats`, which only test an array for finiteness.
 
 The contract holds below CPython 3.12. From 3.12 on, builtin `sum`
 compensates float rounding, so `dot`, like every other float `sum` in the
@@ -50,9 +50,10 @@ class Matrix:
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
                 f"values, got {len(self.values)}"
             )
-        for v in self.values:
-            if not math.isfinite(v):
-                raise DataError(f"non-finite matrix entry {v!r}")
+        if not math.isfinite(sum(self.values)):  # else every entry is finite
+            for v in self.values:
+                if not math.isfinite(v):
+                    raise DataError(f"non-finite matrix entry {v!r}")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[float]]) -> "Matrix":

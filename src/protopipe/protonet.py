@@ -128,11 +128,10 @@ def compute_prototypes(per_class: list[tuple[str, list[Vector]]]) -> Matrix:
     return Matrix.from_rows(rows)
 
 
-def classify_clip(q: Vector, protos: Prototypes) -> tuple[str, list[float]]:
-    """Cosine against every adapted prototype row; ties go to the lowest index."""
+def classify_clip(q: Vector, nq: float, protos: Prototypes) -> tuple[str, list[float]]:
+    """Cosine of q, of norm nq, against every adapted row; ties go to the lowest index."""
     if len(q) != protos.dim:
         raise ConfigError(f"query dim {len(q)} != prototype dim {protos.dim}")
-    nq = norm(q)
     scores = [cosine_similarity(q, row, nq, n) for row, n in protos.scoring_rows]
     best = max(range(len(scores)), key=lambda k: scores[k])
     return protos.labels[best], scores
@@ -348,7 +347,8 @@ def recognize_video(
     means, _ = embed_plan([part], runtime)
     out = []
     for clip in part.clips:
-        label, scores = classify_clip(means[video.video_id, clip], protos)
+        mean = means[video.video_id, clip]
+        label, scores = classify_clip(mean, norm(mean), protos)
         out.append(FramePrediction(label, tuple(scores)))
     return out
 

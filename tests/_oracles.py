@@ -14,6 +14,7 @@ import random
 import numpy as np
 
 from protopipe.adaptation import TransformerWeights
+from protopipe.media_io.pnm import Frame
 from protopipe.numerics import Matrix
 
 
@@ -84,7 +85,7 @@ def np_sobel_magnitude(gray: np.ndarray) -> np.ndarray:
 def ref_to_grayscale(frame):
     """BT.601 luma, rounded half-up and clamped, one pixel at a time.
 
-    The loop the reference outputs were made with; `to_grayscale` must give
+    The loop the reference outputs were made with; the edge gate must see
     the same bytes. `frame` is an RGB protopipe Frame; returns the bytes.
     """
     px = frame.pixels
@@ -101,7 +102,7 @@ def ref_sobel_magnitude(gray) -> Matrix:
 
     The per-pixel loop the reference outputs were made with, on a grayscale
     protopipe Frame of at least 3x3: the result is (height-2) x (width-2).
-    `edge_density` must count exactly its entries above a threshold.
+    The edge gate must count exactly its entries above a threshold.
     """
     w, h = gray.width, gray.height
     px = gray.pixels
@@ -125,6 +126,19 @@ def ref_sobel_magnitude(gray) -> Matrix:
             out[pos] = math.sqrt(gx * gx + gy * gy)
             pos += 1
     return Matrix(h - 2, w - 2, out)
+
+
+def ref_edge_density(frame, tau_mag: float) -> float:
+    """Fraction of interior pixels whose float Sobel magnitude exceeds tau_mag.
+
+    An RGB frame is first turned to luma by `ref_to_grayscale`.
+    `is_frame_valid(frame, cfg)` must be exactly
+    `ref_edge_density(frame, cfg.tau_mag) >= cfg.tau_density`.
+    """
+    if frame.channels == 3:
+        frame = Frame(frame.width, frame.height, 1, ref_to_grayscale(frame))
+    mags = ref_sobel_magnitude(frame).values
+    return sum(1 for m in mags if m > tau_mag) / len(mags)
 
 
 def np_downsample_boxes(pixels: np.ndarray, grid: int) -> np.ndarray:

@@ -1,10 +1,31 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from protopipe.embedding import PrecomputedTable
 from protopipe.media_io.pnm import Frame
 from protopipe.media_io.synthetic import GeneratorSpec, generate_synthetic_dataset
+
+
+@pytest.fixture(autouse=True)
+def no_worker_outlives_its_test():
+    """Fail a test that leaves a child process of this process running.
+
+    A worker left behind would block on its pipes, or run on into the next
+    test. It is killed here, so only the test that left it fails.
+    """
+    yield
+    # A run that never imported multiprocessing has started no worker.
+    multiprocessing = sys.modules.get("multiprocessing")
+    left = multiprocessing.active_children() if multiprocessing else []
+    if left:
+        message = f"the test left {len(left)} worker process(es) running: {left}"
+        for child in left:
+            child.kill()
+            child.join(10)
+        pytest.fail(message)
 
 
 def gray_frame(rows):

@@ -7,6 +7,7 @@ at a glance.
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 import time
@@ -15,7 +16,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from _oracles import np_transformer_block, random_transformer_weights, ref_sobel_magnitude
+from _oracles import (
+    np_transformer_block,
+    random_transformer_weights,
+    ref_edge_density,
+    ref_sobel_magnitude,
+)
 
 from protopipe.adaptation import adapt_prototypes, attention_matrices
 from protopipe.cli import EXIT_OK, main
@@ -26,7 +32,6 @@ from protopipe.evaluation import evaluate_users, make_rigged_scenario
 from protopipe.frame_validity import (
     EdgeFilterConfig,
     SampledClip,
-    edge_density,
     filter_clips,
     is_frame_valid,
 )
@@ -163,7 +168,9 @@ def test_criterion_06_sobel_step_oracle():
         hot = [v for v in mags.values if v != 0.0]
         assert len(hot) == 12
         assert all(v == pytest.approx(1020.0, abs=1e-12) for v in hot)
-        assert edge_density(step, 32.0) == pytest.approx(1 / 3, abs=1e-12)
+        assert ref_edge_density(step, 32.0) == 1 / 3
+        assert is_frame_valid(step, EdgeFilterConfig(32.0, 1 / 3))
+        assert not is_frame_valid(step, EdgeFilterConfig(32.0, math.nextafter(1 / 3, 1.0)))
 
         flat = Frame(8, 8, 1, bytes([128] * 64))
         assert ref_sobel_magnitude(flat).values == [0.0] * 36
@@ -174,7 +181,10 @@ def test_criterion_06_sobel_step_oracle():
             frame = Frame(w, h, 1, bytes(rng.randrange(256) for _ in range(w * h)))
             lo = rng.uniform(0, 1400)
             hi = lo + rng.uniform(0, 1400 - lo)
-            assert 0.0 <= edge_density(frame, hi) <= edge_density(frame, lo) <= 1.0
+            density = rng.random()
+            assert is_frame_valid(frame, EdgeFilterConfig(hi, density)) <= is_frame_valid(
+                frame, EdgeFilterConfig(lo, density)
+            )
 
 
 def test_criterion_07_clip_filter_majority_rule():

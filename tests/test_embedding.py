@@ -9,6 +9,7 @@ from array import array
 import numpy as np
 import pytest
 from _oracles import loop_matmul, np_downsample_boxes, ref_orthonormal_columns
+from hypothesis import given, settings, strategies as st
 
 from protopipe.clip_sampling import SamplerConfig
 from protopipe.embedding import (
@@ -69,6 +70,17 @@ class TestDownsample:
                 arr = np.frombuffer(frame.pixels, dtype=np.uint8).reshape(h, w, channels)
                 want = np_downsample_boxes(arr, grid).tolist()
                 assert downsample_boxes(frame, grid) == want, (w, h, grid, channels)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 9), st.sampled_from((1, 3)), st.data())
+    def test_is_bitwise_the_numpy_oracle(self, grid, channels, data):
+        # Any size from the grid up, a 1x1 frame at grid 1 among them.
+        w, h = data.draw(st.integers(grid, 40)), data.draw(st.integers(grid, 40))
+        n = w * h * channels
+        frame = Frame(w, h, channels, data.draw(st.binary(min_size=n, max_size=n)))
+        arr = np.frombuffer(frame.pixels, dtype=np.uint8).reshape(h, w, channels)
+        want = np_downsample_boxes(arr, grid).tolist()
+        assert list(map(float.hex, downsample_boxes(frame, grid))) == list(map(float.hex, want))
 
     def test_frame_smaller_than_grid(self):
         with pytest.raises(ConfigError, match="^3x3 frame is smaller than grid 4$"):

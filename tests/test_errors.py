@@ -31,7 +31,7 @@ from protopipe.config import load_config
 from protopipe.embedding import PrecomputedTable, load_precomputed, load_projection_spec
 from protopipe.errors import ConfigError, DataError
 from protopipe.evaluation import arm_runtime
-from protopipe.frame_validity import edge_density
+from protopipe.frame_validity import EdgeFilterConfig, is_frame_valid
 from protopipe.media_io.loader import LoaderConfig, load_frames_parallel
 from protopipe.media_io.manifest import DatasetManifest, load_manifest, parse_manifest
 from protopipe.media_io.pnm import Frame, decode_pnm
@@ -114,12 +114,11 @@ FORMER_CLASSES = {
         DataError, "3 frames cannot fit a 8-frame clip",
     ),
     "FrameTooSmall": (
-        lambda tmp: edge_density(Frame(2, 2, 1, bytes(4)), 32.0),
+        lambda tmp: is_frame_valid(Frame(2, 2, 1, bytes(4)), EdgeFilterConfig()),
         DataError, "2x2: Sobel needs at least 3x3",
     ),
     "UnsupportedChannels": (
-        lambda tmp: edge_density(Frame(3, 3, 3, bytes(27)), 32.0),
-        DataError, "edge_density needs a grayscale frame",
+        lambda tmp: Frame(3, 3, 2, bytes(18)), DataError, "unsupported channel count 2",
     ),
     "EmptyInput": (lambda tmp: mean_vectors([]), DataError, "mean of no vectors"),
     "DimensionMismatch": (

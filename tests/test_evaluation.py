@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+from array import array
 from collections import Counter
 from dataclasses import replace
 
@@ -14,6 +15,7 @@ from protopipe.embedding import PrecomputedTable, make_patch_projection_spec
 from protopipe.evaluation import ARM_ORDER, arm_runtime, evaluate_users, make_rigged_scenario
 from protopipe.frame_validity import EdgeFilterConfig
 from protopipe.media_io.manifest import DatasetManifest, ObjectRecord, UserRecord
+from protopipe.numerics import norm
 from protopipe.protonet import (
     PipelineRuntime,
     build_episode,
@@ -99,6 +101,28 @@ class TestRigged:
         evaluate_users(manifest, runtime)
         support = [v for v in manifest.all_videos() if v.kind == "clean"]
         assert len(sampled) == len(ARM_ORDER) * len(support) == 48
+
+    def test_each_query_clip_norm_is_taken_once(self, rigged, monkeypatch):
+        in_one_process(monkeypatch)
+        manifest, runtime = rigged
+        table = PrecomputedTable(2, {
+            v.video_id: [[1.0, float(i)] for i in range(v.num_frames)]
+            for v in manifest.all_videos()
+        })
+        runtime = replace(runtime, embedder=table, adapter=None)
+        query_norms = []
+
+        def counting(v):
+            # A query clip's mean is an array; a prototype row is a list.
+            if isinstance(v, array):
+                query_norms.append(v)
+            return norm(v)
+
+        for module in (evaluation, protonet):
+            monkeypatch.setattr(module, "norm", counting, raising=False)
+        evaluate_users(manifest, runtime)
+        queries = [v for v in manifest.all_videos() if v.kind == "clutter"]
+        assert len(query_norms) == sum(v.num_frames for v in queries) == 576
 
 
 class TestOnePlan:
@@ -271,8 +295,8 @@ class TestQueryClips:
         scored = []
         classify_clip = evaluation.classify_clip
 
-        def spy_classify_clip(q, protos):
-            label, scores = classify_clip(q, protos)
+        def spy_classify_clip(q, nq, protos):
+            label, scores = classify_clip(q, nq, protos)
             scored.append((label, tuple(scores)))
             return label, scores
 

@@ -5,20 +5,25 @@ import random
 
 import numpy as np
 import pytest
-from _oracles import np_sobel_magnitude, ref_sobel_magnitude, ref_to_grayscale
+from _oracles import (
+    np_sobel_magnitude,
+    ref_edge_density,
+    ref_sobel_magnitude,
+    ref_to_grayscale,
+)
 from hypothesis import given, settings, strategies as st
 
 from protopipe.clip_sampling import ClipIndex
+from protopipe.errors import DataError
 from protopipe.frame_validity import (
+    _NO_HIT,
     ClipAudit,
     EdgeFilterConfig,
     SampledClip,
-    edge_density,
+    _min_edge_square,
     filter_clips,
     is_frame_valid,
-    to_grayscale,
 )
-from protopipe.errors import DataError
 from protopipe.media_io.pnm import Frame
 
 
@@ -31,46 +36,64 @@ def random_gray(rng, w, h):
     return Frame(w, h, 1, bytes(rng.randrange(256) for _ in range(w * h)))
 
 
+def valid_at(frame, tau_mag=32.0, tau_density=0.01):
+    return is_frame_valid(frame, EdgeFilterConfig(tau_mag=tau_mag, tau_density=tau_density))
+
+
+def gate_luma(rgb):
+    """The luma the gate sees for one RGB pixel.
+
+    In a 3x3 frame whose left column is black and whose other pixels are
+    `rgb`, the one interior pixel has gx = 4 * luma and gy = 0, so it clears
+    tau_mag = 4 * v + 2 exactly for the v below the luma.
+    """
+    frame = Frame(3, 3, 3, bytes([0, 0, 0, *rgb, *rgb] * 3))
+    return sum(valid_at(frame, 4 * v + 2, 1.0) for v in range(256))
+
+
+STEP = gray([[0, 0, 0, 0, 255, 255, 255, 255] for _ in range(8)])  # edge density 1/3
+ABOVE_THIRD = math.nextafter(1 / 3, 1.0)
+
+
 class TestGrayscale:
     def test_grayscale_passes_through(self):
-        frame = gray([[1, 2], [3, 4]])
-        assert to_grayscale(frame) is frame
+        # A gray frame is gated on its own bytes: the same frame as RGB with
+        # r = g = b has the same luma, so the same decisions.
+        rng = random.Random(5)
+        for _ in range(50):
+            frame = random_gray(rng, rng.randint(3, 9), rng.randint(3, 9))
+            rgb = Frame(frame.width, frame.height, 3, bytes(v for v in frame.pixels for _ in "rgb"))
+            for tau_mag in (0.0, 32.0, 300.0):
+                for tau_density in (0.01, 0.3, 1.0):
+                    assert valid_at(frame, tau_mag, tau_density) == valid_at(
+                        rgb, tau_mag, tau_density
+                    )
 
     def test_white_and_black(self):
-        frame = Frame(2, 1, 3, bytes([255, 255, 255, 0, 0, 0]))
-        assert to_grayscale(frame).pixels == bytes([255, 0])
+        assert (gate_luma((255, 255, 255)), gate_luma((0, 0, 0))) == (255, 0)
 
     def test_pure_red(self):
-        frame = Frame(1, 1, 3, bytes([255, 0, 0]))
         # 0.299 * 255 = 76.245, rounded half-up
-        assert to_grayscale(frame).pixels == bytes([76])
+        assert gate_luma((255, 0, 0)) == 76
 
     def test_rounding_half_up(self):
         # 0.299*1 + 0.587*1 + 0.114*1 = 1.0 exactly
-        frame = Frame(1, 1, 3, bytes([1, 1, 1]))
-        assert to_grayscale(frame).pixels == bytes([1])
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.integers(1, 12), st.integers(1, 12), st.data())
-    def test_matches_the_per_pixel_reference(self, w, h, data):
-        pixels = data.draw(st.binary(min_size=3 * w * h, max_size=3 * w * h))
-        frame = Frame(w, h, 3, pixels)
-        assert to_grayscale(frame).pixels == ref_to_grayscale(frame)
+        assert gate_luma((1, 1, 1)) == 1
 
     @pytest.mark.parametrize("blue", [0, 255])
     def test_every_red_green_pair_matches_the_reference(self, blue):
         # Row r, column g; with blue 255 this includes the brightest pixel,
-        # (255, 255, 255), whose luma is exactly 255.0.
+        # (255, 255, 255), whose luma is exactly 255.0. The gate must agree
+        # with the reference luma's density on each side of every boundary.
         frame = Frame(
             256, 256, 3, bytes(v for r in range(256) for g in range(256) for v in (r, g, blue))
         )
-        got = to_grayscale(frame).pixels
-        assert got == ref_to_grayscale(frame)
-        assert got[-1] == (255 if blue else 226)
-
-    def test_sobel_rejects_rgb(self):
-        with pytest.raises(DataError, match="^edge_density needs a grayscale frame$"):
-            edge_density(Frame(3, 3, 3, bytes(27)), 32.0)
+        assert ref_to_grayscale(frame)[-1] == (255 if blue else 226)
+        for tau_mag in (4.5, 6.0):  # luma steps make magnitudes of about 4 to 7
+            density = ref_edge_density(frame, tau_mag)
+            assert 0.0 < density < 1.0
+            assert valid_at(frame, tau_mag, density)
+            assert not valid_at(frame, tau_mag, math.nextafter(density, 2.0))
 
 
 class TestSobel:
@@ -81,8 +104,7 @@ class TestSobel:
     def test_vertical_step_edge(self):
         # 8x8, left half 0, right half 255: the 3x3 kernel sees the step
         # only from interior columns 3 and 4, where |Gx| = 4*255 = 1020.
-        rows = [[0, 0, 0, 0, 255, 255, 255, 255] for _ in range(8)]
-        mags = ref_sobel_magnitude(gray(rows))
+        mags = ref_sobel_magnitude(STEP)
         assert (mags.rows, mags.cols) == (6, 6)
         hits = 0
         for y in range(6):
@@ -96,8 +118,9 @@ class TestSobel:
         assert hits == 12
 
     def test_step_density_is_one_third(self):
-        rows = [[0, 0, 0, 0, 255, 255, 255, 255] for _ in range(8)]
-        assert edge_density(gray(rows), 32.0) == pytest.approx(1 / 3, abs=1e-12)
+        assert ref_edge_density(STEP, 32.0) == 1 / 3
+        assert valid_at(STEP, 32.0, 1 / 3)
+        assert not valid_at(STEP, 32.0, ABOVE_THIRD)
 
     def test_transpose_symmetry(self):
         rng = random.Random(3)
@@ -121,11 +144,12 @@ class TestSobel:
             [255 if ((x // 2) + (y // 2)) % 2 else 0 for x in range(8)]
             for y in range(8)
         ]
-        assert edge_density(gray(rows), 32.0) == 1.0
+        assert valid_at(gray(rows), 32.0, 1.0)
 
     def test_single_pixel_checkerboard_is_invisible(self):
         rows = [[255 if (x + y) % 2 else 0 for x in range(8)] for y in range(8)]
-        assert edge_density(gray(rows), 0.0) == 0.0
+        # One edge pixel would clear the smallest positive density.
+        assert not valid_at(gray(rows), 0.0, math.ulp(0.0))
 
     def test_matches_convolution_oracle(self):
         rng = random.Random(11)
@@ -142,9 +166,12 @@ class TestSobel:
 
     def test_too_small(self):
         with pytest.raises(DataError, match="^2x2: Sobel needs at least 3x3$"):
-            edge_density(gray([[0, 0], [0, 0]]), 32.0)
+            valid_at(gray([[0, 0], [0, 0]]))
         with pytest.raises(DataError, match="^3x2: Sobel needs at least 3x3$"):
-            edge_density(gray([[0, 0, 0], [0, 0, 0]]), 32.0)
+            valid_at(gray([[0, 0, 0], [0, 0, 0]]))
+        # The size is checked before anything else, at any density.
+        with pytest.raises(DataError, match="^2x5: Sobel needs at least 3x3$"):
+            valid_at(Frame(2, 5, 3, bytes(30)), 32.0, 0.0)
 
 
 # Square roots of integers (32.0 is sqrt(1024)), the floats beside them,
@@ -167,57 +194,101 @@ SOBEL_THRESHOLDS = (
 )
 
 
+class ReadLog(bytes):
+    """Frame bytes that note how far into them a slice has reached."""
+
+    reach = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.reach = max(self.reach, len(self) if key.stop is None else key.stop)
+        return bytes.__getitem__(self, key)
+
+
 class TestDensity:
     def test_threshold_is_strict(self):
         # one interior pixel at magnitude exactly tau must not count
-        rows = [[0, 0, 0, 0, 255, 255, 255, 255] for _ in range(8)]
-        frame = gray(rows)
-        assert edge_density(frame, 1020.0) == 0.0
-        assert edge_density(frame, 1019.999) == pytest.approx(1 / 3)
+        assert not valid_at(STEP, 1020.0, 1 / 3)
+        assert valid_at(STEP, 1019.999, 1 / 3)
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.integers(3, 40), st.integers(3, 40), st.sampled_from((1, 4, 16, 255)), st.data())
-    def test_is_bitwise_the_float_sobel_count(self, w, h, top, data):
-        # Low-contrast frames reach the small square sums; thresholds sit on,
-        # just below and just above a magnitude that occurs in the frame.
-        pixels = data.draw(st.binary(min_size=w * h, max_size=w * h))
-        frame = Frame(w, h, 1, bytes(v % (top + 1) for v in pixels))
-        mags = ref_sobel_magnitude(frame).values
-        hit = data.draw(st.sampled_from(mags))
-        thresholds = SOBEL_THRESHOLDS + (
-            hit,
-            math.nextafter(hit, -math.inf),
-            math.nextafter(hit, math.inf),
-            data.draw(st.floats(0.0, 1500.0)),
-        )
-        for tau in thresholds:
-            want = sum(1 for m in mags if m > tau) / len(mags)
-            assert edge_density(frame, tau) == want, tau
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from((1, 3)),
+        st.integers(3, 20),
+        st.integers(3, 20),
+        st.sampled_from((1, 4, 16, 255)),
+        st.data(),
+    )
+    def test_equals_the_oracle_decision(self, channels, w, h, top, data):
+        # Low-contrast frames reach the small square sums. Magnitudes sit on,
+        # just below and just above a square root of an integer (where
+        # _min_edge_square moves), densities on and beside a count / area
+        # (where the least edge count moves).
+        pixels = data.draw(st.binary(min_size=w * h * channels, max_size=w * h * channels))
+        frame = Frame(w, h, channels, bytes(v % (top + 1) for v in pixels))
+        gray_frame = frame if channels == 1 else Frame(w, h, 1, ref_to_grayscale(frame))
+        mags = ref_sobel_magnitude(gray_frame).values
+        area = len(mags)
+        edge = data.draw(st.sampled_from(mags))
+        root = math.sqrt(data.draw(st.integers(0, _NO_HIT)))
+        k = data.draw(st.integers(0, area))
+        for tau_mag in SOBEL_THRESHOLDS + (
+            edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf),
+            root, math.nextafter(root, -math.inf),
+        ):
+            if tau_mag < 0:
+                continue
+            density = ref_edge_density(frame, tau_mag)
+            for tau_density in (
+                0.0, 1.0, density, math.nextafter(density, 0.0),
+                min(1.0, math.nextafter(density, 2.0)), k / area,
+                math.nextafter(k / area, 0.0), min(1.0, math.nextafter(k / area, 2.0)),
+            ):
+                want = density >= tau_density
+                assert valid_at(frame, tau_mag, tau_density) == want, (tau_mag, tau_density)
 
-    def test_monotone_in_threshold_and_bounded(self):
+    def test_min_edge_square_is_the_least_root_above(self):
+        for tau in SOBEL_THRESHOLDS:
+            n = _min_edge_square(tau)
+            assert n == _NO_HIT or math.sqrt(n) > tau
+            assert n == 0 or not math.sqrt(n - 1) > tau
+
+    def test_monotone_in_both_thresholds(self):
         rng = random.Random(23)
         for _ in range(500):
             frame = random_gray(rng, rng.randint(3, 10), rng.randint(3, 10))
             lo = rng.uniform(0, 1400)
             hi = lo + rng.uniform(0, 1400 - lo)
-            d_lo = edge_density(frame, lo)
-            d_hi = edge_density(frame, hi)
-            assert 0.0 <= d_hi <= d_lo <= 1.0
+            d_lo = rng.random()
+            d_hi = d_lo + rng.uniform(0, 1 - d_lo)
+            assert valid_at(frame, hi, d_lo) <= valid_at(frame, lo, d_lo)
+            assert valid_at(frame, lo, d_hi) <= valid_at(frame, lo, d_lo)
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_decided_before_the_last_row_is_read(self, channels):
+        # Edges in the first four rows, flat below: the gate has its answer
+        # from the top rows and reads no further.
+        rows = [[0] * 10 + [255] * 10] * 4 + [[128] * 20] * 16
+        pixels = ReadLog(bytes(v for row in rows for v in row for _ in range(channels)))
+        frame = Frame(20, 20, channels, pixels)
+        assert valid_at(frame)
+        assert 0 < pixels.reach <= 4 * 20 * channels
+        flat = ReadLog(bytes([128] * 400 * channels))
+        assert not valid_at(Frame(20, 20, channels, flat))
+        assert flat.reach == len(flat)  # a failing frame is read to its end
 
 
 class TestValidity:
     def test_valid_and_invalid(self):
         cfg = EdgeFilterConfig(tau_mag=32.0, tau_density=0.01)
-        step = gray([[0, 0, 0, 0, 255, 255, 255, 255] for _ in range(8)])
         flat = gray([[128] * 8] * 8)
-        assert is_frame_valid(step, cfg)
+        assert is_frame_valid(STEP, cfg)
         assert not is_frame_valid(flat, cfg)
 
     def test_boundary_is_inclusive(self):
-        step = gray([[0, 0, 0, 0, 255, 255, 255, 255] for _ in range(8)])
-        assert is_frame_valid(step, EdgeFilterConfig(tau_mag=32.0, tau_density=1 / 3))
+        assert is_frame_valid(STEP, EdgeFilterConfig(tau_mag=32.0, tau_density=1 / 3))
         assert not is_frame_valid(
-            step, EdgeFilterConfig(tau_mag=32.0, tau_density=1 / 3 + 1e-9)
+            STEP, EdgeFilterConfig(tau_mag=32.0, tau_density=1 / 3 + 1e-9)
         )
 
     def test_config_validation(self):

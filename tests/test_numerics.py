@@ -48,10 +48,21 @@ def test_matrix_rejects_wrong_value_count():
 
 
 def test_matrix_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        Matrix(1, 2, [1.0, float("nan")])
-    with pytest.raises(ValueError):
-        Matrix(1, 2, [1.0, float("inf")])
+    # The first non-finite entry is named, also behind a finite one that a
+    # sum would overflow on.
+    for values, name in (
+        ([1.0, math.nan], "nan"),
+        ([1.0, math.inf], "inf"),
+        ([1e308, 1e308, -math.inf, math.nan], "-inf"),
+        ([-math.inf, math.inf], "-inf"),
+    ):
+        with pytest.raises(DataError, match=f"^non-finite matrix entry {name}$"):
+            Matrix(1, len(values), values)
+
+
+def test_matrix_accepts_finite_entries_whose_sum_overflows():
+    m = Matrix(2, 2, [1e308, 1e308, -1e308, math.nextafter(math.inf, 0.0)])
+    assert m.values[0] == 1e308
 
 
 def test_matrix_rejects_ragged_rows():

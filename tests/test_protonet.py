@@ -38,6 +38,11 @@ from protopipe.protonet import (
 )
 
 
+def classify(q, protos):
+    """`classify_clip` with the query's norm taken here, as its callers do."""
+    return classify_clip(q, norm(q), protos)
+
+
 def toy_prototypes(rows=((1.0, 0.0), (0.0, 1.0)), labels=("a", "b")):
     m = Matrix.from_rows([list(r) for r in rows])
     return Prototypes("u", tuple(labels), m, m, "digest")
@@ -101,23 +106,23 @@ def classify_cases(draw):
 
 class TestClassify:
     def test_scores_and_argmax(self):
-        label, scores = classify_clip([0.9, 0.1], toy_prototypes())
+        label, scores = classify([0.9, 0.1], toy_prototypes())
         assert label == "a"
         assert scores == pytest.approx([0.99388, 0.11043], abs=1e-5)
 
     def test_query_equal_to_prototype(self):
-        label, scores = classify_clip([0.0, 1.0], toy_prototypes())
+        label, scores = classify([0.0, 1.0], toy_prototypes())
         assert label == "b"
         assert scores[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_scale_invariance(self):
-        _, a = classify_clip([0.9, 0.1], toy_prototypes())
-        _, b = classify_clip([2.7, 0.3], toy_prototypes())
+        _, a = classify([0.9, 0.1], toy_prototypes())
+        _, b = classify([2.7, 0.3], toy_prototypes())
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_tie_goes_to_lowest_index(self):
         protos = toy_prototypes(rows=((1.0, 0.0), (1.0, 0.0)), labels=("x", "y"))
-        label, scores = classify_clip([1.0, 0.0], protos)
+        label, scores = classify([1.0, 0.0], protos)
         assert label == "x"
         assert scores[0] == scores[1]
 
@@ -125,11 +130,11 @@ class TestClassify:
         raw = Matrix.from_rows([[1.0, 0.0], [0.0, 1.0]])
         adapted = Matrix.from_rows([[0.0, 1.0], [1.0, 0.0]])  # swapped
         protos = Prototypes("u", ("a", "b"), raw, adapted, "d")
-        assert classify_clip([1.0, 0.0], protos)[0] == "b"  # the adapted rows
+        assert classify([1.0, 0.0], protos)[0] == "b"  # the adapted rows
 
     def test_dim_mismatch(self):
         with pytest.raises(ConfigError, match="^query dim 3 != prototype dim 2$"):
-            classify_clip([1.0, 0.0, 0.0], toy_prototypes())
+            classify([1.0, 0.0, 0.0], toy_prototypes())
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(classify_cases())
@@ -139,7 +144,7 @@ class TestClassify:
         q, rows = case
         m = Matrix.from_rows(rows)
         labels = tuple(f"c{k}" for k in range(len(rows)))
-        _, scores = classify_clip(q, Prototypes("u", labels, m, m, "d"))
+        _, scores = classify(q, Prototypes("u", labels, m, m, "d"))
         assert [x.hex() for x in scores] == [
             ref_cosine_similarity(q, row).hex() for row in rows
         ]
@@ -150,7 +155,7 @@ class TestClassify:
         short = toy_prototypes(rows=((1.0, 0.0), (0.0, 1.0)))
         long_ = toy_prototypes(rows=((3.0, 4.0), (0.0, 10.0)))
         for protos in (short, long_, short):
-            _, scores = classify_clip([0.6, 0.8], protos)
+            _, scores = classify([0.6, 0.8], protos)
             assert [x.hex() for x in scores] == [
                 ref_cosine_similarity([0.6, 0.8], row).hex()
                 for row in protos.adapted.to_rows()
@@ -370,7 +375,7 @@ class TestSerialization:
         protos, fresh = toy_prototypes(rows), toy_prototypes(rows)
         before, after = tmp_path / "before.json", tmp_path / "after.json"
         save_prototypes(protos, before)
-        classify_clip([1.0, 1.0], protos)
+        classify([1.0, 1.0], protos)
         assert protos.scoring_rows == [([3.0, 4.0], 5.0), ([0.0, 2.0], 2.0)]
         assert protos == fresh and fresh == protos
         assert protos != toy_prototypes(rows=((3.0, 4.0), (0.0, 3.0)))

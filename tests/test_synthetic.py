@@ -5,9 +5,9 @@ import json
 from pathlib import Path
 
 import pytest
+from _oracles import ref_edge_density
 
 from protopipe.evaluation import make_rigged_scenario
-from protopipe.frame_validity import edge_density, to_grayscale
 from protopipe.media_io.manifest import load_manifest
 from protopipe.media_io.pnm import decode_pnm
 from protopipe.media_io.synthetic import (
@@ -117,8 +117,7 @@ def test_blank_frames_fail_edge_gate_and_others_pass(tmp_path):
     for video in manifest.all_videos():
         blanks = set(sidecar.get(video.video_id, []))
         for t, path in enumerate(video.frame_paths):
-            gray = to_grayscale(decode_pnm(Path(path).read_bytes()))
-            density = edge_density(gray, tau_mag)
+            density = ref_edge_density(decode_pnm(Path(path).read_bytes()), tau_mag)
             if t in blanks:
                 assert density < tau_density, (video.video_id, t, density)
             else:

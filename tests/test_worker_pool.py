@@ -36,6 +36,7 @@ from protopipe.embedding import PrecomputedTable, make_patch_projection_spec
 from protopipe.evaluation import evaluate_users, make_rigged_scenario
 from protopipe.frame_validity import EdgeFilterConfig
 from protopipe.media_io.manifest import DatasetManifest, load_manifest
+from protopipe.numerics import norm
 from protopipe.protonet import (
     PipelineRuntime,
     VideoPlan,
@@ -126,7 +127,7 @@ def all_outputs(manifest, runtime, tmp_path, after_each) -> tuple:
     clips, _ = embed_plan([plan_query(v, runtime) for v, _ in episode.query], runtime)
     after_each("query plan")
     # repr writes each float exactly, so equal text is equal bits.
-    predictions = repr([classify_clip(clip, protos) for clip in clips.values()])
+    predictions = repr([classify_clip(clip, norm(clip), protos) for clip in clips.values()])
     return (
         json.dumps(report, sort_keys=True),
         (tmp_path / "protos.json").read_bytes(),
