@@ -14,19 +14,23 @@ never be -0.0, so a loop that skips zero inputs gives the same bits.
 `cosine_similarity` takes its two norms from the caller, made by `norm`,
 and so does `protonet.classify_clip` for its query: each prototype row and
 query clip has its norm computed once, to the same bits. The float sums
-outside `dot` are `softmax_rows`'s total, `layer_norm_rows`'s mean and
-variance, `evaluation`'s mean accuracy, and the sums of `Matrix` and
-`errors.finite_floats`, which only test an array for finiteness.
+outside `dot` are `mean_vectors`' column sums, `softmax_rows`'s total,
+`layer_norm_rows`'s mean and variance, `evaluation`'s mean accuracy, and
+the sums of `Matrix` and `errors.finite_floats`, which only test an array
+for finiteness. `mean_vectors` sums each column with one `sum` from +0.0
+in vector order, the order of the accumulate loop the reference clip means
+and prototypes were made with.
 
 The contract holds below CPython 3.12. From 3.12 on, builtin `sum`
-compensates float rounding, so `dot`, like every other float `sum` in the
-package, can differ there in the last bits.
+compensates float rounding, so `dot` and `mean_vectors`, like every other
+float `sum` in the package, can differ there in the last bits.
 """
 from __future__ import annotations
 
 import math
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 from .errors import ConfigError, DataError
@@ -183,17 +187,15 @@ def cosine_similarity(a: Vector, b: Vector, na: float, nb: float) -> float:
 
 
 def mean_vectors(vectors: Sequence[Vector]) -> Vector:
-    """Arithmetic mean of same-length vectors."""
+    """Arithmetic mean of same-length vectors, summed by column; see the module docs."""
     if not vectors:
         raise DataError("mean of no vectors")
     n = len(vectors[0])
-    acc = [0.0] * n
     for v in vectors:
         if len(v) != n:
             raise ConfigError(f"vector lengths {len(v)} vs {n}")
-        for j, x in enumerate(v):
-            acc[j] += x
-    return [x / len(vectors) for x in acc]
+    k = len(vectors)
+    return [x / k for x in map(sum, zip(*vectors), repeat(0.0))]
 
 
 def relu(m: Matrix) -> Matrix:

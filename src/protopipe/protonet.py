@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -244,20 +243,20 @@ def video_frame_vectors(
     runtime: PipelineRuntime,
     clips: Sequence[Sequence[int]],
     gate: Sequence[int] = (),
-) -> tuple[list[array], list[bool]]:
+) -> tuple[list[Vector], list[bool]]:
     """Decode, gate and embed one video's part of a plan.
 
-    Returns each clip's mean as an array('d'), in order, and the validity
-    of `gate`. Each frame of the clips is embedded once, and each frame
-    whose pixels are read is decoded once. A fault inside a frame, in the
-    gate or the embedding, names the frame's file.
+    Returns each clip's mean, in order, and the validity of `gate`. Each
+    frame of the clips is embedded once, and each frame whose pixels are
+    read is decoded once. A fault inside a frame, in the gate or the
+    embedding, names the frame's file.
     """
     embed = sorted(set().union(*clips))
     to_decode = sorted(set(gate).union(embed)) if runtime.needs_pixels else list(gate)
     frames = load_frames(video, to_decode)
     valid = [_in_frame(video, i, is_frame_valid, frames[i], runtime.edge_filter) for i in gate]
     vectors = {i: runtime.frame_vector(video, i, frames.get(i)) for i in embed}
-    means = [array("d", mean_vectors([vectors[i] for i in clip])) for clip in clips]
+    means = [mean_vectors([vectors[i] for i in clip]) for clip in clips]
     return means, valid
 
 
@@ -280,7 +279,7 @@ def plan_pays(plan: Sequence[VideoPlan]) -> bool:
 
 def embed_plan(
     plan: Sequence[VideoPlan], runtime: PipelineRuntime
-) -> tuple[dict[tuple[str, tuple[int, ...]], array], dict[tuple[str, int], bool]]:
+) -> tuple[dict[tuple[str, tuple[int, ...]], Vector], dict[tuple[str, int], bool]]:
     """Run a plan: clip means by (video_id, clip), validity by (video_id, index).
 
     The videos are the items of `map_split`: a plan of at least
@@ -295,7 +294,7 @@ def embed_plan(
         plan,
         plan_pays(plan),
     )
-    means: dict[tuple[str, tuple[int, ...]], array] = {}
+    means: dict[tuple[str, tuple[int, ...]], Vector] = {}
     valid: dict[tuple[str, int], bool] = {}
     for part, (rows, flags) in zip(plan, results):
         video_id = part.video.video_id

@@ -176,6 +176,20 @@ def loop_matmul(a: list[float], b: list[float], n: int, k: int, m: int) -> list[
     return out
 
 
+def loop_mean_vectors(vectors: list[list[float]]) -> list[float]:
+    """Exact-order reference mean of same-length vectors.
+
+    The accumulate loop protopipe's reference outputs were made with: entry
+    j starts at +0.0 and gains each vector's entry j in vector order,
+    rounding after every step, and is then divided by the vector count.
+    """
+    acc = [0.0] * len(vectors[0])
+    for v in vectors:
+        for j, x in enumerate(v):
+            acc[j] += x
+    return [x / len(vectors) for x in acc]
+
+
 def ref_cosine_similarity(a, b) -> float:
     """Cosine with generator sums from an int 0, as the reference outputs were made.
 

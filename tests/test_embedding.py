@@ -4,7 +4,6 @@ import json
 import math
 import random
 import re
-from array import array
 
 import numpy as np
 import pytest
@@ -323,7 +322,7 @@ class TestPrecomputed:
         good = VideoRecord("v0", "clean", ["f0"])
         long = VideoRecord("v0", "clean", ["f0", "f1"])
         other = VideoRecord("v1", "clean", ["f0"])
-        assert video_frame_vectors(good, runtime, [(0,)]) == ([array("d", [0.0, 0.0])], [])
+        assert video_frame_vectors(good, runtime, [(0,)]) == ([[0.0, 0.0]], [])
         with pytest.raises(DataError, match="^no embedding for frame 1 of video 'v0'$"):
             video_frame_vectors(long, runtime, [(0, 1)])
         with pytest.raises(DataError, match="^no embedding for frame 0 of video 'v1'$"):

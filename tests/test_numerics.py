@@ -25,6 +25,7 @@ from protopipe.numerics import (
 
 from _oracles import (
     loop_matmul,
+    loop_mean_vectors,
     np_layer_norm_rows,
     np_softmax_rows,
     ref_cosine_similarity,
@@ -384,6 +385,37 @@ def test_mean_vectors():
         mean_vectors([])
     with pytest.raises(ConfigError, match="^vector lengths 2 vs 1$"):
         mean_vectors([[1.0], [1.0, 2.0]])
+
+
+@st.composite
+def same_length_vectors(draw):
+    n = draw(st.integers(0, 6))
+    entries = ENTRIES | st.floats(allow_nan=False, allow_infinity=False)
+    return draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=9))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(same_length_vectors())
+@example([[-0.0, 1.5, -2.0]])
+@example([[-0.0, -0.0], [-0.0, -0.0]])
+@example([[1e308, -1.0], [1e308, 1.0], [-1e308, -0.0]])
+def test_mean_vectors_is_bitwise_the_accumulate_loop(vectors):
+    got = mean_vectors(vectors)
+    want = loop_mean_vectors(vectors)
+    # float.hex tells -0.0 from 0.0, and an overflowed column's inf from a
+    # finite mean.
+    assert [type(x) for x in got] == [float] * len(want)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(same_length_vectors(), st.data())
+def test_mean_vectors_rejects_ragged_input(vectors, data):
+    n = len(vectors[0])
+    bad = data.draw(st.lists(ENTRIES, max_size=8).filter(lambda v: len(v) != n))
+    at = data.draw(st.integers(1, len(vectors)))
+    with pytest.raises(ConfigError, match=f"^vector lengths {len(bad)} vs {n}$"):
+        mean_vectors([*vectors[:at], bad, *vectors[at:]])
 
 
 def test_relu_cases():

@@ -11,10 +11,11 @@ input file. This AST scan fails when a second copy grows back:
 * an `except` clause naming `OverflowError` outside `errors.py`: an integer
   too large for a float is caught once, where the reader turns numbers into
   floats;
-* a reference to `ProcessPoolExecutor` or `multiprocessing` outside
-  `workers.map_in_workers`, the one pool, which `workers.map_split`
-  drives for the video split and the user split, and `embedding` for the
-  Gram-Schmidt ranks;
+* a reference to `fork` (`os.fork`) outside `workers.map_in_workers`, the
+  one pool, which `workers.map_split` drives for the video split and the
+  user split, and `embedding` for the Gram-Schmidt ranks;
+* a reference to `ProcessPoolExecutor` or `multiprocessing` anywhere, the
+  pool's home included: the pool forks its workers itself;
 * a call of `mean_vectors` outside `protonet.video_frame_vectors`, which
   averages every clip, and `protonet.compute_prototypes`, which averages
   each class's clip means;
@@ -35,7 +36,8 @@ JSON_HOME = "errors.py"
 SUM_HOME = "numerics.py"
 OVERFLOW_HOME = "errors.py"
 POOL_HOME = ("workers.py", "map_in_workers")
-POOL_NAMES = {"ProcessPoolExecutor", "multiprocessing"}
+POOL_NAMES = {"fork"}
+FOREIGN_POOLS = {"ProcessPoolExecutor", "multiprocessing"}
 MEAN_HOMES = {("protonet.py", "video_frame_vectors"), ("protonet.py", "compute_prototypes")}
 SAMPLE_HOME = {("protonet.py", "plan_support")}
 
@@ -195,12 +197,13 @@ def named(node: ast.AST) -> set[str]:
 
 
 def pool_references(package_dir: Path) -> list[str]:
-    """Every reference to a process pool outside the one helper, as "file:line"."""
+    """Every fork outside the one helper and every foreign pool, as "file:line"."""
     found = set()
     for path in package_dir.rglob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         for owner, node in nodes_by_function(tree):
-            if named(node) & POOL_NAMES and (path.name, owner) != POOL_HOME:
+            names = named(node)
+            if names & FOREIGN_POOLS or (names & POOL_NAMES and (path.name, owner) != POOL_HOME):
                 found.add((path.relative_to(package_dir).as_posix(), node.lineno))
     return [f"{name}:{line}" for name, line in sorted(found)]
 
@@ -214,25 +217,28 @@ def test_one_process_pool():
 
 def test_the_guard_sees_a_planted_pool(tmp_path):
     (tmp_path / "workers.py").write_text(
+        "import os\n"
         "def map_in_workers(fn, items, workers):\n"
+        "    pid = os.fork()\n"
         "    import multiprocessing\n"
         "    from concurrent.futures import ProcessPoolExecutor\n"
         "    return ProcessPoolExecutor(workers, multiprocessing.get_context('fork'))\n"
         "def embed_plan(plan):\n"
-        "    from concurrent.futures import ProcessPoolExecutor\n"
-        "    return ProcessPoolExecutor\n"
+        "    return os.fork()\n"
     )
     (tmp_path / "evaluation.py").write_text(
         "import importlib\n"
+        "from os import fork\n"
         "from multiprocessing import Pool\n"
         "import multiprocessing.pool as mpp\n"
         "def evaluate_users(users):\n"
         "    ctx = importlib.import_module('multiprocessing')\n"
-        "    return Pool, mpp, ctx\n"
+        "    return Pool, mpp, ctx, fork\n"
     )
     assert pool_references(tmp_path) == [
-        "evaluation.py:2", "evaluation.py:3", "evaluation.py:5",
-        "workers.py:6", "workers.py:7",
+        "evaluation.py:2", "evaluation.py:3", "evaluation.py:4",
+        "evaluation.py:6", "evaluation.py:7",
+        "workers.py:4", "workers.py:5", "workers.py:6", "workers.py:8",
     ]
 
 

@@ -6,19 +6,22 @@ enough planned frames; the projection's Gram-Schmidt splits its columns
 over ranks when its work reaches `embedding.GRAM_SCHMIDT_MIN_WORK`. These
 tests pin that the split changes no output bit, that a small evaluate, plan
 or projection stays in this process, that a worker starts no pool of its
-own, that a failing rank stops its peers, and that importing the package's
-entry modules loads no process machinery. Every test that forks workers
-runs them in a child interpreter in a session of its own, through
-`run_isolated`, so a worker left waiting fails its test and is killed
-instead of outliving the run.
+own, that a failing rank stops its peers, that a fault in a worker or in
+the caller reaches the caller in item order and leaves no worker behind,
+that neither importing the package's entry modules nor a rigged evaluate
+loads a pool module, and that `conftest.py`'s guard fails a test that
+leaves a child process running. Every test that forks workers runs them
+in a child interpreter in a session of its own, through `run_isolated`,
+so a worker left waiting fails its test and is killed instead of
+outliving the run.
 """
 from __future__ import annotations
 
 import contextlib
 import json
-import multiprocessing
 import os
 import random
+import shutil
 import signal
 import subprocess
 import sys
@@ -27,6 +30,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from _children import live_children
 
 from protopipe import protonet, workers
 from protopipe.adaptation import centering_adapter_weights
@@ -167,8 +171,8 @@ def serial_and_parallel_outputs(tmp_path, monkeypatch, rigged_dir, embedder):
     threads = threading.enumerate()
 
     def joined(call):
-        # Joined before the call returns, not later when the pool is collected.
-        assert multiprocessing.active_children() == [], call
+        # Reaped before the call returns, and no thread started.
+        assert live_children() == [], call
         assert threading.enumerate() == threads, call
 
     outputs = {}
@@ -198,7 +202,7 @@ def one_user_evaluate(tmp_path, monkeypatch, rigged_dir):
     pools = count_pools(monkeypatch, tmp_path)
     report = evaluate_users(one_user, runtime)
     assert pools() == ["parent 2"]
-    assert multiprocessing.active_children() == []
+    assert live_children() == []
     use_cpus(monkeypatch, 1)
     assert report == evaluate_users(one_user, runtime)
     assert pools() == ["parent 2"]
@@ -231,7 +235,7 @@ def small_evaluate_or_plan(tmp_path, monkeypatch, rigged_dir, small_dir):
     # A rigged-size evaluate from a table starts one pool too.
     evaluate_users(rigged_manifest, with_table(rigged_manifest, rigged))
     assert pools() == ["parent 2", "parent 2"]
-    assert multiprocessing.active_children() == []
+    assert live_children() == []
     assert threading.enumerate() == threads
 
 
@@ -268,7 +272,8 @@ def run_isolated(code: str, *args: str) -> list[str]:
 
 # argv: CPUs to report, and the rank cap or "-" for the module's own.
 RANK_BITS = f"""
-import multiprocessing, os, sys
+import os, sys
+from _children import live_children
 from _oracles import ref_orthonormal_columns
 from protopipe import embedding, workers
 
@@ -284,7 +289,7 @@ for grid, channels, dim, seed in {TEST_PROJECTIONS!r}:
     spec = embedding.make_patch_projection_spec(grid, channels, dim, seed)
     want = ref_orthonormal_columns(grid * grid * channels, dim, seed)
     print(list(map(float.hex, spec.projection.values)) == list(map(float.hex, want)))
-print(pools, multiprocessing.active_children())
+print(pools, live_children())
 """
 
 
@@ -310,7 +315,7 @@ def projection_pools(tmp_path, monkeypatch):
     assert pools() == []
     make_patch_projection_spec(8, 3, 192, 0)  # the rigged projection
     assert pools() == ["parent 2"]
-    assert multiprocessing.active_children() == []
+    assert live_children() == []
 
 
 def test_only_a_projection_past_the_break_even_starts_a_pool(tmp_path):
@@ -320,7 +325,8 @@ def test_only_a_projection_past_the_break_even_starts_a_pool(tmp_path):
 # The CPU count falls from two to one after its first read, as when the
 # affinity mask shrinks while a projection is built.
 SHRINKING_CPUS = f"""
-import multiprocessing, os
+import os
+from _children import live_children
 from _oracles import ref_orthonormal_columns
 from protopipe import embedding, workers
 
@@ -335,7 +341,7 @@ for grid, channels, dim, seed in {TEST_PROJECTIONS!r}:
     spec = embedding.make_patch_projection_spec(grid, channels, dim, seed)
     want = ref_orthonormal_columns(grid * grid * channels, dim, seed)
     print(list(map(float.hex, spec.projection.values)) == list(map(float.hex, want)))
-print(pools, multiprocessing.active_children())
+print(pools, live_children())
 """
 
 
@@ -347,7 +353,8 @@ def test_ranks_started_match_the_cpu_count_read_once():
 
 
 FAILING_RANK = """
-import multiprocessing, os, random, sys
+import os, random, sys
+from _children import live_children
 from protopipe import embedding
 from protopipe.errors import ConfigError
 
@@ -366,7 +373,7 @@ try:
     embedding.make_patch_projection_spec(grid=4, channels=3, dim=16, seed=0)
 except ConfigError as exc:
     print(type(exc).__name__, exc)
-print(multiprocessing.active_children())
+print(live_children())
 """
 
 
@@ -375,6 +382,132 @@ def test_a_failing_rank_stops_its_peers_and_its_error_reaches_the_caller(cpus):
     # Rank 1 of 3 fails on column 1, which both of its peers wait for.
     lines = run_isolated(FAILING_RANK, str(cpus))
     assert lines == ["ConfigError degenerate projection draw", "[]"]
+
+
+# argv: the fault to plant. Each map runs over items 0-3 in two workers;
+# what reaches the caller is printed, then this process's live children.
+POOL_FAULTS = """
+import os, signal, sys, time
+from _children import live_children
+from protopipe import workers
+from protopipe.errors import DataError
+
+def fails(item, after):
+    time.sleep(after)
+    raise DataError(f"item {item}")
+
+def interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+FAULTS = {
+    # Worker 1 dies at its first item, with a failing status, then with 0.
+    "dies": [lambda item: os._exit(1) if item == 1 else item,
+             lambda item: os._exit(0) if item == 1 else item],
+    # Item 1 fails before item 0; worker 0 fails at item 2 before worker 1
+    # fails at item 1; worker 1 fails at item 3 after worker 0 at item 2.
+    "order": [
+        lambda item: fails(item, 0.3 if item == 0 else 0.0),
+        lambda item: item if item == 0 else fails(item, 0.3 if item == 1 else 0.0),
+        lambda item: item if item < 2 else fails(item, 0.3 if item == 3 else 0.0),
+    ],
+    # This process is interrupted while every worker sleeps.
+    "interrupt": [lambda item: time.sleep(30)],
+}
+signal.signal(signal.SIGALRM, interrupt)
+for fn in FAULTS[sys.argv[1]]:
+    signal.setitimer(signal.ITIMER_REAL, 0.5 if sys.argv[1] == "interrupt" else 0)
+    start = time.monotonic()
+    try:
+        workers.map_in_workers(fn, range(4), 2)
+    except BaseException as exc:
+        print(repr(exc), time.monotonic() - start < 10)
+print(live_children())
+"""
+
+
+@pytest.mark.parametrize("fault, raised", [
+    ("dies", [
+        f"RuntimeError('the worker for item 1 exited with status {status} "
+        "before returning its results') True"
+        for status in (1, 0)
+    ]),
+    ("order", [f"DataError('item {i}') True" for i in range(3)]),
+    ("interrupt", ["KeyboardInterrupt() True"]),
+])
+def test_a_pool_fault_reaches_the_caller_and_no_worker_is_left(fault, raised):
+    # The error raised is the first in item order, not in time; a worker's
+    # death is an error at its first item; on an exception here, every
+    # worker is killed at once, not waited for, and each is reaped.
+    assert run_isolated(POOL_FAULTS, fault) == raised + ["[]"]
+
+
+# argv: the directory `make_rigged_scenario` wrote.
+RIGGED_EVALUATE = """
+import os, sys, threading
+from pathlib import Path
+from protopipe import workers
+from protopipe.config import build_runtime, load_config
+from protopipe.evaluation import evaluate_users
+from protopipe.media_io.manifest import load_manifest
+
+os.sched_getaffinity = lambda pid: {0, 1}
+os.sched_setaffinity = lambda pid, cpus: None
+pools = []
+map_in_workers = workers.map_in_workers
+workers.map_in_workers = lambda fn, items, n: pools.append(n) or map_in_workers(fn, items, n)
+threads = threading.enumerate()
+runtime = build_runtime(load_config(Path(sys.argv[1], "config.json")))
+evaluate_users(load_manifest(Path(sys.argv[1], "data", "manifest.json")), runtime)
+print(pools, threading.enumerate() == threads)
+print(sorted(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules))
+"""
+
+
+def test_a_rigged_evaluate_imports_no_pool_module(rigged_dir):
+    # Two pools start, the projection's ranks and the users' split, and
+    # neither loads a pool module or leaves a thread behind.
+    assert run_isolated(RIGGED_EVALUATE, str(rigged_dir)) == ["[2, 2] True", "[]"]
+
+
+PLANTED_LEAK = """
+import os, time
+from pathlib import Path
+
+def test_leaves_a_child_running():
+    pid = os.fork()
+    if pid == 0:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, 1)
+        os.dup2(null, 2)
+        time.sleep(60)
+        os._exit(0)
+    Path("leaked.pid").write_text(str(pid))
+
+def test_the_next_test_is_not_blamed():
+    pass
+"""
+
+# argv: a directory holding the suite's conftest and the planted tests.
+RUN_PLANTED = """
+import os, sys, pytest
+os.chdir(sys.argv[1])
+print("exit", int(pytest.main(["-q", "-p", "no:cacheprovider", "test_planted.py"])))
+"""
+
+
+def test_the_guard_fails_a_test_that_leaves_a_child_running(tmp_path):
+    shutil.copy(TESTS / "conftest.py", tmp_path)
+    (tmp_path / "test_planted.py").write_text(PLANTED_LEAK)
+    lines = run_isolated(RUN_PLANTED, str(tmp_path))
+    pid = int((tmp_path / "leaked.pid").read_text())
+    # Both tests pass; the one that left the child errs at its teardown.
+    assert lines[-1] == "exit 1"
+    assert lines[-2].startswith("2 passed, 1 error in ")
+    assert any(" ERROR at teardown of test_leaves_a_child_running " in line for line in lines)
+    failed = f"Failed: the test left 1 child process(es) running: [{pid}]"
+    assert any(line.endswith(failed) for line in lines)
+    # Killed and reaped by the guard, so gone before its session is.
+    assert not Path(f"/proc/{pid}").exists()
 
 
 def test_importing_the_cli_loads_no_process_pool():
