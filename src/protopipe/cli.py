@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .config import build_runtime, load_config
-from .errors import ConfigError, DataError, write_json
+from .errors import ConfigError, DataError, write_json, write_text
 from .evaluation import ARM_ORDER, evaluate_users
 from .media_io.bench import bench_loader
 from .media_io.loader import LoaderConfig
@@ -80,11 +80,9 @@ def cmd_personalize(args) -> int:
     protos, audits = personalize(episode, runtime)
     save_prototypes(protos, args.out)
     if args.audit:
-        Path(args.audit).write_text(
-            "".join(
-                json.dumps(a.to_json_obj(), sort_keys=True) + "\n" for a in audits
-            ),
-            encoding="utf-8",
+        write_text(
+            args.audit,
+            "".join(json.dumps(a.to_json_obj(), sort_keys=True) + "\n" for a in audits),
         )
     removed = sum(1 for a in audits if a.removed)
     print(

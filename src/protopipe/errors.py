@@ -6,7 +6,10 @@ message. A plain ValueError that belongs to neither is a bug. An error
 holds its message alone, so it pickles as itself from a worker process.
 `read_json` is the one way a loader opens its file, so a file that cannot
 be read or parsed raises the loader's family, and `write_json` is the one
-JSON writer.
+JSON writer. `write_text` is the one writer of protopipe's text files, the
+JSON files and the audit JSONL: it writes a temporary file beside the
+target and renames it over the target, so a write that fails partway
+leaves the previous file as it was.
 
 `read_object` is the one reader of the objects in every input file;
 `read_json` hands it the top level when given a schema. A schema maps each
@@ -19,8 +22,11 @@ too large for a float raises the loader's family and names the file.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
+from contextlib import suppress
 from pathlib import Path
 
 NUMBER = (int, float)
@@ -59,7 +65,33 @@ def read_json(path, error: type[ValueError], what: str, schema=None, optional=()
 
 def write_json(path, doc) -> None:
     """Write doc in canonical form: indent 2, sorted keys, a final newline, UTF-8."""
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def write_text(path, text: str) -> None:
+    """Replace the file at path with text, UTF-8, all at once.
+
+    The text goes to a new temporary file in the target's directory, which
+    `os.replace` then renames over the target. The temporary file is
+    created with mode 0o666 less the umask, as a plain write creates a new
+    file, and is removed if anything fails before the rename.
+    """
+    path, data = Path(path), text.encode("utf-8")
+    for n in itertools.count():
+        temp = path.with_name(f".{path.name}.{os.getpid()}.{n}.tmp")
+        try:
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+    try:
+        with open(fd, "wb") as out:
+            out.write(data)
+        os.replace(temp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(temp)
+        raise
 
 
 def read_object(doc, schema: dict, error: type[ValueError], where: str, at="", optional=()):

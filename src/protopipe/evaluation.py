@@ -99,7 +99,7 @@ def _user_hits(
     is averaged once, in its video's job, and each query clip's norm is
     taken once. The arms are then arithmetic over that result and their clips.
     """
-    means, valid = embed_plan(plan, runtime)
+    means, votes, _ = embed_plan(plan, runtime)
     windows = {part.video.video_id: part.clips for part in plan}
     queries = [
         (q, norm(q), label)
@@ -108,7 +108,7 @@ def _user_hits(
     ]
     hits = []
     for classes, rt in zip(sampled, runtimes):
-        protos, _ = personalize(episode, rt, (classes, means, valid))
+        protos, _ = personalize(episode, rt, (classes, means, votes))
         hits.append(sum(1 for q, nq, label in queries if classify_clip(q, nq, protos)[0] == label))
     return hits
 
@@ -121,7 +121,7 @@ def evaluate_users(
     """Personalize + recognize every user under every arm.
 
     Each user's plan holds the clips of their support videos that some arm
-    samples (their frames gated too when an arm filters) and every query
+    samples (voted on when the arm filters) and every query
     frame's causal window, and is made before any pixel is read.
     `map_split` runs `_user_hits` over the users, split over worker
     processes when the planned frames of all users pay for them (`plan_pays`),

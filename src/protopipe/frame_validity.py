@@ -4,6 +4,7 @@ A frame "contains something" when enough of its interior pixels have a
 Sobel gradient magnitude above a threshold. Clips in which more than half
 of the frames fail that check are dropped from the support set, except that
 a class may never lose all of its clips: the least-invalid clip survives.
+`majority_invalid` is that rule, written once.
 
 The gate is exact integer arithmetic. The Sobel gradients gx and gy are
 integer sums of pixel bytes, and math.sqrt is correctly rounded, hence
@@ -19,8 +20,11 @@ found once per frame area and threshold: only a failing frame is read to
 its last row.
 
 A frame is gated where it is decoded, by the executor in `protonet`, when
-its plan lists it; a sampled clip holds frame indices only, and
-`filter_clips` reads each frame's validity by (video_id, index).
+its plan lists it. A clip the filter will judge is voted on: `vote` reads
+its frames' validity in frame order and stops once the rule is fixed, after
+4 valid or 5 invalid frames of an 8-frame clip. A sampled clip holds frame
+indices only, and `filter_clips` reads each clip's vote by (video_id,
+frames).
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ import functools
 import logging
 import math
 from bisect import bisect_left
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from operator import sub
 
@@ -131,6 +135,28 @@ def is_frame_valid(frame: Frame, cfg: EdgeFilterConfig) -> bool:
     return False
 
 
+def majority_invalid(invalid: int, length: int) -> bool:
+    """The majority rule: a clip of `length` frames with `invalid` invalid ones is dropped."""
+    return invalid * 2 > length
+
+
+def vote(flags: Iterable[bool], length: int) -> tuple[int, int]:
+    """(invalid, checked): a clip's frame validities, read in order until the rule is fixed.
+
+    `flags` holds the clip's `length` validities and is read lazily: the
+    rule is fixed once `majority_invalid(invalid, length)` holds whatever
+    the unread frames are, or fails even if every one of them is invalid.
+    """
+    invalid = checked = 0
+    flags = iter(flags)
+    while majority_invalid(invalid + length - checked, length) and not majority_invalid(
+        invalid, length
+    ):
+        invalid += not next(flags)
+        checked += 1
+    return invalid, checked
+
+
 @dataclass(frozen=True)
 class SampledClip:
     """A sampled clip of one video, by frame index; it holds no pixels."""
@@ -146,9 +172,12 @@ class SampledClip:
 
 @dataclass(frozen=True)
 class ClipAudit:
+    """One sampled clip's filter outcome: `invalid` of its first `checked` frames failed."""
+
     video_id: str
     clip_start: int
     invalid: int
+    checked: int
     length: int
     removed: bool
     override: bool
@@ -158,6 +187,7 @@ class ClipAudit:
             "video_id": self.video_id,
             "clip_start": self.clip_start,
             "invalid": self.invalid,
+            "checked": self.checked,
             "L": self.length,
             "removed": self.removed,
             "override": self.override,
@@ -165,27 +195,31 @@ class ClipAudit:
 
 
 def filter_clips(
-    clips: list[SampledClip], cfg: EdgeFilterConfig, valid: Mapping[tuple[str, int], bool]
+    clips: list[SampledClip],
+    cfg: EdgeFilterConfig,
+    votes: Mapping[tuple[str, tuple[int, ...]], tuple[int, int]],
 ) -> tuple[list[SampledClip], list[ClipAudit]]:
     """Drop clips whose invalid-frame count is strictly more than half.
 
-    `valid` holds each gated frame's `is_frame_valid`, keyed by (video_id,
-    index); it is read only when the filter is enabled. If the rule would
-    remove every clip, the clip with the fewest invalid frames (ties:
-    earliest start, then input order) is kept anyway so downstream
-    prototype computation always has material to work with.
+    `votes` holds each clip's (invalid, checked) keyed by (video_id,
+    frames), as `vote` counts them; it is read only when the filter is
+    enabled. If the rule would remove every clip, the clip with the fewest
+    invalid frames (ties: earliest start, then input order) is kept anyway
+    so downstream prototype computation always has material to work with;
+    that choice needs every clip counted in full, with `checked` equal to
+    its length.
     """
     if not clips:
         return [], []
     if cfg.enabled:
-        counts = [sum(1 for i in sc.frames if not valid[sc.video_id, i]) for sc in clips]
+        counts = [votes[sc.video_id, tuple(sc.frames)] for sc in clips]
     else:
-        counts = [0] * len(clips)
-    removed = [inv * 2 > sc.clip.length for sc, inv in zip(clips, counts)]
+        counts = [(0, 0)] * len(clips)
+    removed = [majority_invalid(inv, sc.clip.length) for sc, (inv, _) in zip(clips, counts)]
     override_idx = None
     if all(removed):
         override_idx = min(
-            range(len(clips)), key=lambda i: (counts[i], clips[i].clip.start, i)
+            range(len(clips)), key=lambda i: (counts[i][0], clips[i].clip.start, i)
         )
         removed[override_idx] = False
         logger.warning(
@@ -194,7 +228,7 @@ def filter_clips(
             sorted({sc.video_id for sc in clips}),
             clips[override_idx].clip.start,
             clips[override_idx].video_id,
-            counts[override_idx],
+            counts[override_idx][0],
             clips[override_idx].clip.length,
         )
     audits = [
@@ -202,11 +236,12 @@ def filter_clips(
             video_id=sc.video_id,
             clip_start=sc.clip.start,
             invalid=inv,
+            checked=checked,
             length=sc.clip.length,
             removed=rm,
             override=(i == override_idx),
         )
-        for i, (sc, inv, rm) in enumerate(zip(clips, counts, removed))
+        for i, (sc, (inv, checked), rm) in enumerate(zip(clips, counts, removed))
     ]
     retained = [sc for sc, rm in zip(clips, removed) if not rm]
     return retained, audits

@@ -12,16 +12,23 @@ number of prototype sets.
 
 Frames are read through a plan of clips. The sampler is seeded per
 video, so the clips a run reads are known before any pixel is: per video,
-the distinct sampled support clips or every query frame's causal window,
-and the frames the edge filter gates. `plan_support` is the one place that
-samples: each runtime samples each support video once, and its clips by
-class come back with the plan. Whether a frame is gated is the plan's
-decision alone. `embed_plan` is the one executor: per video, it decodes
-each planned frame once, gates it and embeds it, and returns each clip's
-mean keyed by (video_id, clip) and each gated frame's validity keyed by
-(video_id, index); frame vectors never leave one video's job.
-`personalize` and `recognize_video` run a plan of their own episode or
+the distinct sampled support clips or every query frame's causal window.
+`plan_support` is the one place that samples: each runtime samples each
+support video once, and its clips by class come back with the plan. A
+clip sampled by a runtime with the edge filter on is voted on, and one
+sampled by a runtime without it is averaged. Whether a frame is gated is
+the plan's decision alone. `embed_plan` is the one executor: per video, it
+decodes each planned frame once, votes on each voted clip from as few
+gated frames as fix the majority rule, gates any frame the plan lists in
+full, and embeds and averages the averaged clips and the voted clips the
+vote keeps. It returns clip means keyed by (video_id, clip), each voted
+clip's (invalid, checked) keyed the same way, and each fully gated frame's
+validity keyed by (video_id, index); frame vectors never leave one video's
+job. `personalize` and `recognize_video` run a plan of their own episode or
 video; `evaluation.evaluate_users` runs one plan per user, for every arm.
+Only when votes drop every clip of a class does `personalize` run one more
+plan, which gates those clips' unread frames so the override sees full
+counts.
 
 `workers.map_split` maps a function over items in forked worker processes
 when a plan has POOL_MIN_FRAMES planned frames or more (`plan_pays`). In a
@@ -47,6 +54,8 @@ from .frame_validity import (
     SampledClip,
     filter_clips,
     is_frame_valid,
+    majority_invalid,
+    vote,
 )
 from .media_io.loader import LoaderConfig, load_frames_parallel
 from .media_io.manifest import DatasetManifest, UserRecord, VideoRecord
@@ -183,16 +192,18 @@ def load_frames(video: VideoRecord, indices: list[int]) -> dict[int, Frame]:
 
 @dataclass(frozen=True)
 class VideoPlan:
-    """One video's part of a plan: the clips to average and the frames to gate.
+    """One video's part of a plan: clips to average, clips to vote on, frames to gate.
 
     A clip is a tuple of the video's frame indices: a sampled support clip,
-    or a query frame's causal window. The executor returns each clip's mean
-    and the validity of each frame in `gate`, a sorted tuple of distinct
-    frame indices.
+    or a query frame's causal window. The executor returns the mean of each
+    clip in `clips` and of each clip in `voted` that the vote keeps, each
+    voted clip's (invalid, checked), and the validity of each frame in
+    `gate`, a sorted tuple of distinct frame indices.
     """
 
     video: VideoRecord
     clips: tuple[tuple[int, ...], ...]
+    voted: tuple[tuple[int, ...], ...] = ()
     gate: tuple[int, ...] = ()
 
 
@@ -203,8 +214,9 @@ def plan_support(
 
     Each runtime samples each support video once, seeded per video, so this
     reads no pixels; a video too short for one clip is a DataError that
-    names it. The plan holds every support video's distinct sampled clips,
-    and a runtime with the edge filter on adds its sampled frames to the gate.
+    names it. The plan holds every support video's distinct sampled clips:
+    a runtime with the edge filter on adds its clips to those voted on, and
+    any other runtime to those averaged.
     """
     parts = {v.video_id: (v, set(), set()) for _, vs in episode.support for v in vs}
     sampled = []
@@ -218,17 +230,16 @@ def plan_support(
                     picked = sample_clips(video.num_frames, rt.sampler, seed)
                 except DataError as exc:
                     raise DataError(f"video {video.video_id!r}: {exc}") from exc
-                _, planned, gate = parts[video.video_id]
-                for clip in picked:
-                    planned.add(tuple(clip.frame_indices()))
-                    if rt.edge_filter.enabled:
-                        gate.update(clip.frame_indices())
+                _, averaged, voted = parts[video.video_id]
+                (voted if rt.edge_filter.enabled else averaged).update(
+                    tuple(clip.frame_indices()) for clip in picked
+                )
                 clips += [SampledClip(video.video_id, c) for c in picked]
             classes.append((label, clips))
         sampled.append(classes)
     return sampled, [
-        VideoPlan(video, tuple(sorted(clips)), tuple(sorted(gate)))
-        for video, clips, gate in parts.values()
+        VideoPlan(video, tuple(sorted(clips)), tuple(sorted(voted)))
+        for video, clips, voted in parts.values()
     ]
 
 
@@ -242,22 +253,45 @@ def video_frame_vectors(
     video: VideoRecord,
     runtime: PipelineRuntime,
     clips: Sequence[Sequence[int]],
+    voted: Sequence[Sequence[int]] = (),
     gate: Sequence[int] = (),
-) -> tuple[list[Vector], list[bool]]:
+) -> tuple[dict[tuple[int, ...], Vector], list[tuple[int, int]], list[bool]]:
     """Decode, gate and embed one video's part of a plan.
 
-    Returns each clip's mean, in order, and the validity of `gate`. Each
-    frame of the clips is embedded once, and each frame whose pixels are
-    read is decoded once. A fault inside a frame, in the gate or the
-    embedding, names the frame's file.
+    Returns the means of `clips` and of the voted clips the vote keeps,
+    keyed by clip; each voted clip's (invalid, checked), in order, from
+    `vote`; and the validity of `gate`. Every planned frame is decoded
+    once, a frame that voted clips share is gated once, and each frame of
+    an averaged clip is embedded once. A fault inside a frame, in the gate
+    or the embedding, names the frame's file.
     """
-    embed = sorted(set().union(*clips))
-    to_decode = sorted(set(gate).union(embed)) if runtime.needs_pixels else list(gate)
+    planned = set(gate).union(*voted)
+    to_decode = sorted(planned.union(*clips) if runtime.needs_pixels else planned)
     frames = load_frames(video, to_decode)
-    valid = [_in_frame(video, i, is_frame_valid, frames[i], runtime.edge_filter) for i in gate]
+    valid: dict[int, bool] = {}
+    cfg = runtime.edge_filter
+    votes = [
+        vote(
+            (
+                valid[i] if i in valid
+                else valid.setdefault(i, _in_frame(video, i, is_frame_valid, frames[i], cfg))
+                for i in clip
+            ),
+            len(clip),
+        )
+        for clip in voted
+    ]
+    averaged = dict.fromkeys(map(tuple, clips))
+    averaged.update(
+        (tuple(clip), None)
+        for clip, (invalid, _) in zip(voted, votes)
+        if not majority_invalid(invalid, len(clip))
+    )
+    flags = [_in_frame(video, i, is_frame_valid, frames[i], cfg) for i in gate]
+    embed = sorted(set().union(*averaged))
     vectors = {i: runtime.frame_vector(video, i, frames.get(i)) for i in embed}
-    means = [mean_vectors([vectors[i] for i in clip]) for clip in clips]
-    return means, valid
+    means = {clip: mean_vectors([vectors[i] for i in clip]) for clip in averaged}
+    return means, votes, flags
 
 
 # Below this many planned frames, `map_split` runs here.
@@ -271,16 +305,19 @@ POOL_MIN_FRAMES = 128
 def plan_pays(plan: Sequence[VideoPlan]) -> bool:
     """Whether a plan's work pays for worker processes in `map_split`.
 
-    Its work is the frames it embeds or gates; POOL_MIN_FRAMES of them pay.
+    Its work is the frames it may embed or gate, every frame of a voted
+    clip included; POOL_MIN_FRAMES of them pay.
     """
-    planned = sum(1 for part in plan for _ in set(part.gate).union(*part.clips))
+    planned = sum(
+        1 for part in plan for _ in set(part.gate).union(*part.clips, *part.voted)
+    )
     return planned >= POOL_MIN_FRAMES
 
 
 def embed_plan(
     plan: Sequence[VideoPlan], runtime: PipelineRuntime
-) -> tuple[dict[tuple[str, tuple[int, ...]], Vector], dict[tuple[str, int], bool]]:
-    """Run a plan: clip means by (video_id, clip), validity by (video_id, index).
+) -> tuple[dict, dict, dict[tuple[str, int], bool]]:
+    """Run a plan: clip means and votes by (video_id, clip), validity by (video_id, index).
 
     The videos are the items of `map_split`: a plan of at least
     POOL_MIN_FRAMES planned frames, with either embedder, is split by video
@@ -290,17 +327,59 @@ def embed_plan(
     plan order.
     """
     results = map_split(
-        lambda part: video_frame_vectors(part.video, runtime, part.clips, part.gate),
+        lambda part: video_frame_vectors(
+            part.video, runtime, part.clips, part.voted, part.gate
+        ),
         plan,
         plan_pays(plan),
     )
     means: dict[tuple[str, tuple[int, ...]], Vector] = {}
+    votes: dict[tuple[str, tuple[int, ...]], tuple[int, int]] = {}
     valid: dict[tuple[str, int], bool] = {}
-    for part, (rows, flags) in zip(plan, results):
+    for part, (rows, counts, flags) in zip(plan, results):
         video_id = part.video.video_id
-        means.update(zip([(video_id, clip) for clip in part.clips], rows))
+        means.update(((video_id, clip), mean) for clip, mean in rows.items())
+        votes.update(zip([(video_id, clip) for clip in part.voted], counts))
         valid.update(zip([(video_id, i) for i in part.gate], flags))
-    return means, valid
+    return means, votes, valid
+
+
+def complete_lost_classes(
+    episode: Episode, classes: list, means: dict, votes: dict, runtime: PipelineRuntime
+) -> tuple[dict, dict]:
+    """Means and votes once every class whose votes drop all its clips is counted in full.
+
+    The override needs each such clip's true invalid count, so one more
+    plan gates the frames its vote left unread and averages it if it has
+    no mean yet. Returns new dicts, or the given ones when no class needs
+    that.
+    """
+    lost = set()
+    for _, clips in classes:
+        keys = [(sc.video_id, tuple(sc.frames)) for sc in clips]
+        if keys and all(majority_invalid(votes[key][0], len(key[1])) for key in keys):
+            lost.update(keys)
+    lost = sorted(lost)
+    if not lost:
+        return means, votes
+    videos = {v.video_id: v for _, vs in episode.support for v in vs}
+    more, _, valid = embed_plan(
+        [
+            VideoPlan(
+                videos[video_id],
+                () if (video_id, clip) in means else (clip,),
+                gate=clip[votes[video_id, clip][1]:],
+            )
+            for video_id, clip in lost
+        ],
+        runtime,
+    )
+    votes = dict(votes)
+    for video_id, clip in lost:
+        invalid, checked = votes[video_id, clip]
+        invalid += sum(1 for i in clip[checked:] if not valid[video_id, i])
+        votes[video_id, clip] = (invalid, len(clip))
+    return {**means, **more}, votes
 
 
 def personalize(
@@ -311,17 +390,21 @@ def personalize(
     """Support-side stage: filter the sampled clips, average, adapt.
 
     `found` is `plan_support`'s clips by class for this episode under
-    `runtime`, then `embed_plan`'s result for a plan that holds them;
-    without it, the episode's own plan is made and run.
+    `runtime`, then the clip means and votes of `embed_plan` for a plan
+    that holds them; without it, the episode's own plan is made and run,
+    so a clip the filter drops is embedded only if its class needs the
+    override.
     """
     if found is None:
         (classes,), plan = plan_support(episode, [runtime])
-        found = (classes, *embed_plan(plan, runtime))
-    classes, means, valid = found
+        found = (classes, *embed_plan(plan, runtime)[:2])
+    classes, means, votes = found
+    if runtime.edge_filter.enabled:
+        means, votes = complete_lost_classes(episode, classes, means, votes, runtime)
     per_class: list[tuple[str, list[Vector]]] = []
     audits: list[ClipAudit] = []
     for label, clips in classes:
-        retained, class_audits = filter_clips(clips, runtime.edge_filter, valid)
+        retained, class_audits = filter_clips(clips, runtime.edge_filter, votes)
         audits.extend(class_audits)
         per_class.append((label, [means[sc.video_id, tuple(sc.frames)] for sc in retained]))
     raw = compute_prototypes(per_class)
@@ -343,7 +426,7 @@ def recognize_video(
 ) -> list[FramePrediction]:
     """Query-side stage: per frame, its causal clip's mean from a one-video plan, classified."""
     part = plan_query(video, runtime)
-    means, _ = embed_plan([part], runtime)
+    means, _, _ = embed_plan([part], runtime)
     out = []
     for clip in part.clips:
         mean = means[video.video_id, clip]

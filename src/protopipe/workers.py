@@ -25,11 +25,22 @@ from typing import NoReturn
 _in_worker = False  # set in a worker process when it starts
 
 
-def usable_cpus() -> int:
-    """CPUs this process may use; one in a worker, which starts no pool."""
+def usable_cpus(cpu_max="/sys/fs/cgroup/cpu.max") -> int:
+    """CPUs this process may use; one in a worker, which starts no pool.
+
+    That is the affinity mask's count, capped by a cgroup v2 CPU quota:
+    ceil(quota / period) from the `cpu.max` file at `cpu_max`, whose quota
+    `max`, like a missing or unreadable file, sets no cap.
+    """
     if _in_worker or not hasattr(os, "sched_getaffinity"):
         return 1
-    return len(os.sched_getaffinity(0))
+    cpus = len(os.sched_getaffinity(0))
+    try:
+        with open(cpu_max, encoding="ascii") as f:
+            quota, period = f.read().split()
+        return max(1, min(cpus, -(-int(quota) // int(period))))
+    except (OSError, ValueError, ZeroDivisionError):
+        return cpus
 
 
 def _work(fn, items: Sequence, first: int, step: int, out: int) -> NoReturn:

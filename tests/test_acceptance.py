@@ -195,21 +195,22 @@ def test_criterion_07_clip_filter_majority_rule():
         invalid = Frame(8, 8, 1, bytes([128] * 64))
         cfg = EdgeFilterConfig()
 
-        gated = {}
+        counted = {}
 
         def clip(video_id, start, frames):
-            for k, frame in enumerate(frames):
-                gated[video_id, start + k] = is_frame_valid(frame, cfg)
+            # Every frame counted, as the override needs: (invalid, checked).
+            bad = sum(1 for frame in frames if not is_frame_valid(frame, cfg))
+            counted[video_id, tuple(range(start, start + len(frames)))] = (bad, len(frames))
             return SampledClip(video_id, ClipIndex(start, len(frames)))
 
         majority = clip("v", 0, [invalid] * 5 + [valid] * 3)
         half = clip("v", 8, [invalid] * 4 + [valid] * 4)
-        retained, audits = filter_clips([majority, half], cfg, gated)
+        retained, audits = filter_clips([majority, half], cfg, counted)
         assert retained == [half]
         assert [a.removed for a in audits] == [True, False]
 
         all_bad = [clip("w", 0, [invalid] * 8), clip("w", 8, [invalid] * 7 + [valid])]
-        retained, audits = filter_clips(all_bad, cfg, gated)
+        retained, audits = filter_clips(all_bad, cfg, counted)
         assert len(retained) == 1 and retained[0].clip.start == 8
         assert sum(a.override for a in audits) == 1
 

@@ -102,9 +102,28 @@ class TestPersonalize:
         for line in lines:
             record = json.loads(line)
             assert set(record) == {
-                "video_id", "clip_start", "invalid", "L", "removed", "override",
+                "video_id", "clip_start", "invalid", "checked", "L", "removed", "override",
             }
         assert "2 prototypes" in capsys.readouterr().out
+
+    def test_a_failed_audit_write_leaves_the_previous_audit(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        out, audit = tmp_path / "protos.json", tmp_path / "audit.jsonl"
+        assert run_personalize(workspace, out, audit=audit) == EXIT_OK
+        before = audit.read_bytes()
+        replace = os.replace
+
+        def failing_for_the_audit(src, dst):
+            if Path(dst) == audit:
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_for_the_audit)
+        assert run_personalize(workspace, out, audit=audit) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines()[-1] == "error: disk full"
+        assert audit.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["audit.jsonl", "protos.json"]
 
     def test_audit_length_without_pixels_is_the_clip_length(self, workspace, tmp_path):
         config = table_config(

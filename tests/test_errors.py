@@ -7,13 +7,18 @@ raises and with what message, and that the parsers raise nothing else.
 from __future__ import annotations
 
 import copy
+import errno
 import importlib
 import inspect
 import json
 import math
+import os
 import pickle
 import pkgutil
 import re
+import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -402,3 +407,58 @@ def test_ragged_rows_are_rejected_naming_the_file(loader, key, doc_path):
     doc_path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(FAMILY.get(loader, ConfigError), match=re.escape(str(doc_path))):
         loader(doc_path)
+
+
+class TestOneWriter:
+    """`errors.write_text`, under `write_json` and the CLI's audit, replaces a file whole."""
+
+    def test_a_write_that_fails_partway_leaves_the_previous_file(self, tmp_path):
+        path = tmp_path / "doc.json"
+        errors.write_json(path, {"rows": [[0.5, 1.5]]})
+        before = path.read_bytes()
+        # A file-size limit makes the write fail after its first 4 KiB, in
+        # a child so that the limit does not outlive it.
+        code = (
+            "import resource, sys\n"
+            "from protopipe.errors import write_json\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))\n"
+            "try:\n"
+            "    write_json(sys.argv[1], {'rows': [[0.25] * 64] * 64})\n"
+            "except OSError as exc:\n"
+            "    print(exc.errno)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(protopipe.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == str(errno.EFBIG)
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_a_failed_rename_leaves_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "doc.json"
+        errors.write_json(path, [1])
+        before = path.read_bytes()
+
+        def failing(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(errors.os, "replace", failing)
+        with pytest.raises(KeyboardInterrupt):
+            errors.write_json(path, [2])
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+    def test_a_new_file_has_a_plain_writes_mode(self, umask, tmp_path):
+        old = os.umask(umask)
+        try:
+            (tmp_path / "plain").write_text("x")
+            errors.write_text(tmp_path / "atomic", "x")
+            errors.write_text(tmp_path / "atomic", "y")
+        finally:
+            os.umask(old)
+        plain, atomic = ((tmp_path / name).stat().st_mode for name in ("plain", "atomic"))
+        assert atomic == plain == stat.S_IFREG | (0o666 & ~umask)
+        assert (tmp_path / "atomic").read_text() == "y"

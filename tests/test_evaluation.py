@@ -59,6 +59,14 @@ def sampled_clips(video, runtime):
     )
 
 
+def dummy_table(manifest) -> PrecomputedTable:
+    """A dim-2 row for every frame: sampling and gating do not depend on the embedder."""
+    return PrecomputedTable(2, {
+        v.video_id: [[1.0, float(i)] for i in range(v.num_frames)]
+        for v in manifest.all_videos()
+    })
+
+
 def in_one_process(monkeypatch) -> None:
     """Keep `embed_plan` in this process, where spies see every call."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -84,11 +92,7 @@ class TestRigged:
         in_one_process(monkeypatch)
         manifest, runtime = rigged
         # Sampling does not depend on the embedder, so a table keeps this quick.
-        table = PrecomputedTable(2, {
-            v.video_id: [[1.0, float(i)] for i in range(v.num_frames)]
-            for v in manifest.all_videos()
-        })
-        runtime = replace(runtime, embedder=table, adapter=None)
+        runtime = replace(runtime, embedder=dummy_table(manifest), adapter=None)
         sampled = []
         sample_clips = protonet.sample_clips
 
@@ -104,11 +108,7 @@ class TestRigged:
     def test_each_query_clip_norm_is_taken_once(self, rigged, monkeypatch):
         in_one_process(monkeypatch)
         manifest, runtime = rigged
-        table = PrecomputedTable(2, {
-            v.video_id: [[1.0, float(i)] for i in range(v.num_frames)]
-            for v in manifest.all_videos()
-        })
-        runtime = replace(runtime, embedder=table, adapter=None)
+        runtime = replace(runtime, embedder=dummy_table(manifest), adapter=None)
         query_norms = []
 
         def counting(v):
@@ -121,6 +121,44 @@ class TestRigged:
         evaluate_users(manifest, runtime)
         queries = [v for v in manifest.all_videos() if v.kind == "clutter"]
         assert len(query_norms) == sum(v.num_frames for v in queries) == 576
+
+    def test_votes_gate_162_of_the_288_filtered_frames(self, rigged, monkeypatch):
+        in_one_process(monkeypatch)
+        manifest, runtime = rigged
+        runtime = replace(runtime, embedder=dummy_table(manifest), adapter=None)
+        gated = []
+        is_frame_valid = protonet.is_frame_valid
+
+        def counting(frame, cfg):
+            gated.append(frame)
+            return is_frame_valid(frame, cfg)
+
+        monkeypatch.setattr(protonet, "is_frame_valid", counting)
+        evaluate_users(manifest, runtime)
+        # The filter arm samples 36 clips of 8 frames; gating each in full
+        # would read all 288 frames.
+        assert len(gated) == 162
+
+    def test_personalize_embeds_only_the_clips_the_vote_keeps(self, rigged, monkeypatch):
+        in_one_process(monkeypatch)
+        manifest, runtime = rigged
+        runtime = replace(runtime, embedder=dummy_table(manifest), adapter=None)
+        embedded = Counter()
+        frame_vector = PipelineRuntime.frame_vector
+
+        def counting(self, video, index, frame):
+            embedded[video.video_id, index] += 1
+            return frame_vector(self, video, index, frame)
+
+        monkeypatch.setattr(PipelineRuntime, "frame_vector", counting)
+        audits = []
+        for user_id in manifest.user_ids():
+            audits += personalize(build_episode(manifest, user_id), runtime)[1]
+        # The filter drops 18 of the 36 sampled clips and overrides none,
+        # so half of the 288 sampled support frames are embedded, each once.
+        assert (sum(a.removed for a in audits), len(audits)) == (18, 36)
+        assert not any(a.override for a in audits)
+        assert sum(embedded.values()) == len(embedded) == 144
 
 
 class TestOnePlan:
@@ -317,22 +355,25 @@ class TestQueryClips:
         in_one_process(monkeypatch)
         manifest, _ = small_dataset
         reads = Counter()
-        clips_read = {}
+        clips_read, voted_read = {}, {}
         video_frame_vectors = protonet.video_frame_vectors
 
-        def counting(video, runtime, clips, gate=()):
+        def counting(video, runtime, clips, voted=(), gate=()):
             reads[video.video_id] += 1
-            clips_read[video.video_id] = list(clips)
-            return video_frame_vectors(video, runtime, clips, gate)
+            clips_read[video.video_id] = sorted({*clips, *voted})
+            voted_read[video.video_id] = list(voted)
+            return video_frame_vectors(video, runtime, clips, voted, gate)
 
         monkeypatch.setattr(protonet, "video_frame_vectors", counting)
         runtime = pixel_runtime()
         evaluate_users(manifest, runtime)
         # No video is read twice. A query video's clips are its causal
         # windows, one per frame in frame order; a support video's are the
-        # distinct clips that some arm samples from it.
+        # distinct clips that some arm samples from it, and those of the
+        # filter arm are voted on.
         assert reads == Counter(v.video_id for v in manifest.all_videos())
         for video in manifest.all_videos():
+            voted = []
             if video.kind == "clutter":
                 want = causal_sliding_window(video.num_frames, runtime.sampler.clip_length)
             else:
@@ -341,4 +382,9 @@ class TestQueryClips:
                     for arm in ARM_ORDER
                     for clip in sampled_clips(video, arm_runtime(runtime, arm))
                 })
+                voted = sorted({
+                    tuple(clip.frame_indices())
+                    for clip in sampled_clips(video, arm_runtime(runtime, "filter"))
+                })
             assert clips_read[video.video_id] == [tuple(c) for c in want], video.video_id
+            assert voted_read[video.video_id] == voted, video.video_id

@@ -23,6 +23,8 @@ from protopipe.frame_validity import (
     _min_edge_square,
     filter_clips,
     is_frame_valid,
+    majority_invalid,
+    vote,
 )
 from protopipe.media_io.pnm import Frame
 
@@ -298,16 +300,70 @@ class TestValidity:
             EdgeFilterConfig(tau_density=1.5)
 
 
+def dropped_by_full_count(flags) -> bool:
+    """The majority rule applied to every frame of a clip, True meaning valid."""
+    return 2 * flags.count(False) > len(flags)
+
+
+class Reads:
+    """An iterator over flags that records how many were read."""
+
+    def __init__(self, flags):
+        self.flags, self.read = flags, 0
+
+    def __iter__(self):
+        for flag in self.flags:
+            self.read += 1
+            yield flag
+
+
+class TestVote:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.lists(st.booleans(), min_size=1, max_size=16))
+    def test_reads_only_until_the_majority_is_fixed(self, flags):
+        length = len(flags)
+        reads = Reads(flags)
+        invalid, checked = vote(reads, length)
+        # The vote decides as a count of every frame does.
+        assert majority_invalid(invalid, length) == dropped_by_full_count(flags)
+        # It stops at the first prefix whose every completion decides alike:
+        # the decision is monotone in the invalid count, so the all-valid
+        # and all-invalid completions are the two extremes.
+        fixed = next(
+            k for k in range(length + 1)
+            if dropped_by_full_count(flags[:k] + [True] * (length - k))
+            == dropped_by_full_count(flags[:k] + [False] * (length - k))
+        )
+        assert reads.read == checked == fixed
+        assert invalid == flags[:fixed].count(False)
+
+    @pytest.mark.parametrize("flags, counted", [
+        ([True] * 8, (0, 4)),
+        ([False] * 8, (5, 5)),
+        ([False] * 4 + [True] * 4, (4, 8)),
+        ([True, False] * 4, (3, 7)),
+        ([False], (1, 1)),
+        ([True], (0, 1)),
+    ])
+    def test_counts_of_known_clips(self, flags, counted):
+        assert vote(flags, len(flags)) == counted
+
+    def test_majority_is_strictly_more_than_half(self):
+        assert [majority_invalid(k, 8) for k in range(9)] == [False] * 5 + [True] * 4
+        assert [majority_invalid(k, 7) for k in range(8)] == [False] * 4 + [True] * 4
+
+
 def make_clip(video_id, start, frames):
-    """A sampled clip and its frames' validity under CFG, by (video_id, index)."""
+    """A sampled clip and its (invalid, checked) under CFG, every frame counted."""
     clip = SampledClip(video_id, ClipIndex(start, len(frames)))
-    return clip, {(video_id, start + k): is_frame_valid(f, CFG) for k, f in enumerate(frames)}
+    invalid = sum(1 for f in frames if not is_frame_valid(f, CFG))
+    return clip, {(video_id, tuple(clip.frames)): (invalid, len(frames))}
 
 
 def run_filter(made, cfg=None):
-    """filter_clips over clips from make_clip, given every frame's validity."""
-    valid = {key: ok for _, gated in made for key, ok in gated.items()}
-    return filter_clips([clip for clip, _ in made], cfg or CFG, valid)
+    """filter_clips over clips from make_clip, given every clip's full count."""
+    counts = {key: count for _, counted in made for key, count in counted.items()}
+    return filter_clips([clip for clip, _ in made], cfg or CFG, counts)
 
 
 VALID = gray([[0, 0, 0, 0, 255, 255, 255, 255] for _ in range(8)])
@@ -392,13 +448,14 @@ class TestFilterClips:
 
     def test_audit_json_shape(self):
         audit = ClipAudit(
-            video_id="v", clip_start=8, invalid=2, length=8, removed=False,
+            video_id="v", clip_start=8, invalid=2, checked=6, length=8, removed=False,
             override=False,
         )
         assert audit.to_json_obj() == {
             "video_id": "v",
             "clip_start": 8,
             "invalid": 2,
+            "checked": 6,
             "L": 8,
             "removed": False,
             "override": False,

@@ -21,6 +21,10 @@ input file. This AST scan fails when a second copy grows back:
   each class's clip means;
 * a call of `sample_clips` outside `protonet.plan_support`, which samples
   each runtime's support clips once and plans them;
+* a reference to `is_frame_valid` outside `protonet.video_frame_vectors`,
+  the executor, which gates each frame where it is decoded, and a
+  comparison against a doubled or halved value, the majority rule's shape,
+  outside `frame_validity.majority_invalid`, where that rule is written;
 * a `ValueError(...)` call anywhere: every fault is a `ConfigError` or a
   `DataError`, the two families the CLI maps to its exit codes.
 """
@@ -40,6 +44,8 @@ POOL_NAMES = {"fork"}
 FOREIGN_POOLS = {"ProcessPoolExecutor", "multiprocessing"}
 MEAN_HOMES = {("protonet.py", "video_frame_vectors"), ("protonet.py", "compute_prototypes")}
 SAMPLE_HOME = {("protonet.py", "plan_support")}
+GATE_HOME = {("protonet.py", "video_frame_vectors")}
+RULE_HOME = {("frame_validity.py", "majority_invalid")}
 
 # (module, function) -> why its sums are not a dot product or a norm.
 ALLOWED_SUMS = {
@@ -319,3 +325,77 @@ def test_the_guard_sees_a_planted_value_error(tmp_path):
         "    return builtins.ValueError(n)\n"
     )
     assert calls_outside(tmp_path, "ValueError") == ["clip_sampling.py:10", "clip_sampling.py:11"]
+
+
+def is_halving_rule(node: ast.AST) -> bool:
+    """A comparison with a side doubled or halved: `a * 2 > b`, `a > b / 2` and the like."""
+    if not isinstance(node, ast.Compare):
+        return False
+    for side in (node.left, *node.comparators):
+        if isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult):
+            operands = (side.left, side.right)
+        elif isinstance(side, ast.BinOp) and isinstance(side.op, (ast.Div, ast.FloorDiv)):
+            operands = (side.right,)
+        else:
+            continue
+        if any(isinstance(x, ast.Constant) and x.value == 2 for x in operands):
+            return True
+    return False
+
+
+def gate_copies(package_dir: Path) -> list[str]:
+    """Every gate reference outside GATE_HOME and majority rule outside RULE_HOME."""
+    found = []
+    for path in sorted(package_dir.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for owner, node in nodes_by_function(tree):
+            if (
+                isinstance(node, (ast.Name, ast.Attribute))
+                and named(node) == {"is_frame_valid"}
+                and (path.name, owner) not in GATE_HOME
+            ):
+                what = "gate"
+            elif is_halving_rule(node) and (path.name, owner) not in RULE_HOME:
+                what = "majority rule"
+            else:
+                continue
+            found.append(f"{path.relative_to(package_dir).as_posix()}:{node.lineno} {what} in {owner}")
+    return found
+
+
+def test_frames_are_gated_and_clips_judged_in_one_place():
+    assert gate_copies(PACKAGE_DIR) == []
+    homes = set()
+    for path in PACKAGE_DIR.rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for owner, node in nodes_by_function(tree):
+            if isinstance(node, ast.Name) and node.id == "is_frame_valid":
+                homes.add(("gate", path.name, owner))
+            if is_halving_rule(node):
+                homes.add(("rule", path.name, owner))
+    assert homes == {("gate", *home) for home in GATE_HOME} | {("rule", *h) for h in RULE_HOME}
+
+
+def test_the_guard_sees_a_planted_gate_and_rule(tmp_path):
+    (tmp_path / "frame_validity.py").write_text(
+        "def majority_invalid(invalid, length):\n"
+        "    return invalid * 2 > length\n"
+        "def filter_clips(clips, counts):\n"
+        "    return [c for c, n in zip(clips, counts) if not 2 * n > len(c)]\n"
+    )
+    (tmp_path / "protonet.py").write_text(
+        "from . import frame_validity\n"
+        "from .frame_validity import is_frame_valid\n"
+        "def video_frame_vectors(frames, cfg):\n"
+        "    return [is_frame_valid(f, cfg) for f in frames]\n"
+        "def personalize(frames, cfg, clip):\n"
+        "    bad = sum(1 for f in frames if not frame_validity.is_frame_valid(f, cfg))\n"
+        "    gate = is_frame_valid\n"
+        "    return bad > len(clip) / 2 or bad >= len(clip) // 2 + 1, gate\n"
+    )
+    assert gate_copies(tmp_path) == [
+        "frame_validity.py:4 majority rule in filter_clips",
+        "protonet.py:6 gate in personalize",
+        "protonet.py:7 gate in personalize",
+        "protonet.py:8 majority rule in personalize",
+    ]

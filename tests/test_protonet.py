@@ -4,20 +4,24 @@ import hashlib
 import json
 import re
 import sys
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from _oracles import ref_cosine_similarity
 from hypothesis import example, given, settings, strategies as st
 
+from protopipe import protonet
 from protopipe.adaptation import centering_adapter_weights
 from protopipe.clip_sampling import SamplerConfig
 from protopipe.config import build_runtime, load_config
 from protopipe.embedding import PrecomputedTable, make_patch_projection_spec
 from protopipe.errors import ConfigError, DataError
 from protopipe.evaluation import make_rigged_scenario
-from protopipe.frame_validity import EdgeFilterConfig
+from protopipe.frame_validity import EdgeFilterConfig, is_frame_valid
 from protopipe.media_io.manifest import VideoRecord
-from protopipe.numerics import Matrix, cosine_similarity, norm
+from protopipe.media_io.pnm import Frame, encode_pnm
+from protopipe.numerics import Matrix, cosine_similarity, mean_vectors, norm
 from protopipe.protonet import (
     Episode,
     FramePrediction,
@@ -31,6 +35,7 @@ from protopipe.protonet import (
     load_prototypes,
     personalize,
     plan_query,
+    plan_support,
     recognize_video,
     save_predictions,
     save_prototypes,
@@ -243,11 +248,109 @@ class TestPersonalize:
         runtime = make_runtime(edge=EdgeFilterConfig())
         protos, audits = personalize(build_episode(manifest, "user00"), runtime)
         # Half of each clean video is a wash run aligned to the candidate
-        # grid, so exactly one of the two clips per video gets dropped.
+        # grid, so exactly one of the two clips per video gets dropped. The
+        # vote stops at the fifth invalid frame of a wash clip and at the
+        # fourth valid frame of a clean one.
         assert len(audits) == 4
         assert sum(a.removed for a in audits) == 2
-        assert all(a.invalid in (0, 8) for a in audits)
+        assert {(a.invalid, a.checked, a.removed) for a in audits} == {
+            (5, 5, True), (0, 4, False),
+        }
         assert protos.raw.rows == 2
+
+
+EDGES = Frame(8, 8, 1, bytes([0, 0, 0, 0, 255, 255, 255, 255] * 8))
+FLAT = Frame(8, 8, 1, bytes([128] * 64))
+
+
+class TestOverride:
+    """A class whose every clip fails: the override picks from full counts."""
+
+    # Three 8-frame clips, True meaning a valid frame. Every vote stops at
+    # the fifth invalid frame, so by their votes the clips tie at 5 and the
+    # earliest would win; counted in full they have 8, 6 and 5.
+    LOST = [False] * 8 + [False] * 5 + [True, False, True] + [False] * 5 + [True] * 3
+
+    def episode(self, tmp_path):
+        videos = []
+        for video_id, flags in (("lost", self.LOST), ("kept", [True] * 24)):
+            paths = []
+            for i, ok in enumerate(flags):
+                path = tmp_path / f"{video_id}{i:02d}.ppm"
+                path.write_bytes(encode_pnm(EDGES if ok else FLAT))
+                paths.append(str(path))
+            videos.append(VideoRecord(video_id, "clean", paths))
+        rows = {
+            "lost": [[float(i), 1.0] for i in range(24)],
+            "kept": [[1.0, i + 0.5] for i in range(24)],
+        }
+        runtime = make_runtime(
+            edge=EdgeFilterConfig(),
+            sampler=SamplerConfig(clip_length=8, clips_per_video=3, policy="uniform"),
+            embedder=PrecomputedTable(2, rows),
+        )
+        episode = Episode("u", (("a", (videos[0],)), ("b", (videos[1],))), ())
+        return episode, runtime, rows
+
+    def test_full_counts_pick_the_clip_and_bits_of_full_gating(self, tmp_path, monkeypatch):
+        episode, runtime, rows = self.episode(tmp_path)
+        gated, embedded = [], Counter()
+        gate, frame_vector = protonet.is_frame_valid, PipelineRuntime.frame_vector
+
+        def counting_gate(frame, cfg):
+            gated.append(frame)
+            return gate(frame, cfg)
+
+        def counting_vector(self, video, index, frame):
+            embedded[video.video_id, index] += 1
+            return frame_vector(self, video, index, frame)
+
+        monkeypatch.setattr(protonet, "is_frame_valid", counting_gate)
+        monkeypatch.setattr(PipelineRuntime, "frame_vector", counting_vector)
+        protos, audits = personalize(episode, runtime)
+        # Full gating, re-derived: count every frame, drop past half, and
+        # keep the least-invalid clip, earliest first, of a class left empty.
+        assert is_frame_valid(EDGES, runtime.edge_filter)
+        assert not is_frame_valid(FLAT, runtime.edge_filter)
+        per_class = []
+        for (_, (video,)), flags in zip(episode.support, (self.LOST, [True] * 24)):
+            clips = [range(start, start + 8) for start in (0, 8, 16)]
+            bad = [[flags[i] for i in clip].count(False) for clip in clips]
+            kept = [clip for clip, b in zip(clips, bad) if 2 * b <= 8]
+            kept = kept or [clips[bad.index(min(bad))]]
+            means = [mean_vectors([rows[video.video_id][i] for i in clip]) for clip in kept]
+            per_class.append(mean_vectors(means))
+        assert protos.raw.to_rows() == per_class
+        assert [(a.video_id, a.invalid, a.checked, a.removed, a.override) for a in audits] == [
+            ("lost", 8, 8, True, False),
+            ("lost", 6, 8, True, False),
+            ("lost", 5, 8, False, True),
+            ("kept", 0, 4, False, False),
+            ("kept", 0, 4, False, False),
+            ("kept", 0, 4, False, False),
+        ]
+        # Votes read 15 + 12 frames and the override's plan the 9 left
+        # unread, 36 of the 48 that full gating reads. No lost clip had a
+        # mean, so that plan embeds all three; each frame is embedded once.
+        assert len(gated) == 36
+        assert sum(embedded.values()) == 48 and set(embedded.values()) == {1}
+
+    def test_clips_another_runtime_averaged_are_not_embedded_again(self, tmp_path, monkeypatch):
+        episode, runtime, _ = self.episode(tmp_path)
+        alone, audits = personalize(episode, runtime)
+        unfiltered = replace(runtime, edge_filter=replace(runtime.edge_filter, enabled=False))
+        (_, classes), plan = plan_support(episode, [unfiltered, runtime])
+        means, votes, _ = embed_plan(plan, runtime)
+        embedded = []
+        frame_vector = PipelineRuntime.frame_vector
+
+        def counting_vector(self, video, index, frame):
+            embedded.append((video.video_id, index))
+            return frame_vector(self, video, index, frame)
+
+        monkeypatch.setattr(PipelineRuntime, "frame_vector", counting_vector)
+        assert personalize(episode, runtime, (classes, means, votes)) == (alone, audits)
+        assert embedded == []
 
 
 class TestRecognize:
@@ -286,12 +389,13 @@ class TestRecognize:
             embedder=PrecomputedTable(2, {"q": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}),
         )
         part = plan_query(self.make_video(3), runtime)
-        assert part.clips == ((0, 0), (0, 1), (1, 2)) and part.gate == ()
-        means, valid = embed_plan([part], runtime)
+        assert part.clips == ((0, 0), (0, 1), (1, 2))
+        assert part.voted == () and part.gate == ()
+        means, votes, valid = embed_plan([part], runtime)
         clips = [means["q", clip] for clip in part.clips]
         assert clips == [[1.0, 0.0], [0.5, 0.5], [0.5, 1.0]]
         assert all(type(c) is list for c in clips)
-        assert valid == {}
+        assert votes == {} and valid == {}
 
     def test_uses_precomputed_table(self):
         assert [p.pred for p in self.recognize([[0.0, 1.0]] * 3)] == ["b"] * 3

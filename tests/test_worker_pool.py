@@ -128,7 +128,7 @@ def all_outputs(manifest, runtime, tmp_path, after_each) -> tuple:
     protos, audits = personalize(episode, runtime)
     after_each("personalize")
     save_prototypes(protos, tmp_path / "protos.json")
-    clips, _ = embed_plan([plan_query(v, runtime) for v, _ in episode.query], runtime)
+    clips, _, _ = embed_plan([plan_query(v, runtime) for v, _ in episode.query], runtime)
     after_each("query plan")
     # repr writes each float exactly, so equal text is equal bits.
     predictions = repr([classify_clip(clip, norm(clip), protos) for clip in clips.values()])
@@ -521,3 +521,23 @@ def test_importing_the_cli_loads_no_process_pool():
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]", module
+
+
+@pytest.mark.parametrize("cpu_max, want", [
+    ("max 100000\n", 4),
+    ("150000 100000\n", 2),
+    ("50000 100000\n", 1),
+    ("400000 100000\n", 4),
+    ("900000 100000\n", 4),
+    (None, 4),
+    ("", 4),
+    ("garbage\n", 4),
+])
+def test_a_cgroup_cpu_quota_caps_the_usable_cpus(cpu_max, want, tmp_path, monkeypatch):
+    use_cpus(monkeypatch, 4)
+    path = tmp_path / "cpu.max"
+    if cpu_max is not None:
+        path.write_text(cpu_max)
+    assert workers.usable_cpus(path) == want
+    monkeypatch.setattr(workers, "_in_worker", True)
+    assert workers.usable_cpus(path) == 1
