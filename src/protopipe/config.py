@@ -126,11 +126,9 @@ def load_config(path) -> PipelineConfig:
 def build_runtime(config: PipelineConfig, seed: int | None = None) -> PipelineRuntime:
     """Resolve referenced files into a ready-to-run immutable bundle.
 
-    Every file is read before a seeded projection is built: a bad file
-    fails before that costly step, and the memory the projection's worker
-    pool keeps (its modules and its threads' heap) is taken after the
-    files' parse is freed rather than beneath it, which keeps set-up's peak
-    memory down.
+    Every file is read before a seeded projection is built, so a bad file
+    fails before that costly step, and the projection's ranks fork after
+    the files' parse is freed rather than beneath it.
     """
     if seed is not None:
         config = replace(config, seed=seed)

@@ -20,23 +20,22 @@ order `numerics` documents.
 
 Building the default projection is the one large step of setting up a run:
 modified Gram-Schmidt over d columns of n entries, about n * d * d
-multiply-adds. From GRAM_SCHMIDT_MIN_WORK on, its columns are split over
-one rank per usable CPU, at most GRAM_SCHMIDT_MAX_RANKS, each a forked
-worker of `workers.map_in_workers` pinned to a CPU; finished columns pass
-between ranks over one pipe per ordered pair. Every column sees the same
-sequence of dot products, subtractions and division as in one rank, so the
-bits do not change.
+multiply-adds. From GRAM_SCHMIDT_MIN_WORK on, with two usable CPUs or
+more, its columns are split over two ranks, each a forked worker of
+`workers.map_in_workers` pinned to a CPU; finished columns pass between
+them over one pipe into each rank. Every column sees the same sequence of
+dot products, subtractions and division as in one rank, so the bits do not
+change.
 """
 from __future__ import annotations
 
 import math
-import mmap
 import os
 import random
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import itemgetter
 
 from . import workers
@@ -74,70 +73,56 @@ class EmbedderSpec:
 
 # Below this much work, n * d * d for an n x d projection, Gram-Schmidt runs
 # in one rank here. On a 2-vCPU Intel Xeon VM (2.0 GHz), at n = 192, two
-# pinned ranks lost at d = 32 (29 ms against 22 ms here), won or lost by
-# 3 ms at d = 48, and won from d = 64 (54 ms against 64 ms); see README,
+# pinned ranks lost at d = 32 (17 ms against 11 ms here), won or lost by
+# 5 ms at d = 48, and won from d = 64 (45 ms against 60 ms); see README,
 # "Parallel work".
 GRAM_SCHMIDT_MIN_WORK = 600_000
-# At most this many ranks, the most that have been timed. Each further rank
-# draws all d columns again (33 ms at d = 192 on that VM), and the owner of
-# each column writes it once per other rank before its peers can go on.
-GRAM_SCHMIDT_MAX_RANKS = 2
 
 
 def _orthonormal_columns(n: int, d: int, seed: int) -> Matrix:
     """Seeded Gaussian, then modified Gram-Schmidt over the d columns.
 
-    The columns are split over ranks, one per usable CPU up to
-    GRAM_SCHMIDT_MAX_RANKS when the work reaches GRAM_SCHMIDT_MIN_WORK, else
-    one here; see `_gram_schmidt_rank`. Each ordered pair of ranks has a
-    pipe of its own: over one pipe into each rank, columns from two senders
-    could be read out of order. The ranks write the finished columns into
-    one shared buffer, so they come back unpickled; with several ranks, this
-    process never holds the draw.
+    The columns are split over two ranks when the work reaches
+    GRAM_SCHMIDT_MIN_WORK and this process may use two CPUs or more, else
+    one rank runs here; see `_gram_schmidt_rank`. One pipe goes into each
+    rank, opened here as a reader and a writer that the ranks inherit.
+    Rank 0 returns every finished column, so with two ranks this process
+    never holds the draw.
     """
-    pays = n * d * d >= GRAM_SCHMIDT_MIN_WORK
-    ranks = min(workers.usable_cpus(), GRAM_SCHMIDT_MAX_RANKS) if pays else 1
-    finished = mmap.mmap(-1, n * d * 8)  # anonymous, so shared with forked workers
-    pipes = {(r, s): os.pipe() for r in range(ranks) for s in range(ranks) if r != s}
+    ranks = 2 if n * d * d >= GRAM_SCHMIDT_MIN_WORK and workers.usable_cpus() > 1 else 1
+    pipes = [(open(r, "rb"), open(w, "wb")) for r, w in (os.pipe() for _ in range(ranks))]
     try:
-        rank = partial(_gram_schmidt_rank, n, d, seed, ranks, pipes, finished)
-        if ranks == 1:
-            rank(0)
-        else:  # one worker per rank, as the CPU count is not read again
-            workers.map_in_workers(rank, range(ranks), ranks)
-        # Each column's floats are made together, as an embedding reads them.
-        with memoryview(finished).cast("d") as done:
-            cols = [done[j * n : (j + 1) * n].tolist() for j in range(d)]
+        rank = partial(_gram_schmidt_rank, n, d, seed, pipes)
+        done = workers.map_in_workers(rank, range(ranks), ranks)[0]
     finally:
-        finished.close()
-        for fds in pipes.values():
-            os.close(fds[0])
-            os.close(fds[1])
+        for f in chain(*pipes):
+            f.close()
+    # Each column's floats are made together, as an embedding reads them.
+    cols = [done[j * n : (j + 1) * n].tolist() for j in range(d)]
     return Matrix(n, d, [col[i] for i in range(n) for col in cols])
 
 
-def _gram_schmidt_rank(
-    n: int, d: int, seed: int, ranks: int, pipes: dict, finished: mmap.mmap, rank: int
-) -> None:
-    """Finish the columns j with j % ranks == rank of the seeded draw.
+def _gram_schmidt_rank(n: int, d: int, seed: int, pipes: list, rank: int) -> array | None:
+    """Finish the columns j with j % len(pipes) == rank of the seeded draw.
 
     Right-looking: the owner of column p finishes it (divides it by its
-    norm), writes it to `finished` and sends it to every other rank as
-    array('d') bytes, and every rank subtracts its projection from each
-    column it owns after p. A rank that owns column p + 1 updates and
-    finishes it first and the rest after (one column of look-ahead). Every
-    column takes off its projections on columns 0 .. j - 1 in order and is
-    then divided by its norm, as in the serial sweep, so the bits do not
-    depend on `ranks`. Several ranks run in forked workers, each pinned to
-    one CPU of this process's, shared if fewer CPUs are left than ranks.
-
-    A rank that fails sends every other rank an all-NaN column, on which
-    they stop, and re-raises, so no rank is left waiting on a pipe.
+    norm) and writes it as array('d') bytes into the other rank's pipe, if
+    there is one, and every rank subtracts its projection from each column
+    it owns after p. A rank that owns column p + 1 updates and finishes it
+    first and the rest after (one column of look-ahead). Every column takes
+    off its projections on columns 0 .. j - 1 in order and is then divided
+    by its norm, as in the serial sweep, so the bits do not depend on the
+    rank count. Two ranks run in forked workers, each pinned to one CPU of
+    this process's, shared if one is left. Each rank keeps every column in
+    order once it is finished; rank 0 returns them, and rank 1 None. A rank
+    that fails writes the other an all-NaN column, on which it stops, and
+    re-raises, so no rank is left waiting on a pipe.
     """
-    send = [open(pipes[rank, s][1], "wb", closefd=False) for s in range(ranks) if s != rank]
-    recv = {s: open(pipes[s, rank][0], "rb", closefd=False) for s in range(ranks) if s != rank}
+    ranks = len(pipes)
+    inbox = pipes[rank][0]
+    peer = [pipes[1 - rank][1]] if ranks > 1 else []  # the other rank's pipe
     mine = range(rank, d, ranks)
-    done = memoryview(finished).cast("d")
+    finished = array("d")
 
     def finish(j: int) -> None:
         col = cols[j]
@@ -147,8 +132,8 @@ def _gram_schmidt_rank(
         for i in range(n):
             col[i] /= norm
         message = array("d", col)
-        done[j * n : (j + 1) * n] = message
-        for out in send:
+        finished.extend(message)
+        for out in peer:
             out.write(message)
             out.flush()
 
@@ -165,9 +150,10 @@ def _gram_schmidt_rank(
                 prev = cols[p]
             else:
                 message = array("d")
-                message.fromfile(recv[p % ranks], n)
+                message.fromfile(inbox, n)
                 if math.isnan(message[0]):
-                    return  # its sender failed and raises the error
+                    return None  # the other rank failed and raises the error
+                finished.extend(message)
                 prev = message.tolist()
             for j in mine[(p - rank) // ranks + 1 :]:
                 col = cols[j]
@@ -177,15 +163,11 @@ def _gram_schmidt_rank(
                 if j == p + 1:
                     finish(j)
     except BaseException:
-        stop = array("d", [math.nan]) * n
-        for out in send:
-            out.write(stop)
+        for out in peer:
+            out.write(array("d", [math.nan]) * n)
             out.flush()
         raise
-    finally:
-        done.release()
-        for f in send + list(recv.values()):
-            f.close()
+    return finished if rank == 0 else None
 
 
 def make_patch_projection_spec(
@@ -203,8 +185,11 @@ PROJECTION_FILE_KEYS = {"grid": int, "channels": int, "dim": int, "projection": 
 def load_projection_spec(path) -> EmbedderSpec:
     """Projection weights JSON, read by PROJECTION_FILE_KEYS."""
     doc = read_json(path, ConfigError, "projection file", PROJECTION_FILE_KEYS)
-    projection = Matrix.from_rows(doc["projection"])
-    return EmbedderSpec(doc["grid"], doc["channels"], doc["dim"], projection)
+    try:
+        projection = Matrix.from_rows(doc["projection"])
+        return EmbedderSpec(doc["grid"], doc["channels"], doc["dim"], projection)
+    except ConfigError as exc:
+        raise ConfigError(f"bad projection file {path}: {exc}") from exc
 
 
 @lru_cache(maxsize=64)

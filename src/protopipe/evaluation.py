@@ -13,10 +13,10 @@ the previous arm.
 
 The user is the unit of parallel work: each user's frames are planned,
 embedded and scored under every arm by one function, mapped over forked
-worker processes by `workers.map_split` when the evaluate's planned frames
-pay for a pool. Planning samples each arm once, and only each arm's count
-of correctly labelled query frames comes back. A one-user evaluate runs
-here, and its plan is split by video instead.
+worker processes by `workers.map_in_workers` when the evaluate's planned
+frames pay for a pool. Planning samples each arm once, and only each arm's
+count of correctly labelled query frames comes back. A one-user evaluate
+runs here, and its plan is split by video instead.
 
 The "rigged" scenario built by `make_rigged_scenario` is a synthetic dataset
 plus config constructed so the ordering baseline <= uniform <= filter is a
@@ -48,6 +48,7 @@ import logging
 from dataclasses import replace
 from pathlib import Path
 
+from . import workers
 from .adaptation import centering_adapter_weights, save_transformer_weights
 from .errors import ConfigError, write_json
 from .media_io.manifest import DatasetManifest
@@ -61,11 +62,10 @@ from .protonet import (
     classify_clip,
     embed_plan,
     personalize,
-    plan_pays,
     plan_query,
+    plan_workers,
     plan_support,
 )
-from .workers import map_split
 
 logger = logging.getLogger(__name__)
 
@@ -123,10 +123,10 @@ def evaluate_users(
     Each user's plan holds the clips of their support videos that some arm
     samples (voted on when the arm filters) and every query
     frame's causal window, and is made before any pixel is read.
-    `map_split` runs `_user_hits` over the users, split over worker
-    processes when the planned frames of all users pay for them (`plan_pays`),
-    so the outputs do not depend on where it ran. Nothing outlives the
-    call. An arm named twice is a ConfigError.
+    `workers.map_in_workers` runs `_user_hits` over the users, split over
+    worker processes when the planned frames of all users pay for them
+    (`plan_workers`), so the outputs do not depend on where it ran. Nothing
+    outlives the call. An arm named twice is a ConfigError.
     """
     repeated = [arm for n, arm in enumerate(arms) if arm in arms[:n]]
     if repeated:
@@ -137,10 +137,10 @@ def evaluate_users(
     for ep in episodes:
         sampled, plan = plan_support(ep, runtimes)
         users.append((ep, sampled, plan + [plan_query(video, runtime) for video, _ in ep.query]))
-    hits = map_split(
+    hits = workers.map_in_workers(
         lambda user: _user_hits(*user, runtime, runtimes),
         users,
-        plan_pays([part for _, _, plan in users for part in plan]),
+        plan_workers([part for _, _, plan in users for part in plan]),
     )
     frames = [sum(len(truth) for _, truth in ep.query) for ep in episodes]
     rows = []

@@ -30,11 +30,11 @@ Only when votes drop every clip of a class does `personalize` run one more
 plan, which gates those clips' unread frames so the override sees full
 counts.
 
-`workers.map_split` maps a function over items in forked worker processes
-when a plan has POOL_MIN_FRAMES planned frames or more (`plan_pays`). In a
-one-episode run the video is the unit of parallel work
-(`embed_plan` maps over the plan's videos); in an evaluate the user is, and
-a worker runs its user's plan in its own process.
+`workers.map_in_workers` maps a function over items in forked worker
+processes, one per usable CPU when a plan has POOL_MIN_FRAMES planned frames
+or more (`plan_workers`). In a one-episode run the video is the unit of
+parallel work (`embed_plan` maps over the plan's videos); in an evaluate the
+user is, and a worker runs its user's plan in its own process.
 """
 from __future__ import annotations
 
@@ -44,6 +44,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import workers
 from .adaptation import TransformerWeights, adapt_prototypes
 from .clip_sampling import SamplerConfig, causal_sliding_window, sample_clips
 from .embedding import EmbedderSpec, PrecomputedTable, embed_frame
@@ -61,7 +62,6 @@ from .media_io.loader import LoaderConfig, load_frames_parallel
 from .media_io.manifest import DatasetManifest, UserRecord, VideoRecord
 from .media_io.pnm import Frame
 from .numerics import Matrix, Vector, cosine_similarity, mean_vectors, norm
-from .workers import map_split
 
 
 @dataclass(frozen=True)
@@ -294,24 +294,25 @@ def video_frame_vectors(
     return means, votes, flags
 
 
-# Below this many planned frames, `map_split` runs here.
+# Below this many planned frames, a plan runs here.
 # On a 2-vCPU Intel Xeon VM (2.0 GHz) two workers won an evaluate from 64
 # planned frames with the rigged 192x192 projection or a dim-192 table, but
-# lost below about 150 with the tests' dim-16 projection or table (84 ms
-# against 66 ms in this process at 108 frames); see README, "Parallel work".
+# lost at every size tried, up to 254, with the tests' dim-16 projection or
+# table (28.1 ms against 19.9 ms in this process at 108 frames, 48.9 ms
+# against 39.4 ms at 254); see README, "Parallel work".
 POOL_MIN_FRAMES = 128
 
 
-def plan_pays(plan: Sequence[VideoPlan]) -> bool:
-    """Whether a plan's work pays for worker processes in `map_split`.
+def plan_workers(plan: Sequence[VideoPlan]) -> int:
+    """The workers a plan's work pays for: every usable CPU, or 1 below POOL_MIN_FRAMES.
 
     Its work is the frames it may embed or gate, every frame of a voted
-    clip included; POOL_MIN_FRAMES of them pay.
+    clip included.
     """
     planned = sum(
         1 for part in plan for _ in set(part.gate).union(*part.clips, *part.voted)
     )
-    return planned >= POOL_MIN_FRAMES
+    return workers.usable_cpus() if planned >= POOL_MIN_FRAMES else 1
 
 
 def embed_plan(
@@ -319,19 +320,19 @@ def embed_plan(
 ) -> tuple[dict, dict, dict[tuple[str, int], bool]]:
     """Run a plan: clip means and votes by (video_id, clip), validity by (video_id, index).
 
-    The videos are the items of `map_split`: a plan of at least
-    POOL_MIN_FRAMES planned frames, with either embedder, is split by video
-    over worker processes, unless this process is itself a worker. Each
-    video's part is computed alike either way and merged in plan order, so
-    the bits do not depend on the worker count. An error is the first in
-    plan order.
+    The videos are the items of `workers.map_in_workers`: a plan of at
+    least POOL_MIN_FRAMES planned frames, with either embedder, is split by
+    video over worker processes, unless this process is itself a worker.
+    Each video's part is computed alike either way and merged in plan
+    order, so the bits do not depend on the worker count. An error is the
+    first in plan order.
     """
-    results = map_split(
+    results = workers.map_in_workers(
         lambda part: video_frame_vectors(
             part.video, runtime, part.clips, part.voted, part.gate
         ),
         plan,
-        plan_pays(plan),
+        plan_workers(plan),
     )
     means: dict[tuple[str, tuple[int, ...]], Vector] = {}
     votes: dict[tuple[str, tuple[int, ...]], tuple[int, int]] = {}
@@ -467,10 +468,10 @@ def load_prototypes(path) -> Prototypes:
             doc["user_id"], tuple(doc["labels"]), Matrix.from_rows(doc["raw"]),
             Matrix.from_rows(doc["adapted"]), doc["config_digest"],
         )
+        if doc["dim"] != protos.dim:
+            raise DataError(f"declared dim {doc['dim']} != matrix dim {protos.dim}")
     except ValueError as exc:  # the dataclass's own checks raise either family
         raise DataError(f"bad prototypes file {path}: {exc}") from exc
-    if doc["dim"] != protos.dim:
-        raise DataError(f"declared dim {doc['dim']} != matrix dim {protos.dim}")
     return protos
 
 

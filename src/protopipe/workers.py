@@ -1,16 +1,16 @@
 """The package's one process pool.
 
-`map_split` maps a function over items in forked worker processes, one per
-CPU this process may use, when its caller says the work pays for them (the
-frame plan's `protonet.POOL_MIN_FRAMES`); else the items run here. The
-projection's Gram-Schmidt ranks wait on each other, so `embedding` starts
-exactly one worker per rank with `map_in_workers`.
+`map_in_workers(fn, items, workers)` maps a function over items in forked
+worker processes, at most one per item. Its caller picks `workers`: the
+frame plan asks for one per usable CPU when its planned frames pay for them
+(`protonet.plan_workers`), and the projection's Gram-Schmidt for one per
+rank. With fewer than two workers the items run here, as they do in a
+worker, which starts no pool of its own.
 
-`map_in_workers` forks each worker straight from this process with
-`os.fork`: a worker inherits the function and the items, so neither is
-pickled, and only its results come back, pickled down a pipe of its own.
-No thread starts, and neither `multiprocessing` nor `concurrent.futures` is
-imported. A worker starts no pool of its own.
+Each worker is forked straight from this process with `os.fork`: it
+inherits the function and the items, so neither is pickled, and only its
+results come back, pickled down a pipe of its own. No thread starts, and
+neither `multiprocessing` nor `concurrent.futures` is imported.
 """
 from __future__ import annotations
 
@@ -71,15 +71,19 @@ def _work(fn, items: Sequence, first: int, step: int, out: int) -> NoReturn:
 
 
 def map_in_workers(fn, items: Sequence, workers: int) -> list:
-    """`[fn(item) for item in items]` in exactly `workers` forked workers.
+    """`[fn(item) for item in items]` in `workers` forked workers, at most one per item.
 
-    Worker w runs items w, w + workers, ... in order and stops at its first
-    error. The results come back in item order, and the error raised is the
-    first in item order; a worker that dies before it writes its results is
-    an error at its first item. Every worker still running when this
-    returns or raises, on an exception here too, is killed, and all are
-    reaped.
+    With fewer than two workers left after that cap, the items run here.
+    Else worker w runs items w, w + workers, ... in order and stops at its
+    first error. Either way the results come back in item order, and the
+    error raised is the first in item order; a worker that dies before it
+    writes its results is an error at its first item. Every worker still
+    running when this returns or raises, on an exception here too, is
+    killed, and all are reaped.
     """
+    workers = min(workers, len(items))
+    if workers < 2:
+        return [fn(item) for item in items]
     running = []  # (pid, result pipe) of each worker not yet reaped
     try:
         for w in range(workers):
@@ -126,18 +130,3 @@ def map_in_workers(fn, items: Sequence, workers: int) -> list:
                 os.kill(pid, signal.SIGKILL)
             with suppress(ChildProcessError):
                 os.waitpid(pid, 0)
-
-
-def map_split(fn, items: Sequence, pays: bool) -> list:
-    """`[fn(item) for item in items]`, split over worker processes if it pays.
-
-    When `pays`, the items are split over one forked worker per CPU this
-    process may use, at most one per item; else they run here, as they do
-    in a worker. With as many CPUs as items, each item has a worker of its
-    own. Results come back in item order, and an error is the first in item
-    order, either way.
-    """
-    workers = min(usable_cpus(), len(items)) if pays else 1
-    if workers > 1:
-        return map_in_workers(fn, items, workers)
-    return [fn(item) for item in items]

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
 import random
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,6 +27,8 @@ from protopipe.errors import ConfigError
 from protopipe.numerics import Matrix, layer_norm_rows, mean_vectors, scale
 
 GOLDEN = Path(__file__).parent / "data" / "golden_adapter_seed5.json"
+# sha256 of the adapter's output on the golden input, one float.hex per line.
+GOLDEN_OUTPUT_SHA256 = "224bc9a8c60a43d90baa66f99c0b03b4142f610111d2aec9554022f5c3c28c5c"
 
 
 def random_matrix(rows, cols, seed):
@@ -152,6 +156,21 @@ class TestAdaptBlock:
         oracle = np_transformer_block(np.array(doc["input"]), w)
         np.testing.assert_allclose(oracle, expected, atol=1e-10)
 
+    @pytest.mark.xfail(
+        sys.version_info >= (3, 12),
+        reason="builtin sum compensates float rounding from CPython 3.12 on, "
+        "so dot products can differ in the last bits (ROADMAP item 4)",
+        strict=False,
+    )
+    def test_golden_output_bits_are_pinned(self):
+        # The golden file's `expected` is checked within atol only, so only
+        # this pin compares the adapter's output bit for bit.
+        doc = json.loads(GOLDEN.read_text())
+        w = random_transformer_weights(doc["d"], h=doc["heads"], seed=doc["seed"])
+        got = adapt_prototypes(Matrix.from_rows(doc["input"]), w).values
+        digest = hashlib.sha256("".join(f"{x.hex()}\n" for x in got).encode())
+        assert digest.hexdigest() == GOLDEN_OUTPUT_SHA256
+
     def test_matches_numpy_oracle_on_random_inputs(self):
         for seed in range(5):
             w = random_transformer_weights(8, h=2, d_ff=12, seed=seed)
@@ -228,6 +247,15 @@ class TestValidationAndSerialization:
         del doc["w_o"]
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="w_o"):
+            load_transformer_weights(path)
+
+    def test_a_shape_fault_at_load_names_the_file(self, tmp_path):
+        path = tmp_path / "w.json"
+        save_transformer_weights(random_transformer_weights(4, d_ff=4, seed=0), path)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(doc, b1=doc["b1"][:3])))
+        message = f"bad adapter weights {path}: b1: expected shape (4,), got (3,)"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_transformer_weights(path)
 
     def test_nan_eps_is_a_config_error(self, tmp_path):

@@ -8,7 +8,7 @@ import threading
 from pathlib import Path
 
 import pytest
-from _children import live_children
+from _children import counting_forks, live_children
 from _oracles import random_transformer_weights
 
 from protopipe import cli, protonet, workers
@@ -324,16 +324,13 @@ class TestEvaluate:
 
     def split_users(self, monkeypatch) -> list[int]:
         """Make the small workspace's evaluate split its two users over a
-        pool (it is below the break-even); return the pools' worker counts."""
+        pool (it is below the break-even); return the worker counts of the
+        pools that fork."""
         monkeypatch.setattr(protonet, "POOL_MIN_FRAMES", 0)
         started = []
-        map_in_workers = workers.map_in_workers
-
-        def counting(fn, items, workers):
-            started.append(workers)
-            return map_in_workers(fn, items, workers)
-
-        monkeypatch.setattr(workers, "map_in_workers", counting)
+        monkeypatch.setattr(
+            workers, "map_in_workers", counting_forks(workers.map_in_workers, started.append)
+        )
         return started
 
     def test_bad_frame_in_a_worker_exits_3_as_in_one_process(

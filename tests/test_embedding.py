@@ -125,6 +125,14 @@ class TestProjection:
         with pytest.raises(ConfigError, match=re.escape("projection must be 4x4, got (3, 3)")):
             EmbedderSpec(2, 1, 4, Matrix.identity(3))
 
+    def test_a_shape_fault_at_load_names_the_file(self, tmp_path):
+        path = tmp_path / "proj.json"
+        doc = {"grid": 2, "channels": 3, "dim": 4, "projection": [[0.5] * 4] * 11}
+        path.write_text(json.dumps(doc))
+        message = f"bad projection file {path}: projection must be 12x4, got (11, 4)"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_projection_spec(path)
+
     def test_load_matches_constructed_spec(self, tmp_path):
         spec = make_patch_projection_spec(grid=3, channels=1, dim=4, seed=9)
         path = tmp_path / "proj.json"

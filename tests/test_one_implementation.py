@@ -12,8 +12,11 @@ input file. This AST scan fails when a second copy grows back:
   too large for a float is caught once, where the reader turns numbers into
   floats;
 * a reference to `fork` (`os.fork`) outside `workers.map_in_workers`, the
-  one pool, which `workers.map_split` drives for the video split and the
-  user split, and `embedding` for the Gram-Schmidt ranks;
+  one pool, which the video split, the user split and the Gram-Schmidt
+  ranks all call as `workers.map_in_workers`;
+* an import of `map_in_workers` by name outside `workers.py`: the tests'
+  pool counters patch the module attribute, so a call through such a name
+  would start pools that no "starts no pool" assertion sees;
 * a reference to `ProcessPoolExecutor` or `multiprocessing` anywhere, the
   pool's home included: the pool forks its workers itself;
 * a call of `mean_vectors` outside `protonet.video_frame_vectors`, which
@@ -203,13 +206,19 @@ def named(node: ast.AST) -> set[str]:
 
 
 def pool_references(package_dir: Path) -> list[str]:
-    """Every fork outside the one helper and every foreign pool, as "file:line"."""
+    """Every fork outside the one helper, every import of the helper by name
+    outside its module and every foreign pool, as "file:line"."""
     found = set()
     for path in package_dir.rglob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         for owner, node in nodes_by_function(tree):
             names = named(node)
-            if names & FOREIGN_POOLS or (names & POOL_NAMES and (path.name, owner) != POOL_HOME):
+            by_name = isinstance(node, ast.alias) and node.name == POOL_HOME[1]
+            if (
+                names & FOREIGN_POOLS
+                or (names & POOL_NAMES and (path.name, owner) != POOL_HOME)
+                or (by_name and path.name != POOL_HOME[0])
+            ):
                 found.add((path.relative_to(package_dir).as_posix(), node.lineno))
     return [f"{name}:{line}" for name, line in sorted(found)]
 
@@ -232,6 +241,13 @@ def test_the_guard_sees_a_planted_pool(tmp_path):
         "def embed_plan(plan):\n"
         "    return os.fork()\n"
     )
+    (tmp_path / "protonet.py").write_text(
+        "from . import workers\n"
+        "from .workers import map_in_workers\n"
+        "def embed_plan(plan, n):\n"
+        "    from protopipe.workers import usable_cpus, map_in_workers as pool\n"
+        "    return workers.map_in_workers(len, plan, n), pool, usable_cpus\n"
+    )
     (tmp_path / "evaluation.py").write_text(
         "import importlib\n"
         "from os import fork\n"
@@ -244,6 +260,7 @@ def test_the_guard_sees_a_planted_pool(tmp_path):
     assert pool_references(tmp_path) == [
         "evaluation.py:2", "evaluation.py:3", "evaluation.py:4",
         "evaluation.py:6", "evaluation.py:7",
+        "protonet.py:2", "protonet.py:4",
         "workers.py:4", "workers.py:5", "workers.py:6", "workers.py:8",
     ]
 

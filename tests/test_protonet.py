@@ -473,6 +473,14 @@ class TestSerialization:
             with pytest.raises(DataError, match=re.escape(f"bad prototypes file {path}")):
                 load_prototypes(path)
 
+    def test_a_declared_dim_fault_names_the_file(self, tmp_path):
+        path = tmp_path / "p.json"
+        save_prototypes(toy_prototypes(), path)
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), dim=3)))
+        message = f"bad prototypes file {path}: declared dim 3 != matrix dim 2"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_prototypes(path)
+
     def test_cached_norms_leave_equality_and_the_file_alone(self, tmp_path):
         rows = ((3.0, 4.0), (0.0, 2.0))
         protos, fresh = toy_prototypes(rows), toy_prototypes(rows)

@@ -1,19 +1,20 @@
-"""`map_split` in worker processes: same bits, no pool unless it pays.
+"""`workers.map_in_workers` in worker processes: same bits, no pool unless it pays.
 
 An evaluate splits its users over worker processes, and a one-episode plan
 its videos, when this process may use more than one CPU and the work has
 enough planned frames; the projection's Gram-Schmidt splits its columns
-over ranks when its work reaches `embedding.GRAM_SCHMIDT_MIN_WORK`. These
-tests pin that the split changes no output bit, that a small evaluate, plan
-or projection stays in this process, that a worker starts no pool of its
-own, that a failing rank stops its peers, that a fault in a worker or in
-the caller reaches the caller in item order and leaves no worker behind,
-that neither importing the package's entry modules nor a rigged evaluate
-loads a pool module, and that `conftest.py`'s guard fails a test that
-leaves a child process running. Every test that forks workers runs them
-in a child interpreter in a session of its own, through `run_isolated`,
-so a worker left waiting fails its test and is killed instead of
-outliving the run.
+over two ranks when its work reaches `embedding.GRAM_SCHMIDT_MIN_WORK`.
+These tests pin that the split changes no output bit, that a small
+evaluate, plan or projection stays in this process, as does a map left
+with fewer than two workers, that a worker starts no pool of its own, that
+a failing rank stops its peer, that a fault in a worker or in the caller
+reaches the caller in item order and leaves no worker behind, that neither
+importing the package's entry modules nor a rigged evaluate loads a pool
+module, and that `conftest.py`'s guard fails a test that leaves a child
+process running. A pool is counted only when it forks (`counting_forks`).
+Every test that forks workers runs them in a child interpreter in a
+session of its own, through `run_isolated`, so a worker left waiting fails
+its test and is killed instead of outliving the run.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from _children import live_children
+from _children import counting_forks, live_children
 
 from protopipe import protonet, workers
 from protopipe.adaptation import centering_adapter_weights
@@ -49,7 +50,7 @@ from protopipe.protonet import (
     embed_plan,
     personalize,
     plan_query,
-    plan_pays,
+    plan_workers,
     save_prototypes,
 )
 
@@ -82,22 +83,20 @@ def rigged_dir(tmp_path_factory) -> Path:
 
 
 def count_pools(monkeypatch, tmp_path):
-    """A reader of every pool started from now on, as "parent N" or "worker N".
+    """A reader of every pool that forks from now on, as "parent N" or "worker N".
 
     The log is a file, so that a pool started inside a worker process,
     whose memory the test never sees, is counted too.
     """
     log = tmp_path / "pools.log"
     log.write_text("")
-    map_in_workers = workers.map_in_workers
     parent = os.getpid()
 
-    def counting(fn, items, workers):
+    def note(n):
         with open(log, "a", encoding="utf-8") as fh:
-            fh.write(f"{'parent' if os.getpid() == parent else 'worker'} {workers}\n")
-        return map_in_workers(fn, items, workers)
+            fh.write(f"{'parent' if os.getpid() == parent else 'worker'} {n}\n")
 
-    monkeypatch.setattr(workers, "map_in_workers", counting)
+    monkeypatch.setattr(workers, "map_in_workers", counting_forks(workers.map_in_workers, note))
     return lambda: log.read_text(encoding="utf-8").splitlines()
 
 
@@ -224,11 +223,11 @@ def small_evaluate_or_plan(tmp_path, monkeypatch, rigged_dir, small_dir):
     assert pools() == []
     episode = build_episode(manifest, "user00")
     small = [VideoPlan(v, ((0, 1, 2),)) for v, _ in episode.query]
-    assert not plan_pays(small)
+    assert plan_workers(small) == 1
     embed_plan(small, pixels)
     assert pools() == []
     big = [plan_query(v, pixels) for v in rigged_manifest.all_videos()]
-    assert plan_pays(big)
+    assert plan_workers(big) == 2
     threads = threading.enumerate()
     embed_plan(big, pixels)
     assert pools() == ["parent 2"]
@@ -270,21 +269,18 @@ def run_isolated(code: str, *args: str) -> list[str]:
     return stdout.splitlines()
 
 
-# argv: CPUs to report, and the rank cap or "-" for the module's own.
+# argv: CPUs to report.
 RANK_BITS = f"""
 import os, sys
-from _children import live_children
+from _children import counting_forks, live_children
 from _oracles import ref_orthonormal_columns
 from protopipe import embedding, workers
 
 os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
 os.sched_setaffinity = lambda pid, cpus: None
 embedding.GRAM_SCHMIDT_MIN_WORK = 0
-if sys.argv[2] != "-":
-    embedding.GRAM_SCHMIDT_MAX_RANKS = int(sys.argv[2])
 pools = []
-map_in_workers = workers.map_in_workers
-workers.map_in_workers = lambda fn, items, n: pools.append(n) or map_in_workers(fn, items, n)
+workers.map_in_workers = counting_forks(workers.map_in_workers, pools.append)
 for grid, channels, dim, seed in {TEST_PROJECTIONS!r}:
     spec = embedding.make_patch_projection_spec(grid, channels, dim, seed)
     want = ref_orthonormal_columns(grid * grid * channels, dim, seed)
@@ -293,17 +289,13 @@ print(pools, live_children())
 """
 
 
-@pytest.mark.parametrize(
-    "cpus, cap, ranks", [(1, "-", 1), (2, "-", 2), (3, "-", 2), (3, "3", 3), (12, "8", 8)]
-)
-def test_every_rank_count_gives_the_reference_projection_bits(cpus, cap, ranks):
-    # Three ranks need a third CPU to pin to; with one pipe per rank rather
-    # than per pair of ranks, they read columns out of order. Eight ranks
-    # are more than the 12x4 projection has columns. The module caps the
-    # ranks at the most that have been timed, so the last two raise it.
+@pytest.mark.parametrize("cpus, ranks", [(1, 1), (2, 2), (3, 2), (12, 2)])
+def test_every_rank_count_gives_the_reference_projection_bits(cpus, ranks):
+    # However many CPUs are usable, at most two ranks start, even for the
+    # 12x4 projection, whose 4 columns are fewer than 12 CPUs.
     pools = [ranks] * len(TEST_PROJECTIONS) if ranks > 1 else []
     want = ["True"] * len(TEST_PROJECTIONS) + [f"{pools} []"]
-    assert run_isolated(RANK_BITS, str(cpus), cap) == want
+    assert run_isolated(RANK_BITS, str(cpus)) == want
 
 
 def projection_pools(tmp_path, monkeypatch):
@@ -326,15 +318,14 @@ def test_only_a_projection_past_the_break_even_starts_a_pool(tmp_path):
 # affinity mask shrinks while a projection is built.
 SHRINKING_CPUS = f"""
 import os
-from _children import live_children
+from _children import counting_forks, live_children
 from _oracles import ref_orthonormal_columns
 from protopipe import embedding, workers
 
 os.sched_setaffinity = lambda pid, cpus: None
 embedding.GRAM_SCHMIDT_MIN_WORK = 0
 pools = []
-map_in_workers = workers.map_in_workers
-workers.map_in_workers = lambda fn, items, n: pools.append(n) or map_in_workers(fn, items, n)
+workers.map_in_workers = counting_forks(workers.map_in_workers, pools.append)
 for grid, channels, dim, seed in {TEST_PROJECTIONS!r}:
     reads = iter([{{0, 1}}])
     os.sched_getaffinity = lambda pid: next(reads, {{0}})
@@ -361,7 +352,6 @@ from protopipe.errors import ConfigError
 os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
 os.sched_setaffinity = lambda pid, cpus: None
 embedding.GRAM_SCHMIDT_MIN_WORK = 0
-embedding.GRAM_SCHMIDT_MAX_RANKS = int(sys.argv[1])
 # Column 1 of the 48x16 draw is all zeros, so the rank that owns it finds
 # its norm degenerate. Each rank draws in its own process, from draw 0.
 draws = iter(range(10**6))
@@ -379,9 +369,31 @@ print(live_children())
 
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_a_failing_rank_stops_its_peers_and_its_error_reaches_the_caller(cpus):
-    # Rank 1 of 3 fails on column 1, which both of its peers wait for.
+    # Rank 1 of 2 fails on column 1, which rank 0 waits for.
     lines = run_isolated(FAILING_RANK, str(cpus))
     assert lines == ["ConfigError degenerate projection draw", "[]"]
+
+
+@pytest.mark.parametrize(
+    "items, n", [(range(3), 1), (range(0), 2), (range(1), 2)],
+    ids=["one worker", "no items", "one item, two workers"],
+)
+def test_a_map_left_with_fewer_than_two_workers_runs_here(items, n, monkeypatch):
+    # Capped at one worker per item, fewer than two run every item in this
+    # process, in order, and fork nothing.
+    def forbidden():
+        raise AssertionError("the map forked")
+
+    monkeypatch.setattr(os, "fork", forbidden)
+    ran = []
+
+    def fn(item):
+        ran.append(item)
+        return item, os.getpid()
+
+    assert workers.map_in_workers(fn, items, n) == [(i, os.getpid()) for i in items]
+    assert ran == list(items)
+    assert live_children() == []
 
 
 # argv: the fault to plant. Each map runs over items 0-3 in two workers;
@@ -445,6 +457,7 @@ def test_a_pool_fault_reaches_the_caller_and_no_worker_is_left(fault, raised):
 RIGGED_EVALUATE = """
 import os, sys, threading
 from pathlib import Path
+from _children import counting_forks
 from protopipe import workers
 from protopipe.config import build_runtime, load_config
 from protopipe.evaluation import evaluate_users
@@ -453,8 +466,7 @@ from protopipe.media_io.manifest import load_manifest
 os.sched_getaffinity = lambda pid: {0, 1}
 os.sched_setaffinity = lambda pid, cpus: None
 pools = []
-map_in_workers = workers.map_in_workers
-workers.map_in_workers = lambda fn, items, n: pools.append(n) or map_in_workers(fn, items, n)
+workers.map_in_workers = counting_forks(workers.map_in_workers, pools.append)
 threads = threading.enumerate()
 runtime = build_runtime(load_config(Path(sys.argv[1], "config.json")))
 evaluate_users(load_manifest(Path(sys.argv[1], "data", "manifest.json")), runtime)
@@ -512,7 +524,8 @@ def test_the_guard_fails_a_test_that_leaves_a_child_running(tmp_path):
 
 def test_importing_the_cli_loads_no_process_pool():
     # Each module in a fresh interpreter: the pool's home is imported by
-    # `embedding` and `protonet`, and must itself load neither module.
+    # `embedding`, `protonet` and `evaluation`, and must itself load neither
+    # module.
     env = dict(os.environ, PYTHONPATH=str(SRC))
     pools = ("multiprocessing", "concurrent.futures")
     for module in ("protopipe.cli", "protopipe.config", "protopipe.embedding"):
