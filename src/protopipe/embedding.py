@@ -33,7 +33,7 @@ import math
 import os
 import random
 from array import array
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate, chain
 from operator import itemgetter
@@ -251,14 +251,37 @@ def embed_frame(frame: Frame, spec: EmbedderSpec) -> Vector:
 
 @dataclass(frozen=True)
 class PrecomputedTable:
+    """Embedding rows by video id, dim floats per frame.
+
+    The constructor checks each row's length and packs each video's rows
+    into one array('d') of frames x dim floats: 8 bytes a value, where a
+    list of floats takes 32, an 8-byte pointer and a 24-byte float object.
+    A lookup returns a fresh list of its frame's floats, so later sums see
+    lists, as from the projection, and add the same floats.
+    """
+
     dim: int
-    videos: dict[str, list[Vector]]
+    rows: InitVar[dict[str, list[Vector]]]
+    videos: dict[str, array] = field(init=False)
+
+    def __post_init__(self, rows: dict[str, list[Vector]]):
+        dim, videos = self.dim, {}
+        for video_id, vectors in rows.items():
+            packed = videos[video_id] = array("d")
+            for idx, vector in enumerate(vectors):
+                if len(vector) != dim:
+                    raise ConfigError(
+                        f"video {video_id!r} frame {idx} has dim {len(vector)}, expected {dim}"
+                    )
+                packed.fromlist(vector)
+        object.__setattr__(self, "videos", videos)
 
     def vector(self, video_id: str, frame_index: int) -> Vector:
-        rows = self.videos.get(video_id)
-        if rows is None or not 0 <= frame_index < len(rows):
+        packed = self.videos.get(video_id)
+        start = frame_index * self.dim
+        if packed is None or not 0 <= start < len(packed):
             raise DataError(f"no embedding for frame {frame_index} of video {video_id!r}")
-        return rows[frame_index]
+        return packed[start : start + self.dim].tolist()
 
 
 def load_precomputed(path) -> PrecomputedTable:
@@ -266,7 +289,9 @@ def load_precomputed(path) -> PrecomputedTable:
 
     Every frame row must be present, numeric, of the declared dimension and
     finite, with a finite norm; holes, NaNs and rows whose norm overflows
-    are a load-time error, not a lookup-time surprise.
+    are a load-time error, not a lookup-time surprise. An integer is
+    converted to a float; the checked rows are then packed as
+    `PrecomputedTable` packs any rows.
     """
     doc = read_json(path, ConfigError, "embeddings file", {"dim": int, "videos": dict})
     where = f"bad embeddings file {path}"

@@ -124,9 +124,10 @@ def evaluate_users(
     samples (voted on when the arm filters) and every query
     frame's causal window, and is made before any pixel is read.
     `workers.map_in_workers` runs `_user_hits` over the users, split over
-    worker processes when the planned frames of all users pay for them
-    (`plan_workers`), so the outputs do not depend on where it ran. Nothing
-    outlives the call. An arm named twice is a ConfigError.
+    worker processes when the planned frames of all users, weighed by the
+    embedding dim, pay for them (`plan_workers`), so the outputs do not
+    depend on where it ran. Nothing outlives the call. An arm named twice
+    is a ConfigError.
     """
     repeated = [arm for n, arm in enumerate(arms) if arm in arms[:n]]
     if repeated:
@@ -140,7 +141,7 @@ def evaluate_users(
     hits = workers.map_in_workers(
         lambda user: _user_hits(*user, runtime, runtimes),
         users,
-        plan_workers([part for _, _, plan in users for part in plan]),
+        plan_workers([part for _, _, plan in users for part in plan], runtime.embedder.dim),
     )
     frames = [sum(len(truth) for _, truth in ep.query) for ep in episodes]
     rows = []

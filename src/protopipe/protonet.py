@@ -31,10 +31,11 @@ plan, which gates those clips' unread frames so the override sees full
 counts.
 
 `workers.map_in_workers` maps a function over items in forked worker
-processes, one per usable CPU when a plan has POOL_MIN_FRAMES planned frames
-or more (`plan_workers`). In a one-episode run the video is the unit of
-parallel work (`embed_plan` maps over the plan's videos); in an evaluate the
-user is, and a worker runs its user's plan in its own process.
+processes, one per usable CPU when a plan's planned frames times the
+embedding dim reach POOL_MIN_WORK (`plan_workers`). In a one-episode run
+the video is the unit of parallel work (`embed_plan` maps over the plan's
+videos); in an evaluate the user is, and a worker runs its user's plan in
+its own process.
 """
 from __future__ import annotations
 
@@ -294,25 +295,25 @@ def video_frame_vectors(
     return means, votes, flags
 
 
-# Below this many planned frames, a plan runs here.
-# On a 2-vCPU Intel Xeon VM (2.0 GHz) two workers won an evaluate from 64
-# planned frames with the rigged 192x192 projection or a dim-192 table, but
-# lost at every size tried, up to 254, with the tests' dim-16 projection or
-# table (28.1 ms against 19.9 ms in this process at 108 frames, 48.9 ms
-# against 39.4 ms at 254); see README, "Parallel work".
-POOL_MIN_FRAMES = 128
+# Below this much work, planned frames times the embedding dim, a plan runs
+# here. On a 2-vCPU Intel Xeon VM (2.0 GHz) two workers lost an evaluate of
+# 254 planned frames with the tests' dim-16 projection or table (4,064) and
+# won from 64 planned frames with the rigged 192x192 projection or a
+# dim-192 table (12,288); a split by video won from 32 rigged frames
+# (6,144). See README, "Parallel work".
+POOL_MIN_WORK = 6_144
 
 
-def plan_workers(plan: Sequence[VideoPlan]) -> int:
-    """The workers a plan's work pays for: every usable CPU, or 1 below POOL_MIN_FRAMES.
+def plan_workers(plan: Sequence[VideoPlan], dim: int) -> int:
+    """The workers a plan's work pays for: every usable CPU, or 1 below POOL_MIN_WORK.
 
     Its work is the frames it may embed or gate, every frame of a voted
-    clip included.
+    clip included, times `dim`, the embedding dim.
     """
     planned = sum(
         1 for part in plan for _ in set(part.gate).union(*part.clips, *part.voted)
     )
-    return workers.usable_cpus() if planned >= POOL_MIN_FRAMES else 1
+    return workers.usable_cpus() if planned * dim >= POOL_MIN_WORK else 1
 
 
 def embed_plan(
@@ -320,9 +321,10 @@ def embed_plan(
 ) -> tuple[dict, dict, dict[tuple[str, int], bool]]:
     """Run a plan: clip means and votes by (video_id, clip), validity by (video_id, index).
 
-    The videos are the items of `workers.map_in_workers`: a plan of at
-    least POOL_MIN_FRAMES planned frames, with either embedder, is split by
-    video over worker processes, unless this process is itself a worker.
+    The videos are the items of `workers.map_in_workers`: a plan whose
+    planned frames times the embedding dim reach POOL_MIN_WORK, with either
+    embedder, is split by video over worker processes, unless this process
+    is itself a worker.
     Each video's part is computed alike either way and merged in plan
     order, so the bits do not depend on the worker count. An error is the
     first in plan order.
@@ -332,7 +334,7 @@ def embed_plan(
             part.video, runtime, part.clips, part.voted, part.gate
         ),
         plan,
-        plan_workers(plan),
+        plan_workers(plan, runtime.embedder.dim),
     )
     means: dict[tuple[str, tuple[int, ...]], Vector] = {}
     votes: dict[tuple[str, tuple[int, ...]], tuple[int, int]] = {}

@@ -9,13 +9,15 @@ worker, which starts no pool of its own.
 
 Each worker is forked straight from this process with `os.fork`: it
 inherits the function and the items, so neither is pickled, and only its
-results come back, pickled down a pipe of its own. No thread starts, and
+results come back, pickled down a pipe of its own; every pipe is waited on
+at once, so a worker's death is seen when it happens. No thread starts, and
 neither `multiprocessing` nor `concurrent.futures` is imported.
 """
 from __future__ import annotations
 
 import os
 import pickle
+import selectors
 import signal
 from collections.abc import Sequence
 from contextlib import suppress
@@ -76,15 +78,18 @@ def map_in_workers(fn, items: Sequence, workers: int) -> list:
     With fewer than two workers left after that cap, the items run here.
     Else worker w runs items w, w + workers, ... in order and stops at its
     first error. Either way the results come back in item order, and the
-    error raised is the first in item order; a worker that dies before it
-    writes its results is an error at its first item. Every worker still
-    running when this returns or raises, on an exception here too, is
-    killed, and all are reaped.
+    error raised is the first in item order. Every worker's pipe is read
+    as its results come, so a worker that exits before it writes them
+    (killed, say) ends the map at once: that is an error at its first item,
+    raised unless an error at an earlier item is already back, and the
+    workers still running are not waited for, as they may wait on it.
+    Every worker still running when this returns or raises, on an exception
+    here too, is killed, and all are reaped.
     """
     workers = min(workers, len(items))
     if workers < 2:
         return [fn(item) for item in items]
-    running = []  # (pid, result pipe) of each worker not yet reaped
+    running = {}  # worker -> (pid, result pipe) of each worker not yet reaped
     try:
         for w in range(workers):
             r, out = os.pipe()
@@ -97,35 +102,46 @@ def map_in_workers(fn, items: Sequence, workers: int) -> list:
                 raise
             finally:
                 os.close(out)
-            running.append((pid, open(r, "rb")))
+            running[w] = (pid, r)
         results = [None] * len(items)
         error = None  # (index, exception) of the first error in item order
-        for w in range(workers):
-            if error is not None and error[0] < w:
-                break  # worker w and later ones run no earlier item
-            pid, pipe = running[0]
-            with pipe:
-                data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del running[0]
-            if code == 0 and data:
-                done = pickle.loads(data)
-            else:
-                done = [(w, False, RuntimeError(
-                    f"the worker for item {w} exited with status {code} "
-                    "before returning its results"
-                ))]
-            for i, ok, value in done:
-                if ok:
-                    results[i] = value
-                elif error is None or i < error[0]:
-                    error = (i, value)
+        dead = False  # whether a worker exited without its results
+        chunks = {w: [] for w in running}
+        with selectors.DefaultSelector() as ready:
+            for w, (_, r) in running.items():
+                ready.register(r, selectors.EVENT_READ, w)
+            # Worker w and later ones run no item before a known error.
+            while not dead and any(error is None or w < error[0] for w in running):
+                for key, _ in ready.select():
+                    w = key.data
+                    chunk = os.read(key.fd, 1 << 16)
+                    if chunk:
+                        chunks[w].append(chunk)
+                        continue
+                    ready.unregister(key.fd)
+                    pid, r = running.pop(w)
+                    os.close(r)
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    data = b"".join(chunks.pop(w))
+                    if code == 0 and data:
+                        done = pickle.loads(data)
+                    else:
+                        dead = True
+                        done = [(w, False, RuntimeError(
+                            f"the worker for item {w} exited with status {code} "
+                            "before returning its results"
+                        ))]
+                    for i, ok, value in done:
+                        if ok:
+                            results[i] = value
+                        elif error is None or i < error[0]:
+                            error = (i, value)
         if error is not None:
             raise error[1]
         return results
     finally:
-        for pid, pipe in running:
-            pipe.close()
+        for pid, r in running.values():
+            os.close(r)
             with suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
             with suppress(ChildProcessError):

@@ -326,7 +326,7 @@ class TestEvaluate:
         """Make the small workspace's evaluate split its two users over a
         pool (it is below the break-even); return the worker counts of the
         pools that fork."""
-        monkeypatch.setattr(protonet, "POOL_MIN_FRAMES", 0)
+        monkeypatch.setattr(protonet, "POOL_MIN_WORK", 0)
         started = []
         monkeypatch.setattr(
             workers, "map_in_workers", counting_forks(workers.map_in_workers, started.append)

@@ -53,8 +53,8 @@ OTHER_VALUES = [None, True, 7, 0.5, "x", [], {}]
 def workspace(tmp_path_factory):
     """1 user x 2 objects, 6-frame 16x16 videos, dim 8: every input file of a run.
 
-    Every run plans fewer than `protonet.POOL_MIN_FRAMES` frames, so it
-    starts no worker processes, which would cost more than the run.
+    Every run's planned frames times dim stay below `protonet.POOL_MIN_WORK`,
+    so it starts no worker processes, which would cost more than the run.
     """
     root = tmp_path_factory.mktemp("fuzz")
     assert main(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 import random
 import re
 
@@ -260,10 +261,46 @@ class TestPrecomputed:
         assert table.dim == 2
         assert table.vector("v0", 1) == [3.0, 4.0]
 
+    def test_lookups_return_the_file_values_bit_for_bit(self, tmp_path):
+        rng = random.Random(4)
+        videos = {
+            f"v{k}": [[rng.uniform(-1e3, 1e3) for _ in range(5)] + [k, -7] for _ in range(k + 2)]
+            for k in range(3)
+        }
+        table = load_precomputed(self.write_table(tmp_path, {"dim": 7, "videos": videos}))
+        for video_id, rows in videos.items():
+            for i, row in enumerate(rows):
+                got = table.vector(video_id, i)
+                assert type(got) is list and all(type(x) is float for x in got)
+                assert list(map(float.hex, got)) == [float(x).hex() for x in row]
+
+    def test_each_video_is_packed_in_one_array(self, tmp_path):
+        path = self.write_table(tmp_path, {"dim": 2, "videos": {
+            "v0": [[1.0, 2.0], [3, 4.5], [5.0, 6.0]], "v1": [[7.0, 8.0]], "v2": [],
+        }})
+        for table in (load_precomputed(path), PrecomputedTable(2, {"v0": [[1.0, 2.0]] * 3})):
+            for packed in table.videos.values():
+                assert type(packed) is array and packed.typecode == "d"
+        table = load_precomputed(path)
+        lengths = {video_id: len(packed) for video_id, packed in table.videos.items()}
+        assert lengths == {"v0": 6, "v1": 2, "v2": 0}
+        assert table.videos["v0"] == array("d", [1.0, 2.0, 3.0, 4.5, 5.0, 6.0])
+        # Each lookup is a fresh list: changing it leaves the table as it was.
+        table.vector("v1", 0)[0] = -1.0
+        assert table.vector("v1", 0) == [7.0, 8.0]
+
+    def test_a_built_row_of_the_wrong_length_is_rejected(self):
+        with pytest.raises(ConfigError, match="^video 'v0' frame 1 has dim 3, expected 2$"):
+            PrecomputedTable(2, {"v0": [[1.0, 2.0], [1.0, 2.0, 3.0]]})
+        with pytest.raises(ConfigError, match="^video 'v1' frame 0 has dim 1, expected 2$"):
+            PrecomputedTable(2, {"v0": [[1.0, 2.0]], "v1": [[1.0]]})
+
     def test_lookup_bounds(self):
         table = PrecomputedTable(2, {"v0": [[1.0, 2.0]]})
         with pytest.raises(DataError, match="^no embedding for frame 1 of video 'v0'$"):
             table.vector("v0", 1)
+        with pytest.raises(DataError, match="^no embedding for frame -1 of video 'v0'$"):
+            table.vector("v0", -1)
         with pytest.raises(DataError, match="^no embedding for frame 0 of video 'missing'$"):
             table.vector("missing", 0)
 

@@ -1,16 +1,17 @@
 """`workers.map_in_workers` in worker processes: same bits, no pool unless it pays.
 
 An evaluate splits its users over worker processes, and a one-episode plan
-its videos, when this process may use more than one CPU and the work has
-enough planned frames; the projection's Gram-Schmidt splits its columns
-over two ranks when its work reaches `embedding.GRAM_SCHMIDT_MIN_WORK`.
+its videos, when this process may use more than one CPU and the work,
+planned frames times the embedding dim, is large enough; the projection's
+Gram-Schmidt splits its columns over two ranks when its work reaches
+`embedding.GRAM_SCHMIDT_MIN_WORK`.
 These tests pin that the split changes no output bit, that a small
 evaluate, plan or projection stays in this process, as does a map left
 with fewer than two workers, that a worker starts no pool of its own, that
-a failing rank stops its peer, that a fault in a worker or in the caller
-reaches the caller in item order and leaves no worker behind, that neither
-importing the package's entry modules nor a rigged evaluate loads a pool
-module, and that `conftest.py`'s guard fails a test that leaves a child
+a failing rank stops its peer, that a rank killed from outside ends the
+build, that a fault in a worker or in the caller reaches the caller in item
+order and leaves no worker behind, that neither importing the package's
+entry modules nor a rigged evaluate loads a pool module, and that `conftest.py`'s guard fails a test that leaves a child
 process running. A pool is counted only when it forks (`counting_forks`).
 Every test that forks workers runs them in a child interpreter in a
 session of its own, through `run_isolated`, so a worker left waiting fails
@@ -40,7 +41,7 @@ from protopipe.config import build_runtime, load_config
 from protopipe.embedding import PrecomputedTable, make_patch_projection_spec
 from protopipe.evaluation import evaluate_users, make_rigged_scenario
 from protopipe.frame_validity import EdgeFilterConfig
-from protopipe.media_io.manifest import DatasetManifest, load_manifest
+from protopipe.media_io.manifest import DatasetManifest, VideoRecord, load_manifest
 from protopipe.numerics import norm
 from protopipe.protonet import (
     PipelineRuntime,
@@ -223,11 +224,11 @@ def small_evaluate_or_plan(tmp_path, monkeypatch, rigged_dir, small_dir):
     assert pools() == []
     episode = build_episode(manifest, "user00")
     small = [VideoPlan(v, ((0, 1, 2),)) for v, _ in episode.query]
-    assert plan_workers(small) == 1
+    assert plan_workers(small, 16) == 1
     embed_plan(small, pixels)
     assert pools() == []
     big = [plan_query(v, pixels) for v in rigged_manifest.all_videos()]
-    assert plan_workers(big) == 2
+    assert plan_workers(big, 16) == 2
     threads = threading.enumerate()
     embed_plan(big, pixels)
     assert pools() == ["parent 2"]
@@ -241,6 +242,18 @@ def small_evaluate_or_plan(tmp_path, monkeypatch, rigged_dir, small_dir):
 def test_a_small_evaluate_or_plan_runs_in_this_process(small_dataset, rigged_dir, tmp_path):
     _, small_dir = small_dataset
     assert passes_in_child("small_evaluate_or_plan", tmp_path, rigged_dir, small_dir)
+
+
+@pytest.mark.parametrize("frames, dim, want", [
+    (31, 192, 1),
+    (32, 192, 2),  # the rigged projection's split by video won from 32 frames
+    (254, 16, 1),  # a dim-16 evaluate of 254 planned frames lost with a table
+    (384, 16, 2),
+])
+def test_the_pool_threshold_weighs_planned_frames_by_the_dim(frames, dim, want, monkeypatch):
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    video = VideoRecord("v", "clutter", [f"f{i}" for i in range(frames)])
+    assert plan_workers([VideoPlan(video, (tuple(range(frames)),))], dim) == want
 
 
 # The tests' projections, (grid, channels, dim, seed): 192x16, 48x16 and 12x4.
@@ -372,6 +385,42 @@ def test_a_failing_rank_stops_its_peers_and_its_error_reaches_the_caller(cpus):
     # Rank 1 of 2 fails on column 1, which rank 0 waits for.
     lines = run_isolated(FAILING_RANK, str(cpus))
     assert lines == ["ConfigError degenerate projection draw", "[]"]
+
+
+KILLED_RANK = """
+import os, signal, time
+from _children import live_children
+from protopipe import embedding
+
+os.sched_getaffinity = lambda pid: {0, 1}
+os.sched_setaffinity = lambda pid, cpus: None
+embedding.GRAM_SCHMIDT_MIN_WORK = 0
+rank = embedding._gram_schmidt_rank
+
+def killed(n, d, seed, pipes, r):
+    if r == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return rank(n, d, seed, pipes, r)
+
+embedding._gram_schmidt_rank = killed
+start = time.monotonic()
+try:
+    embedding.make_patch_projection_spec(grid=4, channels=3, dim=16, seed=0)
+except RuntimeError as exc:
+    print(repr(exc), time.monotonic() - start < 10)
+print(live_children())
+"""
+
+
+def test_a_rank_killed_from_outside_ends_the_build_and_no_rank_is_left():
+    # Rank 0 waits on its inbox for column 1, whose write ends this process
+    # and rank 0 itself hold, so only the pool's reading every result pipe
+    # at once sees rank 1 die; rank 0 is then killed, not waited for.
+    assert run_isolated(KILLED_RANK) == [
+        "RuntimeError('the worker for item 1 exited with status -9 "
+        "before returning its results') True",
+        "[]",
+    ]
 
 
 @pytest.mark.parametrize(
