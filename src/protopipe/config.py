@@ -128,7 +128,8 @@ def build_runtime(config: PipelineConfig, seed: int | None = None) -> PipelineRu
 
     Every file is read before a seeded projection is built, so a bad file
     fails before that costly step, and the projection's ranks fork after
-    the files' parse is freed rather than beneath it.
+    the files' parse is freed rather than beneath it. Each record checks
+    itself, `PipelineRuntime` the adapter's `d` against the embedder's dim.
     """
     if seed is not None:
         config = replace(config, seed=seed)
@@ -144,8 +145,6 @@ def build_runtime(config: PipelineConfig, seed: int | None = None) -> PipelineRu
     if embedder is None:
         params = {key: value for key, value in doc.items() if key != "kind"}
         embedder = make_patch_projection_spec(**params)
-    if adapter is not None and adapter.d != embedder.dim:
-        raise ConfigError(f"adapter dim {adapter.d} != embedder dim {embedder.dim}")
     return PipelineRuntime(
         sampler=config.sampler,
         edge_filter=config.edge_filter,

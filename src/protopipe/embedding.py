@@ -6,7 +6,8 @@ grid per channel, scale samples to [0, 1], flatten channel-major and
 multiply by a fixed projection matrix. The default projection is a seeded
 Gaussian with orthonormalized columns (a near-isometry, so distinct
 textures stay distinct). Users with real features can load them through
-the precomputed table instead.
+the precomputed table instead, which checks its own rows however it is
+built, from a file or in code.
 
 Both steps are cheap per frame because their layout work is done once.
 The box-average's layout is one `operator.itemgetter` over the frame's byte
@@ -253,11 +254,13 @@ def embed_frame(frame: Frame, spec: EmbedderSpec) -> Vector:
 class PrecomputedTable:
     """Embedding rows by video id, dim floats per frame.
 
-    The constructor checks each row's length and packs each video's rows
-    into one array('d') of frames x dim floats: 8 bytes a value, where a
-    list of floats takes 32, an 8-byte pointer and a 24-byte float object.
-    A lookup returns a fresh list of its frame's floats, so later sums see
-    lists, as from the projection, and add the same floats.
+    The constructor is the one check of a table's rows, from a file or
+    code: `dim` >= 2, and each row present, numeric, `dim` long and finite,
+    with a finite norm; an integer becomes a float. Each video's rows are
+    packed as they pass into one array('d'), 8 bytes a value where a list
+    of floats takes 32. A lookup returns a fresh list of its frame's
+    floats, so later sums see lists, as from the projection, and add the
+    same floats.
     """
 
     dim: int
@@ -266,13 +269,23 @@ class PrecomputedTable:
 
     def __post_init__(self, rows: dict[str, list[Vector]]):
         dim, videos = self.dim, {}
+        if dim < 2:
+            raise ConfigError(f"dim must be >= 2, got {dim}")
         for video_id, vectors in rows.items():
+            if not isinstance(vectors, list):
+                raise ConfigError(f"video {video_id!r}: frame rows must be an array")
             packed = videos[video_id] = array("d")
-            for idx, vector in enumerate(vectors):
+            for idx, row in enumerate(vectors):
+                if row is None:
+                    raise DataError(f"no embedding for frame {idx} of video {video_id!r}")
+                label = f"video {video_id!r} frame {idx}"
+                vector = finite_floats(row, ConfigError, label, DataError)
                 if len(vector) != dim:
-                    raise ConfigError(
-                        f"video {video_id!r} frame {idx} has dim {len(vector)}, expected {dim}"
-                    )
+                    raise ConfigError(f"{label} has dim {len(vector)}, expected {dim}")
+                # A finite norm bounds every entry, so no cosine or clip mean of
+                # finite-norm rows overflows later, far from the table.
+                if not math.isfinite(norm(vector)):
+                    raise DataError(f"{label} has a non-finite norm")
                 packed.fromlist(vector)
         object.__setattr__(self, "videos", videos)
 
@@ -287,33 +300,12 @@ class PrecomputedTable:
 def load_precomputed(path) -> PrecomputedTable:
     """Precomputed embeddings JSON: {"dim", "videos": {id: [[...], ...]}}.
 
-    Every frame row must be present, numeric, of the declared dimension and
-    finite, with a finite norm; holes, NaNs and rows whose norm overflows
-    are a load-time error, not a lookup-time surprise. An integer is
-    converted to a float; the checked rows are then packed as
-    `PrecomputedTable` packs any rows.
+    The rows are checked by `PrecomputedTable`, so holes, NaNs and rows
+    whose norm overflows are a load-time error, not a lookup-time surprise;
+    a fault keeps its family and names the file.
     """
     doc = read_json(path, ConfigError, "embeddings file", {"dim": int, "videos": dict})
-    where = f"bad embeddings file {path}"
-    dim = doc["dim"]
-    if dim < 2:
-        raise ConfigError(f"{where}: dim must be >= 2, got {dim}")
-    videos: dict[str, list[Vector]] = {}
-    for video_id, rows in doc["videos"].items():
-        if not isinstance(rows, list):
-            raise ConfigError(f"{where}: video {video_id!r}: frame rows must be an array")
-        table_rows: list[Vector] = []
-        for idx, row in enumerate(rows):
-            if row is None:
-                raise DataError(f"no embedding for frame {idx} of video {video_id!r}")
-            label = f"{where}: video {video_id!r} frame {idx}"
-            vector = finite_floats(row, ConfigError, label, DataError)
-            if len(vector) != dim:
-                raise ConfigError(f"{label} has dim {len(vector)}, expected {dim}")
-            # A finite norm bounds every entry, so no cosine or clip mean of
-            # finite-norm rows overflows later, far from this file.
-            if not math.isfinite(norm(vector)):
-                raise DataError(f"{label} has a non-finite norm")
-            table_rows.append(vector)
-        videos[video_id] = table_rows
-    return PrecomputedTable(dim, videos)
+    try:
+        return PrecomputedTable(doc["dim"], doc["videos"])
+    except (ConfigError, DataError) as exc:
+        raise type(exc)(f"bad embeddings file {path}: {exc}") from exc

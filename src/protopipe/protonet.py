@@ -36,14 +36,16 @@ embedding dim reach POOL_MIN_WORK (`plan_workers`). In a one-episode run
 the video is the unit of parallel work (`embed_plan` maps over the plan's
 videos); in an evaluate the user is, and a worker runs its user's plan in
 its own process.
+
+`Prototypes` and `PipelineRuntime` check themselves however they are built:
+every prototype row has a finite norm, and an adapter's `d` is the embedder's dim.
 """
 from __future__ import annotations
 
 import hashlib
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from . import workers
 from .adaptation import TransformerWeights, adapt_prototypes
@@ -72,6 +74,8 @@ class Prototypes:
     raw: Matrix
     adapted: Matrix
     config_digest: str
+    # Each adapted row with its norm; equality and the prototypes file skip it.
+    scoring_rows: list[tuple[Vector, float]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.labels)
@@ -85,19 +89,20 @@ class Prototypes:
             )
         if self.raw.cols != self.adapted.cols:
             raise ConfigError("raw/adapted dimension disagree")
+        for key in ("raw", "adapted"):
+            scoring_rows = []
+            for i, row in enumerate(getattr(self, key).to_rows()):
+                # A finite norm bounds every entry, as for a table row, so no
+                # cosine against the row overflows later.
+                if not math.isfinite(row_norm := norm(row)):
+                    raise DataError(f"{key}[{i}] has a non-finite norm")
+                scoring_rows.append((row, row_norm))
+        # The loop ends on the adapted rows, the ones `classify_clip` scores.
+        object.__setattr__(self, "scoring_rows", scoring_rows)
 
     @property
     def dim(self) -> int:
         return self.raw.cols
-
-    @cached_property
-    def scoring_rows(self) -> list[tuple[Vector, float]]:
-        """Each adapted row with its norm, computed on first use.
-
-        A cached property, not a field: equality and the prototypes file
-        see only the fields.
-        """
-        return [(row, norm(row)) for row in self.adapted.to_rows()]
 
 
 @dataclass(frozen=True)
@@ -163,6 +168,10 @@ class PipelineRuntime:
     adapter: TransformerWeights | None
     seed: int
     digest: str
+
+    def __post_init__(self):
+        if self.adapter is not None and self.adapter.d != self.embedder.dim:
+            raise ConfigError(f"adapter dim {self.adapter.d} != embedder dim {self.embedder.dim}")
 
     def frame_vector(self, video: VideoRecord, index: int, frame: Frame | None) -> Vector:
         """The one place that picks table row or pixels for a frame vector."""
@@ -457,14 +466,8 @@ PROTOTYPES_KEYS = {
 
 
 def load_prototypes(path) -> Prototypes:
-    """Prototypes JSON, read by PROTOTYPES_KEYS; every fault is a DataError."""
+    """Prototypes JSON, read by PROTOTYPES_KEYS and `Prototypes`; every fault is a DataError."""
     doc = read_json(path, DataError, "prototypes file", PROTOTYPES_KEYS)
-    for key in ("raw", "adapted"):
-        for i, row in enumerate(doc[key]):
-            # A finite norm bounds every entry, as for a table row, so no
-            # cosine against the row overflows later.
-            if not math.isfinite(norm(row)):
-                raise DataError(f"bad prototypes file {path}: {key}[{i}] has a non-finite norm")
     try:
         protos = Prototypes(
             doc["user_id"], tuple(doc["labels"]), Matrix.from_rows(doc["raw"]),

@@ -247,6 +247,32 @@ class TestEmbedClip:
         assert a == pytest.approx(b, abs=1e-12)
 
 
+# fault -> (dim, videos, family, message). A table read from a file and one
+# built in code meet one check, so each fault raises the same family and
+# message either way, the file's named in front.
+TABLE_FAULTS = {
+    "null-row": (2, {"v0": [[1.0, 2.0], None]}, DataError,
+                 "no embedding for frame 1 of video 'v0'"),
+    "non-number": (2, {"v0": [["x", 1.0]]}, ConfigError,
+                   "video 'v0' frame 0 must be an array of numbers"),
+    "bool": (2, {"v0": [[True, 1.0]]}, ConfigError,
+             "video 'v0' frame 0 must be an array of numbers"),
+    "nan": (2, {"v0": [[math.nan, 1.0]]}, DataError,
+            "video 'v0' frame 0 holds a non-finite number"),
+    "infinity": (2, {"v0": [[1.0, -math.inf]]}, DataError,
+                 "video 'v0' frame 0 holds a non-finite number"),
+    "huge-integer": (2, {"v0": [[10**400, 1.0]]}, ConfigError,
+                     "video 'v0' frame 0 holds an integer too large for a float"),
+    "short-row": (2, {"v0": [[1.0, 2.0], [1.0]]}, ConfigError,
+                  "video 'v0' frame 1 has dim 1, expected 2"),
+    "dim-1": (1, {"v0": [[1.0]]}, ConfigError, "dim must be >= 2, got 1"),
+    "rows-not-an-array": (2, {"v0": {"0": [1.0, 2.0]}}, ConfigError,
+                          "video 'v0': frame rows must be an array"),
+    "norm-overflows": (2, {"v0": [[1e308, 1e308]]}, DataError,
+                       "video 'v0' frame 0 has a non-finite norm"),
+}
+
+
 class TestPrecomputed:
     def write_table(self, tmp_path, doc):
         path = tmp_path / "table.json"
@@ -295,6 +321,20 @@ class TestPrecomputed:
         with pytest.raises(ConfigError, match="^video 'v1' frame 0 has dim 1, expected 2$"):
             PrecomputedTable(2, {"v0": [[1.0, 2.0]], "v1": [[1.0]]})
 
+    @pytest.mark.parametrize("source", ["file", "code"])
+    @pytest.mark.parametrize("fault", list(TABLE_FAULTS))
+    def test_a_fault_is_the_same_from_a_file_or_from_code(self, tmp_path, fault, source):
+        dim, videos, family, message = TABLE_FAULTS[fault]
+        if source == "file":
+            path = self.write_table(tmp_path, {"dim": dim, "videos": videos})
+            message = f"bad embeddings file {path}: {message}"
+        with pytest.raises(family, match=f"^{re.escape(message)}$") as info:
+            if source == "file":
+                load_precomputed(path)
+            else:
+                PrecomputedTable(dim, videos)
+        assert type(info.value) is family
+
     def test_lookup_bounds(self):
         table = PrecomputedTable(2, {"v0": [[1.0, 2.0]]})
         with pytest.raises(DataError, match="^no embedding for frame 1 of video 'v0'$"):
@@ -306,7 +346,8 @@ class TestPrecomputed:
 
     def test_null_row_rejected_at_load(self, tmp_path):
         path = self.write_table(tmp_path, {"dim": 2, "videos": {"v0": [None]}})
-        with pytest.raises(DataError, match="^no embedding for frame 0 of video 'v0'$"):
+        message = f"bad embeddings file {path}: no embedding for frame 0 of video 'v0'"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             load_precomputed(path)
 
     def test_mixed_dims_rejected(self, tmp_path):

@@ -19,6 +19,7 @@ import re
 import stat
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -33,7 +34,12 @@ from protopipe.adaptation import (
 )
 from protopipe.clip_sampling import SamplerConfig, sample_clips
 from protopipe.config import load_config
-from protopipe.embedding import PrecomputedTable, load_precomputed, load_projection_spec
+from protopipe.embedding import (
+    EmbedderSpec,
+    PrecomputedTable,
+    load_precomputed,
+    load_projection_spec,
+)
 from protopipe.errors import ConfigError, DataError
 from protopipe.evaluation import arm_runtime
 from protopipe.frame_validity import EdgeFilterConfig, is_frame_valid
@@ -42,7 +48,7 @@ from protopipe.media_io.manifest import DatasetManifest, load_manifest, parse_ma
 from protopipe.media_io.pnm import Frame, decode_pnm
 from protopipe.media_io.synthetic import GeneratorSpec, generate_synthetic_dataset
 from protopipe.numerics import Matrix, matmul, mean_vectors
-from protopipe.protonet import compute_prototypes, load_prototypes
+from protopipe.protonet import Prototypes, compute_prototypes, load_prototypes
 
 
 def test_protopipe_defines_exactly_two_exception_classes():
@@ -407,6 +413,57 @@ def test_ragged_rows_are_rejected_naming_the_file(loader, key, doc_path):
     doc_path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(FAMILY.get(loader, ConfigError), match=re.escape(str(doc_path))):
         loader(doc_path)
+
+
+# --- a loader only reads its file: the record's constructor checks it ---
+
+# fault -> (loader, what its prefix calls the file, top-level keys that make
+# its VALID document one the record rejects, that record built in code, the
+# loader's family).
+CONSTRUCTOR_FAULTS = {
+    "projection-dim": (
+        load_projection_spec, "projection file", {"dim": 1, "projection": [[1.0]]},
+        lambda: EmbedderSpec(1, 1, 1, Matrix.from_rows([[1.0]])), ConfigError,
+    ),
+    "adapter-eps": (
+        load_transformer_weights, "adapter weights", {"eps": 0.0},
+        lambda: replace(centering_adapter_weights(2), eps=0.0), ConfigError,
+    ),
+    "table-dim": (
+        load_precomputed, "embeddings file", {"dim": 1},
+        lambda: PrecomputedTable(1, {}), ConfigError,
+    ),
+    "table-null-row": (
+        load_precomputed, "embeddings file", {"videos": {"v0": [None]}},
+        lambda: PrecomputedTable(2, {"v0": [None]}), DataError,
+    ),
+    "prototypes-norm": (
+        load_prototypes, "prototypes file", {"raw": [[1e308, 1e308], [0.0, 1.0]]},
+        lambda: Prototypes(
+            "u", ("a", "b"), Matrix.from_rows([[1e308, 1e308], [0.0, 1.0]]),
+            Matrix.from_rows(EYE), "d",
+        ),
+        DataError,
+    ),
+    # A ConfigError in code; every fault in a prototypes file is a DataError.
+    "prototypes-labels": (
+        load_prototypes, "prototypes file", {"labels": ["a", "b", "c"]},
+        lambda: Prototypes("u", ("a", "b", "c"), Matrix.from_rows(EYE), Matrix.from_rows(EYE), "d"),
+        DataError,
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(CONSTRUCTOR_FAULTS))
+def test_a_constructor_fault_comes_back_in_the_loaders_family_naming_the_file(fault, doc_path):
+    loader, what, keys, build, family = CONSTRUCTOR_FAULTS[fault]
+    with pytest.raises((ConfigError, DataError)) as built:
+        build()
+    doc_path.write_text(json.dumps({**VALID[loader], **keys}), encoding="utf-8")
+    message = f"bad {what} {doc_path}: {built.value}"
+    with pytest.raises(family, match=f"^{re.escape(message)}$") as loaded:
+        loader(doc_path)
+    assert type(loaded.value) is family
 
 
 class TestOneWriter:

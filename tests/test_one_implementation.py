@@ -29,7 +29,10 @@ input file. This AST scan fails when a second copy grows back:
   comparison against a doubled or halved value, the majority rule's shape,
   outside `frame_validity.majority_invalid`, where that rule is written;
 * a `ValueError(...)` call anywhere: every fault is a `ConfigError` or a
-  `DataError`, the two families the CLI maps to its exit codes.
+  `DataError`, the two families the CLI maps to its exit codes;
+* a `math.isfinite(norm(...))` outside `PrecomputedTable.__post_init__`
+  and `Prototypes.__post_init__`: each record checks its own rows' norms,
+  whether it is read from a file or built in code.
 """
 from __future__ import annotations
 
@@ -49,6 +52,9 @@ MEAN_HOMES = {("protonet.py", "video_frame_vectors"), ("protonet.py", "compute_p
 SAMPLE_HOME = {("protonet.py", "plan_support")}
 GATE_HOME = {("protonet.py", "video_frame_vectors")}
 RULE_HOME = {("frame_validity.py", "majority_invalid")}
+ROW_NORM_HOMES = {
+    ("embedding.py", "PrecomputedTable.__post_init__"), ("protonet.py", "Prototypes.__post_init__"),
+}
 
 # (module, function) -> why its sums are not a dot product or a norm.
 ALLOWED_SUMS = {
@@ -58,14 +64,19 @@ ALLOWED_SUMS = {
 }
 
 
-def nodes_by_function(tree: ast.AST, owner: str | None = None):
-    """(innermost enclosing def name, node) for every node below a tree."""
+def nodes_by_function(tree: ast.AST, owner: str | None = None, cls: str = ""):
+    """(innermost enclosing def name, node) for every node below a tree.
+
+    A method's name is `Class.method`.
+    """
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from nodes_by_function(node, node.name)
+            yield from nodes_by_function(node, cls + node.name)
             continue
         yield owner, node
-        yield from nodes_by_function(node, owner)
+        yield from nodes_by_function(
+            node, owner, f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+        )
 
 
 def calls_by_function(tree: ast.AST):
@@ -415,4 +426,58 @@ def test_the_guard_sees_a_planted_gate_and_rule(tmp_path):
         "protonet.py:6 gate in personalize",
         "protonet.py:7 gate in personalize",
         "protonet.py:8 majority rule in personalize",
+    ]
+
+
+def is_row_norm_check(node: ast.AST) -> bool:
+    """`isfinite(norm(...))`, the norm perhaps named on the way: `isfinite(n := norm(row))`."""
+    if not (isinstance(node, ast.Call) and called(node) == "isfinite" and node.args):
+        return False
+    arg = node.args[0]
+    arg = arg.value if isinstance(arg, ast.NamedExpr) else arg
+    return isinstance(arg, ast.Call) and called(arg) == "norm"
+
+
+def row_norm_checks(package_dir: Path, homes=frozenset()) -> list[str]:
+    """Every row norm check outside the (module, owner) pairs in `homes`, as "file:line owner"."""
+    found = []
+    for path in sorted(package_dir.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for owner, node in nodes_by_function(tree):
+            if is_row_norm_check(node) and (path.name, owner) not in homes:
+                found.append(f"{path.relative_to(package_dir).as_posix()}:{node.lineno} {owner}")
+    return found
+
+
+def test_each_record_checks_its_own_row_norms():
+    assert row_norm_checks(PACKAGE_DIR, ROW_NORM_HOMES) == []
+    assert len(row_norm_checks(PACKAGE_DIR)) == len(ROW_NORM_HOMES)
+
+
+def test_the_guard_sees_a_planted_row_norm_check(tmp_path):
+    (tmp_path / "embedding.py").write_text(
+        "import math\n"
+        "from math import isfinite\n"
+        "class PrecomputedTable:\n"
+        "    def __post_init__(self, rows):\n"
+        "        return [math.isfinite(norm(row)) for row in rows]\n"
+        "def load_precomputed(rows):\n"
+        "    return [isfinite(norm(row)) for row in rows]\n"
+    )
+    (tmp_path / "protonet.py").write_text(
+        "class Prototypes:\n"
+        "    def __post_init__(self):\n"
+        "        return math.isfinite(n := norm(self.raw))\n"
+        "class Episode:\n"
+        "    def __post_init__(self):\n"
+        "        return math.isfinite(norm(self.rows))\n"
+        "def load_prototypes(doc):\n"
+        "    for row in doc:\n"
+        "        if not math.isfinite(numerics.norm(row)):\n"
+        "            raise DataError(row)\n"
+    )
+    assert row_norm_checks(tmp_path, ROW_NORM_HOMES) == [
+        "embedding.py:7 load_precomputed",
+        "protonet.py:6 Episode.__post_init__",
+        "protonet.py:9 load_prototypes",
     ]

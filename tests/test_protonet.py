@@ -93,6 +93,15 @@ class TestPrototypes:
         with pytest.raises(ConfigError, match="^3 labels but 2/2 prototype rows$"):
             Prototypes("u", ("a", "b", "c"), m, m, "d")
 
+    @pytest.mark.parametrize("key", ["raw", "adapted"])
+    def test_a_row_whose_norm_overflows_is_rejected_in_code(self, key):
+        # Every entry is finite, the norm is not: a cosine against the row would overflow.
+        good = Matrix.from_rows([[1.0, 0.0], [0.0, 1.0]])
+        bad = Matrix.from_rows([[1.0, 0.0], [1e308, 1e308]])
+        rows = {"raw": good, "adapted": good, key: bad}
+        with pytest.raises(DataError, match=rf"^{key}\[1\] has a non-finite norm$"):
+            Prototypes("u", ("a", "b"), rows["raw"], rows["adapted"], "d")
+
 
 COSINE_ENTRIES = st.one_of(
     st.floats(min_value=-1e100, max_value=1e100, allow_nan=False),
@@ -164,6 +173,20 @@ class TestClassify:
                 ref_cosine_similarity([0.6, 0.8], row).hex()
                 for row in protos.adapted.to_rows()
             ]
+
+
+class TestRuntime:
+    def test_an_adapter_of_another_dim_is_rejected_however_the_runtime_is_made(self):
+        runtime = make_runtime(adapter=centering_adapter_weights(16, 0.5))
+        message = "^adapter dim 4 != embedder dim 16$"
+        with pytest.raises(ConfigError, match=message):
+            replace(runtime, adapter=centering_adapter_weights(4, 0.5))
+        with pytest.raises(ConfigError, match=message):
+            make_runtime(adapter=centering_adapter_weights(4, 0.5))
+        table = PrecomputedTable(2, {"v0": [[1.0, 0.0]]})
+        with pytest.raises(ConfigError, match="^adapter dim 16 != embedder dim 2$"):
+            replace(runtime, embedder=table)
+        assert replace(runtime, embedder=table, adapter=None).adapter is None
 
 
 class TestVideoSeed:
