@@ -37,8 +37,9 @@ the video is the unit of parallel work (`embed_plan` maps over the plan's
 videos); in an evaluate the user is, and a worker runs its user's plan in
 its own process.
 
-`Prototypes` and `PipelineRuntime` check themselves however they are built:
-every prototype row has a finite norm, and an adapter's `d` is the embedder's dim.
+`Prototypes` and `PipelineRuntime` check themselves however they are
+built: every prototype row has a finite norm, and an adapter's `d` is the
+embedder's dim.
 """
 from __future__ import annotations
 
