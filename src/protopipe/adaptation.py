@@ -161,9 +161,8 @@ WEIGHTS_KEYS = {
 
 def load_transformer_weights(path) -> TransformerWeights:
     """Adapter weights JSON, read by WEIGHTS_KEYS; shapes are validated on construction."""
-    doc = read_json(path, ConfigError, "adapter weights", WEIGHTS_KEYS, optional=("eps",))
-    heads, ln1, ln2, rows = doc["heads"], doc["ln1"], doc["ln2"], Matrix.from_rows
-    try:
+    def build(doc) -> TransformerWeights:
+        heads, ln1, ln2, rows = doc["heads"], doc["ln1"], doc["ln2"], Matrix.from_rows
         return TransformerWeights(
             d=doc["d"], h=doc["h"], d_ff=doc["d_ff"],
             w_q=[rows(head["w_q"]) for head in heads],
@@ -173,8 +172,8 @@ def load_transformer_weights(path) -> TransformerWeights:
             b2=doc["b2"], ln1_gain=ln1["gain"], ln1_bias=ln1["bias"], ln2_gain=ln2["gain"],
             ln2_bias=ln2["bias"], eps=doc.get("eps", TransformerWeights.eps),
         )
-    except ConfigError as exc:
-        raise ConfigError(f"bad adapter weights {path}: {exc}") from exc
+
+    return read_json(path, ConfigError, "adapter weights", WEIGHTS_KEYS, ("eps",), build)
 
 
 def save_transformer_weights(w: TransformerWeights, path) -> None:

@@ -22,8 +22,7 @@ from pathlib import Path
 from .config import build_runtime, load_config
 from .errors import ConfigError, DataError, write_json, write_text
 from .evaluation import ARM_ORDER, evaluate_users
-from .media_io.bench import bench_loader
-from .media_io.loader import LoaderConfig
+from .media_io.loader import LoaderConfig, bench_loader
 from .media_io.manifest import DatasetManifest, load_manifest
 from .media_io.synthetic import GeneratorSpec, generate_synthetic_dataset
 from .protonet import (
@@ -133,11 +132,12 @@ def cmd_bench_loader(args) -> int:
         LoaderConfig(num_threads=t, injected_latency_ms=args.latency_ms)
         for t in threads
     ]
-    report = bench_loader(manifest, configs, repetitions=args.reps)
-    for row in report.rows:
-        print(f"{row.threads:>3} threads: {row.format_cell()}")
+    paths = [p for video in manifest.all_videos() for p in video.frame_paths]
+    rows = bench_loader(paths, configs, repetitions=args.reps)
+    for row in rows:
+        print(f"{row['threads']:>3} threads: {row['median_ms']:.1f} ({row['speedup']:.2f}x)")
     if args.out:
-        write_json(args.out, report.to_json_obj())
+        write_json(args.out, {"configs": rows})
         print(f"report -> {args.out}")
     return EXIT_OK
 

@@ -73,15 +73,6 @@ PROJECTION_DEFAULTS = {
 }
 
 
-def _build_section(cls, doc, types: dict, where: str, at: str):
-    """`cls` built from the keys `doc` has, once `read_object` has read them."""
-    kwargs = read_object(doc, types, ConfigError, where, at, optional=types)
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"bad {where}: {at}: {exc}") from exc
-
-
 def _effective_embedder(doc: dict, base_dir: Path, where: str) -> dict:
     """The embedder section, checked, with its kind and defaults filled in."""
     doc = {"kind": KIND_PATCH_PROJECTION, **doc}
@@ -112,9 +103,13 @@ def load_config(path) -> PipelineConfig:
     doc = read_json(path, ConfigError, "config", TOP_KEYS, optional=TOP_KEYS)
     where = f"config {path}"
     base_dir = path.resolve().parent
-    sampler = _build_section(SamplerConfig, doc.get("sampler", {}), SAMPLER_KEYS, where, "sampler")
-    edge_filter = _build_section(
-        EdgeFilterConfig, doc.get("edge_filter", {}), FILTER_KEYS, where, "edge_filter"
+    sampler = read_object(
+        doc.get("sampler", {}), SAMPLER_KEYS, ConfigError, where, "sampler", SAMPLER_KEYS,
+        lambda values: SamplerConfig(**values),
+    )
+    edge_filter = read_object(
+        doc.get("edge_filter", {}), FILTER_KEYS, ConfigError, where, "edge_filter", FILTER_KEYS,
+        lambda values: EdgeFilterConfig(**values),
     )
     embedder = _effective_embedder(doc.get("embedder", {}), base_dir, where)
     adapter = doc.get("adapter", "none")

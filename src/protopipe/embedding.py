@@ -185,12 +185,12 @@ PROJECTION_FILE_KEYS = {"grid": int, "channels": int, "dim": int, "projection": 
 
 def load_projection_spec(path) -> EmbedderSpec:
     """Projection weights JSON, read by PROJECTION_FILE_KEYS."""
-    doc = read_json(path, ConfigError, "projection file", PROJECTION_FILE_KEYS)
-    try:
-        projection = Matrix.from_rows(doc["projection"])
-        return EmbedderSpec(doc["grid"], doc["channels"], doc["dim"], projection)
-    except ConfigError as exc:
-        raise ConfigError(f"bad projection file {path}: {exc}") from exc
+    return read_json(
+        path, ConfigError, "projection file", PROJECTION_FILE_KEYS,
+        build=lambda doc: EmbedderSpec(
+            doc["grid"], doc["channels"], doc["dim"], Matrix.from_rows(doc["projection"])
+        ),
+    )
 
 
 @lru_cache(maxsize=64)
@@ -304,8 +304,7 @@ def load_precomputed(path) -> PrecomputedTable:
     whose norm overflows are a load-time error, not a lookup-time surprise;
     a fault keeps its family and names the file.
     """
-    doc = read_json(path, ConfigError, "embeddings file", {"dim": int, "videos": dict})
-    try:
-        return PrecomputedTable(doc["dim"], doc["videos"])
-    except (ConfigError, DataError) as exc:
-        raise type(exc)(f"bad embeddings file {path}: {exc}") from exc
+    return read_json(
+        path, ConfigError, "embeddings file", {"dim": int, "videos": dict},
+        build=lambda doc: PrecomputedTable(doc["dim"], doc["videos"]),
+    )

@@ -19,6 +19,9 @@ floats; ROWS, FLOATS of one length; a nested schema, for an object; or
 `[s]`, an array read entry by entry by `s`. An unknown key, a missing
 key not named optional, a mistyped value, a NaN, an infinity or an integer
 too large for a float raises the loader's family and names the file.
+Given `build`, `read_object` returns the record `build` makes of the values
+read, and a fault the record's own checks raise names the file too: it is a
+DataError when the file's family or the fault is one, else a ConfigError.
 """
 from __future__ import annotations
 
@@ -45,7 +48,7 @@ class DataError(ValueError):
     """The run's input data is wrong: dataset, frames, prototypes or values."""
 
 
-def read_json(path, error: type[ValueError], what: str, schema=None, optional=()):
+def read_json(path, error: type[ValueError], what: str, schema=None, optional=(), build=None):
     """Parse the JSON file at path, raising `error` if that fails.
 
     With a schema, the file's top level is read by `read_object`.
@@ -58,9 +61,10 @@ def read_json(path, error: type[ValueError], what: str, schema=None, optional=()
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+    del text  # not held while `build` makes a record, which may be large
     if schema is None:
         return doc
-    return read_object(doc, schema, error, f"{what} {path}", optional=optional)
+    return read_object(doc, schema, error, f"{what} {path}", optional=optional, build=build)
 
 
 def write_json(path, doc) -> None:
@@ -94,11 +98,14 @@ def write_text(path, text: str) -> None:
         raise
 
 
-def read_object(doc, schema: dict, error: type[ValueError], where: str, at="", optional=()):
+def read_object(
+    doc, schema: dict, error: type[ValueError], where: str, at="", optional=(), build=None
+):
     """`doc` read by `schema`: a new dict of the keys it has, each value read.
 
     `where` names the file and `at` the object's key path in it. Every key
-    not in `optional` must be present.
+    not in `optional` must be present. Given `build`, the result is
+    `build(values)`, and a fault it raises is named `bad <where>: [<at>: ]`.
     """
     inside = f" in {at}" if at else ""
     if not isinstance(doc, dict):
@@ -110,7 +117,14 @@ def read_object(doc, schema: dict, error: type[ValueError], where: str, at="", o
     if missing:
         raise error(f"bad {where}: missing key(s) {missing}{inside}")
     prefix = f"{at}." if at else ""
-    return {key: _read_value(doc[key], schema[key], error, where, prefix + key) for key in doc}
+    values = {key: _read_value(doc[key], schema[key], error, where, prefix + key) for key in doc}
+    if build is None:
+        return values
+    try:
+        return build(values)
+    except (ConfigError, DataError) as exc:
+        family = DataError if error is DataError or isinstance(exc, DataError) else ConfigError
+        raise family(f"bad {where}: {at}{': ' if at else ''}{exc}") from exc
 
 
 def _read_value(value, want, error: type[ValueError], where: str, at: str):

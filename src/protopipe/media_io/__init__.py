@@ -1,2 +1,2 @@
-"""Dataset layer: PNM codec, manifest, parallel loader, synthetic generator,
-and the loader benchmark."""
+"""Dataset layer: PNM codec, manifest, synthetic generator, and the parallel
+loader with its timing table."""

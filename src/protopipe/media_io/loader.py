@@ -1,11 +1,12 @@
-"""Multi-threaded frame loading.
+"""Multi-threaded frame loading, and its timing table.
 
 Episode assembly is dominated by per-file read latency, so reads are fanned
 out over up to num_threads plain worker threads. Each worker claims the next
 input index from one shared counter and stores its result at that index of a
 preallocated list, so results come back in input order without any per-file
 task objects. An optional injected per-read latency simulates slow disks,
-which keeps speedup measurements deterministic across machines.
+which keeps the speedups that `bench_loader`, the package's one clock,
+measures deterministic across machines.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
+from statistics import median
 
 from ..errors import ConfigError, DataError
 from .pnm import Frame, decode_pnm
@@ -97,3 +99,25 @@ def load_frames_parallel(paths: list[str], cfg: LoaderConfig) -> list[Frame]:
     if errors:
         raise errors[min(errors)]
     return results
+
+
+def bench_loader(paths: list[str], configs: list[LoaderConfig], repetitions: int = 3) -> list[dict]:
+    """Time loading every path once, per config: one row per config.
+
+    A row is {"threads", "latency_ms", "median_ms", "speedup"}: the median
+    wall time over the repetitions, and the first config's median over it.
+    """
+    if repetitions < 1:
+        raise ConfigError("repetitions must be >= 1")
+    rows = []
+    for cfg in configs:
+        times = []
+        for _ in range(repetitions):
+            start = time.perf_counter()
+            load_frames_parallel(paths, cfg)
+            times.append((time.perf_counter() - start) * 1000.0)
+        med = max(median(times), 1e-6)  # keep ratios finite on instant runs
+        first = rows[0]["median_ms"] if rows else med
+        rows.append(dict(threads=cfg.num_threads, latency_ms=cfg.injected_latency_ms,
+                         median_ms=med, speedup=first / med))
+    return rows

@@ -468,17 +468,16 @@ PROTOTYPES_KEYS = {
 
 def load_prototypes(path) -> Prototypes:
     """Prototypes JSON, read by PROTOTYPES_KEYS and `Prototypes`; every fault is a DataError."""
-    doc = read_json(path, DataError, "prototypes file", PROTOTYPES_KEYS)
-    try:
+    def build(doc) -> Prototypes:
         protos = Prototypes(
             doc["user_id"], tuple(doc["labels"]), Matrix.from_rows(doc["raw"]),
             Matrix.from_rows(doc["adapted"]), doc["config_digest"],
         )
         if doc["dim"] != protos.dim:
             raise DataError(f"declared dim {doc['dim']} != matrix dim {protos.dim}")
-    except ValueError as exc:  # the dataclass's own checks raise either family
-        raise DataError(f"bad prototypes file {path}: {exc}") from exc
-    return protos
+        return protos
+
+    return read_json(path, DataError, "prototypes file", PROTOTYPES_KEYS, build=build)
 
 
 def save_predictions(

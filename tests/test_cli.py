@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import shutil
 import threading
 from pathlib import Path
@@ -478,6 +479,20 @@ class TestBenchLoader:
         data, _ = workspace
         rc = main(["bench-loader", "--dataset", str(data), "--threads", "1,x"])
         assert rc == EXIT_CONFIG
+
+    def test_every_table_line_is_a_thread_count_and_a_cell(self, workspace, capsys):
+        data, _ = workspace
+        rc = main(["bench-loader", "--dataset", str(data), "--threads", "1,16,2", "--reps", "2"])
+        assert rc == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        for line, threads in zip(lines, (1, 16, 2)):
+            assert re.fullmatch(rf" *{threads} threads: \d+(\.\d)? \(\d+\.\d{{2}}x\)", line)
+
+    def test_a_thread_list_of_no_counts(self, workspace, capsys):
+        data, _ = workspace
+        assert main(["bench-loader", "--dataset", str(data), "--threads", ","]) == EXIT_CONFIG
+        assert "named no thread counts" in capsys.readouterr().err
 
 
 def table_config(tmp_path, table, **sections) -> str:

@@ -28,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 import protopipe
 from protopipe import errors
 from protopipe.adaptation import (
+    TransformerWeights,
     attention_matrices,
     centering_adapter_weights,
     load_transformer_weights,
@@ -451,12 +452,36 @@ CONSTRUCTOR_FAULTS = {
         lambda: Prototypes("u", ("a", "b", "c"), Matrix.from_rows(EYE), Matrix.from_rows(EYE), "d"),
         DataError,
     ),
+    # No file the reader passes makes these two records raise a DataError,
+    # so one is planted in their checks: it keeps its family and gains the file.
+    "projection-data-fault": (
+        load_projection_spec, "projection file", {},
+        lambda: EmbedderSpec(1, 1, 2, Matrix.zeros(1, 2)), DataError,
+    ),
+    "adapter-data-fault": (
+        load_transformer_weights, "adapter weights", {},
+        lambda: centering_adapter_weights(2), DataError,
+    ),
+}
+
+
+def planted_data_fault(record):
+    raise DataError(f"a fault planted in {type(record).__name__}")
+
+
+PLANTED = {
+    "projection-data-fault": EmbedderSpec,
+    "adapter-data-fault": TransformerWeights,
 }
 
 
 @pytest.mark.parametrize("fault", list(CONSTRUCTOR_FAULTS))
-def test_a_constructor_fault_comes_back_in_the_loaders_family_naming_the_file(fault, doc_path):
+def test_a_constructor_fault_comes_back_in_the_loaders_family_naming_the_file(
+    fault, doc_path, monkeypatch
+):
     loader, what, keys, build, family = CONSTRUCTOR_FAULTS[fault]
+    if fault in PLANTED:
+        monkeypatch.setattr(PLANTED[fault], "__post_init__", planted_data_fault)
     with pytest.raises((ConfigError, DataError)) as built:
         build()
     doc_path.write_text(json.dumps({**VALID[loader], **keys}), encoding="utf-8")

@@ -7,9 +7,7 @@ import sys
 import pytest
 
 from protopipe.errors import DataError, write_json
-from protopipe.media_io.bench import BenchReport, BenchRow, bench_loader
-from protopipe.media_io.loader import LoaderConfig, load_frames_parallel
-from protopipe.media_io.manifest import load_manifest
+from protopipe.media_io.loader import LoaderConfig, bench_loader, load_frames_parallel
 from protopipe.media_io.pnm import Frame, encode_pnm
 
 
@@ -117,67 +115,28 @@ def test_config_validation():
         LoaderConfig(injected_latency_ms=-1.0)
 
 
-def make_bench_manifest(tmp_path, num_frames):
-    frame_dir = tmp_path / "frames"
-    frame_dir.mkdir()
-    paths = write_corpus(frame_dir, num_frames)
-    doc = {
-        "users": [
-            {
-                "user_id": "u0",
-                "objects": [
-                    {
-                        "label": label,
-                        "videos": [
-                            {
-                                "video_id": f"u0_{label}_{kind}",
-                                "kind": kind,
-                                "frames": [
-                                    f"frames/f{i:04d}.pgm"
-                                    for i in range(lo, lo + num_frames // 4)
-                                ],
-                            }
-                            for kind, lo in (
-                                ("clean", off),
-                                ("clutter", off + num_frames // 4),
-                            )
-                        ],
-                    }
-                    for label, off in (("a", 0), ("b", num_frames // 2))
-                ],
-            }
-        ]
-    }
-    path = tmp_path / "manifest.json"
-    path.write_text(json.dumps(doc))
-    return load_manifest(path), paths
-
-
 def test_threaded_speedup_with_injected_latency(tmp_path):
     # With a 1 ms stall per file the workload is latency-bound, so t threads
     # over n files should come in at least 0.5 * min(t, n) times faster.
-    manifest, paths = make_bench_manifest(tmp_path, 300)
-    report = bench_loader(
-        manifest,
+    paths = write_corpus(tmp_path, 300)
+    one, sixteen = bench_loader(
+        paths,
         [
             LoaderConfig(num_threads=1, injected_latency_ms=1.0),
             LoaderConfig(num_threads=16, injected_latency_ms=1.0),
         ],
         repetitions=3,
     )
-    one, sixteen = report.rows
-    assert one.speedup == pytest.approx(1.0)
-    assert sixteen.speedup >= 0.5 * min(16, len(paths))
+    assert one["speedup"] == pytest.approx(1.0)
+    assert sixteen["speedup"] >= 0.5 * min(16, len(paths))
 
 
 def test_bench_output_formats(tmp_path):
-    manifest, _ = make_bench_manifest(tmp_path, 8)
-    report = bench_loader(manifest, [LoaderConfig(num_threads=1)], repetitions=1)
-    row = report.rows[0]
-    cell = row.format_cell()
-    assert cell == f"{row.median_ms:.1f} ({row.speedup:.2f}x)"
-    doc = report.to_json_obj()
-    assert set(doc["configs"][0]) == {"threads", "latency_ms", "median_ms", "speedup"}
+    paths = write_corpus(tmp_path, 8)
+    rows = bench_loader(paths, [LoaderConfig(num_threads=1)], repetitions=1)
+    assert set(rows[0]) == {"threads", "latency_ms", "median_ms", "speedup"}
+    assert (rows[0]["threads"], rows[0]["latency_ms"]) == (1, 0.0)
+    doc = {"configs": rows}
     out = tmp_path / "bench.json"
     write_json(out, doc)
     assert json.loads(out.read_text()) == doc
@@ -185,19 +144,16 @@ def test_bench_output_formats(tmp_path):
 
 
 def test_bench_validation(tmp_path):
-    manifest, _ = make_bench_manifest(tmp_path, 8)
+    paths = write_corpus(tmp_path, 8)
     with pytest.raises(ValueError):
-        bench_loader(manifest, [], repetitions=1)
-    with pytest.raises(ValueError):
-        bench_loader(manifest, [LoaderConfig()], repetitions=0)
+        bench_loader(paths, [LoaderConfig()], repetitions=0)
 
 
-def test_bench_row_speedup_relative_to_first():
-    report = BenchReport(
-        [
-            BenchRow(threads=1, latency_ms=0.0, median_ms=100.0, speedup=1.0),
-            BenchRow(threads=8, latency_ms=0.0, median_ms=12.5, speedup=8.0),
-        ]
-    )
-    doc = report.to_json_obj()
-    assert doc["configs"][1]["speedup"] == 8.0
+def test_bench_row_speedup_relative_to_first(tmp_path):
+    paths = write_corpus(tmp_path, 8)
+    configs = [LoaderConfig(num_threads=t) for t in (1, 4, 2)]
+    first, *later = bench_loader(paths, configs, repetitions=2)
+    assert first["speedup"] == 1.0
+    for row in later:
+        assert row["speedup"] == first["median_ms"] / row["median_ms"]
+    assert [row["threads"] for row in (first, *later)] == [1, 4, 2]

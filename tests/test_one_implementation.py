@@ -32,7 +32,11 @@ input file. This AST scan fails when a second copy grows back:
   `DataError`, the two families the CLI maps to its exit codes;
 * a `math.isfinite(norm(...))` outside `PrecomputedTable.__post_init__`
   and `Prototypes.__post_init__`: each record checks its own rows' norms,
-  whether it is read from a file or built in code.
+  whether it is read from a file or built in code;
+* a reference to a clock (`perf_counter`, `perf_counter_ns`, `monotonic`,
+  `monotonic_ns`, `process_time` or `time.time`) outside
+  `loader.bench_loader`, the loader's timing table: the package has one
+  source of timing truth.
 """
 from __future__ import annotations
 
@@ -55,6 +59,8 @@ RULE_HOME = {("frame_validity.py", "majority_invalid")}
 ROW_NORM_HOMES = {
     ("embedding.py", "PrecomputedTable.__post_init__"), ("protonet.py", "Prototypes.__post_init__"),
 }
+CLOCK_HOME = {("loader.py", "bench_loader")}
+CLOCK_NAMES = {"perf_counter", "perf_counter_ns", "monotonic", "monotonic_ns", "process_time"}
 
 # (module, function) -> why its sums are not a dot product or a norm.
 ALLOWED_SUMS = {
@@ -480,4 +486,52 @@ def test_the_guard_sees_a_planted_row_norm_check(tmp_path):
         "embedding.py:7 load_precomputed",
         "protonet.py:6 Episode.__post_init__",
         "protonet.py:9 load_prototypes",
+    ]
+
+
+def is_clock(node: ast.AST) -> bool:
+    """A reference to a clock: `time.perf_counter`, an imported `monotonic`, `time.time`."""
+    if isinstance(node, ast.Attribute) and node.attr == "time":
+        return isinstance(node.value, ast.Name) and node.value.id == "time"
+    if isinstance(node, ast.ImportFrom) and node.module == "time":
+        return any(alias.name == "time" for alias in node.names)
+    return isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and bool(named(node) & CLOCK_NAMES)
+
+
+def clock_references(package_dir: Path, homes=frozenset()) -> list[str]:
+    """Every clock reference outside the (module, owner) pairs in `homes`, as "file:line"."""
+    found = set()
+    for path in package_dir.rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for owner, node in nodes_by_function(tree):
+            if is_clock(node) and (path.name, owner) not in homes:
+                found.add((path.relative_to(package_dir).as_posix(), node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(found)]
+
+
+def test_one_clock():
+    assert clock_references(PACKAGE_DIR, CLOCK_HOME) == []
+    assert clock_references(PACKAGE_DIR) != []  # the home still reads its clock
+
+
+def test_the_guard_sees_a_planted_clock(tmp_path):
+    (tmp_path / "loader.py").write_text(
+        "import time\n"
+        "from time import perf_counter as clock\n"
+        "def bench_loader(paths):\n"
+        "    return time.perf_counter(), time.monotonic_ns()\n"
+        "def load_frames_parallel(paths):\n"
+        "    return time.sleep(0), clock\n"
+    )
+    (tmp_path / "evaluation.py").write_text(
+        "import time\n"
+        "from time import time as now, sleep\n"
+        "def evaluate_users(users):\n"
+        "    start = time.time()\n"
+        "    return time.monotonic() - start, perf_counter_ns, now, sleep\n"
+        "def arm_runtime(rt):\n"
+        "    return time.process_time(), rt.time\n"
+    )
+    assert clock_references(tmp_path, CLOCK_HOME) == [
+        "evaluation.py:2", "evaluation.py:4", "evaluation.py:5", "evaluation.py:7", "loader.py:2",
     ]
