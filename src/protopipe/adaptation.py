@@ -5,13 +5,18 @@ prototypes: multi-head self-attention with a residual connection and layer
 norm, then a two-layer relu feed-forward with another residual and layer
 norm. Each prototype is refined in the context of the full set, so the
 output is permutation-equivariant in the rows.
+
+Weights are saved as a JSON header and a file of packed float64 values
+beside it; see `save_transformer_weights`.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
-from .errors import FLOATS, NUMBER, ROWS, ConfigError, read_json, write_json
+from .errors import NUMBER, ConfigError, read_float64, read_json, write_float64, write_json
 from .numerics import (
     Matrix,
     Vector,
@@ -50,10 +55,7 @@ class TransformerWeights:
 
     def __post_init__(self):
         d, h, d_ff = self.d, self.h, self.d_ff
-        if d < 1 or h < 1 or d_ff < 1:
-            raise ConfigError("d, h and d_ff must be positive")
-        if d % h:
-            raise ConfigError(f"d={d} is not divisible by h={h}")
+        _check_dims(d, h, d_ff)
         if not 0.0 < self.eps < math.inf:
             raise ConfigError(f"eps must be positive and finite, got {self.eps!r}")
         d_head = d // h
@@ -83,6 +85,13 @@ class TransformerWeights:
         for name, v, n in vectors:
             if len(v) != n:
                 raise _shape_mismatch(name, (n,), (len(v),))
+
+
+def _check_dims(d: int, h: int, d_ff: int) -> None:
+    if d < 1 or h < 1 or d_ff < 1:
+        raise ConfigError("d, h and d_ff must be positive")
+    if d % h:
+        raise ConfigError(f"d={d} is not divisible by h={h}")
 
 
 def attention_matrices(p: Matrix, w: TransformerWeights) -> list[Matrix]:
@@ -150,52 +159,74 @@ def centering_adapter_weights(d: int, strength: float = 1.0) -> TransformerWeigh
     )
 
 
-LAYER_NORM_KEYS = {"gain": FLOATS, "bias": FLOATS}
-WEIGHTS_KEYS = {
-    "d": int, "h": int, "d_ff": int,
-    "heads": [{"w_q": ROWS, "w_k": ROWS, "w_v": ROWS}],
-    "w_o": ROWS, "w1": ROWS, "b1": FLOATS, "w2": ROWS, "b2": FLOATS,
-    "ln1": LAYER_NORM_KEYS, "ln2": LAYER_NORM_KEYS, "eps": NUMBER,
-}
+HEAD_MATRICES = ("w_q", "w_k", "w_v")
+HEADER_KEYS = {"d": int, "h": int, "d_ff": int, "eps": NUMBER, "values": str}
+
+
+def values_layout(d: int, h: int, d_ff: int) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every tensor in a values file, in file order."""
+    heads = [(f"{name}[{i}]", (d, d // h)) for i in range(h) for name in HEAD_MATRICES]
+    return heads + [
+        ("w_o", (d, d)), ("w1", (d, d_ff)), ("b1", (d_ff,)), ("w2", (d_ff, d)), ("b2", (d,)),
+        ("ln1_gain", (d,)), ("ln1_bias", (d,)), ("ln2_gain", (d,)), ("ln2_bias", (d,)),
+    ]
+
+
+def _locate(layout, index: int) -> str:
+    """The value at `index` of a values file, as `<tensor>[<index in the tensor>]`."""
+    for name, shape in layout:
+        if index < math.prod(shape):
+            return f"{name}[{index}]"
+        index -= math.prod(shape)
 
 
 def load_transformer_weights(path) -> TransformerWeights:
-    """Adapter weights JSON, read by WEIGHTS_KEYS; shapes are validated on construction."""
+    """Adapter weights: a header read by HEADER_KEYS, then the values file it names.
+
+    The values file, resolved against the header's directory, must hold
+    exactly the values of `values_layout`: 4d² + 2·d·d_ff + d_ff + 5d of
+    them, a count taken before the layout is built, so that no header can
+    make the load build a huge one. Every fault is a ConfigError naming the
+    header; one in the values file also names that file, and a NaN or an
+    infinity its tensor and index.
+    """
     def build(doc) -> TransformerWeights:
-        heads, ln1, ln2, rows = doc["heads"], doc["ln1"], doc["ln2"], Matrix.from_rows
+        d, h, d_ff = doc["d"], doc["h"], doc["d_ff"]
+        _check_dims(d, h, d_ff)
+        values = read_float64(
+            Path(path).parent / doc["values"], 4 * d * d + 2 * d * d_ff + d_ff + 5 * d,
+            ConfigError, "values file", lambda i: _locate(values_layout(d, h, d_ff), i),
+        )
+        tensors, start = {}, 0
+        for name, shape in values_layout(d, h, d_ff):
+            stop = start + math.prod(shape)
+            flat = values[start:stop].tolist()
+            tensors[name] = Matrix(*shape, flat) if len(shape) == 2 else flat
+            start = stop
+        heads = {name: [tensors.pop(f"{name}[{i}]") for i in range(h)] for name in HEAD_MATRICES}
         return TransformerWeights(
-            d=doc["d"], h=doc["h"], d_ff=doc["d_ff"],
-            w_q=[rows(head["w_q"]) for head in heads],
-            w_k=[rows(head["w_k"]) for head in heads],
-            w_v=[rows(head["w_v"]) for head in heads],
-            w_o=rows(doc["w_o"]), w1=rows(doc["w1"]), b1=doc["b1"], w2=rows(doc["w2"]),
-            b2=doc["b2"], ln1_gain=ln1["gain"], ln1_bias=ln1["bias"], ln2_gain=ln2["gain"],
-            ln2_bias=ln2["bias"], eps=doc.get("eps", TransformerWeights.eps),
+            d=d, h=h, d_ff=d_ff, **heads, **tensors, eps=doc.get("eps", TransformerWeights.eps)
         )
 
-    return read_json(path, ConfigError, "adapter weights", WEIGHTS_KEYS, ("eps",), build)
+    return read_json(path, ConfigError, "adapter weights", HEADER_KEYS, ("eps",), build)
 
 
 def save_transformer_weights(w: TransformerWeights, path) -> None:
-    doc = {
-        "d": w.d,
-        "h": w.h,
-        "d_ff": w.d_ff,
-        "heads": [
-            {
-                "w_q": w.w_q[i].to_rows(),
-                "w_k": w.w_k[i].to_rows(),
-                "w_v": w.w_v[i].to_rows(),
-            }
-            for i in range(w.h)
-        ],
-        "w_o": w.w_o.to_rows(),
-        "w1": w.w1.to_rows(),
-        "b1": list(w.b1),
-        "w2": w.w2.to_rows(),
-        "b2": list(w.b2),
-        "ln1": {"gain": list(w.ln1_gain), "bias": list(w.ln1_bias)},
-        "ln2": {"gain": list(w.ln2_gain), "bias": list(w.ln2_bias)},
-        "eps": w.eps,
-    }
-    write_json(path, doc)
+    """Write `<stem>.f64` beside path, then the header naming it at path.
+
+    The values file holds every tensor of `values_layout` as little-endian
+    float64, matrices row-major; the header is `{"d", "h", "d_ff", "eps",
+    "values"}`, `values` the values file's name.
+    """
+    path = Path(path)
+    values = path.with_suffix(".f64")
+    if values == path:
+        raise ConfigError(f"adapter weights {path} would overwrite their own values file")
+    heads = {f"{name}[{i}]": m for name in HEAD_MATRICES for i, m in enumerate(getattr(w, name))}
+    tensors = [
+        heads[name] if name in heads else getattr(w, name)
+        for name, _ in values_layout(w.d, w.h, w.d_ff)
+    ]
+    flat = (t.values if isinstance(t, Matrix) else t for t in tensors)
+    write_float64(values, itertools.chain.from_iterable(flat))
+    write_json(path, {"d": w.d, "h": w.h, "d_ff": w.d_ff, "eps": w.eps, "values": values.name})

@@ -1,4 +1,4 @@
-"""The two exception classes every protopipe failure raises, and JSON file I/O.
+"""The two exception classes every protopipe failure raises, and file I/O: JSON and packed floats.
 
 Every fault is a ConfigError or a DataError whose message names it; the
 CLI maps the two to its exit codes, and a caller tells faults apart by the
@@ -6,10 +6,11 @@ message. A plain ValueError that belongs to neither is a bug. An error
 holds its message alone, so it pickles as itself from a worker process.
 `read_json` is the one way a loader opens its file, so a file that cannot
 be read or parsed raises the loader's family, and `write_json` is the one
-JSON writer. `write_text` is the one writer of protopipe's text files, the
-JSON files and the audit JSONL: it writes a temporary file beside the
-target and renames it over the target, so a write that fails partway
-leaves the previous file as it was.
+JSON writer. `write_text` is the one writer of protopipe's files, the JSON
+files, the audit JSONL and packed float64 values: it writes a temporary
+file beside the target and renames it over the target, so a write that
+fails partway leaves the previous file as it was. `read_float64` is the one
+reader of a packed values file, and `write_float64` writes one.
 
 `read_object` is the one reader of the objects in every input file;
 `read_json` hands it the top level when given a schema. A schema maps each
@@ -29,6 +30,8 @@ import itertools
 import json
 import math
 import os
+import sys
+from array import array
 from contextlib import suppress
 from pathlib import Path
 
@@ -38,6 +41,7 @@ ROWS = [FLOATS]
 JSON_NAMES = {
     dict: "an object", str: "a string", int: "an integer", bool: "a boolean", NUMBER: "a number",
 }
+BIG_ENDIAN = sys.byteorder == "big"  # a values file is little-endian on every host
 
 
 class ConfigError(ValueError):
@@ -72,15 +76,16 @@ def write_json(path, doc) -> None:
     write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def write_text(path, text: str) -> None:
-    """Replace the file at path with text, UTF-8, all at once.
+def write_text(path, text: str | bytes) -> None:
+    """Replace the file at path with text, UTF-8, or with bytes as they are, all at once.
 
-    The text goes to a new temporary file in the target's directory, which
+    The data goes to a new temporary file in the target's directory, which
     `os.replace` then renames over the target. The temporary file is
     created with mode 0o666 less the umask, as a plain write creates a new
     file, and is removed if anything fails before the rename.
     """
-    path, data = Path(path), text.encode("utf-8")
+    path = Path(path)
+    data = text.encode("utf-8") if isinstance(text, str) else text
     for n in itertools.count():
         temp = path.with_name(f".{path.name}.{os.getpid()}.{n}.tmp")
         try:
@@ -96,6 +101,40 @@ def write_text(path, text: str) -> None:
         with suppress(OSError):
             os.unlink(temp)
         raise
+
+
+def write_float64(path, values) -> None:
+    """Write the floats of `values`, in order, as little-endian float64, by `write_text`."""
+    packed = array("d", values)
+    if BIG_ENDIAN:
+        packed.byteswap()
+    write_text(path, packed.tobytes())
+
+
+def read_float64(path, count: int, error: type[ValueError], what: str, locate) -> array:
+    """The `count` little-endian float64 values of the file at path, as one `array('d')`.
+
+    The file must hold exactly `count` * 8 bytes. One sum tests every value
+    for finiteness; only when it fails are the values walked, and the first
+    NaN or infinity is named `locate(index)`. Every fault raises `error`,
+    naming `what` and the file.
+    """
+    values = array("d")
+    try:
+        with open(path, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            if size == 8 * count:
+                values.fromfile(f, count)
+    except (OSError, EOFError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    if size != 8 * count:
+        raise error(f"{what} {path} has {size} bytes, expected {8 * count} ({count} float64s)")
+    if BIG_ENDIAN:
+        values.byteswap()
+    if not all_finite(values):
+        i = next(i for i, x in enumerate(values) if not math.isfinite(x))
+        raise error(f"{what} {path}: {locate(i)} holds a non-finite number {values[i]!r}")
+    return values
 
 
 def read_object(
@@ -159,11 +198,16 @@ def finite_floats(values, error: type[ValueError], label: str, nonfinite=None) -
         floats = values if types <= {float} else list(map(float, values))
     except OverflowError as exc:
         raise error(f"{label} holds an integer too large for a float") from exc
-    # A finite sum proves every entry finite, so only a non-finite sum, from
-    # a NaN, an infinity or an overflow of finite entries, checks each one.
-    if not math.isfinite(sum(floats)) and not all(map(math.isfinite, floats)):
+    if not all_finite(floats):
         raise (nonfinite or error)(f"{label} holds a non-finite number")
     return floats
+
+
+def all_finite(values) -> bool:
+    """Whether every float of `values` is finite."""
+    # A finite sum proves every entry finite, so only a non-finite sum, from
+    # a NaN, an infinity or an overflow of finite entries, checks each one.
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
 
 
 def check_json_type(value, want, error: type[ValueError], where: str):

@@ -6,14 +6,18 @@ import json
 import math
 import random
 import re
+import struct
 import sys
-from dataclasses import replace
+import tempfile
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from _oracles import np_transformer_block, random_transformer_weights
+from hypothesis import given, settings, strategies as st
 
+from protopipe import errors
 from protopipe.adaptation import (
     TransformerWeights,
     adapt_prototypes,
@@ -260,17 +264,16 @@ class TestValidationAndSerialization:
         w = random_transformer_weights(4, seed=0)
         save_transformer_weights(w, path)
         doc = json.loads(path.read_text())
-        del doc["w_o"]
+        del doc["values"]
         path.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError, match="w_o"):
+        with pytest.raises(ConfigError, match=re.escape("missing key(s) ['values']")):
             load_transformer_weights(path)
 
     def test_a_shape_fault_at_load_names_the_file(self, tmp_path):
         path = tmp_path / "w.json"
         save_transformer_weights(random_transformer_weights(4, d_ff=4, seed=0), path)
-        doc = json.loads(path.read_text())
-        path.write_text(json.dumps(dict(doc, b1=doc["b1"][:3])))
-        message = f"bad adapter weights {path}: b1: expected shape (4,), got (3,)"
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), h=3)))
+        message = f"bad adapter weights {path}: d=4 is not divisible by h=3"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_transformer_weights(path)
 
@@ -292,3 +295,99 @@ class TestValidationAndSerialization:
         assert w.b1 == [0.0] * 16 and w.b2 == [0.0] * 8
         assert w.ln1_gain == [1.0] * 8 and w.ln2_bias == [0.0] * 8
         assert random_transformer_weights(8, h=2, seed=1) == w
+
+
+def bit_weights(d, h, d_ff, rng):
+    """Weights whose every value is a random finite bit pattern: signed zeros,
+    subnormals and every exponent."""
+    def floats(n):
+        out = []
+        while len(out) < n:
+            x = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+            if math.isfinite(x):
+                out.append(x)
+        return out
+
+    def mat(rows, cols):
+        return Matrix(rows, cols, floats(rows * cols))
+
+    return TransformerWeights(
+        d=d, h=h, d_ff=d_ff,
+        w_q=[mat(d, d // h) for _ in range(h)], w_k=[mat(d, d // h) for _ in range(h)],
+        w_v=[mat(d, d // h) for _ in range(h)], w_o=mat(d, d), w1=mat(d, d_ff),
+        b1=floats(d_ff), w2=mat(d_ff, d), b2=floats(d), ln1_gain=floats(d), ln1_bias=floats(d),
+        ln2_gain=floats(d), ln2_bias=floats(d), eps=0.5,
+    )
+
+
+def float_hexes(doc):
+    """Every float of a nested tuple or list, as float.hex, in order."""
+    if isinstance(doc, (tuple, list)):
+        return [x for item in doc for x in float_hexes(item)]
+    return [doc.hex()] if isinstance(doc, float) else []
+
+
+class TestValuesFile:
+    """Adapter weights are a JSON header and a file of packed little-endian float64."""
+
+    def test_the_files_hold_the_documented_header_and_tensor_order(self, tmp_path):
+        w = random_transformer_weights(4, h=2, d_ff=3, seed=4)
+        w = replace(w, b1=[0.5, -0.0, 2.0], ln2_bias=[1.0, 2.0, 3.0, 4.0])
+        save_transformer_weights(w, tmp_path / "w.json")
+        assert json.loads((tmp_path / "w.json").read_text()) == {
+            "d": 4, "h": 2, "d_ff": 3, "eps": 1e-5, "values": "w.f64",
+        }
+        order = [w.w_q[0], w.w_k[0], w.w_v[0], w.w_q[1], w.w_k[1], w.w_v[1], w.w_o, w.w1,
+                 w.b1, w.w2, w.b2, w.ln1_gain, w.ln1_bias, w.ln2_gain, w.ln2_bias]
+        flat = [x for t in order for x in (t.values if isinstance(t, Matrix) else t)]
+        assert len(flat) == 4 * 4 * 4 + 2 * 4 * 3 + 3 + 5 * 4
+        assert (tmp_path / "w.f64").read_bytes() == struct.pack(f"<{len(flat)}d", *flat)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda d: st.tuples(
+                st.just(d), st.sampled_from([h for h in range(1, d + 1) if d % h == 0])
+            )
+        ),
+        st.integers(1, 6),
+        st.integers(0, 2**32),
+    )
+    def test_save_then_load_keeps_every_bit_on_either_byte_order(self, dims, d_ff, seed):
+        d, h = dims
+        w = bit_weights(d, h, d_ff, random.Random(seed))
+        files = {}
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            for big_endian in (False, True):  # True takes the byteswap path on this host
+                patch.setattr(errors, "BIG_ENDIAN", big_endian)
+                path = Path(tmp) / f"{big_endian}.json"
+                save_transformer_weights(w, path)
+                again = load_transformer_weights(path)
+                assert again == w
+                assert float_hexes(astuple(again)) == float_hexes(astuple(w))
+                files[big_endian] = path.with_suffix(".f64").read_bytes()
+        # A host of the other byte order would write each value's bytes reversed.
+        native = files[errors.BIG_ENDIAN]
+        swapped = b"".join(native[i : i + 8][::-1] for i in range(0, len(native), 8))
+        assert files[not errors.BIG_ENDIAN] == swapped
+
+    @pytest.mark.parametrize("fault", ["truncated", "oversized", "missing"])
+    def test_a_values_file_of_the_wrong_size_or_missing_is_a_config_error(self, tmp_path, fault):
+        path, values = tmp_path / "w.json", tmp_path / "w.f64"
+        save_transformer_weights(random_transformer_weights(4, h=2, d_ff=3, seed=0), path)
+        data = values.read_bytes()  # 4·16 + 2·4·3 + 3 + 5·4 = 111 values
+        if fault == "missing":
+            values.unlink()
+            expected = f"cannot read values file {values}: [Errno 2] No such file or directory"
+        else:
+            values.write_bytes(data[:-1] if fault == "truncated" else data + bytes(8))
+            size = 887 if fault == "truncated" else 896
+            expected = f"values file {values} has {size} bytes, expected 888 (111 float64s)"
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'bad adapter weights {path}: ')}"
+                           f"{re.escape(expected)}"):
+            load_transformer_weights(path)
+
+    def test_weights_saved_under_a_values_name_are_refused(self, tmp_path):
+        with pytest.raises(ConfigError, match="their own values file"):
+            save_transformer_weights(centering_adapter_weights(2), tmp_path / "w.f64")
+        assert list(tmp_path.iterdir()) == []

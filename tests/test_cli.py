@@ -5,6 +5,7 @@ import math
 import os
 import re
 import shutil
+import struct
 import threading
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from _children import counting_forks, live_children
 from _oracles import random_transformer_weights
 
 from protopipe import cli, protonet, workers
-from protopipe.adaptation import save_transformer_weights
+from protopipe.adaptation import save_transformer_weights, values_layout
 from protopipe.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from protopipe.embedding import make_patch_projection_spec
 from protopipe.media_io.manifest import load_manifest
@@ -622,7 +623,9 @@ class TestInputErrors:
         assert self.personalize(workspace, config, tmp_path / "p.json") == EXIT_CONFIG
         assert field in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field, value", [("eps", True), ("h", 1.0), ("b1", ["0"] * 32)])
+    @pytest.mark.parametrize(
+        "field, value", [("eps", True), ("h", 1.0), ("values", 7), ("values", ["adapter.f64"])]
+    )
     def test_wrong_type_in_adapter_file_exits_2(
         self, workspace, tmp_path, capsys, field, value
     ):
@@ -708,21 +711,32 @@ class TestInputErrors:
         assert not (tmp_path / "preds.json").exists()
 
     @pytest.mark.parametrize(
-        "field, value, named",
-        [("eps", math.inf, "eps"), ("b1", math.nan, "adapter.json")],
-        ids=["eps-infinity", "b1-nan"],
+        "tensor, value",
+        [("eps", math.inf)]
+        + [(tensor, value) for tensor in ("w_o", "ln2_bias")
+           for value in (math.nan, math.inf, -math.inf)],
+        ids=["eps-infinity"] + [f"{tensor}-{value}" for tensor in ("w_o", "ln2_bias")
+                                for value in ("nan", "inf", "-inf")],
     )
     def test_non_finite_adapter_value_exits_2_before_any_frame_is_decoded(
-        self, workspace, tmp_path, capsys, monkeypatch, field, value, named
+        self, workspace, tmp_path, capsys, monkeypatch, tensor, value
     ):
         weights = tmp_path / "adapter.json"
         save_transformer_weights(random_transformer_weights(16, seed=0), weights)
-        doc = json.loads(weights.read_text())
-        if field == "b1":
-            doc["b1"][0] = value
+        if tensor == "eps":
+            weights.write_text(json.dumps(dict(json.loads(weights.read_text()), eps=value)))
+            named = ["eps", str(weights)]
         else:
-            doc[field] = value
-        weights.write_text(json.dumps(doc))
+            values = tmp_path / "adapter.f64"
+            offset = 0
+            for name, shape in values_layout(16, 1, 32):
+                if name == tensor:
+                    break
+                offset += math.prod(shape)
+            planted = bytearray(values.read_bytes())
+            planted[8 * (offset + 3) : 8 * (offset + 4)] = struct.pack("<d", value)
+            values.write_bytes(planted)
+            named = [str(weights), str(values), f"{tensor}[3] holds a non-finite number"]
         config = tmp_path / "config.json"
         config.write_text(json.dumps(dict(CONFIG_DOC, adapter="adapter.json")))
         decoded, load_frames = [], protonet.load_frames
@@ -740,9 +754,30 @@ class TestInputErrors:
             ]
         )
         assert rc == EXIT_CONFIG
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert all(part in err for part in named), err
         assert decoded == []
         assert not (tmp_path / "r.json").exists()
+
+    def test_an_adapter_file_in_the_former_json_rows_form_exits_2(
+        self, workspace, tmp_path, capsys
+    ):
+        w = random_transformer_weights(16, seed=0)
+        (tmp_path / "adapter.json").write_text(json.dumps({
+            "d": 16, "h": 1, "d_ff": 32,
+            "heads": [{"w_q": w.w_q[0].to_rows(), "w_k": w.w_k[0].to_rows(),
+                       "w_v": w.w_v[0].to_rows()}],
+            "w_o": w.w_o.to_rows(), "w1": w.w1.to_rows(), "b1": w.b1, "w2": w.w2.to_rows(),
+            "b2": w.b2, "ln1": {"gain": w.ln1_gain, "bias": w.ln1_bias},
+            "ln2": {"gain": w.ln2_gain, "bias": w.ln2_bias}, "eps": w.eps,
+        }))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(CONFIG_DOC, adapter="adapter.json")))
+        assert self.personalize(workspace, config, tmp_path / "p.json") == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: bad adapter weights {tmp_path / 'adapter.json'}: unknown key(s) "
+            "['b1', 'b2', 'heads', 'ln1', 'ln2', 'w1', 'w2', 'w_o']\n"
+        )
 
     def test_plain_value_error_propagates(self, workspace, tmp_path, monkeypatch):
         def buggy(args):

@@ -1,7 +1,10 @@
 """Fuzz the CLI end to end: a damaged input file exits 0, 2 or 3, never a traceback.
 
 One input file of a tiny generated dataset is damaged: truncated, one byte
-changed, or, in a JSON file, one key dropped, duplicated or retyped. Then
+changed, or, in a JSON file, one key dropped, duplicated or retyped. The
+adapter's packed values file is damaged the same way: a cut file or a NaN
+or an infinity ends a run with 2, and a changed value that stays finite
+with 0, or with 3 if it makes a prototype non-finite. Then
 `personalize`, `recognize` and `evaluate` run through `cli.main`. Each must
 return 0, 2 or 3. Any other exception, such as a plain ValueError from a
 raise site outside the two error classes, fails the test with its traceback.
@@ -39,6 +42,7 @@ INPUTS = {
     "config": ("config.json", "config.json", 20),
     "projection": ("projection.json", "config.json", 15),
     "adapter": ("adapter.json", "config.json", 15),
+    "adapter values": ("adapter.f64", "config.json", 15),
     "table": ("table.json", "table_config.json", 15),
     "prototypes": ("prototypes.json", "config.json", 12),
     "clean frame": (f"data/{CLEAN}", "config.json", 10),

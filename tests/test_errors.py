@@ -17,6 +17,7 @@ import pickle
 import pkgutil
 import re
 import stat
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -32,6 +33,8 @@ from protopipe.adaptation import (
     attention_matrices,
     centering_adapter_weights,
     load_transformer_weights,
+    save_transformer_weights,
+    values_layout,
 )
 from protopipe.clip_sampling import SamplerConfig, sample_clips
 from protopipe.config import load_config
@@ -188,7 +191,6 @@ JSON_VALUES = st.recursive(
     max_leaves=20,
 )
 EYE = [[1.0, 0.0], [0.0, 1.0]]
-ZEROS = [0.0, 0.0]
 VALID = {
     load_manifest: {
         "users": [
@@ -219,14 +221,8 @@ VALID = {
     },
     load_projection_spec: {"grid": 1, "channels": 1, "dim": 2, "projection": [[1.0, 0.0]]},
     load_precomputed: {"dim": 2, "videos": {"v0": [[1.0, 2.0], [3.0, 4.0]]}},
-    load_transformer_weights: {
-        "d": 2, "h": 1, "d_ff": 2,
-        "heads": [{"w_q": EYE, "w_k": EYE, "w_v": EYE}],
-        "w_o": EYE, "w1": EYE, "b1": ZEROS, "w2": EYE, "b2": ZEROS,
-        "ln1": {"gain": [1.0, 1.0], "bias": ZEROS},
-        "ln2": {"gain": [1.0, 1.0], "bias": ZEROS},
-        "eps": 1e-5,
-    },
+    # The values file is written beside every document by `doc_path`.
+    load_transformer_weights: {"d": 2, "h": 1, "d_ff": 2, "eps": 1e-5, "values": "adapter.f64"},
     load_prototypes: {
         "user_id": "u", "labels": ["a", "b"], "dim": 2, "raw": EYE, "adapted": EYE,
         "config_digest": "d",
@@ -260,7 +256,10 @@ def near_valid(draw, valid):
 
 @pytest.fixture(scope="module")
 def doc_path(tmp_path_factory):
-    return tmp_path_factory.mktemp("parsers") / "doc.json"
+    """Where each test writes its document, beside the adapter values its header names."""
+    path = tmp_path_factory.mktemp("parsers") / "doc.json"
+    save_transformer_weights(centering_adapter_weights(2), path.with_name("adapter.json"))
+    return path
 
 
 @pytest.mark.parametrize("loader", list(VALID), ids=lambda f: f.__name__)
@@ -312,9 +311,9 @@ WRONG_TYPES = [
     (load_transformer_weights, ("eps",), "0.5"),
     (load_transformer_weights, ("d",), "2"),
     (load_transformer_weights, ("h",), 1.7),
-    (load_transformer_weights, ("b1",), [True, "1"]),
-    (load_transformer_weights, ("ln1", "gain"), "11"),
-    (load_transformer_weights, ("w_o", 1, 1), False),
+    (load_transformer_weights, ("d_ff",), 2.0),
+    (load_transformer_weights, ("values",), 7),
+    (load_transformer_weights, ("values",), ["adapter.f64"]),
     (load_precomputed, ("videos", "v0", 0), [True, "1.5"]),
     (load_prototypes, ("user_id",), 7),
     (load_prototypes, ("labels",), [1, 2]),
@@ -353,7 +352,7 @@ OBJECT_LEVELS = {
     load_config: [(), ("sampler",), ("edge_filter",), ("embedder",)],
     load_projection_spec: [()],
     load_precomputed: [()],
-    load_transformer_weights: [(), ("heads", 0), ("ln1",), ("ln2",)],
+    load_transformer_weights: [()],
     load_prototypes: [()],
 }
 # A NaN or an infinity in a table row is the data's fault, as in prototypes.
@@ -402,11 +401,37 @@ def test_extra_keys_and_non_finite_numbers_are_rejected_at_load(
         loader(doc_path)
 
 
+def adapter_value_offsets():
+    """(tensor, offset of its first value) for every tensor of VALID's adapter values file."""
+    offset = 0
+    for name, shape in values_layout(2, 1, 2):
+        yield name, offset
+        offset += math.prod(shape)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("tensor, offset", list(adapter_value_offsets()))
+def test_a_non_finite_adapter_value_is_rejected_naming_the_values_file_and_tensor(
+    tensor, offset, value, tmp_path
+):
+    header = tmp_path / "adapter.json"
+    save_transformer_weights(centering_adapter_weights(2), header)
+    values = tmp_path / "adapter.f64"
+    planted = bytearray(values.read_bytes())
+    planted[8 * offset : 8 * offset + 8] = struct.pack("<d", value)
+    values.write_bytes(planted)
+    message = (
+        f"bad adapter weights {header}: values file {values}: "
+        f"{tensor}[0] holds a non-finite number {value!r}"
+    )
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_transformer_weights(header)
+
+
 @pytest.mark.parametrize(
     "loader, key",
-    [(load_projection_spec, "projection"), (load_transformer_weights, "w_o"),
-     (load_prototypes, "raw")],
-    ids=["projection", "adapter-w_o", "prototypes-raw"],
+    [(load_projection_spec, "projection"), (load_prototypes, "raw")],
+    ids=["projection", "prototypes-raw"],
 )
 def test_ragged_rows_are_rejected_naming_the_file(loader, key, doc_path):
     doc = copy.deepcopy(VALID[loader])
@@ -491,21 +516,32 @@ def test_a_constructor_fault_comes_back_in_the_loaders_family_naming_the_file(
     assert type(loaded.value) is family
 
 
-class TestOneWriter:
-    """`errors.write_text`, under `write_json` and the CLI's audit, replaces a file whole."""
+# Each kind of file the one writer writes: its name, its writer, a first
+# document, and a document too big for a 4 KiB file-size limit.
+WRITES = {
+    "json": ("doc.json", "write_json", {"rows": [[0.5, 1.5]]}, {"rows": [[0.25] * 64] * 64}),
+    "values": ("w.f64", "write_float64", [0.5, 1.5], [0.25] * 4096),
+}
 
-    def test_a_write_that_fails_partway_leaves_the_previous_file(self, tmp_path):
-        path = tmp_path / "doc.json"
-        errors.write_json(path, {"rows": [[0.5, 1.5]]})
+
+class TestOneWriter:
+    """`errors.write_text`, under `write_json`, `write_float64` and the CLI's audit,
+    replaces a file whole."""
+
+    @pytest.mark.parametrize("kind", list(WRITES))
+    def test_a_write_that_fails_partway_leaves_the_previous_file(self, tmp_path, kind):
+        name, writer, first, big = WRITES[kind]
+        path = tmp_path / name
+        getattr(errors, writer)(path, first)
         before = path.read_bytes()
         # A file-size limit makes the write fail after its first 4 KiB, in
         # a child so that the limit does not outlive it.
         code = (
             "import resource, sys\n"
-            "from protopipe.errors import write_json\n"
+            f"from protopipe.errors import {writer}\n"
             "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))\n"
             "try:\n"
-            "    write_json(sys.argv[1], {'rows': [[0.25] * 64] * 64})\n"
+            f"    {writer}(sys.argv[1], {big!r})\n"
             "except OSError as exc:\n"
             "    print(exc.errno)\n"
         )
@@ -518,9 +554,11 @@ class TestOneWriter:
         assert path.read_bytes() == before
         assert sorted(tmp_path.iterdir()) == [path]
 
-    def test_a_failed_rename_leaves_the_previous_file(self, tmp_path, monkeypatch):
-        path = tmp_path / "doc.json"
-        errors.write_json(path, [1])
+    @pytest.mark.parametrize("kind", list(WRITES))
+    def test_a_failed_rename_leaves_the_previous_file(self, tmp_path, monkeypatch, kind):
+        name, writer, first, big = WRITES[kind]
+        path = tmp_path / name
+        getattr(errors, writer)(path, first)
         before = path.read_bytes()
 
         def failing(src, dst):
@@ -528,7 +566,7 @@ class TestOneWriter:
 
         monkeypatch.setattr(errors.os, "replace", failing)
         with pytest.raises(KeyboardInterrupt):
-            errors.write_json(path, [2])
+            getattr(errors, writer)(path, big)
         assert path.read_bytes() == before
         assert sorted(tmp_path.iterdir()) == [path]
 

@@ -36,7 +36,11 @@ input file. This AST scan fails when a second copy grows back:
 * a reference to a clock (`perf_counter`, `perf_counter_ns`, `monotonic`,
   `monotonic_ns`, `process_time` or `time.time`) outside
   `loader.bench_loader`, the loader's timing table: the package has one
-  source of timing truth.
+  source of timing truth;
+* an `array.frombytes` or `array.fromfile` call outside
+  `errors.read_float64`, the one reader of packed float64 input, which
+  checks a file's size and every value's finiteness, and the Gram-Schmidt
+  rank's pipe read in PACKED_HOMES.
 """
 from __future__ import annotations
 
@@ -61,11 +65,17 @@ ROW_NORM_HOMES = {
 }
 CLOCK_HOME = {("loader.py", "bench_loader")}
 CLOCK_NAMES = {"perf_counter", "perf_counter_ns", "monotonic", "monotonic_ns", "process_time"}
+# (module, function) -> what it reads packed; see the module docs.
+PACKED_HOMES = {
+    ("errors.py", "read_float64"): "every packed float64 input file",
+    ("embedding.py", "_gram_schmidt_rank"): "a column from the other rank's pipe, not a file",
+}
+PACKED_READS = {"frombytes", "fromfile"}
 
 # (module, function) -> why its sums are not a dot product or a norm.
 ALLOWED_SUMS = {
     ("embedding.py", "downsample_boxes"): "integer pixel sums, exact in any order",
-    ("errors.py", "finite_floats"): "a finiteness test whose value never reaches an output",
+    ("errors.py", "all_finite"): "a finiteness test whose value never reaches an output",
     ("evaluation.py", "evaluate_users"): "each user's frame count; the mean accuracy over users",
 }
 
@@ -535,3 +545,37 @@ def test_the_guard_sees_a_planted_clock(tmp_path):
     assert clock_references(tmp_path, CLOCK_HOME) == [
         "evaluation.py:2", "evaluation.py:4", "evaluation.py:5", "evaluation.py:7", "loader.py:2",
     ]
+
+
+def packed_reads(package_dir: Path, homes=frozenset()) -> list[str]:
+    """Every `frombytes` or `fromfile` call outside the (module, owner) pairs in `homes`."""
+    return sorted(
+        found for name in PACKED_READS for found in calls_outside(package_dir, name, homes)
+    )
+
+
+def test_one_reader_of_packed_floats():
+    assert packed_reads(PACKAGE_DIR, PACKED_HOMES) == []
+    assert len(packed_reads(PACKAGE_DIR)) == len(PACKED_HOMES)
+
+
+def test_the_guard_sees_a_planted_packed_read(tmp_path):
+    (tmp_path / "errors.py").write_text(
+        "from array import array\n"
+        "def read_float64(path, count):\n"
+        "    values = array('d')\n"
+        "    with open(path, 'rb') as f:\n"
+        "        values.fromfile(f, count)\n"
+        "    return values\n"
+    )
+    (tmp_path / "embedding.py").write_text(
+        "import array\n"
+        "def load_precomputed(path):\n"
+        "    rows = array.array('d')\n"
+        "    rows.frombytes(open(path, 'rb').read())\n"
+        "    return rows, rows.tobytes()\n"
+        "class PrecomputedTable:\n"
+        "    def __post_init__(self, f):\n"
+        "        self.rows.fromfile(f, 8)\n"
+    )
+    assert packed_reads(tmp_path, PACKED_HOMES) == ["embedding.py:4", "embedding.py:8"]

@@ -40,10 +40,10 @@ def tree_digest(root: Path) -> str:
     return h.hexdigest()
 
 
-# sha256 of the rigged scenario's tree (data, config and adapter), each file
+# sha256 of the rigged scenario's tree (data, config, adapter header and values), each file
 # hashed as its relative path then its bytes, in sorted path order. The
 # benchmark's reference digests rest on this tree.
-RIGGED_TREE_SHA256 = "4de2565d044e5d0263d79f2bb7a293a04589238c017f1cb8c5db0e5e33a9a303"
+RIGGED_TREE_SHA256 = "a23bfbf2a08fe52e60884fb08c5db4b256f5152a78e2d654752b01e5a85581c7"
 
 
 def test_rigged_scenario_tree_is_pinned(tmp_path):
