@@ -7,12 +7,16 @@ norm. Each prototype is refined in the context of the full set, so the
 output is permutation-equivariant in the rows.
 
 Weights are saved as a JSON header and a file of packed float64 values
-beside it; see `save_transformer_weights`.
+beside it; see `save_transformer_weights`. In memory every weight matrix
+keeps its values packed in an `array('d')`, 8 bytes a value where a list of
+floats takes 32, whether it was loaded or built in code; each product
+unpacks the columns it reads (`Matrix.columns`). The six vectors stay lists.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,6 +89,17 @@ class TransformerWeights:
         for name, v, n in vectors:
             if len(v) != n:
                 raise _shape_mismatch(name, (n,), (len(v),))
+        for name in HEAD_MATRICES:
+            object.__setattr__(self, name, [_packed(m) for m in getattr(self, name)])
+        for name in ("w_o", "w1", "w2"):
+            object.__setattr__(self, name, _packed(getattr(self, name)))
+
+
+def _packed(m: Matrix) -> Matrix:
+    """`m` with its values in an `array('d')`; `m` itself if they already are."""
+    if isinstance(m.values, array) and m.values.typecode == "d":
+        return m
+    return Matrix(m.rows, m.cols, array("d", m.values))
 
 
 def _check_dims(d: int, h: int, d_ff: int) -> None:
@@ -200,8 +215,8 @@ def load_transformer_weights(path) -> TransformerWeights:
         tensors, start = {}, 0
         for name, shape in values_layout(d, h, d_ff):
             stop = start + math.prod(shape)
-            flat = values[start:stop].tolist()
-            tensors[name] = Matrix(*shape, flat) if len(shape) == 2 else flat
+            flat = values[start:stop]
+            tensors[name] = Matrix(*shape, flat) if len(shape) == 2 else flat.tolist()
             start = stop
         heads = {name: [tensors.pop(f"{name}[{i}]") for i in range(h)] for name in HEAD_MATRICES}
         return TransformerWeights(

@@ -1,6 +1,12 @@
 """Dense linear algebra and activation kernels, stdlib only.
 
 Everything here operates on 64-bit Python floats in row-major matrices.
+A `Matrix` holds its values in a list, or packed in an `array('d')` at 8
+bytes a value where a list of floats takes 32: the adapter keeps its
+weight matrices packed, and every activation is a list. `Matrix.row` and
+`Matrix.columns` return lists for either, so `dot` always runs over lists
+and a product's bits do not depend on how its operands are held; two
+matrices are equal when their shapes and values are, however held.
 
 Summation-order contract: every float dot product and norm in the package
 (`matmul`, `norm`, `cosine_similarity`, the frame projection and
@@ -29,6 +35,8 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
+from array import array
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Sequence
@@ -36,15 +44,17 @@ from typing import Sequence
 from .errors import ConfigError, DataError
 
 Vector = list[float]
+# The largest float whose square is finite.
+_SQUARE_MAX = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable row-major float64 matrix."""
+    """Immutable row-major float64 matrix; `values` is a list or an `array('d')`."""
 
     rows: int
     cols: int
-    values: list[float]
+    values: list[float] | array
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
@@ -58,6 +68,14 @@ class Matrix:
             for v in self.values:
                 if not math.isfinite(v):
                     raise DataError(f"non-finite matrix entry {v!r}")
+
+    def __eq__(self, other):
+        """Equal shapes and values, whether a list or an array holds them."""
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return (self.rows, self.cols) == (other.rows, other.cols) and all(
+            map(operator.eq, self.values, other.values)
+        )
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[float]]) -> "Matrix":
@@ -83,17 +101,22 @@ class Matrix:
         return cls(n, n, values)
 
     def row(self, i: int) -> Vector:
-        return self.values[i * self.cols : (i + 1) * self.cols]
+        return _as_list(self.values[i * self.cols : (i + 1) * self.cols])
 
     def to_rows(self) -> list[Vector]:
         return [self.row(i) for i in range(self.rows)]
 
     def columns(self) -> list[Vector]:
         """Column j as a list, for every j: the right operand of `dot`."""
-        return [self.values[j :: self.cols] for j in range(self.cols)]
+        return [_as_list(self.values[j :: self.cols]) for j in range(self.cols)]
 
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows, [x for c in self.columns() for x in c])
+
+
+def _as_list(values: list[float] | array) -> Vector:
+    """A slice of a matrix's values as a list: packed values are unpacked."""
+    return values.tolist() if isinstance(values, array) else values
 
 
 def dot(row: Sequence[float], col: Sequence[float]) -> float:
@@ -143,6 +166,9 @@ def layer_norm_rows(m: Matrix, gain: Vector, bias: Vector, eps: float) -> Matrix
     """Per-row normalization to zero mean / unit variance, then gain and bias.
 
     Uses population (biased) variance with eps added inside the square root.
+    A row whose variance passes the float range is a DataError: one
+    deviation from the mean too large to square, or squares that sum past
+    it, which would leave every output of the row at its bias.
     """
     if len(gain) != m.cols or len(bias) != m.cols:
         raise ConfigError(
@@ -154,7 +180,12 @@ def layer_norm_rows(m: Matrix, gain: Vector, bias: Vector, eps: float) -> Matrix
     for i in range(m.rows):
         row = m.row(i)
         mean = sum(row) / m.cols
-        var = sum((x - mean) ** 2 for x in row) / m.cols
+        if max(abs(x - mean) for x in row) <= _SQUARE_MAX:  # else `** 2` raises OverflowError
+            var = sum((x - mean) ** 2 for x in row) / m.cols
+        else:
+            var = math.inf
+        if var == math.inf:
+            raise DataError(f"non-finite layer norm: row {i}'s variance overflows")
         denom = math.sqrt(var + eps)
         out.extend(
             g * ((x - mean) / denom) + b for x, g, b in zip(row, gain, bias)

@@ -14,7 +14,11 @@ from _children import counting_forks, live_children
 from _oracles import random_transformer_weights
 
 from protopipe import cli, protonet, workers
-from protopipe.adaptation import save_transformer_weights, values_layout
+from protopipe.adaptation import (
+    centering_adapter_weights,
+    save_transformer_weights,
+    values_layout,
+)
 from protopipe.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from protopipe.embedding import make_patch_projection_spec
 from protopipe.media_io.manifest import load_manifest
@@ -778,6 +782,26 @@ class TestInputErrors:
             f"error: bad adapter weights {tmp_path / 'adapter.json'}: unknown key(s) "
             "['b1', 'b2', 'heads', 'ln1', 'ln2', 'w1', 'w2', 'w_o']\n"
         )
+
+    def test_an_adapter_whose_layer_norm_overflows_exits_3(self, workspace, tmp_path, capsys):
+        # 1e300 in W_V puts deviations of about 1e300 into the first layer
+        # norm, whose `** 2` would raise a plain OverflowError.
+        weights, values = tmp_path / "adapter.json", tmp_path / "adapter.f64"
+        save_transformer_weights(centering_adapter_weights(8), weights)
+        # w_q[0] and w_k[0], 8 x 8 each, come first; w_v[0]'s first value is value 128.
+        assert [name for name, _ in values_layout(8, 1, 8)[:3]] == ["w_q[0]", "w_k[0]", "w_v[0]"]
+        planted = bytearray(values.read_bytes())
+        planted[8 * 128 : 8 * 129] = struct.pack("<d", 1e300)
+        values.write_bytes(planted)
+        doc = json.loads(json.dumps(CONFIG_DOC))
+        doc["embedder"]["dim"] = 8
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(doc, adapter="adapter.json")))
+        assert self.personalize(workspace, config, tmp_path / "p.json") == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "error: non-finite layer norm: row 0's variance overflows\n"
+        )
+        assert not (tmp_path / "p.json").exists()
 
     def test_plain_value_error_propagates(self, workspace, tmp_path, monkeypatch):
         def buggy(args):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from array import array
 
 import numpy as np
@@ -21,6 +22,7 @@ from protopipe.numerics import (
     relu,
     scale,
     softmax_rows,
+    _SQUARE_MAX,
 )
 
 from _oracles import (
@@ -76,6 +78,29 @@ def test_matrix_row_and_at():
     assert m.row(1) == [4.0, 5.0, 6.0]
     assert m.values[0 * m.cols + 2] == 3.0
     assert m.to_rows() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+
+
+def test_packed_values_give_the_same_list_rows_and_columns_as_list_values():
+    # A packed matrix unpacks what it hands out, so `dot` runs over lists
+    # and a product's bits do not depend on how its right operand is held.
+    rng = random.Random(3)
+    listed = rand_matrix(rng, 4, 3)
+    packed = Matrix(4, 3, array("d", listed.values))
+    for got, want in ((packed.columns(), listed.columns()), (packed.to_rows(), listed.to_rows())):
+        assert all(type(v) is list for v in got + want)
+        assert [[x.hex() for x in v] for v in got] == [[x.hex() for x in v] for v in want]
+    a = rand_matrix(rng, 2, 4)
+    assert [x.hex() for x in matmul(a, packed).values] == [x.hex() for x in matmul(a, listed).values]
+    assert packed.transpose() == listed.transpose()
+
+
+def test_matrices_are_equal_by_shape_and_values_however_they_are_held():
+    listed = Matrix(2, 2, [1.0, -0.0, 2.0, 3.0])
+    assert Matrix(2, 2, array("d", [1.0, 0.0, 2.0, 3.0])) == listed
+    assert listed == Matrix(2, 2, array("d", listed.values))
+    assert Matrix(2, 2, array("d", [1.0, 0.0, 2.0, 4.0])) != listed
+    assert Matrix(1, 4, array("d", listed.values)) != listed
+    assert listed != listed.values
 
 
 def test_transpose_round_trip():
@@ -256,6 +281,34 @@ def test_layer_norm_normalizes_high_variance_rows():
         out = np.array(layer_norm_rows(m, [1.0] * 16, [0.0] * 16, 1e-5).row(0))
         assert abs(out.mean()) <= 1e-9
         assert abs(out.var() - 1.0) <= 1e-6
+
+
+def test_the_square_bound_is_the_largest_float_whose_square_is_finite():
+    assert math.isfinite(_SQUARE_MAX**2)
+    with pytest.raises(OverflowError):
+        math.nextafter(_SQUARE_MAX, math.inf) ** 2
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [1e300, -1e300],  # a deviation too large to square
+        [_SQUARE_MAX, -_SQUARE_MAX],  # squares that sum past the float range
+        [1e154, -1e154, 1e154, -1e154],
+        [1e308, 1e308, 0.0],  # a row sum past the float range: an infinite mean
+    ],
+    ids=["deviation", "at-the-bound", "sum-of-squares", "mean"],
+)
+def test_layer_norm_overflow_is_a_data_error(row):
+    with pytest.raises(DataError, match=r"^non-finite layer norm: row 1's variance overflows$"):
+        layer_norm_rows(Matrix.from_rows([[1.0] * len(row), row]), [1.0] * len(row),
+                        [0.0] * len(row), 1e-5)
+
+
+def test_layer_norm_keeps_a_variance_just_inside_the_float_range():
+    x = math.sqrt(sys.float_info.max / 2) * (1 - 2**-40)
+    out = layer_norm_rows(Matrix.from_rows([[x, -x]]), [1.0, 1.0], [0.0, 0.0], 1e-5)
+    assert out.row(0) == [1.0, -1.0]
 
 
 def test_layer_norm_validates_shapes_and_eps():
