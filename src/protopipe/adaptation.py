@@ -7,17 +7,17 @@ norm. Each prototype is refined in the context of the full set, so the
 output is permutation-equivariant in the rows.
 
 Weights are saved as a JSON header and a file of packed float64 values
-beside it; see `save_transformer_weights`. In memory every weight matrix
-keeps its values packed in an `array('d')`, 8 bytes a value where a list of
-floats takes 32, whether it was loaded or built in code; each product
-unpacks the columns it reads (`Matrix.columns`). The six vectors stay lists.
+beside it; see `save_transformer_weights`. A load reads each tensor
+straight into an `array('d')` of its own (`errors.read_float64`), which its
+`Matrix` keeps, so the values are held once. Each product unpacks the
+columns it reads (`Matrix.columns`). The six vectors are lists.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from array import array
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .errors import NUMBER, ConfigError, read_float64, read_json, write_float64, write_json
@@ -89,17 +89,6 @@ class TransformerWeights:
         for name, v, n in vectors:
             if len(v) != n:
                 raise _shape_mismatch(name, (n,), (len(v),))
-        for name in HEAD_MATRICES:
-            object.__setattr__(self, name, [_packed(m) for m in getattr(self, name)])
-        for name in ("w_o", "w1", "w2"):
-            object.__setattr__(self, name, _packed(getattr(self, name)))
-
-
-def _packed(m: Matrix) -> Matrix:
-    """`m` with its values in an `array('d')`; `m` itself if they already are."""
-    if isinstance(m.values, array) and m.values.typecode == "d":
-        return m
-    return Matrix(m.rows, m.cols, array("d", m.values))
 
 
 def _check_dims(d: int, h: int, d_ff: int) -> None:
@@ -187,21 +176,14 @@ def values_layout(d: int, h: int, d_ff: int) -> list[tuple[str, tuple[int, ...]]
     ]
 
 
-def _locate(layout, index: int) -> str:
-    """The value at `index` of a values file, as `<tensor>[<index in the tensor>]`."""
-    for name, shape in layout:
-        if index < math.prod(shape):
-            return f"{name}[{index}]"
-        index -= math.prod(shape)
-
-
 def load_transformer_weights(path) -> TransformerWeights:
     """Adapter weights: a header read by HEADER_KEYS, then the values file it names.
 
     The values file, resolved against the header's directory, must hold
     exactly the values of `values_layout`: 4d² + 2·d·d_ff + d_ff + 5d of
     them, a count taken before the layout is built, so that no header can
-    make the load build a huge one. Every fault is a ConfigError naming the
+    make the load build a huge one. Each tensor is read into its own
+    array, which a matrix keeps. Every fault is a ConfigError naming the
     header; one in the values file also names that file, and a NaN or an
     infinity its tensor and index.
     """
@@ -210,14 +192,12 @@ def load_transformer_weights(path) -> TransformerWeights:
         _check_dims(d, h, d_ff)
         values = read_float64(
             Path(path).parent / doc["values"], 4 * d * d + 2 * d * d_ff + d_ff + 5 * d,
-            ConfigError, "values file", lambda i: _locate(values_layout(d, h, d_ff), i),
+            ConfigError, "values file", partial(values_layout, d, h, d_ff),
         )
-        tensors, start = {}, 0
-        for name, shape in values_layout(d, h, d_ff):
-            stop = start + math.prod(shape)
-            flat = values[start:stop]
-            tensors[name] = Matrix(*shape, flat) if len(shape) == 2 else flat.tolist()
-            start = stop
+        tensors = {
+            name: Matrix(*shape, flat) if len(shape) == 2 else flat.tolist()
+            for (name, shape), flat in zip(values_layout(d, h, d_ff), values)
+        }
         heads = {name: [tensors.pop(f"{name}[{i}]") for i in range(h)] for name in HEAD_MATRICES}
         return TransformerWeights(
             d=d, h=h, d_ff=d_ff, **heads, **tensors, eps=doc.get("eps", TransformerWeights.eps)

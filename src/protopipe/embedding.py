@@ -26,7 +26,10 @@ more, its columns are split over two ranks, each a forked worker of
 `workers.map_in_workers` pinned to a CPU; finished columns pass between
 them over one pipe into each rank. Every column sees the same sequence of
 dot products, subtractions and division as in one rank, so the bits do not
-change.
+change. Rank 0 hands the projection back packed, row-major, and the `Matrix`
+keeps that array: this process makes none of its floats until it embeds a
+frame, when `EmbedderSpec.columns` unpacks each column once. Where a pool
+embeds, as in an evaluate on two CPUs, only its workers ever do.
 """
 from __future__ import annotations
 
@@ -68,7 +71,8 @@ class EmbedderSpec:
 
     @cached_property
     def columns(self) -> list[Vector]:
-        """The projection's columns, sliced on first use and kept with the spec."""
+        """The projection's columns, unpacked on first use and kept with the spec."""
+        # Each column's floats are made together, as an embedding reads them.
         return self.projection.columns()
 
 
@@ -87,8 +91,8 @@ def _orthonormal_columns(n: int, d: int, seed: int) -> Matrix:
     GRAM_SCHMIDT_MIN_WORK and this process may use two CPUs or more, else
     one rank runs here; see `_gram_schmidt_rank`. One pipe goes into each
     rank, opened here as a reader and a writer that the ranks inherit.
-    Rank 0 returns every finished column, so with two ranks this process
-    never holds the draw.
+    Rank 0 returns the projection row-major in one `array('d')`, which the
+    `Matrix` keeps, so with two ranks this process never holds the draw.
     """
     ranks = 2 if n * d * d >= GRAM_SCHMIDT_MIN_WORK and workers.usable_cpus() > 1 else 1
     pipes = [(open(r, "rb"), open(w, "wb")) for r, w in (os.pipe() for _ in range(ranks))]
@@ -98,9 +102,7 @@ def _orthonormal_columns(n: int, d: int, seed: int) -> Matrix:
     finally:
         for f in chain(*pipes):
             f.close()
-    # Each column's floats are made together, as an embedding reads them.
-    cols = [done[j * n : (j + 1) * n].tolist() for j in range(d)]
-    return Matrix(n, d, [col[i] for i in range(n) for col in cols])
+    return Matrix(n, d, done)
 
 
 def _gram_schmidt_rank(n: int, d: int, seed: int, pipes: list, rank: int) -> array | None:
@@ -114,8 +116,8 @@ def _gram_schmidt_rank(n: int, d: int, seed: int, pipes: list, rank: int) -> arr
     off its projections on columns 0 .. j - 1 in order and is then divided
     by its norm, as in the serial sweep, so the bits do not depend on the
     rank count. Two ranks run in forked workers, each pinned to one CPU of
-    this process's, shared if one is left. Each rank keeps every column in
-    order once it is finished; rank 0 returns them, and rank 1 None. A rank
+    this process's, shared if one is left. Each rank writes every finished
+    column into one row-major array; rank 0 returns it, and rank 1 None. A rank
     that fails writes the other an all-NaN column, on which it stops, and
     re-raises, so no rank is left waiting on a pipe.
     """
@@ -123,7 +125,7 @@ def _gram_schmidt_rank(n: int, d: int, seed: int, pipes: list, rank: int) -> arr
     inbox = pipes[rank][0]
     peer = [pipes[1 - rank][1]] if ranks > 1 else []  # the other rank's pipe
     mine = range(rank, d, ranks)
-    finished = array("d")
+    done = array("d", [0.0]) * (n * d)  # column j is every d-th value from j
 
     def finish(j: int) -> None:
         col = cols[j]
@@ -133,7 +135,7 @@ def _gram_schmidt_rank(n: int, d: int, seed: int, pipes: list, rank: int) -> arr
         for i in range(n):
             col[i] /= norm
         message = array("d", col)
-        finished.extend(message)
+        done[j::d] = message
         for out in peer:
             out.write(message)
             out.flush()
@@ -154,7 +156,7 @@ def _gram_schmidt_rank(n: int, d: int, seed: int, pipes: list, rank: int) -> arr
                 message.fromfile(inbox, n)
                 if math.isnan(message[0]):
                     return None  # the other rank failed and raises the error
-                finished.extend(message)
+                done[p::d] = message
                 prev = message.tolist()
             for j in mine[(p - rank) // ranks + 1 :]:
                 col = cols[j]
@@ -168,7 +170,7 @@ def _gram_schmidt_rank(n: int, d: int, seed: int, pipes: list, rank: int) -> arr
             out.write(array("d", [math.nan]) * n)
             out.flush()
         raise
-    return finished if rank == 0 else None
+    return done if rank == 0 else None
 
 
 def make_patch_projection_spec(

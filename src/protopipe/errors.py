@@ -10,7 +10,11 @@ JSON writer. `write_text` is the one writer of protopipe's files, the JSON
 files, the audit JSONL and packed float64 values: it writes a temporary
 file beside the target and renames it over the target, so a write that
 fails partway leaves the previous file as it was. `read_float64` is the one
-reader of a packed values file, and `write_float64` writes one.
+reader of a packed values file, and `write_float64` writes one. It reads
+a file chunk by chunk, one tensor each, into arrays of exactly their size,
+so a load holds its values once: loading the rigged adapter's 222,336
+values (1.70 MiB) peaks at 1.73 MiB under tracemalloc, where one
+whole-file array sliced into tensors peaked at 3.53 MiB.
 
 `read_object` is the one reader of the objects in every input file;
 `read_json` hands it the top level when given a schema. A schema maps each
@@ -111,30 +115,38 @@ def write_float64(path, values) -> None:
     write_text(path, packed.tobytes())
 
 
-def read_float64(path, count: int, error: type[ValueError], what: str, locate) -> array:
-    """The `count` little-endian float64 values of the file at path, as one `array('d')`.
+def read_float64(path, count: int, error: type[ValueError], what: str, layout) -> list[array]:
+    """The `count` little-endian float64 values of the file at path, one `array('d')` a chunk.
 
-    The file must hold exactly `count` * 8 bytes. One sum tests every value
-    for finiteness; only when it fails are the values walked, and the first
-    NaN or infinity is named `locate(index)`. Every fault raises `error`,
+    The file must hold exactly `count` * 8 bytes; only then is `layout()`
+    called, for the (name, shape) of every chunk in file order, whose
+    sizes add up to `count`. Each chunk is read into its own array of
+    exactly its size. One sum per chunk tests its values for finiteness;
+    only when it fails are they walked, and the first NaN or infinity is
+    named `<name>[<index in the chunk>]`. Every fault raises `error`,
     naming `what` and the file.
     """
-    values = array("d")
+    chunks = []
     try:
         with open(path, "rb") as f:
             size = os.fstat(f.fileno()).st_size
             if size == 8 * count:
-                values.fromfile(f, count)
+                for name, shape in layout():
+                    values = array("d", [0.0]) * math.prod(shape)
+                    if f.readinto(values) != 8 * len(values):
+                        raise EOFError(f"the file ends inside {name}")
+                    chunks.append((name, values))
     except (OSError, EOFError, ValueError) as exc:  # ValueError: a NUL in the path
         raise error(f"cannot read {what} {path}: {exc}") from exc
     if size != 8 * count:
         raise error(f"{what} {path} has {size} bytes, expected {8 * count} ({count} float64s)")
-    if BIG_ENDIAN:
-        values.byteswap()
-    if not all_finite(values):
-        i = next(i for i, x in enumerate(values) if not math.isfinite(x))
-        raise error(f"{what} {path}: {locate(i)} holds a non-finite number {values[i]!r}")
-    return values
+    for name, values in chunks:
+        if BIG_ENDIAN:
+            values.byteswap()
+        if not all_finite(values):
+            i = next(i for i, x in enumerate(values) if not math.isfinite(x))
+            raise error(f"{what} {path}: {name}[{i}] holds a non-finite number {values[i]!r}")
+    return [values for _, values in chunks]
 
 
 def read_object(

@@ -1,12 +1,11 @@
 """Dense linear algebra and activation kernels, stdlib only.
 
 Everything here operates on 64-bit Python floats in row-major matrices.
-A `Matrix` holds its values in a list, or packed in an `array('d')` at 8
-bytes a value where a list of floats takes 32: the adapter keeps its
-weight matrices packed, and every activation is a list. `Matrix.row` and
-`Matrix.columns` return lists for either, so `dot` always runs over lists
-and a product's bits do not depend on how its operands are held; two
-matrices are equal when their shapes and values are, however held.
+A `Matrix` holds its values one way, packed in an `array('d')` at 8 bytes
+a value where a list of floats takes 32: a weight, a projection or an
+activation alike. `Matrix.row` and `Matrix.columns` return lists, so `dot`
+always runs over lists, and a product's bits are those of the plain
+accumulate loop below.
 
 Summation-order contract: every float dot product and norm in the package
 (`matmul`, `norm`, `cosine_similarity`, the frame projection and
@@ -50,15 +49,21 @@ _SQUARE_MAX = math.sqrt(sys.float_info.max)
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable row-major float64 matrix; `values` is a list or an `array('d')`."""
+    """Immutable row-major float64 matrix, its values packed in an `array('d')`.
+
+    An `array('d')` passed in is kept, not copied; any other sequence is
+    packed into a new one.
+    """
 
     rows: int
     cols: int
-    values: list[float] | array
+    values: array
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ConfigError(f"negative shape {self.rows}x{self.cols}")
+        if not (isinstance(self.values, array) and self.values.typecode == "d"):
+            object.__setattr__(self, "values", array("d", self.values))
         if len(self.values) != self.rows * self.cols:
             raise ConfigError(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
@@ -69,20 +74,12 @@ class Matrix:
                 if not math.isfinite(v):
                     raise DataError(f"non-finite matrix entry {v!r}")
 
-    def __eq__(self, other):
-        """Equal shapes and values, whether a list or an array holds them."""
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and all(
-            map(operator.eq, self.values, other.values)
-        )
-
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[float]]) -> "Matrix":
         """Rows of one length, as floats; input files are checked by `errors.read_object`."""
         n = len(rows)
         m = len(rows[0]) if n else 0
-        flat: list[float] = []
+        flat = array("d")
         for r in rows:
             if len(r) != m:
                 raise ConfigError("ragged rows")
@@ -101,22 +98,17 @@ class Matrix:
         return cls(n, n, values)
 
     def row(self, i: int) -> Vector:
-        return _as_list(self.values[i * self.cols : (i + 1) * self.cols])
+        return self.values[i * self.cols : (i + 1) * self.cols].tolist()
 
     def to_rows(self) -> list[Vector]:
         return [self.row(i) for i in range(self.rows)]
 
     def columns(self) -> list[Vector]:
         """Column j as a list, for every j: the right operand of `dot`."""
-        return [_as_list(self.values[j :: self.cols]) for j in range(self.cols)]
+        return [self.values[j :: self.cols].tolist() for j in range(self.cols)]
 
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows, [x for c in self.columns() for x in c])
-
-
-def _as_list(values: list[float] | array) -> Vector:
-    """A slice of a matrix's values as a list: packed values are unpacked."""
-    return values.tolist() if isinstance(values, array) else values
 
 
 def dot(row: Sequence[float], col: Sequence[float]) -> float:
@@ -130,12 +122,10 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         raise ConfigError(
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}"
         )
-    k = a.cols
-    av = a.values
     cols = b.columns()
     out: list[float] = []
     for i in range(a.rows):
-        row = av[i * k : (i + 1) * k]
+        row = a.row(i)
         out.extend([dot(row, col) for col in cols])
     return Matrix(a.rows, b.cols, out)
 

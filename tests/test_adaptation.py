@@ -32,6 +32,8 @@ from protopipe.adaptation import (
 from protopipe.errors import ConfigError
 from protopipe.numerics import Matrix, layer_norm_rows, mean_vectors, scale
 
+MiB = 2**20  # tracemalloc's bounds below are in MiB
+
 GOLDEN = Path(__file__).parent / "data" / "golden_adapter_seed5.json"
 # sha256 of the adapter's output on the golden input, one float.hex per line.
 GOLDEN_OUTPUT_SHA256 = "224bc9a8c60a43d90baa66f99c0b03b4142f610111d2aec9554022f5c3c28c5c"
@@ -67,7 +69,7 @@ class TestAttention:
         w = random_transformer_weights(8, h=2, seed=1)
         p = random_matrix(1, 8, seed=2)
         for a in attention_matrices(p, w):
-            assert a.values == [1.0]
+            assert a.values.tolist() == [1.0]
 
     def test_rows_sum_to_one(self):
         w = random_transformer_weights(8, h=4, seed=3)
@@ -354,16 +356,20 @@ class TestPackedMatrices:
         save_transformer_weights(w, tmp_path / "w.json")
         assert load_transformer_weights(tmp_path / "w.json") == w
 
-    def test_a_packed_matrix_is_not_copied_and_a_listed_one_is_left_as_it_was(self):
+    def test_an_array_is_kept_and_any_other_sequence_is_packed(self):
         w = random_transformer_weights(4, seed=1)
-        listed = Matrix.identity(4)
+        listed = Matrix(4, 4, [float(i == j) for i in range(4) for j in range(4)])
         again = replace(w, w_o=listed, w_q=[w.w_q[0]])
-        assert again.w_q[0] is w.w_q[0] and again.w1 is w.w1
-        assert type(listed.values) is list
-        assert again.w_o.values == array("d", listed.values)
+        assert again.w_q[0] is w.w_q[0] and again.w1 is w.w1 and again.w_o is listed
+        assert type(listed.values) is array and listed == Matrix.identity(4)
+        packed = array("d", listed.values)
+        assert Matrix(4, 4, packed).values is packed
 
     def test_the_rigged_adapter_loads_into_packed_memory(self, tmp_path):
-        # 222,336 values: 1.78 MB packed, 7.12 MB as Python floats.
+        # 222,336 values: 1.70 MiB packed, 6.8 MiB as Python floats. Each
+        # tensor is read into the array its matrix keeps, so the load never
+        # holds the values twice: a whole-file array sliced into tensors
+        # peaked at 3.5 MiB.
         path = tmp_path / "adapter.json"
         save_transformer_weights(centering_adapter_weights(192, 0.25), path)
         tracemalloc.start()
@@ -373,8 +379,8 @@ class TestPackedMatrices:
         finally:
             tracemalloc.stop()
         assert w.d == 192
-        assert held < 2.5e6
-        assert peak < 5e6
+        assert held < 1.8 * MiB
+        assert peak < 2.5 * MiB
 
 
 class TestValuesFile:
@@ -436,6 +442,25 @@ class TestValuesFile:
         with pytest.raises(ConfigError, match=f"^{re.escape(f'bad adapter weights {path}: ')}"
                            f"{re.escape(expected)}"):
             load_transformer_weights(path)
+
+    def test_the_values_file_size_is_checked_before_the_layout_is_built(self, tmp_path):
+        # The layout of d = h = 2**16 has 3 * 2**16 + 9 entries, megabytes of
+        # tuples; an 8-byte values file must be refused before it is built.
+        path, values = tmp_path / "w.json", tmp_path / "w.f64"
+        d = 2**16
+        path.write_text(json.dumps({"d": d, "h": d, "d_ff": 1, "eps": 1e-5, "values": "w.f64"}))
+        values.write_bytes(bytes(8))
+        count = 4 * d * d + 2 * d + 1 + 5 * d
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=re.escape(
+                f"values file {values} has 8 bytes, expected {8 * count} ({count} float64s)"
+            )):
+                load_transformer_weights(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 * MiB
 
     def test_weights_saved_under_a_values_name_are_refused(self, tmp_path):
         with pytest.raises(ConfigError, match="their own values file"):

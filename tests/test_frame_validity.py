@@ -101,7 +101,7 @@ class TestGrayscale:
 class TestSobel:
     def test_constant_frame_is_flat(self):
         mags = ref_sobel_magnitude(gray([[7] * 5] * 5))
-        assert mags.values == [0.0] * 9
+        assert mags.values.tolist() == [0.0] * 9
 
     def test_vertical_step_edge(self):
         # 8x8, left half 0, right half 255: the 3x3 kernel sees the step

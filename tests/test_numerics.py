@@ -80,12 +80,23 @@ def test_matrix_row_and_at():
     assert m.to_rows() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
 
 
+@pytest.mark.parametrize("kind", [list, tuple, lambda v: array("f", v), lambda v: array("d", v)])
+def test_a_matrix_holds_an_array_and_keeps_one_passed_in(kind):
+    given = kind([1.0, -0.5, 2.0, 0.25])
+    m = Matrix(2, 2, given)
+    assert type(m.values) is array and m.values.typecode == "d"
+    assert m.values.tolist() == [1.0, -0.5, 2.0, 0.25]
+    assert (m.values is given) == (type(given) is array and given.typecode == "d")
+
+
 def test_packed_values_give_the_same_list_rows_and_columns_as_list_values():
-    # A packed matrix unpacks what it hands out, so `dot` runs over lists
-    # and a product's bits do not depend on how its right operand is held.
+    # Every matrix unpacks what it hands out, so `dot` runs over lists and a
+    # product's bits do not depend on what the values were built from.
     rng = random.Random(3)
-    listed = rand_matrix(rng, 4, 3)
-    packed = Matrix(4, 3, array("d", listed.values))
+    values = [rng.uniform(-5.0, 5.0) for _ in range(12)]
+    listed = Matrix(4, 3, values)
+    packed = Matrix(4, 3, array("d", values))
+    assert packed == listed
     for got, want in ((packed.columns(), listed.columns()), (packed.to_rows(), listed.to_rows())):
         assert all(type(v) is list for v in got + want)
         assert [[x.hex() for x in v] for v in got] == [[x.hex() for x in v] for v in want]
@@ -472,7 +483,7 @@ def test_mean_vectors_rejects_ragged_input(vectors, data):
 
 
 def test_relu_cases():
-    assert relu(Matrix.from_rows([[-1.0, -2.0]])).values == [0.0, 0.0]
+    assert relu(Matrix.from_rows([[-1.0, -2.0]])).values.tolist() == [0.0, 0.0]
     m = Matrix.from_rows([[1.0, 2.0]])
     assert relu(m) == m
     assert relu(Matrix.from_rows([[-1.0, 2.0]])).to_rows() == [[0.0, 2.0]]

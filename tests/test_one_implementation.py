@@ -37,10 +37,13 @@ input file. This AST scan fails when a second copy grows back:
   `monotonic_ns`, `process_time` or `time.time`) outside
   `loader.bench_loader`, the loader's timing table: the package has one
   source of timing truth;
-* an `array.frombytes` or `array.fromfile` call outside
+* an `array.frombytes`, `array.fromfile` or `readinto` call outside
   `errors.read_float64`, the one reader of packed float64 input, which
   checks a file's size and every value's finiteness, and the Gram-Schmidt
-  rank's pipe read in PACKED_HOMES.
+  rank's pipe read in PACKED_HOMES;
+* an `isinstance(..., array)` outside `numerics.Matrix.__post_init__`,
+  which packs every matrix's values into an `array('d')`: no other code
+  branches on how a `Matrix` is stored.
 """
 from __future__ import annotations
 
@@ -70,7 +73,8 @@ PACKED_HOMES = {
     ("errors.py", "read_float64"): "every packed float64 input file",
     ("embedding.py", "_gram_schmidt_rank"): "a column from the other rank's pipe, not a file",
 }
-PACKED_READS = {"frombytes", "fromfile"}
+PACKED_READS = {"frombytes", "fromfile", "readinto"}
+ARRAY_TEST_HOME = {("numerics.py", "Matrix.__post_init__")}
 
 # (module, function) -> why its sums are not a dot product or a norm.
 ALLOWED_SUMS = {
@@ -548,7 +552,7 @@ def test_the_guard_sees_a_planted_clock(tmp_path):
 
 
 def packed_reads(package_dir: Path, homes=frozenset()) -> list[str]:
-    """Every `frombytes` or `fromfile` call outside the (module, owner) pairs in `homes`."""
+    """Every PACKED_READS call outside the (module, owner) pairs in `homes`."""
     return sorted(
         found for name in PACKED_READS for found in calls_outside(package_dir, name, homes)
     )
@@ -577,5 +581,55 @@ def test_the_guard_sees_a_planted_packed_read(tmp_path):
         "class PrecomputedTable:\n"
         "    def __post_init__(self, f):\n"
         "        self.rows.fromfile(f, 8)\n"
+        "        f.readinto(self.rows)\n"
     )
-    assert packed_reads(tmp_path, PACKED_HOMES) == ["embedding.py:4", "embedding.py:8"]
+    assert packed_reads(tmp_path, PACKED_HOMES) == [
+        "embedding.py:4", "embedding.py:8", "embedding.py:9",
+    ]
+
+
+def is_array_test(node: ast.AST) -> bool:
+    """`isinstance(x, array)`, `isinstance(x, array.array)` or with `array` in a tuple."""
+    if not (isinstance(node, ast.Call) and called(node) == "isinstance" and len(node.args) == 2):
+        return False
+    kinds = node.args[1]
+    kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+    return any("array" in named(kind) for kind in kinds)
+
+
+def array_tests(package_dir: Path, homes=frozenset()) -> list[str]:
+    """Every array type test outside the (module, owner) pairs in `homes`, as "file:line owner"."""
+    found = []
+    for path in sorted(package_dir.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for owner, node in nodes_by_function(tree):
+            if is_array_test(node) and (path.name, owner) not in homes:
+                found.append(f"{path.relative_to(package_dir).as_posix()}:{node.lineno} {owner}")
+    return found
+
+
+def test_only_the_matrix_tests_how_its_values_are_stored():
+    assert array_tests(PACKAGE_DIR, ARRAY_TEST_HOME) == []
+    assert len(array_tests(PACKAGE_DIR)) == len(ARRAY_TEST_HOME)
+
+
+def test_the_guard_sees_a_planted_array_test(tmp_path):
+    (tmp_path / "numerics.py").write_text(
+        "from array import array\n"
+        "class Matrix:\n"
+        "    def __post_init__(self):\n"
+        "        if not isinstance(self.values, array):\n"
+        "            self.values = array('d', self.values)\n"
+        "def _as_list(values):\n"
+        "    return values.tolist() if isinstance(values, array) else values\n"
+    )
+    (tmp_path / "adaptation.py").write_text(
+        "import array\n"
+        "def _packed(m):\n"
+        "    if isinstance(m.values, array.array) and m.values.typecode == 'd':\n"
+        "        return m\n"
+        "    return isinstance(m.values, (list, array.array)), isinstance(m, Matrix)\n"
+    )
+    assert array_tests(tmp_path, ARRAY_TEST_HOME) == [
+        "adaptation.py:3 _packed", "adaptation.py:5 _packed", "numerics.py:7 _as_list",
+    ]
