@@ -10,9 +10,10 @@ JSON writer. `write_text` is the one writer of protopipe's files, the JSON
 files, the audit JSONL and packed float64 values: it writes a temporary
 file beside the target and renames it over the target, so a write that
 fails partway leaves the previous file as it was. `read_float64` is the one
-reader of a packed values file, and `write_float64` writes one. It reads
-a file chunk by chunk, one tensor each, into arrays of exactly their size,
-so a load holds its values once: loading the rigged adapter's 222,336
+reader of a packed values file, and `write_float64` writes one. The
+reader checks the file's size first, then reads it chunk by chunk, one
+tensor each, into arrays of exactly their size, so a load holds its
+values once: loading the rigged adapter's 222,336
 values (1.70 MiB) peaks at 1.73 MiB under tracemalloc, where one
 whole-file array sliced into tensors peaked at 3.53 MiB.
 
