@@ -40,16 +40,18 @@ def _shape_mismatch(field_name: str, expected: tuple, got: tuple) -> ConfigError
 
 @dataclass(frozen=True)
 class TransformerWeights:
+    """The block's weights; `values_layout(d, h, d_ff)` gives each tensor's name and shape."""
+
     d: int
     h: int
     d_ff: int
-    w_q: list[Matrix]  # one d x (d/h) matrix per head
+    w_q: list[Matrix]  # one matrix per head
     w_k: list[Matrix]
     w_v: list[Matrix]
-    w_o: Matrix  # d x d
-    w1: Matrix  # d x d_ff
+    w_o: Matrix
+    w1: Matrix
     b1: Vector
-    w2: Matrix  # d_ff x d
+    w2: Matrix
     b2: Vector
     ln1_gain: Vector
     ln1_bias: Vector
@@ -58,37 +60,22 @@ class TransformerWeights:
     eps: float = 1e-5
 
     def __post_init__(self):
-        d, h, d_ff = self.d, self.h, self.d_ff
-        _check_dims(d, h, d_ff)
+        _check_dims(self.d, self.h, self.d_ff)
         if not 0.0 < self.eps < math.inf:
             raise ConfigError(f"eps must be positive and finite, got {self.eps!r}")
-        d_head = d // h
-        for name in ("w_q", "w_k", "w_v"):
-            mats = getattr(self, name)
-            if len(mats) != h:
-                raise _shape_mismatch(name, (h,), (len(mats),))
-            for i, m in enumerate(mats):
-                if (m.rows, m.cols) != (d, d_head):
-                    raise _shape_mismatch(f"{name}[{i}]", (d, d_head), (m.rows, m.cols))
-        checks = [
-            ("w_o", self.w_o, (d, d)),
-            ("w1", self.w1, (d, d_ff)),
-            ("w2", self.w2, (d_ff, d)),
-        ]
-        for name, m, shape in checks:
-            if (m.rows, m.cols) != shape:
-                raise _shape_mismatch(name, shape, (m.rows, m.cols))
-        vectors = [
-            ("b1", self.b1, d_ff),
-            ("b2", self.b2, d),
-            ("ln1_gain", self.ln1_gain, d),
-            ("ln1_bias", self.ln1_bias, d),
-            ("ln2_gain", self.ln2_gain, d),
-            ("ln2_bias", self.ln2_bias, d),
-        ]
-        for name, v, n in vectors:
-            if len(v) != n:
-                raise _shape_mismatch(name, (n,), (len(v),))
+        for name in HEAD_MATRICES:
+            if (count := len(getattr(self, name))) != self.h:
+                raise _shape_mismatch(name, (self.h,), (count,))
+        for (name, shape), t in zip(values_layout(self.d, self.h, self.d_ff), self.tensors()):
+            got = (t.rows, t.cols) if isinstance(t, Matrix) else (len(t),)
+            if got != shape:
+                raise _shape_mismatch(name, shape, got)
+
+    def tensors(self) -> list[Matrix | Vector]:
+        """Every tensor, in `values_layout` order: each head's w_q, w_k and w_v, then the rest."""
+        heads = itertools.chain.from_iterable(zip(*(getattr(self, n) for n in HEAD_MATRICES)))
+        tail = values_layout(self.d, self.h, self.d_ff)[3 * self.h :]
+        return [*heads, *(getattr(self, name) for name, _ in tail)]
 
 
 def _check_dims(d: int, h: int, d_ff: int) -> None:
@@ -168,7 +155,7 @@ HEADER_KEYS = {"d": int, "h": int, "d_ff": int, "eps": NUMBER, "values": str}
 
 
 def values_layout(d: int, h: int, d_ff: int) -> list[tuple[str, tuple[int, ...]]]:
-    """(name, shape) of every tensor in a values file, in file order."""
+    """(name, shape) of every tensor, in values-file order; the record checks its own by it."""
     heads = [(f"{name}[{i}]", (d, d // h)) for i in range(h) for name in HEAD_MATRICES]
     return heads + [
         ("w_o", (d, d)), ("w1", (d, d_ff)), ("b1", (d_ff,)), ("w2", (d_ff, d)), ("b2", (d,)),
@@ -217,11 +204,6 @@ def save_transformer_weights(w: TransformerWeights, path) -> None:
     values = path.with_suffix(".f64")
     if values == path:
         raise ConfigError(f"adapter weights {path} would overwrite their own values file")
-    heads = {f"{name}[{i}]": m for name in HEAD_MATRICES for i, m in enumerate(getattr(w, name))}
-    tensors = [
-        heads[name] if name in heads else getattr(w, name)
-        for name, _ in values_layout(w.d, w.h, w.d_ff)
-    ]
-    flat = (t.values if isinstance(t, Matrix) else t for t in tensors)
+    flat = (t.values if isinstance(t, Matrix) else t for t in w.tensors())
     write_float64(values, itertools.chain.from_iterable(flat))
     write_json(path, {"d": w.d, "h": w.h, "d_ff": w.d_ff, "eps": w.eps, "values": values.name})

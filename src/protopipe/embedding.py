@@ -43,7 +43,7 @@ from itertools import accumulate, chain
 from operator import itemgetter
 
 from . import workers
-from .errors import ROWS, ConfigError, DataError, finite_floats, read_json
+from .errors import ROWS, ConfigError, DataError, all_finite, finite_floats, read_json
 from .media_io.pnm import Frame
 from .numerics import Matrix, Vector, dot, norm
 
@@ -247,7 +247,7 @@ def embed_frame(frame: Frame, spec: EmbedderSpec) -> Vector:
         )
     flat = downsample_boxes(frame, spec.grid)
     vector = [dot(flat, col) for col in spec.columns]
-    if not all(map(math.isfinite, vector)):
+    if not all_finite(vector):
         raise DataError("non-finite frame embedding: the projection overflows")
     return vector
 

@@ -13,9 +13,8 @@ fails partway leaves the previous file as it was. `read_float64` is the one
 reader of a packed values file, and `write_float64` writes one. The
 reader checks the file's size first, then reads it chunk by chunk, one
 tensor each, into arrays of exactly their size, so a load holds its
-values once: loading the rigged adapter's 222,336
-values (1.70 MiB) peaks at 1.73 MiB under tracemalloc, where one
-whole-file array sliced into tensors peaked at 3.53 MiB.
+values once: loading the rigged adapter's 222,336 values (1.70 MiB) peaks
+at 1.73 MiB under tracemalloc.
 
 `read_object` is the one reader of the objects in every input file;
 `read_json` hands it the top level when given a schema. A schema maps each

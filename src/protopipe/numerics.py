@@ -21,10 +21,11 @@ and so does `protonet.classify_clip` for its query: each prototype row and
 query clip has its norm computed once, to the same bits. The float sums
 outside `dot` are `mean_vectors`' column sums, `softmax_rows`'s total,
 `layer_norm_rows`'s mean and variance, `evaluation`'s mean accuracy, and
-the sums of `Matrix` and `errors.finite_floats`, which only test an array
-for finiteness. `mean_vectors` sums each column with one `sum` from +0.0
-in vector order, the order of the accumulate loop the reference clip means
-and prototypes were made with.
+the sum in `errors.all_finite`, the finiteness test of `Matrix`,
+`errors.finite_floats` and `embedding.embed_frame`, which never reaches an
+output. `mean_vectors` sums each column with one `sum` from +0.0 in vector
+order, the order of the accumulate loop the reference clip means and
+prototypes were made with.
 
 The contract holds below CPython 3.12. From 3.12 on, builtin `sum`
 compensates float rounding, so `dot` and `mean_vectors`, like every other
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Sequence
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, all_finite
 
 Vector = list[float]
 # The largest float whose square is finite.
@@ -69,10 +70,9 @@ class Matrix:
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
                 f"values, got {len(self.values)}"
             )
-        if not math.isfinite(sum(self.values)):  # else every entry is finite
-            for v in self.values:
-                if not math.isfinite(v):
-                    raise DataError(f"non-finite matrix entry {v!r}")
+        if not all_finite(self.values):
+            bad = next(v for v in self.values if not math.isfinite(v))
+            raise DataError(f"non-finite matrix entry {bad!r}")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[float]]) -> "Matrix":

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -11,6 +12,7 @@ import sys
 import tempfile
 import tracemalloc
 from array import array
+from collections import Counter
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from protopipe.adaptation import (
     load_transformer_weights,
     save_transformer_weights,
     self_attention,
+    values_layout,
 )
 from protopipe.errors import ConfigError
 from protopipe.numerics import Matrix, layer_norm_rows, mean_vectors, scale
@@ -62,6 +65,16 @@ def random_matrix(rows, cols, seed):
 
 def rows_of(m):
     return m.to_rows()
+
+
+def with_tensor(w, name, tensor):
+    """`w` with the tensor of layout name `name`, such as `w_q[1]` or `w_o`, replaced."""
+    field, _, index = name.partition("[")
+    if index:
+        heads = list(getattr(w, field))
+        heads[int(index.rstrip("]"))] = tensor
+        tensor = heads
+    return replace(w, **{field: tensor})
 
 
 class TestAttention:
@@ -222,34 +235,28 @@ class TestCenteringAdapter:
 
 
 class TestValidationAndSerialization:
-    def test_wrong_output_projection_shape(self):
-        w = random_transformer_weights(8, seed=0)
-        message = "w_o: expected shape (8, 8), got (8, 4)"
-        with pytest.raises(ConfigError, match=re.escape(message)) as info:
-            TransformerWeights(
-                d=8, h=1, d_ff=w.d_ff,
-                w_q=w.w_q, w_k=w.w_k, w_v=w.w_v,
-                w_o=Matrix.zeros(8, 4),
-                w1=w.w1, b1=w.b1, w2=w.w2, b2=w.b2,
-                ln1_gain=w.ln1_gain, ln1_bias=w.ln1_bias,
-                ln2_gain=w.ln2_gain, ln2_bias=w.ln2_bias,
-            )
-        assert "w_o" in str(info.value)
+    @pytest.mark.parametrize(
+        "name, shape", values_layout(8, 2, 10), ids=[name for name, _ in values_layout(8, 2, 10)]
+    )
+    def test_a_tensor_of_the_wrong_shape_is_named_with_both_shapes(self, name, shape):
+        # w_o: expected shape (8, 8), got (8, 4); b1: expected shape (10,), got (9,)
+        w = random_transformer_weights(8, h=2, d_ff=10, seed=0)
+        wrong = (shape[0], shape[1] // 2) if len(shape) == 2 else (shape[0] - 1,)
+        tensor = Matrix.zeros(*wrong) if len(wrong) == 2 else [0.0] * wrong[0]
+        message = f"{name}: expected shape {shape}, got {wrong}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            with_tensor(w, name, tensor)
 
     def test_head_count_must_divide_dim(self):
         with pytest.raises(ValueError):
             random_transformer_weights(8, h=3)
 
-    def test_wrong_head_matrix_count(self):
+    @pytest.mark.parametrize("name", ["w_q", "w_k", "w_v"])
+    def test_wrong_head_matrix_count(self, name):
         w = random_transformer_weights(8, h=2, seed=0)
-        with pytest.raises(ConfigError, match=re.escape("w_q: expected shape (2,), got (1,)")):
-            TransformerWeights(
-                d=8, h=2, d_ff=w.d_ff,
-                w_q=w.w_q[:1], w_k=w.w_k, w_v=w.w_v,
-                w_o=w.w_o, w1=w.w1, b1=w.b1, w2=w.w2, b2=w.b2,
-                ln1_gain=w.ln1_gain, ln1_bias=w.ln1_bias,
-                ln2_gain=w.ln2_gain, ln2_bias=w.ln2_bias,
-            )
+        message = f"{name}: expected shape (2,), got (1,)"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            replace(w, **{name: getattr(w, name)[:1]})
 
     def test_save_load_round_trip(self, tmp_path):
         w = random_transformer_weights(8, h=2, d_ff=10, seed=17)
@@ -337,17 +344,44 @@ def matrices_and_vectors(w):
     return heads + [w.w_o, w.w1, w.w2], vectors
 
 
+def weights_from(source, tmp_path):
+    """Weights built at random or by hand, or saved at random and loaded."""
+    w = (centering_adapter_weights(6) if source == "centering"
+         else random_transformer_weights(8, h=2, d_ff=5, seed=3))
+    if source == "loaded":
+        save_transformer_weights(w, tmp_path / "w.json")
+        w = load_transformer_weights(tmp_path / "w.json")
+    return w
+
+
+class TestOneLayout:
+    """`values_layout` describes the record's tensors as well as the values file."""
+
+    def test_every_tensor_field_is_in_the_layout_once_per_head_or_once(self):
+        # A field the layout lacked would be dropped by save without an error.
+        fields = {f.name for f in dataclasses.fields(TransformerWeights)} - {"d", "h", "d_ff", "eps"}
+        layout = [name for name, _ in values_layout(8, 2, 10)]
+        heads = {"w_q", "w_k", "w_v"}
+        assert len(set(layout)) == len(layout)
+        assert Counter(name.partition("[")[0] for name in layout) == {
+            field: 2 if field in heads else 1 for field in fields
+        }
+
+    @pytest.mark.parametrize("source", ["random", "centering", "loaded"])
+    def test_the_tensors_have_the_layout_shapes_in_its_order(self, tmp_path, source):
+        w = weights_from(source, tmp_path)
+        shapes = [(t.rows, t.cols) if isinstance(t, Matrix) else (len(t),) for t in w.tensors()]
+        assert shapes == [shape for _, shape in values_layout(w.d, w.h, w.d_ff)]
+        matrices, vectors = matrices_and_vectors(w)
+        assert sorted(map(id, w.tensors())) == sorted(map(id, matrices + vectors))
+
+
 class TestPackedMatrices:
     """Every weight matrix holds an array('d'), loaded or built in code; vectors are lists."""
 
     @pytest.mark.parametrize("source", ["random", "centering", "loaded"])
     def test_every_weight_matrix_is_packed_and_every_vector_a_list(self, tmp_path, source):
-        w = (centering_adapter_weights(6) if source == "centering"
-             else random_transformer_weights(8, h=2, d_ff=5, seed=3))
-        if source == "loaded":
-            save_transformer_weights(w, tmp_path / "w.json")
-            w = load_transformer_weights(tmp_path / "w.json")
-        matrices, vectors = matrices_and_vectors(w)
+        matrices, vectors = matrices_and_vectors(weights_from(source, tmp_path))
         assert all(type(m.values) is array and m.values.typecode == "d" for m in matrices)
         assert all(type(v) is list for v in vectors)
 

@@ -350,17 +350,27 @@ def test_the_rigged_projection_is_handed_over_packed_with_the_reference_bits(cpu
 
 
 def projection_memory(tmp_path, monkeypatch):
-    # With two ranks, this process holds only the packed 192x192 result,
-    # 0.28 MiB, and none of the draw's or the columns' floats: unpacking
-    # the result here took the build to 1.15 MiB held and 1.74 MiB at peak.
+    # With two ranks, the spec this process keeps holds only the packed
+    # 192x192 result, 0.28 MiB, and none of the draw's or the columns'
+    # floats: unpacking the result here took the build to 1.15 MiB held and
+    # 1.74 MiB at peak. Only this process is measured, so each forked rank
+    # stops the tracing it inherits, which would slow it some twentyfold.
     monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
     monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+    work = workers._work
+
+    def untraced_work(*args):
+        tracemalloc.stop()
+        work(*args)
+
+    monkeypatch.setattr(workers, "_work", untraced_work)
     tracemalloc.start()
     try:
-        make_patch_projection_spec(8, 3, 192, 0)
+        spec = make_patch_projection_spec(8, 3, 192, 0)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert spec.projection.rows == spec.projection.cols == 192
     assert held < 0.4 * 2**20
     assert peak < 1.2 * 2**20
     assert live_children() == []
